@@ -245,11 +245,22 @@ Status BufferManager::Read(PageId id, Page* out, QueryContext* ctx) {
         ClaimPrefetched(id, &page, ctx))) {
     KCPQ_RETURN_IF_ERROR(TracedStorageRead(storage_, id, &page, ctx));
   }
+  return InsertFetched(shard, id, std::move(page), out);
+}
+
+Status BufferManager::InsertFetched(Shard& shard, PageId id, Page page,
+                                    Page* out) {
   KCPQ_RETURN_IF_ERROR(EvictIfFull(shard));
   shard.policy->OnInsert(id);
   *out = page;
   shard.frames.emplace(id, Frame{std::move(page), /*dirty=*/false});
   return Status::OK();
+}
+
+bool BufferManager::AreaHolds(PageId id) const {
+  if (prefetch_.size.load(std::memory_order_relaxed) == 0) return false;
+  std::lock_guard<std::mutex> lock(prefetch_.mu);
+  return prefetch_.entries.count(id) > 0;
 }
 
 Status BufferManager::Write(PageId id, const Page& page) {
@@ -275,8 +286,12 @@ size_t BufferManager::Prefetch(const PageId* ids, size_t count,
                                QueryContext* ctx) {
   if (count == 0) return 0;
   prefetch_active_.store(true, std::memory_order_relaxed);
-  std::vector<PageId> accepted;
-  accepted.reserve(count);
+  // Residency checks come first, each under (and released with) its own
+  // shard lock: an entry registered below must reach ReadPagesAsync with
+  // no shard lock held, or a demand Read holding that lock could wait in
+  // ClaimPrefetched for a read that is never issued.
+  std::vector<PageId> wanted;
+  wanted.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     const PageId id = ids[i];
     if (capacity_ > 0) {
@@ -287,8 +302,13 @@ size_t BufferManager::Prefetch(const PageId* ids, size_t count,
       // just costs the synchronous read it would have cost anyway.)
       if (shard.frames.count(id) > 0) continue;
     }
-    {
-      std::lock_guard<std::mutex> lock(prefetch_.mu);
+    wanted.push_back(id);
+  }
+  std::vector<PageId> accepted;
+  accepted.reserve(wanted.size());
+  {
+    std::lock_guard<std::mutex> lock(prefetch_.mu);
+    for (const PageId id : wanted) {
       if (prefetch_.entries.size() >= prefetch_.capacity) break;
       // Duplicate of a staged or in-flight read: coalesce.
       auto [eit, inserted] = prefetch_.entries.emplace(id, PrefetchEntry{});
@@ -297,13 +317,19 @@ size_t BufferManager::Prefetch(const PageId* ids, size_t count,
       // credits it back (ReleaseIssuerLocked).
       eit->second.issuer = ctx;
       ++prefetch_.inflight;
-      const auto inflight = static_cast<uint64_t>(prefetch_.inflight);
+      accepted.push_back(id);
+    }
+    prefetch_.PublishSizeLocked();
+    const auto inflight = static_cast<uint64_t>(prefetch_.inflight);
+    if (!accepted.empty()) {
       if (inflight > prefetch_inflight_peak_.load(std::memory_order_relaxed)) {
         prefetch_inflight_peak_.store(inflight, std::memory_order_relaxed);
       }
       KCPQ_METRIC_SET_MAX(obs::KcpqMetrics::Get().prefetch_inflight_peak,
                           inflight);
     }
+  }
+  for (const PageId id : accepted) {
     // Charge speculation to the query at issue time, on the query's own
     // thread (contexts are single-threaded; completions run on I/O
     // threads). The charge dedups with any later demand read of the page.
@@ -311,7 +337,6 @@ size_t BufferManager::Prefetch(const PageId* ids, size_t count,
       ctx->OnPageRead(instance_id_, id, storage_->page_size());
     }
     CountPrefetchIssued();
-    accepted.push_back(id);
   }
   if (!accepted.empty()) {
     storage_->ReadPagesAsync(
@@ -338,6 +363,7 @@ void BufferManager::OnPrefetchComplete(AsyncPageRead done) {
       // waiters re-issue fresh.)
       waiters = std::move(entry.waiters);
       prefetch_.entries.erase(it);
+      prefetch_.PublishSizeLocked();
       wasted = !demand;
     } else {
       // A failed *demand* fetch stages its error instead: the first
@@ -394,6 +420,7 @@ bool BufferManager::ClaimPrefetched(PageId id, Page* out, QueryContext* ctx) {
     }
     waiters = std::move(it->second.waiters);
     prefetch_.entries.erase(it);
+    prefetch_.PublishSizeLocked();
     if (failed) {
       // A demand fetch that failed: drop it and retry synchronously, the
       // same recovery a failed speculative read gets. (Waiters fire
@@ -438,6 +465,7 @@ void BufferManager::StartDemandFetchLocked(PageId id, const Waker& waker) {
   prefetch_active_.store(true, std::memory_order_relaxed);
   auto [it, inserted] = prefetch_.entries.emplace(id, PrefetchEntry{});
   (void)inserted;  // caller verified no entry exists
+  prefetch_.PublishSizeLocked();
   it->second.demand = true;
   it->second.waiters.push_back(waker);
   // Counts toward inflight (drains wait for it) but not toward the
@@ -463,10 +491,16 @@ Status BufferManager::TryRead(PageId id, Page* out, QueryContext* ctx,
   std::vector<Waker> waiters;
   if (capacity_ == 0) {
     // Pass-through: every serve is a miss (the paper's zero-buffer
-    // setting). Concurrent parkers coalesce on one fetch, but only the
-    // first re-runner claims it — later ones find no entry and re-issue,
-    // so each query still pays one miss per read, exactly like blocking
-    // pass-through reads.
+    // setting). A page with no staging entry that storage can copy
+    // without waiting (page-cache resident) is served inline, skipping
+    // the park/wake round trip. Otherwise concurrent parkers coalesce on
+    // one fetch, but only the first re-runner claims it — later ones
+    // find no entry and read again, so each query still pays one miss
+    // per read, exactly like blocking pass-through reads.
+    if (!AreaHolds(id) && storage_->TryReadPageNow(id, out)) {
+      CountMiss();
+      return Status::OK();
+    }
     {
       std::lock_guard<std::mutex> lock(prefetch_.mu);
       auto it = prefetch_.entries.find(id);
@@ -485,6 +519,7 @@ Status BufferManager::TryRead(PageId id, Page* out, QueryContext* ctx,
         }
         waiters = std::move(it->second.waiters);
         prefetch_.entries.erase(it);
+        prefetch_.PublishSizeLocked();
       }
     }
     for (const Waker& w : waiters) w();
@@ -509,8 +544,17 @@ Status BufferManager::TryRead(PageId id, Page* out, QueryContext* ctx,
       outcome->hit = true;
       return Status::OK();
     }
-    // Non-resident: consult the staging area (shard mu -> prefetch mu is
-    // the legal lock order).
+    // Non-resident and not staged: try the page-cache fast path under the
+    // shard lock, exactly like a blocking fetch (shard mu -> prefetch mu
+    // is the legal lock order for the staging check).
+    if (!AreaHolds(id)) {
+      Page page;
+      if (storage_->TryReadPageNow(id, &page)) {
+        CountMiss();
+        return InsertFetched(shard, id, std::move(page), out);
+      }
+    }
+    // Otherwise consult the staging area: claim, park, or start a fetch.
     bool claimed = false;
     Page page;
     {
@@ -532,6 +576,7 @@ Status BufferManager::TryRead(PageId id, Page* out, QueryContext* ctx,
         }
         waiters = std::move(it->second.waiters);
         prefetch_.entries.erase(it);
+        prefetch_.PublishSizeLocked();
       }
     }
     if (claimed) {
@@ -544,12 +589,7 @@ Status BufferManager::TryRead(PageId id, Page* out, QueryContext* ctx,
       CountMiss();
       outcome->prefetch_claim = prefetch_claim;
       if (prefetch_claim) CountPrefetchHit();
-      result = EvictIfFull(shard);
-      if (result.ok()) {
-        shard.policy->OnInsert(id);
-        *out = page;
-        shard.frames.emplace(id, Frame{std::move(page), /*dirty=*/false});
-      }
+      result = InsertFetched(shard, id, std::move(page), out);
     } else if (served) {
       // Failed fetch: the access still counts, like a failed synchronous
       // read on the blocking path.
@@ -580,6 +620,7 @@ void BufferManager::DrainPrefetches() {
       for (Waker& waker : entry.waiters) waiters.push_back(std::move(waker));
     }
     prefetch_.entries.clear();
+    prefetch_.PublishSizeLocked();
   }
   for (size_t i = 0; i < dropped; ++i) CountPrefetchWasted();
   for (const Waker& waker : waiters) waker();
@@ -631,6 +672,7 @@ Status BufferManager::Free(PageId id) {
           wasted = !it->second.demand;
           waiters = std::move(it->second.waiters);
           prefetch_.entries.erase(it);
+          prefetch_.PublishSizeLocked();
         } else {
           it->second.abandoned = true;
         }
@@ -706,6 +748,7 @@ Status BufferManager::FlushAndClear() {
           ++it;
         }
       }
+      prefetch_.PublishSizeLocked();
     }
     for (size_t i = 0; i < dropped; ++i) CountPrefetchWasted();
     for (const Waker& waker : waiters) waker();

@@ -48,7 +48,11 @@
 // exactly like a blocking hit; a non-resident one either claims a staged
 // (speculative or demand) copy — counted exactly like a blocking miss,
 // inserted through the same eviction path so the replacement policy sees
-// the same history — or *parks*: the caller's waker is registered on the
+// the same history — or, when no staging entry exists and the storage
+// can copy the page without waiting (StorageManager::TryReadPageNow: a
+// page-cache hit on a bare file store), is read inline, again counted and
+// inserted exactly like a blocking miss; otherwise it *parks*: the
+// caller's waker is registered on the
 // page's in-flight entry (starting a demand fetch through ReadPagesAsync
 // if none exists) and TryRead returns immediately with outcome.parked.
 // When the fetch completes, the buffer fires the waker and the caller
@@ -163,7 +167,8 @@ class BufferManager {
 
   /// Non-blocking Read for resumable engines ("park on miss, wake on
   /// completion" — see the file comment). Serves the page when it is
-  /// resident or staged; otherwise registers `waker` with the page's
+  /// resident, staged, or readable from storage without waiting;
+  /// otherwise registers `waker` with the page's
   /// in-flight fetch (starting a demand fetch if none exists), sets
   /// outcome->parked and returns OK without counting anything. The waker
   /// may fire from an I/O thread, possibly before TryRead returns; fire
@@ -287,6 +292,13 @@ class BufferManager {
     std::unordered_map<PageId, PrefetchEntry> entries;
     size_t inflight = 0;
     size_t capacity = 128;
+    /// entries.size(), republished under `mu` after every change, so the
+    /// page-cache fast path can see an empty area without taking `mu`.
+    std::atomic<size_t> size{0};
+
+    void PublishSizeLocked() {
+      size.store(entries.size(), std::memory_order_relaxed);
+    }
   };
 
   Shard& ShardFor(PageId id) { return *shards_[id % shards_.size()]; }
@@ -294,6 +306,14 @@ class BufferManager {
   /// Ensures space in `shard` for one more frame, evicting (with
   /// write-back) if full. Caller holds shard.mu.
   Status EvictIfFull(Shard& shard);
+
+  /// Makes a fetched page resident: evicts if full, tells the policy, and
+  /// copies the page out. Caller holds shard.mu and has counted the miss.
+  Status InsertFetched(Shard& shard, PageId id, Page page, Page* out);
+
+  /// True when the staging area has an entry for `id`; never takes the
+  /// area lock while the area is empty.
+  bool AreaHolds(PageId id) const;
 
   /// Demand-miss hook: claims `id` from the prefetch area (waiting out an
   /// in-flight read) into `*out`. False when the page is not there or its

@@ -140,6 +140,11 @@ struct SchedulerImpl {
 
   void FinishSlot(size_t index, bool ran) {
     if (ran && on_done && *on_done) (*on_done)(index, tasks[index].get());
+    // The task owns a waker holding a shared_ptr to this impl, so keeping
+    // it would form a cycle that frees neither (nor the task's engine
+    // state). Nothing touches a finished task again: stale wakes only
+    // read states[index].
+    tasks[index].reset();
     inflight.fetch_sub(1, std::memory_order_relaxed);
     const size_t finished = done_count.fetch_add(1, std::memory_order_acq_rel) + 1;
     // A start slot just freed (or the run ended): rouse a sleeper to claim

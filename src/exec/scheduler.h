@@ -77,7 +77,8 @@ class ResumableScheduler {
 
   /// Called on a worker thread right after task `index` returns kDone,
   /// before its slot is released (so `max_inflight` also bounds
-  /// not-yet-harvested results). Runs concurrently for different tasks.
+  /// not-yet-harvested results). The task is destroyed when this returns,
+  /// so take its results here. Runs concurrently for different tasks.
   using DoneFn = std::function<void(size_t index, ResumableTask* task)>;
 
   struct Stats {
@@ -88,10 +89,10 @@ class ResumableScheduler {
   };
 
   /// Runs `count` tasks to completion and returns the run's counters.
-  /// Blocks the calling thread. The tasks (and any wakers they registered
-  /// with a BufferManager) are destroyed before Run returns, so the caller
-  /// must drain the buffers *after* Run only to settle speculation
-  /// accounting — stale wakers fired by those drains are no-ops.
+  /// Blocks the calling thread. Each task is destroyed right after its
+  /// done callback, so all of them are gone before Run returns; the
+  /// caller drains the buffers *after* Run only to settle speculation
+  /// accounting — stale wakers still held by staging entries are no-ops.
   static Stats Run(size_t count, const TaskFactory& factory,
                    const DoneFn& on_done, const Options& options);
 };

@@ -200,8 +200,11 @@ std::string RenderExplainReport(const ExplainInputs& in,
        << (in.uring_sqpoll ? "  sqpoll: on" : "")
        << "  buffers: " << (in.uring_fixed_buffers ? "fixed" : "copied")
        << "\n";
+    // Where the reads went: page-cache-resident misses are copied inline
+    // (StorageManager::TryReadPageNow); only the rest ride the ring.
+    os << "  inline reads: " << Num(in.inline_reads)
+       << "  ring reads: " << Num(in.uring_reads) << "\n";
     os << "  batches: " << Num(in.uring_batches)
-       << "  reads: " << Num(in.uring_reads)
        << "  cqe wakes: " << Num(in.uring_cqe_wakes)
        << "  sq-full stalls: " << Num(in.uring_sq_full_stalls) << "\n\n";
   } else if (!in.io_backend.empty() && !in.io_fallback_reason.empty()) {

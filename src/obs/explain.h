@@ -141,6 +141,8 @@ struct ExplainInputs {
   uint64_t uring_reads = 0;          // SQEs submitted
   uint64_t uring_cqe_wakes = 0;      // reaper wake-ups
   uint64_t uring_sq_full_stalls = 0; // submissions that waited for a slot
+  uint64_t inline_reads = 0;         // misses copied from the page cache
+                                     // without a ring round trip
 
   // Replication (storage/mirrored_storage.h): rendered only when
   // replicas > 1, so single-replica reports — and their goldens — are

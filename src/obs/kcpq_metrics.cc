@@ -16,6 +16,10 @@ KcpqMetrics Register() {
 
   KcpqMetrics m;
   m.storage_reads_total = r.GetCounter("kcpq_storage_reads_total");
+  m.storage_inline_reads_total =
+      r.GetCounter("kcpq_storage_inline_reads_total",
+                   "Reads served from the page cache without waiting "
+                   "(resumable misses that did not park)");
   m.storage_writes_total = r.GetCounter("kcpq_storage_writes_total");
   m.storage_retries_total = r.GetCounter("kcpq_storage_retries_total");
   m.storage_retries_recovered_total =

@@ -24,6 +24,7 @@ namespace obs {
 struct KcpqMetrics {
   // -- storage ----------------------------------------------------------
   Counter* storage_reads_total;
+  Counter* storage_inline_reads_total;     // of those: page-cache, no wait
   Counter* storage_writes_total;
   Counter* storage_retries_total;          // transient-fault retry attempts
   Counter* storage_retries_recovered_total;

@@ -1,6 +1,7 @@
 #include "storage/file_storage.h"
 
 #include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -222,6 +223,34 @@ Status FileStorageManager::DoReadPage(PageId id, Page* page,
   KCPQ_METRIC_INC(obs::KcpqMetrics::Get().storage_reads_total);
   page->Resize(page_size());
   return ReadRaw(PageOffset(id), page->data(), page->size());
+}
+
+bool FileStorageManager::DoTryReadPageNow(PageId id, Page* page) {
+#if defined(__linux__) && defined(RWF_NOWAIT)
+  // Out-of-range ids take the ordinary path, which reports the error.
+  if (id >= page_count_ || !nowait_reads_.load(std::memory_order_relaxed)) {
+    return false;
+  }
+  page->Resize(page_size());
+  iovec iov{page->data(), page->size()};
+  const ssize_t n = ::preadv2(fd_, &iov, 1, static_cast<off_t>(PageOffset(id)),
+                              RWF_NOWAIT);
+  if (n == static_cast<ssize_t>(page->size())) {
+    CountRead();
+    inline_reads_.fetch_add(1, std::memory_order_relaxed);
+    KCPQ_METRIC_INC(obs::KcpqMetrics::Get().storage_reads_total);
+    KCPQ_METRIC_INC(obs::KcpqMetrics::Get().storage_inline_reads_total);
+    return true;
+  }
+  if (n < 0 && (errno == EOPNOTSUPP || errno == EINVAL)) {
+    nowait_reads_.store(false, std::memory_order_relaxed);
+  }
+  return false;
+#else
+  (void)id;
+  (void)page;
+  return false;
+#endif
 }
 
 Status FileStorageManager::WritePage(PageId id, const Page& page) {

@@ -8,6 +8,8 @@
 #ifndef KCPQ_STORAGE_FILE_STORAGE_H_
 #define KCPQ_STORAGE_FILE_STORAGE_H_
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -64,8 +66,20 @@ class FileStorageManager final : public StorageManager {
   /// status for the CLI's active-backend report.
   const IoEventLoop* uring_loop() const { return uring_loop_.get(); }
 
+  /// Reads served by TryReadPageNow (page-cache resident, no wait).
+  uint64_t inline_reads() const {
+    return inline_reads_.load(std::memory_order_relaxed);
+  }
+
  protected:
   Status DoReadPage(PageId id, Page* page, const QueryContext* ctx) override;
+
+  /// preadv2(RWF_NOWAIT) on Linux: serves a page only when the kernel can
+  /// copy all of it from the page cache without blocking. EAGAIN or a
+  /// short read says "not now"; EOPNOTSUPP / EINVAL (a kernel or file
+  /// system without nowait buffered reads) switches the fast path off for
+  /// this file. Always false elsewhere.
+  bool DoTryReadPageNow(PageId id, Page* page) override;
 
   /// kUring submits the batch into the persistent uring event loop (the
   /// reaper thread invokes `callback` directly — no IoThreadPool hop);
@@ -99,6 +113,9 @@ class FileStorageManager final : public StorageManager {
   std::unique_ptr<ThreadPoolEventLoop> pool_loop_;
   std::unique_ptr<IoEventLoop> uring_loop_;
   std::string uring_fallback_reason_;
+
+  std::atomic<bool> nowait_reads_{true};
+  std::atomic<uint64_t> inline_reads_{0};
 };
 
 }  // namespace kcpq

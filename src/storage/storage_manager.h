@@ -115,6 +115,17 @@ class StorageManager {
     return DoReadPage(id, page, ctx);
   }
 
+  /// Non-blocking synchronous read: fills `*page` and returns true only
+  /// when the whole page can be copied without waiting for the device
+  /// (on a file store: the page is resident in the OS page cache). A
+  /// served page counts one read, same as ReadPage. False means "not now"
+  /// — nothing was counted and the caller takes the ordinary read path,
+  /// which reports any error. The default (every decorator and the memory
+  /// store) always says false, so a decorated stack still sees every read.
+  bool TryReadPageNow(PageId id, Page* page) {
+    return DoTryReadPageNow(id, page);
+  }
+
   /// Batched asynchronous read: issues `count` page reads and invokes
   /// `callback` exactly once per page as each completes (possibly
   /// concurrently, in any order). Each completed page counts one read,
@@ -189,6 +200,11 @@ class StorageManager {
   /// ReadPage implementation hook. `ctx` may be null.
   virtual Status DoReadPage(PageId id, Page* page,
                             const QueryContext* ctx) = 0;
+
+  /// TryReadPageNow implementation hook; the default never serves.
+  virtual bool DoTryReadPageNow(PageId /*id*/, Page* /*page*/) {
+    return false;
+  }
 
   /// SetIoBackend hook, invoked after the SupportsIoBackend check and
   /// before the new backend takes effect — implementations build or tear

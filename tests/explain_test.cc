@@ -243,5 +243,27 @@ TEST(ExplainGoldenTest, RangeClosestReportMatchesGoldenFile) {
               RenderExplainReport(MakeInputs(options, run), run.profile));
 }
 
+// The IO section splits a uring-backed query's reads into those copied
+// inline from the page cache and those the ring carried.
+TEST(ExplainIoTest, UringSectionShowsInlineVsRingReads) {
+  CpqOptions options;
+  options.algorithm = CpqAlgorithm::kHeap;
+  options.k = 10;
+  const ProfiledRun run = RunProfiledOptions(options, 500);
+  obs::ExplainInputs inputs = MakeInputs(options, run);
+  inputs.io_backend = "uring";
+  inputs.uring_fixed_buffers = true;
+  inputs.inline_reads = 480;
+  inputs.uring_reads = 5;
+  inputs.uring_batches = 3;
+  inputs.uring_cqe_wakes = 2;
+  const std::string report = RenderExplainReport(inputs, run.profile);
+  EXPECT_NE(report.find("IO\n  backend: uring  buffers: fixed\n"
+                        "  inline reads: 480  ring reads: 5\n"
+                        "  batches: 3  cqe wakes: 2  sq-full stalls: 0\n"),
+            std::string::npos)
+      << report;
+}
+
 }  // namespace
 }  // namespace kcpq

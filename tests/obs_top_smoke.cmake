@@ -1,8 +1,9 @@
 # End-to-end smoke test for the telemetry pipeline: a batch run with the
 # embedded exporter on, piped into kcpq_top, which parses the "listening
-# on" banner from the producer's stdout and scrapes /queries while the
-# batch (and then the linger window) keeps the exporter alive. Run via
-# ctest (see tests/CMakeLists.txt); requires KCPQ_CLI, KCPQ_TOP, WORK_DIR.
+# on" banner from the producer's stdout and scrapes /queries once the
+# producer's first result line arrives, while the linger window keeps the
+# exporter alive. Run via ctest (see tests/CMakeLists.txt); requires
+# KCPQ_CLI, KCPQ_TOP, WORK_DIR.
 
 foreach(var KCPQ_CLI KCPQ_TOP WORK_DIR)
   if(NOT DEFINED ${var})
@@ -30,8 +31,8 @@ run_expect(0 "${KCPQ_CLI}" build q.csv q.db --bulk)
 
 # The pipeline under test: producer | kcpq_top. Multi-COMMAND
 # execute_process runs the two concurrently with stdout piped, exactly
-# like a shell pipeline; the linger window guarantees the exporter
-# outlives kcpq_top's scrape even if every query finishes first.
+# like a shell pipeline; the results arrive only after every query has
+# finished, and the linger window keeps the exporter up for the scrape.
 execute_process(
   COMMAND "${KCPQ_CLI}" kcp p.db q.db 10 --threads=2 --repeat=8
           --obs-port=0 --obs-linger-ms=4000

@@ -389,6 +389,52 @@ TEST(SchedulerTest, NullFactoryResultSkipsDoneCallback) {
   EXPECT_EQ(done.load(), 6u);  // the 3 rejected slots never reach on_done
 }
 
+/// Parks once (waking itself) and then finishes; counts live instances.
+/// Holds its waker for its whole life, as the engine state machines do.
+class CountedTask final : public ResumableTask {
+ public:
+  CountedTask(Waker waker, std::atomic<int>* live)
+      : waker_(std::move(waker)), live_(live) {
+    live_->fetch_add(1, std::memory_order_relaxed);
+  }
+  ~CountedTask() override { live_->fetch_sub(1, std::memory_order_relaxed); }
+
+  StepResult Step() override {
+    if (parked_) return StepResult::kDone;
+    parked_ = true;
+    waker_();
+    return StepResult::kParked;
+  }
+
+ private:
+  Waker waker_;
+  std::atomic<int>* live_;
+  bool parked_ = false;
+};
+
+// A task's waker refers back to the scheduler, so a scheduler that kept
+// finished tasks until the end would keep them (and their engine state)
+// alive forever. Every task is gone by the time Run returns.
+TEST(SchedulerTest, TasksAreDestroyedBeforeRunReturns) {
+  std::atomic<int> live{0};
+  std::atomic<size_t> done{0};
+  ResumableScheduler::Options options;
+  options.workers = 4;
+  options.max_inflight = 8;
+  ResumableScheduler::Run(
+      64,
+      [&](size_t, Waker waker) {
+        return std::make_unique<CountedTask>(std::move(waker), &live);
+      },
+      [&](size_t, ResumableTask* task) {
+        EXPECT_NE(task, nullptr);  // still alive while its result is taken
+        done.fetch_add(1, std::memory_order_relaxed);
+      },
+      options);
+  EXPECT_EQ(done.load(), 64u);
+  EXPECT_EQ(live.load(), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Per-page latency on the async path (PR satellite): the latency decorator
 // must charge its simulated latency to asynchronously-read pages too, not

@@ -4,12 +4,17 @@
 // 50 seeds x 5 algorithms x blocking/resumable), mid-flight cancellation
 // and deadline expiry with CQEs outstanding, SQ-depth backpressure when
 // the ring is smaller than the in-flight bound, and graceful degradation
-// to the portable pool loop (never a silent downgrade).
+// to the portable pool loop (never a silent downgrade). The ring tests run
+// on files dropped from the page cache, since resident pages are copied
+// inline and never reach the ring; the ResumableInlineReads tests cover
+// that fast path itself.
 //
-// Every test hard-skips — visibly, with the probe's reason — when the
+// Every ring test hard-skips — visibly, with the probe's reason — when the
 // running kernel refuses io_uring, so a CI lane without ring support
 // reports SKIPPED rather than a hollow PASS.
 
+#include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -86,6 +91,25 @@ class FileTreeFixture {
   RStarTree& tree() { return *tree_; }
   BufferManager& buffer() { return *buffer_; }
   FileStorageManager& storage() { return *storage_; }
+
+  /// Syncs the file and evicts it from the OS page cache, so the next
+  /// reads must go to the device. False when the file system kept its
+  /// first block resident anyway (tmpfs, say), as mincore reports.
+  bool DropPageCache() {
+    KCPQ_CHECK_OK(storage_->Sync());
+    const int fd = ::open(path_.c_str(), O_RDONLY);
+    KCPQ_CHECK_OK(fd >= 0 ? Status::OK() : Status::IoError("open"));
+    ::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
+    const auto block = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+    unsigned char resident = 1;
+    void* map = ::mmap(nullptr, block, PROT_READ, MAP_SHARED, fd, 0);
+    if (map != MAP_FAILED) {
+      ::mincore(map, block, &resident);
+      ::munmap(map, block);
+    }
+    ::close(fd);
+    return (resident & 1) == 0;
+  }
 
  private:
   std::string path_;
@@ -190,6 +214,10 @@ TEST(UringDifferential, FiftySeedsPoolVsUringMatchExactly) {
       KCPQ_ASSERT_OK(fq.storage().SetIoBackend(IoBackend::kUring));
       ASSERT_EQ(fp.storage().ActiveIoBackend(), IoBackend::kUring)
           << fp.storage().IoBackendFallbackReason();
+      // Cold files, so resumable misses reach the ring instead of being
+      // copied inline from the page cache the pool run left warm.
+      fp.DropPageCache();
+      fq.DropPageCache();
       const std::vector<BatchQueryResult> got =
           BatchKClosestPairs(fp.tree(), fq.tree(), queries, options);
 
@@ -235,6 +263,10 @@ TEST(UringBackpressure, SqDepthSmallerThanMaxInflight) {
   KCPQ_ASSERT_OK(fq.storage().SetIoBackend(IoBackend::kUring));
   ASSERT_EQ(fp.storage().ActiveIoBackend(), IoBackend::kUring)
       << fp.storage().IoBackendFallbackReason();
+  // The pool run left the files in the page cache; drop them so demand
+  // misses go through the ring rather than the inline fast path.
+  fp.DropPageCache();
+  fq.DropPageCache();
   const std::vector<BatchQueryResult> got =
       BatchKClosestPairs(fp.tree(), fq.tree(), queries, options);
 
@@ -244,6 +276,7 @@ TEST(UringBackpressure, SqDepthSmallerThanMaxInflight) {
   EXPECT_GT(stalls, 0u) << "a 32-page prefetch batch into an 8-slot ring "
                            "must stall at least once";
   const IoEventLoopStats totals = fp.storage().UringStats();
+  EXPECT_GT(totals.reads_submitted, 0u) << "the ring served no reads";
   EXPECT_EQ(totals.reads_submitted,
             totals.fixed_buffer_reads + totals.unfixed_reads);
 }
@@ -281,6 +314,10 @@ TEST(UringCancellation, MidFlightDeadlineAndCancelWithCqesOutstanding) {
   options.prefetch_window = 16;
   options.control.cancel = cancel.token();
 
+  // Cold files: the reads must be in the ring, not copied inline from the
+  // page cache the build left warm, when deadlines and the cancel land.
+  fp.DropPageCache();
+  fq.DropPageCache();
   std::thread canceller([&cancel] {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     cancel.Cancel();
@@ -288,6 +325,10 @@ TEST(UringCancellation, MidFlightDeadlineAndCancelWithCqesOutstanding) {
   const std::vector<BatchQueryResult> results =
       BatchKClosestPairs(fp.tree(), fq.tree(), queries, options);
   canceller.join();
+  EXPECT_GT(fp.storage().UringStats().reads_submitted +
+                fq.storage().UringStats().reads_submitted,
+            0u)
+      << "the ring served no reads";
 
   ASSERT_EQ(results.size(), queries.size());
   for (size_t i = 0; i < results.size(); ++i) {
@@ -350,6 +391,94 @@ TEST(UringFallback, DecoratedAndBrokenRingsDegradeVisibly) {
   KCPQ_ASSERT_OK(fx.storage().SetIoBackend(IoBackend::kUring));
   EXPECT_EQ(fx.storage().ActiveIoBackend(), IoBackend::kUring);
   EXPECT_TRUE(fx.storage().IoBackendFallbackReason().empty());
+}
+
+// ---------------------------------------------------------------------------
+// Page-cache-resident misses served inline (StorageManager::TryReadPageNow).
+// The fast path sits above the backend choice, so these run on the pool
+// backend where the kernel refuses rings.
+
+IoBackend RingOrPool() {
+  return UringAvailable() ? IoBackend::kUring : IoBackend::kThreadPool;
+}
+
+/// True when the file system serves nowait buffered reads (page 0 was just
+/// read, so it is resident).
+bool InlineReadsWork(FileStorageManager& storage) {
+  Page page;
+  KCPQ_CHECK_OK(storage.ReadPage(0, &page));
+  return storage.TryReadPageNow(0, &page);
+}
+
+struct InlineRun {
+  std::vector<BatchQueryResult> blocking;
+  std::vector<BatchQueryResult> resumable;
+};
+
+/// The query mix under the blocking executor, then under the resumable
+/// one — after dropping the files from the page cache when `cold`.
+InlineRun RunBlockingThenResumable(FileTreeFixture& fp, FileTreeFixture& fq,
+                                   bool cold) {
+  const std::vector<BatchQuery> queries = MakeQueryMix(3);
+  KCPQ_CHECK_OK(fp.storage().SetIoBackend(RingOrPool()));
+  KCPQ_CHECK_OK(fq.storage().SetIoBackend(RingOrPool()));
+  BatchOptions options;
+  options.threads = 2;
+  InlineRun run;
+  run.blocking = BatchKClosestPairs(fp.tree(), fq.tree(), queries, options);
+  if (cold) {
+    fp.DropPageCache();
+    fq.DropPageCache();
+  }
+  options.scheduler = SchedulerMode::kResumable;
+  options.max_inflight = queries.size();
+  run.resumable = BatchKClosestPairs(fp.tree(), fq.tree(), queries, options);
+  return run;
+}
+
+// A warm page cache: every resumable miss is copied inline, so no query
+// ever parks, and pairs and disk accesses equal the blocking run's.
+TEST(ResumableInlineReads, WarmPageCacheNeverParks) {
+  FileTreeFixture fp(0), fq(0);
+  KCPQ_ASSERT_OK(fp.Build(MakeUniformItems(600, 71)));
+  KCPQ_ASSERT_OK(fq.Build(MakeClusteredItems(600, 72)));
+  if (!InlineReadsWork(fp.storage())) {
+    GTEST_SKIP() << "file system refuses RWF_NOWAIT buffered reads";
+  }
+  const uint64_t inline_before =
+      fp.storage().inline_reads() + fq.storage().inline_reads();
+  const InlineRun run = RunBlockingThenResumable(fp, fq, /*cold=*/false);
+
+  ExpectSameResults(run.resumable, run.blocking, "warm");
+  uint64_t disk_accesses = 0;
+  for (size_t i = 0; i < run.resumable.size(); ++i) {
+    EXPECT_EQ(run.resumable[i].stats.io_parks, 0u) << "query " << i;
+    disk_accesses += run.resumable[i].stats.disk_accesses();
+  }
+  // The misses TryRead served were inline reads (a few engine steps still
+  // read synchronously through Read, which the fast path leaves alone).
+  const uint64_t inline_reads =
+      fp.storage().inline_reads() + fq.storage().inline_reads() -
+      inline_before;
+  EXPECT_GT(inline_reads, disk_accesses / 2);
+  EXPECT_LE(inline_reads, disk_accesses);
+}
+
+// A cold page cache: genuinely uncached pages still park on the async
+// backend, and the answers and disk accesses do not change.
+TEST(ResumableInlineReads, ColdPageCacheParksAndMatches) {
+  FileTreeFixture fp(0), fq(0);
+  KCPQ_ASSERT_OK(fp.Build(MakeUniformItems(600, 73)));
+  KCPQ_ASSERT_OK(fq.Build(MakeClusteredItems(600, 74)));
+  if (!fp.DropPageCache()) {
+    GTEST_SKIP() << "file system keeps dropped pages resident";
+  }
+  const InlineRun run = RunBlockingThenResumable(fp, fq, /*cold=*/true);
+
+  ExpectSameResults(run.resumable, run.blocking, "cold");
+  uint64_t parks = 0;
+  for (const BatchQueryResult& r : run.resumable) parks += r.stats.io_parks;
+  EXPECT_GT(parks, 0u);
 }
 
 // The probe itself: on a kernel with rings the reason string is empty; on

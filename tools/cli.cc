@@ -469,7 +469,8 @@ void PrintPairs(std::FILE* out, const std::vector<PairResult>& pairs) {
   }
 }
 
-void PrintQueryStats(std::FILE* out, const CpqStats& stats, double seconds) {
+void PrintQueryStats(std::FILE* out, const CpqStats& stats, double seconds,
+                     SchedulerMode scheduler = SchedulerMode::kBlocking) {
   std::fprintf(out,
                "# disk accesses: %llu (P: %llu, Q: %llu); node pairs: %llu; "
                "distances: %llu; %.1f ms\n",
@@ -487,7 +488,9 @@ void PrintQueryStats(std::FILE* out, const CpqStats& stats, double seconds) {
                  100.0 * static_cast<double>(stats.prefetch_hits) /
                      static_cast<double>(stats.prefetch_issued));
   }
-  if (stats.io_parks > 0) {
+  // Printed for every resumable query: zero parks is a result too (every
+  // miss was served inline from the page cache).
+  if (scheduler == SchedulerMode::kResumable) {
     std::fprintf(out, "# scheduler: %llu io parks, %.1f ms parked\n",
                  static_cast<unsigned long long>(stats.io_parks),
                  static_cast<double>(stats.io_parked_ns) / 1e6);
@@ -896,9 +899,12 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
   }
   const bool obs_on = obs_flags.exporter || slow_log != nullptr;
   // Keeps the exporter scrapeable after the last query completes, so
-  // one-shot scrapers racing the batch still see the final state.
+  // one-shot scrapers racing the batch still see the final state. The
+  // results are flushed first: `kcpq_top --stdin-endpoint` scrapes when
+  // the first result line reaches it.
   const auto finish_obs = [&] {
     if (exporter.running() && obs_flags.linger_ms > 0) {
+      std::fflush(out);
       std::this_thread::sleep_for(
           std::chrono::milliseconds(obs_flags.linger_ms));
     }
@@ -936,7 +942,7 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
     if (first_run != nullptr) {
       PrintPairs(out, first_run->pairs);
       PrintQuality(out, first_run->stats.quality);
-      PrintQueryStats(out, first_run->stats, seconds);
+      PrintQueryStats(out, first_run->stats, seconds, batch_options.scheduler);
     }
     std::fprintf(out,
                  "batch: %llu queries on %llu threads in %.3f s "
@@ -1029,7 +1035,7 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
   const double seconds = timer.ElapsedSeconds();
   PrintPairs(out, pairs);
   PrintQuality(out, stats.quality);
-  PrintQueryStats(out, stats, seconds);
+  PrintQueryStats(out, stats, seconds, scheduler);
 
   if (rep.replicas > 1) {
     // Store-level replication tallies (covers the whole command, tree
@@ -1166,6 +1172,7 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
             uring.reads_submitted += s.reads_submitted;
             uring.cqe_wakes += s.cqe_wakes;
             uring.sq_full_stalls += s.sq_full_stalls;
+            inputs.inline_reads += file->inline_reads();
             if (const IoEventLoop* loop = file->uring_loop()) {
 #if defined(__linux__) && KCPQ_HAVE_IOURING
               const auto* ul = static_cast<const UringEventLoop*>(loop);
@@ -1420,7 +1427,7 @@ Status CmdSemi(const Flags& flags, std::FILE* out) {
   }
   PrintPairs(out, pairs);
   PrintQuality(out, stats.quality);
-  PrintQueryStats(out, stats, timer.ElapsedSeconds());
+  PrintQueryStats(out, stats, timer.ElapsedSeconds(), scheduler);
   return Status::OK();
 }
 

@@ -9,8 +9,10 @@
 //   kcpq kcp ... --obs-port=0 ... | kcpq_top --stdin-endpoint
 //
 // --stdin-endpoint reads the producer's stdout looking for the
-// "# obs: exporter listening on HOST:PORT" line the CLI prints, then
-// scrapes that endpoint — which makes a shell pipeline the whole smoke
+// "# obs: exporter listening on HOST:PORT" line the CLI prints, waits for
+// the producer's first result line, then scrapes that endpoint (the
+// producer's --obs-linger-ms keeps it up) — which makes a shell pipeline
+// the whole smoke
 // test (tests/obs_top_smoke.cmake). The JSON parser below handles exactly
 // the flat objects /queries emits; it is not a general-purpose parser.
 
@@ -97,32 +99,32 @@ void PrintTable(const std::string& body) {
               RawField(body, "done_total").c_str());
 }
 
-// Reads producer stdout until the CLI's exporter banner appears; true with
-// host/port filled on a match. Lines are echoed so the pipeline loses
-// nothing.
+// Reads producer stdout until the CLI's exporter banner appears, then on
+// to the producer's first result line (the first line after it not
+// starting with '#'). The CLI prints results only once its queries have
+// finished and flushes them before its --obs-linger-ms window, so a
+// scrape made then sees completed queries while the exporter is still up.
+// True with host/port filled when the banner was seen. Lines are echoed
+// so the pipeline loses nothing.
 bool EndpointFromStdin(std::string* host, uint16_t* port) {
   char line[4096];
   bool found = false;
   while (std::fgets(line, sizeof(line), stdin) != nullptr) {
-    if (!found) {
-      const char* at = std::strstr(line, "listening on ");
-      if (at != nullptr) {
-        const char* spec = at + std::strlen("listening on ");
-        const char* colon = std::strrchr(spec, ':');
-        if (colon != nullptr) {
-          host->assign(spec, colon - spec);
-          *port = static_cast<uint16_t>(std::atoi(colon + 1));
-          found = true;
-          // Keep draining: the producer blocks on a full pipe otherwise,
-          // and the scrape should land while it is still running.
-          std::fputs(line, stdout);
-          std::fflush(stdout);
-          break;
-        }
-      }
-    }
     std::fputs(line, stdout);
+    if (found) {
+      if (line[0] != '#') break;
+      continue;
+    }
+    const char* at = std::strstr(line, "listening on ");
+    if (at == nullptr) continue;
+    const char* spec = at + std::strlen("listening on ");
+    const char* colon = std::strrchr(spec, ':');
+    if (colon == nullptr) continue;
+    host->assign(spec, colon - spec);
+    *port = static_cast<uint16_t>(std::atoi(colon + 1));
+    found = true;
   }
+  std::fflush(stdout);
   return found;
 }
 
@@ -170,8 +172,7 @@ int main(int argc, char** argv) {
     port = static_cast<uint16_t>(std::atoi(endpoint.c_str() + colon + 1));
   }
 
-  // A few connect retries: in pipeline mode the scrape races the
-  // producer's first queries; in direct mode it tolerates a slow start.
+  // A few connect retries: direct mode tolerates a slow start.
   std::string target = "/queries?state=";
   target.append(state);
   std::string body;
