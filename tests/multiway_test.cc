@@ -2,6 +2,7 @@
 // product, across graph shapes, K, metrics, and tree shapes.
 
 #include <cmath>
+#include <cstdint>
 
 #include "cpq/multiway.h"
 #include "gtest/gtest.h"
@@ -41,8 +42,11 @@ void ExpectTupleConsistent(const TupleResult& tuple,
   EXPECT_NEAR(aggregate, tuple.aggregate_distance, 1e-9);
 }
 
+// gtest prints a parameter byte by byte into the registered test name, so
+// the struct must have no uninitialised padding in its leading bytes: `m` is
+// 64-bit to fill the slot before `shape` that an `int` left to stack garbage.
 struct MultiwayParam {
-  int m;                 // number of trees
+  int64_t m;             // number of trees
   const char* shape;     // "chain" | "clique" | "star"
   size_t n;              // points per tree
   size_t k;
@@ -76,7 +80,7 @@ TEST_P(MultiwayTest, MatchesBruteForce) {
     KCPQ_ASSERT_OK(fixtures.back()->Build(sets.back()));
     trees.push_back(&fixtures.back()->tree());
   }
-  const auto graph = MakeGraph(param.m, param.shape);
+  const auto graph = MakeGraph(static_cast<int>(param.m), param.shape);
   MultiwayOptions options;
   options.k = param.k;
   options.metric = param.metric;
@@ -108,8 +112,9 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<MultiwayParam>& info) {
       const MultiwayParam& p = info.param;
       char buf[96];
-      std::snprintf(buf, sizeof(buf), "m%d_%s_n%zu_k%zu_%s", p.m, p.shape,
-                    p.n, p.k, MetricName(p.metric));
+      std::snprintf(buf, sizeof(buf), "m%d_%s_n%zu_k%zu_%s",
+                    static_cast<int>(p.m), p.shape, p.n, p.k,
+                    MetricName(p.metric));
       return std::string(buf);
     });
 
