@@ -215,7 +215,11 @@ Status TracedStorageRead(StorageManager* storage, PageId id, Page* out,
 
 }  // namespace
 
-Status BufferManager::Read(PageId id, Page* out, QueryContext* ctx) {
+Status BufferManager::Read(PageId id, Page* out, QueryContext* ctx,
+                           TryReadOutcome* outcome) {
+  TryReadOutcome local;
+  if (outcome == nullptr) outcome = &local;
+  *outcome = TryReadOutcome{};
   if (ctx != nullptr) ctx->OnPageRead(instance_id_, id, storage_->page_size());
   // A miss always counts as a disk access (the paper's metric) whether the
   // page then arrives via a claimed prefetch or a synchronous read — the
@@ -223,7 +227,7 @@ Status BufferManager::Read(PageId id, Page* out, QueryContext* ctx) {
   if (capacity_ == 0) {
     CountMiss();
     if (prefetch_active_.load(std::memory_order_relaxed) &&
-        ClaimPrefetched(id, out, ctx)) {
+        ClaimPrefetched(id, out, ctx, &outcome->prefetch_claim)) {
       return Status::OK();
     }
     return TracedStorageRead(storage_, id, out, ctx);
@@ -235,6 +239,7 @@ Status BufferManager::Read(PageId id, Page* out, QueryContext* ctx) {
     CountHit();
     shard.policy->OnAccess(id);
     *out = it->second.page;
+    outcome->hit = true;
     return Status::OK();
   }
   // Miss: fetch under the shard lock, so concurrent readers of the same
@@ -242,7 +247,7 @@ Status BufferManager::Read(PageId id, Page* out, QueryContext* ctx) {
   CountMiss();
   Page page;
   if (!(prefetch_active_.load(std::memory_order_relaxed) &&
-        ClaimPrefetched(id, &page, ctx))) {
+        ClaimPrefetched(id, &page, ctx, &outcome->prefetch_claim))) {
     KCPQ_RETURN_IF_ERROR(TracedStorageRead(storage_, id, &page, ctx));
   }
   return InsertFetched(shard, id, std::move(page), out);
@@ -391,7 +396,8 @@ void BufferManager::OnPrefetchComplete(AsyncPageRead done) {
   }
 }
 
-bool BufferManager::ClaimPrefetched(PageId id, Page* out, QueryContext* ctx) {
+bool BufferManager::ClaimPrefetched(PageId id, Page* out, QueryContext* ctx,
+                                    bool* speculative_claim) {
   obs::TraceBuffer* trace = ctx != nullptr ? ctx->trace() : nullptr;
   const uint64_t start_ns = trace != nullptr ? trace->NowNs() : 0;
   bool speculative = true;
@@ -434,6 +440,7 @@ bool BufferManager::ClaimPrefetched(PageId id, Page* out, QueryContext* ctx) {
   // caller is about to make the page resident (or, at capacity 0, they
   // re-issue their own fetch).
   for (const Waker& waker : waiters) waker();
+  *speculative_claim = speculative;
   if (!speculative) return true;
   CountPrefetchHit();
   if (trace != nullptr) {
@@ -482,6 +489,7 @@ void BufferManager::IssueDemandFetch(PageId id) {
 
 Status BufferManager::TryRead(PageId id, Page* out, QueryContext* ctx,
                               const Waker& waker, TryReadOutcome* outcome) {
+  if (!waker) return Read(id, out, ctx, outcome);
   *outcome = TryReadOutcome{};
   if (ctx != nullptr) ctx->OnPageRead(instance_id_, id, storage_->page_size());
   bool issue = false;

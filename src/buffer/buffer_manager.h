@@ -68,15 +68,16 @@
 // first claimer as its read's error, and later waiters re-issue fresh.
 //
 // Statistics: the global counters (stats()) are atomics, exact under any
-// concurrency. Per-query cost accounting needs per-*thread* counts — two
-// queries sharing the buffer would otherwise see each other's misses in a
-// before/after delta — so every hit/miss is also recorded in a
+// concurrency. Per-query cost accounting comes from the outcome each Read /
+// TryRead reports to its caller (TryReadOutcome), so it is exact however
+// many queries share a thread. Every hit/miss is also recorded in a
 // thread-local table keyed by buffer instance; ThreadStats() returns the
-// calling thread's view, and the query engines compute their disk-access
-// deltas from it. The per-thread tables register themselves in a global
-// registry and fold their counts into a retired pool when their thread
-// exits, so AggregateStats() — the sum over all threads, living and dead —
-// never undercounts a batch whose workers finished before collection.
+// calling thread's view (for callers that own their thread, such as the
+// ε-join and multiway joins). The per-thread tables register themselves
+// in a global registry and fold their counts into a retired pool when
+// their thread exits, so AggregateStats() — the sum over all threads,
+// living and dead — never undercounts a batch whose workers finished
+// before collection.
 // Every hit/miss/eviction also feeds the process-wide metrics registry
 // (obs/kcpq_metrics.h: kcpq_buffer_*_total).
 
@@ -145,25 +146,29 @@ class BufferManager {
   BufferManager(const BufferManager&) = delete;
   BufferManager& operator=(const BufferManager&) = delete;
 
-  /// Reads page `id` into `*out`, from cache if resident.
+  /// How a read was resolved. Exactly one of three shapes: parked (no
+  /// page, no counting yet; TryRead only), served hit (`hit`), or served
+  /// miss (`!parked && !hit`; `prefetch_claim` marks a miss satisfied by a
+  /// claimed *speculative* page). The engines tally their per-query disk
+  /// accesses from these outcomes.
+  struct TryReadOutcome {
+    bool parked = false;
+    bool hit = false;
+    bool prefetch_claim = false;
+  };
+
+  /// Reads page `id` into `*out`, from cache if resident. A miss waits
+  /// for the page: an in-flight staged copy is awaited, anything else is
+  /// read synchronously. `outcome`, when given, reports how the read was
+  /// resolved (never parked).
   ///
   /// When `ctx` is given, the page is charged to the query's
   /// ResourceAccountant — once per distinct page, on hits and misses alike,
   /// so a query's accounted footprint is the set of pages it touched,
   /// independent of thread count and buffer state — and forwarded to the
   /// storage stack on a miss (deadline-aware retries).
-  Status Read(PageId id, Page* out, QueryContext* ctx = nullptr);
-
-  /// How a TryRead attempt was resolved. Exactly one of three shapes:
-  /// parked (no page, no counting yet), served hit (`hit`), or served
-  /// miss (`!parked && !hit`; `prefetch_claim` marks a miss satisfied by
-  /// a claimed *speculative* page, the resumable analog of a blocking
-  /// read's prefetch hit).
-  struct TryReadOutcome {
-    bool parked = false;
-    bool hit = false;
-    bool prefetch_claim = false;
-  };
+  Status Read(PageId id, Page* out, QueryContext* ctx = nullptr,
+              TryReadOutcome* outcome = nullptr);
 
   /// Non-blocking Read for resumable engines ("park on miss, wake on
   /// completion" — see the file comment). Serves the page when it is
@@ -177,6 +182,10 @@ class BufferManager {
   /// miss per serve at capacity 0, one miss per residency-establishment
   /// (plus hits) otherwise, and the replacement policy sees the identical
   /// OnInsert/OnAccess history.
+  ///
+  /// An empty `waker` means the caller cannot park: the call is exactly
+  /// Read(id, out, ctx, outcome). This is how an engine's state machine
+  /// runs inline on its caller's thread.
   Status TryRead(PageId id, Page* out, QueryContext* ctx, const Waker& waker,
                  TryReadOutcome* outcome);
 
@@ -318,7 +327,10 @@ class BufferManager {
   /// Demand-miss hook: claims `id` from the prefetch area (waiting out an
   /// in-flight read) into `*out`. False when the page is not there or its
   /// speculative read failed — caller falls back to the synchronous path.
-  bool ClaimPrefetched(PageId id, Page* out, QueryContext* ctx);
+  /// `*speculative` tells whether a successful claim took a prefetched
+  /// page (rather than a parked reader's demand fetch).
+  bool ClaimPrefetched(PageId id, Page* out, QueryContext* ctx,
+                       bool* speculative);
 
   /// Async-read completion (runs on I/O threads; takes only prefetch mu).
   void OnPrefetchComplete(AsyncPageRead done);

@@ -3,8 +3,10 @@
 //
 // A resumable query is an explicit state machine: Step() advances the
 // traversal until it either finishes or needs a page that is not
-// resident. On a miss the engine registers a waker with the
-// BufferManager (BufferManager::TryRead) and returns kParked, freeing
+// resident. Every CPQ, HS and Semi-CPQ query runs as one; without a waker
+// its reads wait and Step() runs it to completion (inline). With one, on a
+// miss the engine registers the waker with the BufferManager
+// (BufferManager::TryRead) and returns kParked, freeing
 // the worker thread to step another query; when the page's fetch
 // completes the buffer fires the waker and the scheduler re-queues the
 // task. This is what lets a handful of workers multiplex hundreds of
@@ -53,9 +55,10 @@ class ResumableTask {
 
 /// Minimal single-task event loop: drives one ResumableTask to
 /// completion on the calling thread, sleeping between parks. Used by the
-/// CLI's diagnostic path (EXPLAIN/trace of one resumable query) and the
-/// differential tests; the real multiplexing loop is
-/// exec::ResumableScheduler.
+/// CLI's single-query --scheduler=resumable path (EXPLAIN/trace of one
+/// parking query) and the TryRead tests; the real multiplexing loop is
+/// exec::ResumableScheduler. (A task built with an empty waker needs no
+/// gate: it never parks, and one Step() finishes it.)
 class InlineWakerGate {
  public:
   /// The waker to hand to the task's constructor.

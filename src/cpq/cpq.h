@@ -197,16 +197,18 @@ struct CpqStats {
   /// QueryControl::max_node_accesses limits. Unlike disk accesses it is
   /// independent of buffer state, so budget stops are deterministic.
   uint64_t node_accesses = 0;
-  /// Speculative reads issued / claimed by this query's thread (both trees
+  /// Speculative reads issued / claimed by this query (both trees
   /// combined; zero with prefetch_window = 0). Wasted speculation is a
   /// buffer-level quantity — completions land on I/O threads — and is
   /// reported by BufferManager::stats() as issued - hits after a drain.
   uint64_t prefetch_issued = 0;
   uint64_t prefetch_hits = 0;
-  /// Resumable-scheduler execution only (zero under the blocking path):
-  /// how many times the query parked on a non-resident page and the total
-  /// wall time it spent parked. Parked time is scheduler wait, not work —
-  /// a multiplexed worker runs other queries during it.
+  /// How many times the query parked on a non-resident page and the total
+  /// wall time it spent parked. Counted wherever the query's machine has a
+  /// waker (the resumable scheduler, the CLI's --scheduler=resumable);
+  /// zero for inline runs, whose reads wait instead of parking. Parked
+  /// time is scheduler wait, not work — a multiplexed worker runs other
+  /// queries during it.
   uint64_t io_parks = 0;
   uint64_t io_parked_ns = 0;
 
@@ -219,6 +221,8 @@ struct CpqStats {
 
 /// Finds the `options.k` closest pairs between `tree_p` and `tree_q`.
 /// Returns fewer than k pairs when |P| * |Q| < k. `stats` may be null.
+/// Runs the query's state machine (cpq/resumable.h) inline on the calling
+/// thread; SelfKClosestPairs and SemiClosestPairs do the same.
 Result<std::vector<PairResult>> KClosestPairs(const RStarTree& tree_p,
                                               const RStarTree& tree_q,
                                               const CpqOptions& options = {},

@@ -62,35 +62,35 @@ struct CandidateLess {
   }
 };
 
+/// The heap loop's pop order: a min-heap via reversed CandidateLess.
+struct CandidateGreater {
+  bool operator()(const Candidate& a, const Candidate& b) const {
+    return CandidateLess()(b, a);
+  }
+};
+
+/// EXPLAIN level of a node pair: the deeper side (leaves are level 0).
+inline int PairLevel(int level_p, int level_q) {
+  return level_p > level_q ? level_p : level_q;
+}
+
 /// Which side(s) of a node pair to descend (Section 3.7).
 enum class DescendChoice { kBoth, kFirstOnly, kSecondOnly, kLeaves };
 
 DescendChoice ChooseDescend(int level_p, int level_q, HeightStrategy strategy);
 
-/// One K-CPQ execution. Construct, Run once, discard.
+/// The kernels and per-query state of one K-CPQ execution. The traversal
+/// itself — the recursive descent of kNaive/kExhaustive/kSimple/
+/// kSortedDistances and the best-first heap loop of kHeap — is the state
+/// machine ResumableCpqQuery (cpq/resumable.h), which owns one engine and
+/// drives these kernels against its state.
 class CpqEngine {
  public:
   CpqEngine(const RStarTree& tree_p, const RStarTree& tree_q,
             const CpqOptions& options, CpqStats* stats);
 
-  Status Run(std::vector<PairResult>* out);
-
  private:
-  /// The resumable adapter (cpq/resumable.h) re-drives this engine's
-  /// traversal as an explicit state machine; it reuses the kernels
-  /// (ProcessLeaves, GenerateCandidates, ...) and the control state
-  /// directly so the two execution modes cannot drift apart.
   friend class ::kcpq::ResumableCpqQuery;
-
-  /// Recursive driver (kNaive/kExhaustive/kSimple/kSortedDistances).
-  Status ProcessPairRecursive(const NodeRef& ref_p, const NodeRef& ref_q);
-
-  /// Iterative driver (kHeap).
-  Status RunHeap(const NodeRef& root_p, const NodeRef& root_q);
-
-  /// Reads both nodes of a pair (two counted accesses) and refreshes the
-  /// refs' MBR / min_points from the actual node contents.
-  Status ReadPair(NodeRef* ref_p, NodeRef* ref_q, Node* node_p, Node* node_q);
 
   /// Brute-force distance scan of two leaves; feeds the result heap and
   /// tightens T. `same_node` drives the self-join duplicate rules.
@@ -129,9 +129,8 @@ class CpqEngine {
   /// profile / trace; no-op (one compare) when neither wants it.
   void NoteBoundImprovement();
 
-  /// Run() epilogue shared with the resumable adapter: fills the quality
-  /// certificate from the latched stop cause / frontier state and records
-  /// the query-summary trace event.
+  /// Query epilogue: fills the quality certificate from the latched stop
+  /// cause / frontier state and records the query-summary trace event.
   void FinalizeQualityAndTrace();
 
   /// True for algorithms that prune with MINMINDIST (all but kNaive).
@@ -185,7 +184,8 @@ class CpqEngine {
   /// False only for uncontrolled queries with no external context — the
   /// zero-overhead fast path (no polls, no page charging).
   bool accounting_;
-  /// Logical node reads so far (2 per ReadPair); the budgeted quantity.
+  /// Logical node reads so far (2 per expanded pair); the budgeted
+  /// quantity.
   uint64_t node_accesses_ = 0;
   /// Live candidate-state bytes (recursion frames' candidate vectors; the
   /// kHeap pair heap is accounted separately via ShouldStop's extra).
@@ -208,6 +208,12 @@ uint64_t MinPointsOfNode(const Node& node, uint64_t min_entries);
 
 /// Upper bound on points under a node that has been read (saturating).
 uint64_t MaxPointsOfNode(const Node& node, uint64_t max_entries);
+
+/// Folds a finished query's stats into the process-wide metrics registry
+/// (the kcpq_cpq_* counters). `seconds < 0` means the caller skipped
+/// timing; otherwise it also feeds kcpq_cpq_query_seconds and the
+/// family's latency histogram.
+void FoldCpqMetrics(const CpqStats& stats, double seconds, QueryFamily family);
 
 }  // namespace cpq_internal
 }  // namespace kcpq

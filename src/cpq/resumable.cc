@@ -7,11 +7,13 @@
 
 #include "geometry/metrics.h"
 #include "obs/explain.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace kcpq {
 
 using cpq_internal::Candidate;
+using cpq_internal::CandidateGreater;
 using cpq_internal::CandidateLess;
 using cpq_internal::ChooseDescend;
 using cpq_internal::CpqEngine;
@@ -19,22 +21,9 @@ using cpq_internal::DescendChoice;
 using cpq_internal::MaxPointsOfNode;
 using cpq_internal::MinPointsOfNode;
 using cpq_internal::NodeRef;
+using cpq_internal::PairLevel;
 
 namespace {
-
-// Mirrors engine.cc's file-local helpers (the values must match; both are
-// one-liners over public facts, so duplication beats widening the engine's
-// internal surface).
-int PairLevel(int level_p, int level_q) {
-  return level_p > level_q ? level_p : level_q;
-}
-
-// RunHeap's pop order (min-heap via reversed CandidateLess).
-struct CandidateGreater {
-  bool operator()(const Candidate& a, const Candidate& b) const {
-    return CandidateLess()(b, a);
-  }
-};
 
 uint64_t ElapsedNs(std::chrono::steady_clock::time_point from,
                    std::chrono::steady_clock::time_point to) {
@@ -51,7 +40,12 @@ ResumableCpqQuery::ResumableCpqQuery(const RStarTree& tree_p,
                                      Waker waker)
     : options_(std::move(options)),
       engine_(tree_p, tree_q, options_, stats),
-      waker_(std::move(waker)) {}
+      waker_(std::move(waker)) {
+#if KCPQ_METRICS
+  timed_ = obs::Enabled();
+#endif
+  if (timed_) start_ = std::chrono::steady_clock::now();
+}
 
 ResumableCpqQuery::~ResumableCpqQuery() = default;
 
@@ -65,7 +59,40 @@ ResumableTask::StepResult ResumableCpqQuery::Park(PageId page) {
 }
 
 ResumableTask::StepResult ResumableCpqQuery::Fail(Status s) {
+  SettleInlineSpeculation();
   final_status_ = std::move(s);
+  phase_ = Phase::kDone;
+  return StepResult::kDone;
+}
+
+void ResumableCpqQuery::SettleInlineSpeculation() {
+  CpqEngine& e = engine_;
+  if (waker_ || !e.prefetch_.enabled()) return;
+  e.tree_p_.buffer()->DrainPrefetches();
+  if (e.tree_q_.buffer() != e.tree_p_.buffer()) {
+    e.tree_q_.buffer()->DrainPrefetches();
+  }
+}
+
+ResumableTask::StepResult ResumableCpqQuery::Finish() {
+  CpqEngine& e = engine_;
+  SettleInlineSpeculation();
+  if (phase_ == Phase::kFinish) {
+    e.stats_->disk_accesses_p = misses_p_;
+    e.stats_->disk_accesses_q = misses_q_;
+    e.stats_->node_accesses = e.node_accesses_;
+    e.stats_->prefetch_issued = prefetch_issued_;
+    e.stats_->prefetch_hits = prefetch_hits_;
+    e.FinalizeQualityAndTrace();
+    results_out_ = std::move(e.results_).Extract();
+  }
+  const double seconds =
+      timed_ ? std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                             start_)
+                   .count()
+             : -1.0;
+  cpq_internal::FoldCpqMetrics(*e.stats_, seconds, options_.family);
+  final_status_ = Status::OK();
   phase_ = Phase::kDone;
   return StepResult::kDone;
 }
@@ -74,9 +101,8 @@ void ResumableCpqQuery::CountRead(const BufferManager::TryReadOutcome& outcome,
                                   bool is_p) {
   if (outcome.hit) return;
   if (engine_.tree_p_.buffer() == engine_.tree_q_.buffer()) {
-    // One buffer serves both trees (self-join): the blocking path derives
-    // both per-tree counters from the same thread-local delta, so a miss
-    // lands in both.
+    // One buffer serves both trees (self-join): each per-tree counter
+    // covers that whole buffer, so a miss lands in both.
     ++misses_p_;
     ++misses_q_;
   } else if (is_p) {
@@ -97,7 +123,11 @@ bool ResumableCpqQuery::StartPhase() {
                         options_.prefetch_window,
                         e.accounting_ ? e.context_ : nullptr);
   root_level_ = PairLevel(e.tree_p_.height() - 1, e.tree_q_.height() - 1);
+  // The root pair enters the search unconditionally: it is the one pair
+  // "considered" that no GenerateCandidates call accounts for.
   if (e.profile_ != nullptr) e.profile_->Considered(root_level_, 1);
+  // Pre-trip check: a pre-cancelled or pre-expired query touches no pages.
+  // Nothing was examined, so it certifies nothing (bound 0 at every rank).
   if (e.ShouldStop(0)) {
     e.FoldFrontier(e.objective_.WeakestKey(),
                    std::numeric_limits<uint64_t>::max());
@@ -121,6 +151,8 @@ bool ResumableCpqQuery::ReadRoot(bool is_p, StepResult* parked) {
     return false;
   }
   if (s.code() == StatusCode::kDeadlineExceeded) {
+    // Storage abandoned a retry before anything was examined: partial with
+    // a vacuous certificate, same as a pre-expired deadline.
     e.stop_ = StopCause::kDeadline;
     e.FoldFrontier(e.objective_.WeakestKey(),
                    std::numeric_limits<uint64_t>::max());
@@ -204,8 +236,9 @@ ResumableCpqQuery::ReadPairOutcome ResumableCpqQuery::TryReadPair(
     CountRead(outcome, /*is_p=*/false);
     have_q_ = true;
   }
-  // Both nodes resident: the pair counts exactly once, no matter how many
-  // parks interleaved — identical to the blocking ReadPair epilogue.
+  // Both nodes in hand: the pair counts exactly once, no matter how many
+  // parks interleaved. The refs are refreshed with exact facts from the
+  // pages (roots start with placeholder point counts).
   ++e.stats_->node_pairs_processed;
   e.node_accesses_ += 2;
   cur_p_.level = node_p_.level;
@@ -242,6 +275,9 @@ void ResumableCpqQuery::AdvanceRecursive() {
       continue;
     }
     const Candidate& cand = f.candidates[f.next++];
+    // Re-test against T at descend time: T may have tightened while the
+    // earlier candidates of this very list were processed (the mechanism
+    // that makes the ascending-MINMINDIST order pay off).
     if (e.Prunes() && cand.key > e.bound_) {
       ++e.stats_->candidate_pairs_pruned;
       if (e.profile_ != nullptr) {
@@ -258,6 +294,8 @@ void ResumableCpqQuery::AdvanceRecursive() {
       }
       continue;
     }
+    // Once stopped (possibly deeper in the descent), drain: the remaining
+    // un-pruned candidates become frontier, not work.
     if (e.stop_ != StopCause::kNone) {
       e.FoldFrontier(cand.key, cand.max_pairs);
       if (e.profile_ != nullptr) {
@@ -273,6 +311,11 @@ void ResumableCpqQuery::AdvanceRecursive() {
 }
 
 void ResumableCpqQuery::DrainHeapIntoCertificate(const Candidate& popped) {
+  // The popped pair plus everything still queued is the frontier; fold it
+  // all so the per-rank certificate sees the full capacity profile (the
+  // scalar bound needs only the popped key, but rank bounds improve with
+  // every entry). FoldFrontier and the profile's per-level counts are
+  // order-insensitive, so the heap is walked in array order, no pops.
   CpqEngine& e = engine_;
   e.FoldFrontier(popped.key, popped.max_pairs);
   if (e.profile_ != nullptr) {
@@ -296,8 +339,16 @@ void ResumableCpqQuery::HeapLoopPhase() {
   e.stats_->max_heap_size =
       std::max<uint64_t>(e.stats_->max_heap_size, heap_.size());
   if (e.prefetch_.enabled()) {
-    // Identical speculation block to RunHeap: exact top-W of the frontier
-    // in pop order, keyed by rank.
+    // Speculate on the frontier's best W pairs, including heap_[0], the
+    // pair read next, so even a child pushed by the previous expansion has
+    // its reads in flight before they are demanded. The W smallest entries
+    // of a binary heap all live in its first 2^W - 1 slots, so a bounded
+    // prefix scan finds the exact top-W for W <= 9 and a close
+    // approximation above. Selection uses the pop order itself
+    // (CandidateLess: key plus tie chain); with overlapping data most
+    // frontier keys tie at 0, and any other tie-break would speculate on
+    // pairs the heap does not pop next. The rank is the scheduler key, so
+    // pages of the nearest pops are submitted, and complete, first.
     e.prefetch_.Clear();
     const size_t scan = std::min<size_t>(heap_.size(), 512);
     spec_order_.clear();
@@ -373,11 +424,8 @@ ResumableTask::StepResult ResumableCpqQuery::Step() {
   for (;;) {
     switch (phase_) {
       case Phase::kStart: {
-        if (!StartPhase()) {
-          final_status_ = Status::OK();
-          phase_ = Phase::kDone;
-          return StepResult::kDone;
-        }
+        // A trivial query (K = 0 or an empty tree) ends with zeroed stats.
+        if (!StartPhase()) return Finish();
         continue;
       }
       case Phase::kReadRootP: {
@@ -395,6 +443,9 @@ ResumableTask::StepResult ResumableCpqQuery::Step() {
         continue;
       }
       case Phase::kExpandCheck: {
+        // Stop check at node-pair granularity, *before* the reads: a
+        // stopped query folds this unexpanded pair into the frontier bound
+        // instead.
         CpqEngine& e = engine_;
         const NodeRef& rp = pending_.p;
         const NodeRef& rq = pending_.q;
@@ -420,8 +471,9 @@ ResumableTask::StepResult ResumableCpqQuery::Step() {
         if (r == ReadPairOutcome::kParked) return Park(park_page_);
         if (r == ReadPairOutcome::kError) return Fail(err);
         if (r == ReadPairOutcome::kDeadline) {
-          // The pair stays unexpanded; fold the *original* refs (pending_),
-          // not the partially refreshed cur_* — same as blocking.
+          // Storage abandoned a retry the deadline could not cover. The
+          // pair stays unexpanded: fold the *original* refs (pending_), not
+          // the partially refreshed cur_*.
           e.stop_ = StopCause::kDeadline;
           const NodeRef& rp = pending_.p;
           const NodeRef& rq = pending_.q;
@@ -455,6 +507,9 @@ ResumableTask::StepResult ResumableCpqQuery::Step() {
                     CandidateLess());
         }
         if (e.prefetch_.enabled() && !f.candidates.empty()) {
+          // Speculate on the first W surviving candidates: for STD the
+          // exact descend order, for the unsorted algorithms generation
+          // order, which is still this frame's processing order.
           e.prefetch_.Clear();
           size_t added = 0;
           for (const Candidate& cand : f.candidates) {
@@ -528,23 +583,8 @@ ResumableTask::StepResult ResumableCpqQuery::Step() {
         phase_ = Phase::kHeapLoop;
         continue;
       }
-      case Phase::kFinish: {
-        CpqEngine& e = engine_;
-        // No DrainPrefetches here: under the scheduler many queries share
-        // the buffers and a per-query drain would discard the siblings'
-        // staged pages. The batch executor settles speculation once after
-        // the whole run (and sole-query callers drain explicitly).
-        e.stats_->disk_accesses_p = misses_p_;
-        e.stats_->disk_accesses_q = misses_q_;
-        e.stats_->node_accesses = e.node_accesses_;
-        e.stats_->prefetch_issued = prefetch_issued_;
-        e.stats_->prefetch_hits = prefetch_hits_;
-        e.FinalizeQualityAndTrace();
-        results_out_ = std::move(e.results_).Extract();
-        final_status_ = Status::OK();
-        phase_ = Phase::kDone;
-        return StepResult::kDone;
-      }
+      case Phase::kFinish:
+        return Finish();
       case Phase::kDone:
         return StepResult::kDone;
     }

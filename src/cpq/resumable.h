@@ -1,41 +1,45 @@
-// Resumable K-CPQ execution: the blocking engine's traversal re-driven as
-// an explicit state machine that *yields* on a buffer miss instead of
-// blocking the thread.
+// K-CPQ execution as an explicit state machine: the one traversal of all
+// five algorithms (the recursive descent of NAIVE/EXH/SIM/STD and the
+// best-first heap loop of HEAP) for every query family.
 //
-// The blocking CpqEngine (cpq/engine.h) spends nearly all of its wall time
-// inside ReadNode waiting for storage; one OS thread therefore advances one
-// query. ResumableCpqQuery replaces every blocking read with
-// BufferManager::TryRead: on a non-resident page it registers the
-// scheduler-provided waker with the buffer's in-flight fetch and returns
-// StepResult::kParked from Step(). The completion-driven scheduler
-// (exec/scheduler.h) re-runs the task when the page lands, so a small
-// worker pool multiplexes hundreds of in-flight queries — each paying full
-// I/O latency, none paying it on a thread.
+// The machine owns a CpqEngine (cpq/engine.h: kernels plus per-query
+// state) and drives it phase by phase. Every node read goes through
+// RStarTree::TryReadNode with the machine's waker, and the waker decides
+// how a miss is served:
 //
-// Equivalence contract (enforced by tests/resumable_test.cc): for any
-// query, the resumable execution produces bit-identical results, an
-// identical quality certificate, and identical per-query disk-access
-// counts to the blocking path. This falls out of three properties:
+//   * Empty waker (inline). The read waits, exactly like
+//     BufferManager::Read: the QueryContext reaches storage
+//     (deadline-aware retry abandonment, replication tallies) and an
+//     in-flight staged page is awaited. One Step() call runs the query to
+//     completion. KClosestPairs, SelfKClosestPairs and the blocking batch
+//     scheduler drive the machine this way.
+//   * Scheduler waker (multiplexed). A non-resident page registers the
+//     waker with the buffer's in-flight fetch and Step() returns kParked.
+//     exec::ResumableScheduler re-runs the task when the page lands, so a
+//     small worker pool multiplexes hundreds of in-flight queries.
 //
-//   1. Same kernels. The machine is a friend of CpqEngine and calls the
-//      exact ProcessLeaves / GenerateCandidates / TightenBoundFromCandidates
-//      / ShouldStop / FoldFrontier the blocking drivers call, against the
-//      same engine state (bound_, results_, certificate_, ...).
-//   2. Same traversal order. The recursion is an explicit frame stack and
-//      the heap loop pops before yielding, so interleaving with other
-//      queries cannot reorder *this* query's work. A park resumes at the
-//      read, never before a stop poll (a parked query must not observe a
-//      deadline the blocking run would not have polled there).
-//   3. Same counting. TryRead counts a miss when the page is claimed, not
-//      when the fetch is issued, and per-query misses are tallied from the
-//      returned TryReadOutcome (thread-local buffer deltas are meaningless
-//      when many queries share a worker thread).
+// Both modes run the same query: identical results, quality certificate
+// and per-query disk accesses (tests/resumable_test.cc checks both against
+// one golden digest). Three properties deliver that:
 //
-// Lifetime: the engine registers wakers and an issuer (QueryContext)
-// pointer with the BufferManager. Both may outlive a finished query
-// inside staged prefetch entries, so callers must drain the buffers
-// (DrainPrefetches) before destroying the task or its QueryContext — the
-// batch executor drains once after the whole scheduler run.
+//   1. One order. The recursion is an explicit frame stack and the heap
+//      loop pops before reading, so interleaving with other queries cannot
+//      reorder this query's work. A park resumes at the read, never before
+//      a stop poll, so a parked query observes no extra deadline polls.
+//   2. One count. Disk accesses are tallied from each read's
+//      TryReadOutcome, which counts a miss when the page is claimed, not
+//      when a fetch is issued. (Thread-local buffer deltas would be
+//      meaningless when many queries share a worker thread.)
+//   3. One epilogue. The finish step fills the stats and the certificate
+//      and folds the kcpq_cpq_* metrics, once per successful query.
+//
+// Lifetime: a multiplexed machine registers wakers and an issuer
+// (QueryContext) pointer with the BufferManager. Both may outlive the
+// finished query inside staged prefetch entries, so the caller must drain
+// the buffers (DrainPrefetches) before destroying the query's
+// QueryContext. The batch executor drains once after the whole run; a
+// per-query drain would discard sibling queries' staged pages. An inline
+// machine settles its own speculation when it finishes.
 
 #ifndef KCPQ_CPQ_RESUMABLE_H_
 #define KCPQ_CPQ_RESUMABLE_H_
@@ -49,15 +53,16 @@
 
 namespace kcpq {
 
-/// One resumable K-CPQ execution. Construct, Step until kDone (re-Stepping
-/// only after the waker fires when parked), read status()/TakeResults(),
+/// One K-CPQ execution. Construct, Step until kDone (re-Stepping only
+/// after the waker fires when parked), read status()/TakeResults(),
 /// discard. Self-joins pass the same tree twice with options.self_join.
 class ResumableCpqQuery final : public ResumableTask {
  public:
   /// `stats` may be null. `options` is copied; `options.context` (if set)
   /// and the trees must outlive the task *and* any buffer drain that
-  /// settles its speculation. The waker must be callable from I/O
-  /// completion threads until Step() has returned kDone.
+  /// settles its speculation. An empty `waker` runs the query inline (the
+  /// first Step() returns kDone); otherwise the waker must be callable
+  /// from I/O completion threads until Step() has returned kDone.
   ResumableCpqQuery(const RStarTree& tree_p, const RStarTree& tree_q,
                     CpqOptions options, CpqStats* stats, Waker waker);
   ~ResumableCpqQuery() override;
@@ -83,7 +88,7 @@ class ResumableCpqQuery final : public ResumableTask {
     kDone,
   };
 
-  /// One suspended ProcessPairRecursive activation: the candidate list of
+  /// One suspended level of the recursive descent: the candidate list of
   /// an expanded pair and the index of the next candidate to visit.
   struct RecFrame {
     std::vector<cpq_internal::Candidate> candidates;
@@ -93,11 +98,11 @@ class ResumableCpqQuery final : public ResumableTask {
 
   enum class ReadPairOutcome { kOk, kParked, kDeadline, kError };
 
-  /// Non-blocking ReadPair: reads whichever side of (cur_p_, cur_q_) is
-  /// not cached yet, parking on a miss-in-flight. Only after BOTH nodes
-  /// are resident does it count the pair (node_pairs_processed,
-  /// node_accesses += 2) and refresh the refs — identical bookkeeping to
-  /// the blocking ReadPair, no matter how many parks interleaved.
+  /// Reads whichever side of (cur_p_, cur_q_) is not in hand yet,
+  /// parking on a miss-in-flight. Only after BOTH nodes are read does it
+  /// count the pair (node_pairs_processed, node_accesses += 2) and
+  /// refresh the refs from the pages, so the bookkeeping is the same no
+  /// matter how many parks interleaved.
   ReadPairOutcome TryReadPair(Status* error);
 
   /// Records a park on `page` and returns kParked. The matching resume
@@ -105,18 +110,25 @@ class ResumableCpqQuery final : public ResumableTask {
   /// top of the next Step().
   StepResult Park(PageId page);
   StepResult Fail(Status s);
+  /// Fills the stats and certificate, folds the metrics, and ends the
+  /// query.
+  StepResult Finish();
+  /// An inline machine settles its own speculation when it ends (waits out
+  /// in-flight prefetches, discards unclaimed ones), so the accounting
+  /// identity holds at query end; no-op for a multiplexed machine.
+  void SettleInlineSpeculation();
 
   /// Tallies one served read into the per-query miss / prefetch-hit
-  /// counters. A self-join's shared buffer counts each miss on both sides,
-  /// matching the blocking path's thread-local delta arithmetic.
+  /// counters. A self-join's shared buffer counts each miss on both sides
+  /// (disk_accesses_p and disk_accesses_q both cover the one buffer).
   void CountRead(const BufferManager::TryReadOutcome& outcome, bool is_p);
 
-  /// Walks the frame stack to the next candidate to expand (applying the
-  /// blocking candidate loop's prune / drain rules), setting pending_ and
-  /// phase kExpandCheck; kFinish when the stack empties.
+  /// Walks the frame stack to the next candidate to expand (re-testing
+  /// each against T, draining into the certificate once stopped), setting
+  /// pending_ and phase kExpandCheck; kFinish when the stack empties.
   void AdvanceRecursive();
-  /// RunHeap's stop-drain: folds the popped pair plus the whole remaining
-  /// heap into the certificate.
+  /// The heap loop's stop-drain: folds the popped pair plus the whole
+  /// remaining heap into the certificate.
   void DrainHeapIntoCertificate(const cpq_internal::Candidate& popped);
 
   bool StartPhase();     // returns false when the query is trivially done
@@ -131,7 +143,7 @@ class ResumableCpqQuery final : public ResumableTask {
   Status final_status_;
   std::vector<PairResult> results_out_;
 
-  // Traversal state that blocking execution keeps on the call stack.
+  // Traversal state.
   int root_level_ = 0;
   Rect mbr_p_, mbr_q_;
   cpq_internal::Candidate pending_;  // pair chosen for expansion, pre-read
@@ -139,6 +151,10 @@ class ResumableCpqQuery final : public ResumableTask {
   Node node_p_, node_q_;
   bool have_p_ = false, have_q_ = false;
   std::vector<RecFrame> rec_stack_;
+  /// kHeap's min-heap of node pairs by (key, tie chain): CP1-CP5 of
+  /// Section 3.5, open-coded over a vector with std::push_heap / pop_heap
+  /// so the prefetch scheduler can peek at the frontier's best pairs
+  /// without disturbing the heap.
   std::vector<cpq_internal::Candidate> heap_;
   std::vector<cpq_internal::Candidate> candidates_scratch_;
   std::vector<uint32_t> spec_order_;
@@ -148,6 +164,10 @@ class ResumableCpqQuery final : public ResumableTask {
   uint64_t misses_q_ = 0;
   uint64_t prefetch_hits_ = 0;
   uint64_t prefetch_issued_ = 0;
+
+  // Metrics timing (kcpq_cpq_query_seconds), from construction.
+  bool timed_ = false;
+  std::chrono::steady_clock::time_point start_;
 
   // Park bookkeeping: resume time minus park time is the io_park span.
   bool park_pending_ = false;

@@ -1,25 +1,26 @@
-// Resumable Semi-CPQ: the per-leaf group nearest-neighbor scan of
-// cpq.cc's SemiClosestPairs re-driven as an explicit state machine that
-// yields on a buffer miss (closing the PR-6 "semi runs as a blocking
-// step" gap — the batch executor now multiplexes semi-joins on the
-// completion-driven scheduler like every other kind).
+// Semi-CPQ (all-nearest-neighbor join) as an explicit state machine: the
+// one traversal behind SemiClosestPairs and the batch executor's
+// semi-joins.
 //
-// Equivalence contract (tests/resumable_test.cc rides the semi query in
-// the 50-seed blocking-vs-resumable differential): bit-identical results,
-// identical quality certificate, identical per-query disk accesses. The
-// same three properties as ResumableCpqQuery (cpq/resumable.h) deliver
-// it:
+// The scan walks P's leaves depth-first. For each P leaf, a group
+// nearest-neighbor search runs one best-first traversal of Q that serves
+// every point of the leaf at once: the queue key MINMINDIST(leaf MBR,
+// Q subtree MBR) lower-bounds the distance from every leaf point to
+// everything beneath the subtree, so the search stops when the key
+// exceeds the worst unresolved best. That amortizes one Q descent over up
+// to M points instead of one descent per point.
 //
-//   1. Same kernels — the traversal replicates ScanLeaves' explicit LIFO
-//      stack and GroupNearestForLeaf's best-first Q descent statement for
-//      statement, including the worst-bound break / re-test rules.
-//   2. Same order — a park resumes AT the read, never before a stop
-//      poll, so interleaving cannot add or drop deadline observations.
-//   3. Same counting — per-query misses are tallied from TryReadOutcome
-//      (miss at claim), which equals the blocking path's thread-local
-//      buffer-delta arithmetic; node_accesses counts P leaves and popped
-//      Q nodes exactly as the blocking code does (internal P nodes are
-//      read but not counted, matching ScanLeaves).
+// Like ResumableCpqQuery (cpq/resumable.h), the machine runs inline with
+// an empty waker (SemiClosestPairs, the blocking batch scheduler) or parks
+// on a miss under exec::ResumableScheduler, with identical results,
+// certificate and per-query disk accesses either way:
+//
+//   1. One order. A park resumes AT the read, never before a stop poll,
+//      so interleaving cannot add or drop deadline observations.
+//   2. One count. Per-query misses are tallied from TryReadOutcome (miss
+//      at claim); node_accesses counts P leaves and popped Q nodes
+//      (internal P nodes are read but not counted).
+//   3. One epilogue, which folds the kcpq_cpq_* metrics once.
 
 #ifndef KCPQ_CPQ_RESUMABLE_SEMI_H_
 #define KCPQ_CPQ_RESUMABLE_SEMI_H_
@@ -44,8 +45,8 @@ namespace kcpq {
 /// any buffer drain that settles staged pages.
 class ResumableSemiQuery final : public ResumableTask {
  public:
-  /// Mirrors SemiClosestPairs: `stats` may be null; an external `context`
-  /// supersedes `control`.
+  /// `stats` may be null; an external `context` supersedes `control`. An
+  /// empty `waker` runs the query inline (the first Step() returns kDone).
   ResumableSemiQuery(const RStarTree& tree_p, const RStarTree& tree_q,
                      CpqStats* stats, const QueryControl& control,
                      QueryContext* context, Waker waker);
@@ -78,8 +79,7 @@ class ResumableSemiQuery final : public ResumableTask {
   StepResult Park(PageId page);
   StepResult Fail(Status s);
   /// Same shared-buffer rule as ResumableCpqQuery::CountRead: one buffer
-  /// serving both trees counts each miss on both sides, matching the
-  /// blocking path's thread-local delta arithmetic.
+  /// serving both trees counts each miss on both sides.
   void CountRead(const BufferManager::TryReadOutcome& outcome, bool is_p);
 
   bool StartPhase();  // returns false when the query is trivially done
@@ -98,9 +98,9 @@ class ResumableSemiQuery final : public ResumableTask {
   Status final_status_;
   std::vector<PairResult> out_;
 
-  // P traversal state (ScanLeaves' call-stack made explicit). The page
-  // being read stays on the stack until the read lands, so a park simply
-  // re-reads it.
+  // P traversal state: the depth-first leaf scan's explicit stack. The
+  // page being read stays on the stack until the read lands, so a park
+  // simply re-reads it.
   std::vector<PageId> stack_;
   Node node_p_, node_q_;
 

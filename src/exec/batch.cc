@@ -169,66 +169,6 @@ QueryOutcome OutcomeOf(const BatchQueryResult& result) {
   return QueryOutcome::kOk;
 }
 
-void RunOne(const RStarTree& tree_p, const RStarTree& tree_q,
-            const BatchQuery& query, const BatchOptions& batch_options,
-            const CancellationToken& batch_token,
-            obs::QueryObservation* live, BatchQueryResult* result) {
-  // Effective control: the query's own limits tightened by the batch-wide
-  // ones, plus the batch cancellation token (fail-fast and external batch
-  // cancels both flow through it).
-  QueryControl batch_control = batch_options.control;
-  batch_control.cancel =
-      CancellationToken::Combine(batch_control.cancel, batch_token);
-  const QueryControl merged =
-      QueryControl::Merged(query.options.control, batch_control);
-
-  // One context per query, owned here for the query's lifetime: its
-  // ResourceAccountant unifies the engine's candidate/heap bytes with the
-  // buffer pages read on this query's behalf.
-  QueryContext ctx(merged);
-  ctx.set_observation(live);
-
-  Result<std::vector<PairResult>> r = [&] {
-    switch (query.kind) {
-      case BatchQueryKind::kClosestPairs:
-      case BatchQueryKind::kSelfClosestPairs: {
-        CpqOptions options = query.options;
-        options.control = merged;
-        options.context = &ctx;
-        if (options.prefetch_window == 0) {
-          options.prefetch_window = batch_options.prefetch_window;
-        }
-        return query.kind == BatchQueryKind::kClosestPairs
-                   ? KClosestPairs(tree_p, tree_q, options, &result->stats)
-                   : SelfKClosestPairs(tree_p, options, &result->stats);
-      }
-      case BatchQueryKind::kSemiClosestPairs:
-        return SemiClosestPairs(tree_p, tree_q, &result->stats, merged,
-                                &ctx);
-      case BatchQueryKind::kHsClosestPairs: {
-        HsStats hs_stats;
-        HsOptions hs = HsOptionsFrom(query.options, merged, &ctx,
-                                     batch_options.prefetch_window);
-        auto r = HsKClosestPairs(tree_p, tree_q, query.options.k,
-                                 std::move(hs), &hs_stats);
-        MapHsStats(hs_stats, &result->stats);
-        return r;
-      }
-    }
-    return Result<std::vector<PairResult>>(
-        Status::InvalidArgument("unknown batch query kind"));
-  }();
-  result->peak_memory_bytes = ctx.accountant().peak_total_bytes();
-  CopyReplication(ctx, result);
-  if (r.ok()) {
-    result->pairs = std::move(r).value();
-    result->status = Status::OK();
-  } else {
-    result->status = r.status();
-  }
-  result->outcome = OutcomeOf(*result);
-}
-
 /// Per-query batch metrics: outcome counters plus latency / peak-memory
 /// distributions (overall and per scheduler mode, so p50/p99 for each
 /// executor are derivable from `/metrics` alone). One call per finished
@@ -279,21 +219,34 @@ bool MetricsTimingOn() {
 #endif
 }
 
-/// The completion-driven executor: every query is a ResumableTask and
-/// `options.threads` workers multiplex up to `options.max_inflight` of
-/// them, parking on buffer misses (see exec/scheduler.h and docs/io.md).
-/// Fills `results` in place; per-query results, certificates, and
-/// disk-access counts are identical to the blocking path.
-void RunResumableBatch(const RStarTree& tree_p, const RStarTree& tree_q,
-                       const std::vector<BatchQuery>& queries,
-                       const BatchOptions& options,
-                       AdmissionController* admission,
-                       CancellationSource* batch_source,
-                       const CancellationToken& batch_token,
-                       std::vector<BatchQueryResult>* results) {
-  // Per-query state that must outlive the scheduler run: contexts are
-  // registered as issuers of staged prefetch entries, so they may only be
-  // destroyed after the post-run buffer drains below.
+}  // namespace
+
+std::vector<BatchQueryResult> BatchKClosestPairs(
+    const RStarTree& tree_p, const RStarTree& tree_q,
+    const std::vector<BatchQuery>& queries, const BatchOptions& options,
+    BatchStats* stats) {
+  std::vector<BatchQueryResult> results(queries.size());
+
+  // One controller per batch: the trees (hence the cost-model constants)
+  // are shared by every query.
+  std::unique_ptr<AdmissionController> admission;
+  if (options.admission.mode != AdmissionMode::kOff) {
+    admission = std::make_unique<AdmissionController>(
+        options.admission, tree_p.size(), tree_q.size(), tree_p.max_entries(),
+        tree_p.buffer()->storage()->page_size());
+  }
+
+  // One source per batch; every query polls its token. Fail-fast trips it
+  // from whichever worker fails first.
+  CancellationSource batch_source;
+  const CancellationToken batch_token = batch_source.token();
+  const SchedulerMode mode = options.scheduler;
+  const char* const scheduler_name =
+      mode == SchedulerMode::kResumable ? "resumable" : "blocking";
+
+  // Per-query state. A multiplexed query's context is registered as the
+  // issuer of staged prefetch entries, so it may only be destroyed after
+  // the post-run buffer drains below.
   struct Slot {
     std::unique_ptr<QueryContext> ctx;
     HsStats hs_stats;  // kHsClosestPairs only; mapped into CpqStats on done
@@ -303,75 +256,76 @@ void RunResumableBatch(const RStarTree& tree_p, const RStarTree& tree_q,
   };
   std::vector<Slot> slots(queries.size());
 
+  // Builds query i's state machine. An empty waker makes it run inline
+  // (kBlocking: one Step() on the calling worker); the scheduler's waker
+  // lets it park (kResumable). Returns null for a query shed by admission.
   const auto factory = [&](size_t i,
                            Waker waker) -> std::unique_ptr<ResumableTask> {
-    BatchQueryResult& result = (*results)[i];
+    BatchQueryResult& result = results[i];
+    const BatchQuery& query = queries[i];
     if (admission != nullptr) {
-      result.admission = admission->Admit(queries[i]);
+      result.admission = admission->Admit(query);
       if (!result.admission.admitted) {
+        // Shed before any I/O: no page read, no node access.
         result.status = Status::ResourceExhausted(result.admission.reason);
         result.outcome = QueryOutcome::kRejected;
-        FoldBatchQueryMetrics(result, -1.0, SchedulerMode::kResumable);
-        RetireQuery(options, queries[i], result, "resumable", -1.0, nullptr);
+        FoldBatchQueryMetrics(result, -1.0, mode);
+        RetireQuery(options, query, result, scheduler_name, -1.0, nullptr);
         return nullptr;
       }
     }
     Slot& slot = slots[i];
-    slot.timed = MetricsTimingOn();
-    if (slot.timed) slot.start = std::chrono::steady_clock::now();
     if (options.query_registry != nullptr) {
       slot.live = options.query_registry->Register(
-          BatchQueryKindName(queries[i].kind),
-          QueryFamilyName(queries[i].options.family), "resumable",
-          queries[i].options.k);
+          BatchQueryKindName(query.kind),
+          QueryFamilyName(query.options.family), scheduler_name,
+          query.options.k);
     }
+    slot.timed = MetricsTimingOn();
+    if (slot.timed) slot.start = std::chrono::steady_clock::now();
 
+    // Effective control: the query's own limits tightened by the
+    // batch-wide ones, plus the batch cancellation token (fail-fast and
+    // external batch cancels both flow through it). One context per query:
+    // its ResourceAccountant unifies the engine's candidate/heap bytes with
+    // the buffer pages read on the query's behalf.
     QueryControl batch_control = options.control;
     batch_control.cancel =
         CancellationToken::Combine(batch_control.cancel, batch_token);
     const QueryControl merged =
-        QueryControl::Merged(queries[i].options.control, batch_control);
+        QueryControl::Merged(query.options.control, batch_control);
+    slot.ctx = std::make_unique<QueryContext>(merged);
+    slot.ctx->set_observation(slot.live.get());
 
-    switch (queries[i].kind) {
+    switch (query.kind) {
       case BatchQueryKind::kClosestPairs:
       case BatchQueryKind::kSelfClosestPairs: {
-        slot.ctx = std::make_unique<QueryContext>(merged);
-        slot.ctx->set_observation(slot.live.get());
-        CpqOptions o = queries[i].options;
+        CpqOptions o = query.options;
         o.control = merged;
         o.context = slot.ctx.get();
-        if (o.prefetch_window == 0) {
-          o.prefetch_window = options.prefetch_window;
-        }
-        const bool self = queries[i].kind == BatchQueryKind::kSelfClosestPairs;
+        if (o.prefetch_window == 0) o.prefetch_window = options.prefetch_window;
+        const bool self = query.kind == BatchQueryKind::kSelfClosestPairs;
         if (self) o.self_join = true;
         return std::make_unique<ResumableCpqQuery>(
             tree_p, self ? tree_p : tree_q, std::move(o), &result.stats,
             std::move(waker));
       }
-      case BatchQueryKind::kHsClosestPairs: {
-        slot.ctx = std::make_unique<QueryContext>(merged);
-        slot.ctx->set_observation(slot.live.get());
-        HsOptions hs = HsOptionsFrom(queries[i].options, merged,
-                                     slot.ctx.get(), options.prefetch_window);
+      case BatchQueryKind::kHsClosestPairs:
         return std::make_unique<ResumableHsQuery>(
-            tree_p, tree_q, queries[i].options.k, std::move(hs),
+            tree_p, tree_q, query.options.k,
+            HsOptionsFrom(query.options, merged, slot.ctx.get(),
+                          options.prefetch_window),
             &slot.hs_stats, std::move(waker));
-      }
-      case BatchQueryKind::kSemiClosestPairs: {
-        slot.ctx = std::make_unique<QueryContext>(merged);
-        slot.ctx->set_observation(slot.live.get());
-        return std::make_unique<ResumableSemiQuery>(tree_p, tree_q,
-                                                    &result.stats, merged,
-                                                    slot.ctx.get(),
-                                                    std::move(waker));
-      }
+      case BatchQueryKind::kSemiClosestPairs:
+        return std::make_unique<ResumableSemiQuery>(
+            tree_p, tree_q, &result.stats, merged, slot.ctx.get(),
+            std::move(waker));
     }
     return nullptr;
   };
 
   const auto on_done = [&](size_t i, ResumableTask* task) {
-    BatchQueryResult& result = (*results)[i];
+    BatchQueryResult& result = results[i];
     Slot& slot = slots[i];
     switch (queries[i].kind) {
       case BatchQueryKind::kClosestPairs:
@@ -395,9 +349,8 @@ void RunResumableBatch(const RStarTree& tree_p, const RStarTree& tree_q,
         break;
       }
     }
-    result.peak_memory_bytes =
-        slot.ctx != nullptr ? slot.ctx->accountant().peak_total_bytes() : 0;
-    if (slot.ctx != nullptr) CopyReplication(*slot.ctx, &result);
+    result.peak_memory_bytes = slot.ctx->accountant().peak_total_bytes();
+    CopyReplication(*slot.ctx, &result);
     result.outcome = OutcomeOf(result);
     double seconds = -1.0;
     if (slot.timed) {
@@ -406,134 +359,68 @@ void RunResumableBatch(const RStarTree& tree_p, const RStarTree& tree_q,
                     .count();
     }
     result.seconds = seconds;
-    FoldBatchQueryMetrics(result, seconds, SchedulerMode::kResumable);
-    if ((queries[i].kind == BatchQueryKind::kClosestPairs ||
-         queries[i].kind == BatchQueryKind::kSelfClosestPairs) &&
-        seconds >= 0.0) {
-      // The resumable CPQ engine never reaches FoldCpqMetrics (the
-      // blocking entry point), so the per-family latency fold happens
-      // here; HS folds its own in ResumableHsQuery::Step.
-      KCPQ_METRIC_OBSERVE(FamilyQuerySeconds(queries[i].options.family),
-                          seconds);
-    }
-    RetireQuery(options, queries[i], result, "resumable", seconds, slot.live);
+    FoldBatchQueryMetrics(result, seconds, mode);
+    RetireQuery(options, queries[i], result, scheduler_name, seconds,
+                slot.live);
     if (admission != nullptr) {
       admission->Release(result.admission);
+      // Close the loop: the measured peak and buffer behaviour of every
+      // query that ran refine later estimates (no-op unless feedback_alpha
+      // > 0).
       admission->RecordOutcome(result.admission, result.peak_memory_bytes,
                                result.stats.node_accesses,
                                result.stats.disk_accesses());
     }
     if (options.cancel_batch_on_first_failure && !result.status.ok()) {
-      batch_source->Cancel();
+      batch_source.Cancel();
     }
   };
 
-  ResumableScheduler::Options sched;
-  sched.workers = options.threads;        // 0 -> DefaultThreads
-  sched.max_inflight = options.max_inflight;  // 0 -> 256
-  if (options.query_registry != nullptr) {
-    sched.on_park = [&slots](size_t i) {
-      if (slots[i].live != nullptr) {
-        slots[i].live->io_parks.fetch_add(1, std::memory_order_relaxed);
-      }
+  if (mode == SchedulerMode::kResumable) {
+    // Completion-driven: `threads` workers multiplex up to `max_inflight`
+    // machines, parking on buffer misses (exec/scheduler.h, docs/io.md).
+    ResumableScheduler::Options sched;
+    sched.workers = options.threads;            // 0 -> DefaultThreads
+    sched.max_inflight = options.max_inflight;  // 0 -> 256
+    if (options.query_registry != nullptr) {
+      sched.on_park = [&slots](size_t i) {
+        if (slots[i].live != nullptr) {
+          slots[i].live->io_parks.fetch_add(1, std::memory_order_relaxed);
+        }
+      };
+    }
+    ResumableScheduler::Run(queries.size(), factory, on_done, sched);
+  } else {
+    // One query per worker, driven inline to completion.
+    const auto run_inline = [&](size_t i) {
+      std::unique_ptr<ResumableTask> task = factory(i, Waker());
+      if (task == nullptr) return;
+      task->Step();  // an inline machine never parks
+      on_done(i, task.get());
+      // An inline machine settled its own speculation, so no staged entry
+      // names this query's context any more: free it, and its
+      // distinct-page set, now rather than at the end of the batch.
+      task.reset();
+      slots[i].ctx.reset();
     };
+    const size_t threads =
+        options.threads == 0 ? ThreadPool::DefaultThreads() : options.threads;
+    if (threads == 1) {
+      for (size_t i = 0; i < queries.size(); ++i) run_inline(i);
+    } else {
+      ThreadPool pool(threads);
+      for (size_t i = 0; i < queries.size(); ++i) {
+        pool.Submit([&run_inline, i] { run_inline(i); });
+      }
+      pool.Wait();
+    }
   }
-  ResumableScheduler::Run(queries.size(), factory, on_done, sched);
 
   // Settle leftover speculation (and any staged demand entries) while the
   // contexts registered as their issuers are still alive; `slots` may only
   // be destroyed after this.
   tree_p.buffer()->DrainPrefetches();
   if (tree_q.buffer() != tree_p.buffer()) tree_q.buffer()->DrainPrefetches();
-}
-
-}  // namespace
-
-std::vector<BatchQueryResult> BatchKClosestPairs(
-    const RStarTree& tree_p, const RStarTree& tree_q,
-    const std::vector<BatchQuery>& queries, const BatchOptions& options,
-    BatchStats* stats) {
-  std::vector<BatchQueryResult> results(queries.size());
-
-  // One controller per batch: the trees (hence the cost-model constants)
-  // are shared by every query.
-  std::unique_ptr<AdmissionController> admission;
-  if (options.admission.mode != AdmissionMode::kOff) {
-    admission = std::make_unique<AdmissionController>(
-        options.admission, tree_p.size(), tree_q.size(), tree_p.max_entries(),
-        tree_p.buffer()->storage()->page_size());
-  }
-
-  // One source per batch; every query polls its token. Fail-fast trips it
-  // from whichever worker fails first.
-  CancellationSource batch_source;
-  const CancellationToken batch_token = batch_source.token();
-  const auto run_one = [&](size_t i) {
-    if (admission != nullptr) {
-      results[i].admission = admission->Admit(queries[i]);
-      if (!results[i].admission.admitted) {
-        // Shed before any I/O: no RunOne, no page read, no node access.
-        results[i].status =
-            Status::ResourceExhausted(results[i].admission.reason);
-        results[i].outcome = QueryOutcome::kRejected;
-        FoldBatchQueryMetrics(results[i], -1.0, SchedulerMode::kBlocking);
-        RetireQuery(options, queries[i], results[i], "blocking", -1.0,
-                    nullptr);
-        return;
-      }
-    }
-    std::shared_ptr<obs::QueryObservation> live;
-    if (options.query_registry != nullptr) {
-      live = options.query_registry->Register(
-          BatchQueryKindName(queries[i].kind),
-          QueryFamilyName(queries[i].options.family), "blocking",
-          queries[i].options.k);
-    }
-    const bool timed = MetricsTimingOn();
-    const auto start = timed ? std::chrono::steady_clock::now()
-                             : std::chrono::steady_clock::time_point();
-    RunOne(tree_p, tree_q, queries[i], options, batch_token, live.get(),
-           &results[i]);
-    double seconds = -1.0;
-    if (timed) {
-      seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              start)
-                    .count();
-    }
-    results[i].seconds = seconds;
-    FoldBatchQueryMetrics(results[i], seconds, SchedulerMode::kBlocking);
-    RetireQuery(options, queries[i], results[i], "blocking", seconds, live);
-    if (admission != nullptr) {
-      admission->Release(results[i].admission);
-      // Close the loop: the measured peak and buffer behaviour of every
-      // query that ran refine later estimates (no-op unless
-      // feedback_alpha > 0).
-      admission->RecordOutcome(results[i].admission,
-                               results[i].peak_memory_bytes,
-                               results[i].stats.node_accesses,
-                               results[i].stats.disk_accesses());
-    }
-    if (options.cancel_batch_on_first_failure && !results[i].status.ok()) {
-      batch_source.Cancel();
-    }
-  };
-
-  if (options.scheduler == SchedulerMode::kResumable) {
-    RunResumableBatch(tree_p, tree_q, queries, options, admission.get(),
-                      &batch_source, batch_token, &results);
-  } else {
-    const size_t threads =
-        options.threads == 0 ? ThreadPool::DefaultThreads() : options.threads;
-    if (threads == 1) {
-      for (size_t i = 0; i < queries.size(); ++i) run_one(i);
-    } else {
-      ThreadPool pool(threads);
-      for (size_t i = 0; i < queries.size(); ++i) {
-        pool.Submit([&run_one, i] { run_one(i); });
-      }
-      pool.Wait();
-    }
-  }
 
   if (stats != nullptr) {
     *stats = BatchStats{};

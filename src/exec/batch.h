@@ -49,17 +49,17 @@ enum class BatchQueryKind {
 };
 
 /// How BatchKClosestPairs executes a batch.
+/// Every query kind is one state machine (cpq/resumable.h, hs/resumable.h,
+/// cpq/resumable_semi.h); the mode only chooses how it is driven.
 enum class SchedulerMode {
-  /// One pool thread per running query; every page read blocks its thread
-  /// (the classic executor).
+  /// One pool thread per running query, which drives the query's machine
+  /// inline: every page read waits on its thread (the classic executor).
   kBlocking,
-  /// Completion-driven: queries are resumable state machines multiplexed
-  /// over the worker pool, parking on buffer misses instead of blocking
-  /// (exec/scheduler.h, docs/io.md). Per-query results, certificates, and
-  /// disk-access counts are bit-identical to kBlocking; only wall-clock
-  /// and the achievable in-flight query count change. Every kind —
-  /// including kSemiClosestPairs (cpq/resumable_semi.h) — runs as a
-  /// parking state machine.
+  /// Completion-driven: the machines are multiplexed over the worker pool,
+  /// parking on buffer misses instead of waiting (exec/scheduler.h,
+  /// docs/io.md). Per-query results, certificates, and disk-access counts
+  /// are bit-identical to kBlocking; only wall-clock and the achievable
+  /// in-flight query count change.
   kResumable,
 };
 

@@ -1,9 +1,10 @@
 // Completion-driven scheduler for resumable queries.
 //
 // The blocking batch executor (exec/batch.h) dedicates one pool thread to
-// each in-flight query; on cold storage that thread spends nearly all of
-// its time blocked in ReadPage, so concurrency — and therefore the I/O
-// overlap the paper's cost model rewards — is capped by the thread count.
+// each in-flight query, which drives its state machine inline; on cold
+// storage that thread spends nearly all of its time waiting in ReadPage,
+// so concurrency — and therefore the I/O overlap the paper's cost model
+// rewards — is capped by the thread count.
 // This scheduler inverts the model: queries are ResumableTasks
 // (common/resumable.h) that *yield* on a buffer miss, so a small worker
 // pool multiplexes hundreds of in-flight queries, each parked inside the
@@ -38,7 +39,7 @@
 // Determinism: the scheduler controls only *interleaving*. Each task's own
 // step sequence — and with it, the paper's disk-access metric — is fixed
 // by the task (see cpq/resumable.h), so results are bit-identical to the
-// blocking executor at any worker count or inflight cap.
+// same machine run inline, at any worker count or inflight cap.
 
 #ifndef KCPQ_EXEC_SCHEDULER_H_
 #define KCPQ_EXEC_SCHEDULER_H_

@@ -101,12 +101,12 @@ struct HsStats {
   /// Logical R-tree node reads (1 per one-sided expansion, 2 per
   /// simultaneous one); the quantity HsOptions::control budgets.
   uint64_t node_accesses = 0;
-  /// Speculative reads issued / claimed by this join's thread (both trees
+  /// Speculative reads issued / claimed by this join (both trees
   /// combined; zero with prefetch_window = 0; see CpqStats).
   uint64_t prefetch_issued = 0;
   uint64_t prefetch_hits = 0;
-  /// Resumable-scheduler execution only (zero under the blocking path):
-  /// parks on non-resident pages and total parked wall time (see CpqStats).
+  /// Parks on non-resident pages and total parked wall time; counted
+  /// wherever the join has a waker, zero inline (see CpqStats).
   uint64_t io_parks = 0;
   uint64_t io_parked_ns = 0;
 

@@ -1,14 +1,18 @@
-// Resumable Hjaltason–Samet incremental distance join: the HS analog of
-// cpq/resumable.h. The join's priority-queue loop is already iterative, so
-// resumability only needs the node reads made non-blocking: the join
-// remembers the popped-but-unexpanded item plus whichever node of the pair
-// is already resident, parks on the missing one, and re-enters the
-// expansion — never the pop or the context poll — when the page lands.
+// The Hjaltason–Samet top-K join as a state machine: the HS analog of
+// cpq/resumable.h, and the one traversal behind HsKClosestPairs,
+// IncrementalDistanceJoin and the batch executor's HS queries. The join's
+// priority-queue loop is already iterative, so the machine only needs
+// parkable node reads: the join remembers the popped-but-unexpanded item
+// plus whichever node of the pair is already read, parks on the missing
+// one, and re-enters the expansion — never the pop or the context poll —
+// when the page lands.
 //
-// Equivalence contract (tests/resumable_test.cc): identical emitted pairs,
-// certificates, and per-query disk-access counts to HsKClosestPairs. The
-// same lifetime rule as ResumableCpqQuery applies: drain the tree buffers
-// before destroying the task or its QueryContext.
+// An empty waker runs the join inline (reads wait; one Step() finishes
+// it); a scheduler's waker lets it park. Both give identical emitted
+// pairs, certificates, and per-query disk-access counts
+// (tests/resumable_test.cc). The same lifetime rule as ResumableCpqQuery
+// applies to a parking join: drain the tree buffers before destroying its
+// QueryContext.
 
 #ifndef KCPQ_HS_RESUMABLE_H_
 #define KCPQ_HS_RESUMABLE_H_
@@ -22,13 +26,13 @@
 
 namespace kcpq {
 
-/// One resumable HS top-K join (the resumable counterpart of
-/// HsKClosestPairs; sets k_bound = k). Construct, Step until kDone,
+/// One HS top-K join (sets k_bound = k). Construct, Step until kDone,
 /// read status()/TakeResults(), discard.
 class ResumableHsQuery final : public ResumableTask {
  public:
   /// `stats` may be null. The trees must outlive the task and any buffer
   /// drain settling its speculation; `options.context` (if set) likewise.
+  /// An empty `waker` runs the join inline.
   ResumableHsQuery(const RStarTree& tree_p, const RStarTree& tree_q, size_t k,
                    HsOptions options, HsStats* stats, Waker waker);
   ~ResumableHsQuery() override;

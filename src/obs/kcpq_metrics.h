@@ -63,7 +63,7 @@ struct KcpqMetrics {
 
   // -- cpq engines ------------------------------------------------------
   Counter* cpq_queries_total;
-  Counter* cpq_node_pairs_total;           // node pairs expanded (ReadPair)
+  Counter* cpq_node_pairs_total;           // node pairs expanded
   Counter* cpq_candidates_generated_total;
   Counter* cpq_candidates_pruned_total;    // Inequality 1 prunes
   Counter* cpq_distance_computations_total;

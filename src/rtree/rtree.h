@@ -118,18 +118,19 @@ class RStarTree {
                     QueryContext* ctx = nullptr) const;
 
   /// Reads the node stored at `page` through the buffer (one counted access
-  /// on a miss). The traversal entry point for the CPQ/HS algorithms. When
+  /// on a miss). When
   /// `ctx` is given the page is charged to that query's ResourceAccountant
   /// and the storage stack may abandon deadline-doomed retries (surfaced as
   /// kDeadlineExceeded — callers treat it as a deadline stop, not an
   /// error).
   Status ReadNode(PageId page, Node* node, QueryContext* ctx = nullptr) const;
 
-  /// Non-blocking ReadNode for the resumable engines: forwards to
+  /// The node read of the CPQ, HS and Semi-CPQ state machines: forwards to
   /// BufferManager::TryRead. When `outcome->parked` is set the node was
   /// not available — the waker is registered and the caller must retry
   /// after it fires; otherwise the node is deserialized and outcome
-  /// carries the hit/miss accounting of the access.
+  /// carries the hit/miss accounting of the access. An empty `waker`
+  /// never parks: the read is exactly ReadNode's, plus the outcome.
   Status TryReadNode(PageId page, Node* node, QueryContext* ctx,
                      const Waker& waker,
                      BufferManager::TryReadOutcome* outcome) const;

@@ -6,6 +6,7 @@
 
 #include "buffer/buffer_manager.h"
 #include "cpq/cpq.h"
+#include "exec/batch.h"
 #include "gtest/gtest.h"
 #include "hs/hs.h"
 #include "rtree/rtree.h"
@@ -339,6 +340,51 @@ TEST(RetryingStorageTest, NearDeadlineAbandonsRetryPromptly) {
   // than sleeping 5 s per attempt.
   EXPECT_GT(retry_p.deadline_abandoned(), 0u);
   EXPECT_LT(elapsed, std::chrono::seconds(4));
+
+  // The same abandonment through the other single-query engines and the
+  // blocking batch executor: every read carries the query's context, so
+  // each run gives up promptly and reports a deadline-stopped partial.
+  const auto expect_abandoned = [&](const char* label, auto run) {
+    faulty_p.FailNextN(1000);
+    const uint64_t abandoned_before = retry_p.deadline_abandoned();
+    const QueryControl control =
+        QueryControl::WithDeadlineAfter(std::chrono::milliseconds(500));
+    const auto run_start = std::chrono::steady_clock::now();
+    const QueryQuality quality = run(control);
+    EXPECT_LT(std::chrono::steady_clock::now() - run_start,
+              std::chrono::seconds(4))
+        << label;
+    EXPECT_GT(retry_p.deadline_abandoned(), abandoned_before) << label;
+    EXPECT_EQ(quality.stop_cause, StopCause::kDeadline) << label;
+    EXPECT_FALSE(quality.is_exact) << label;
+  };
+  expect_abandoned("hs", [&](const QueryControl& control) {
+    HsOptions hs;
+    hs.control = control;
+    HsStats hs_stats;
+    auto r = HsKClosestPairs(*tree_p.value(), fq.tree(), 10, hs, &hs_stats);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return hs_stats.quality;
+  });
+  expect_abandoned("semi", [&](const QueryControl& control) {
+    CpqStats semi_stats;
+    auto r = SemiClosestPairs(*tree_p.value(), fq.tree(), &semi_stats, control);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return semi_stats.quality;
+  });
+  expect_abandoned("batch", [&](const QueryControl& control) {
+    BatchQuery query;
+    query.options = options;
+    query.options.control = control;
+    BatchOptions batch;
+    batch.threads = 1;
+    batch.scheduler = SchedulerMode::kBlocking;
+    const std::vector<BatchQueryResult> r =
+        BatchKClosestPairs(*tree_p.value(), fq.tree(), {query}, batch);
+    EXPECT_TRUE(r[0].status.ok()) << r[0].status.ToString();
+    EXPECT_EQ(r[0].outcome, QueryOutcome::kPartial);
+    return r[0].stats.quality;
+  });
 }
 
 TEST(FaultInjectionTest, IntermittentFaultsNeverCrashQueries) {

@@ -1,16 +1,19 @@
-// Tests for the completion-driven resumable engine core (docs/io.md):
-// the equivalence contract of the resumable CPQ / HS state machines
-// against the blocking executor (bit-identical results, certificates, and
-// disk-access counts across 50 seeded workloads), BufferManager::TryRead's
-// park/serve/count semantics, the scheduler's wake protocol under
-// mid-step wakes, the prefetch-staging accountant symmetry, per-page
-// latency on the async storage path, and a chaos mix of transient faults,
-// deadlines, and cancellation mid-park.
+// Tests for the state machines behind every CPQ / HS / Semi-CPQ query
+// (docs/io.md, "completion-driven scheduling"): the 50-seed golden
+// differential (inline and multiplexed runs must reproduce the pinned
+// pairs, certificates and disk-access counts, and the brute-force
+// distances), the one-fold-per-query metrics contract,
+// BufferManager::TryRead's park/serve/count semantics, the scheduler's
+// wake protocol under mid-step wakes, the prefetch-staging accountant
+// symmetry, per-page latency on the async storage path, and a chaos mix of
+// transient faults, deadlines, and cancellation mid-park.
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -24,9 +27,12 @@
 #include "exec/scheduler.h"
 #include "gtest/gtest.h"
 #include "hs/hs.h"
+#include "obs/kcpq_metrics.h"
+#include "obs/metrics.h"
 #include "storage/fault_injection_storage.h"
 #include "storage/latency_storage.h"
 #include "storage/memory_storage.h"
+#include "tests/differential_mix.h"
 #include "tests/test_util.h"
 
 namespace kcpq {
@@ -82,76 +88,77 @@ void ExpectSameStats(const CpqStats& a, const CpqStats& b, bool speculation,
   EXPECT_EQ(a.quality.pairs_found, b.quality.pairs_found) << label;
 }
 
-/// The seed-derived query mix: all five algorithms x K in {1, 10}, plus a
-/// self-join, an HS join, and a semi-join rider.
-std::vector<BatchQuery> MakeQueryMix(int seed) {
-  std::vector<BatchQuery> queries;
-  for (CpqAlgorithm algorithm : kAllAlgorithms) {
-    for (size_t k : {size_t{1}, size_t{10}}) {
-      BatchQuery q;
-      q.options.algorithm = algorithm;
-      q.options.k = k;
-      q.options.metric = (seed % 4 == 1) ? Metric::kL1 : Metric::kL2;
-      queries.push_back(q);
-    }
-  }
-  BatchQuery self;
-  self.kind = BatchQueryKind::kSelfClosestPairs;
-  self.options.algorithm =
-      kAllAlgorithms[static_cast<size_t>(seed) % std::size(kAllAlgorithms)];
-  self.options.k = 5;
-  queries.push_back(self);
-  BatchQuery hs;
-  hs.kind = BatchQueryKind::kHsClosestPairs;
-  hs.options.k = 10;
-  queries.push_back(hs);
-  BatchQuery semi;
-  semi.kind = BatchQueryKind::kSemiClosestPairs;
-  queries.push_back(semi);
-  return queries;
-}
-
 // 50 seeded workloads at buffer capacity 0 (the paper's zero-buffer
 // setting, where per-query disk accesses are exactly the traversal's reads
-// and independent of interleaving): the resumable scheduler must produce
-// per-query results, certificates, and disk-access counts identical to the
-// blocking executor for every algorithm, K, and query kind.
+// and independent of interleaving). The inline run (blocking scheduler:
+// each worker drives one machine without parking) and the multiplexed run
+// (resumable scheduler) must both reproduce the golden digest — pairs,
+// distances, disk and node accesses, certificates — recorded from the
+// former recursive/heap traversals, agree with each other on every work
+// counter, and match the brute-force oracle's distances.
 TEST(ResumableDifferential, FiftySeedsMatchBlockingExactly) {
-  for (int seed = 0; seed < 50; ++seed) {
-    const size_t np = 80 + static_cast<size_t>(seed % 5) * 40;
-    const size_t nq = 80 + static_cast<size_t>((seed / 5) % 5) * 40;
+  const bool update = std::getenv("KCPQ_UPDATE_GOLDEN") != nullptr;
+  const std::vector<std::string> golden = testing::LoadDifferentialGolden();
+  if (!update) {
+    ASSERT_FALSE(golden.empty())
+        << "missing golden file " << testing::DifferentialGoldenPath()
+        << " (run with KCPQ_UPDATE_GOLDEN=1)";
+  }
+  std::vector<std::string> emitted;
+  size_t row = 0;
+  for (int seed = 0; seed < testing::kDifferentialSeeds; ++seed) {
+    const testing::DifferentialData data = testing::MakeDifferentialData(seed);
     TreeFixture fp(0), fq(0);
-    KCPQ_ASSERT_OK(fp.Build(MakeUniformItems(np, 1000 + seed)));
-    KCPQ_ASSERT_OK(
-        fq.Build(seed % 2 == 0 ? MakeUniformItems(nq, 2000 + seed)
-                               : MakeClusteredItems(nq, 2000 + seed)));
+    KCPQ_ASSERT_OK(fp.Build(data.p));
+    KCPQ_ASSERT_OK(fq.Build(data.q));
+    const std::vector<BatchQuery> queries =
+        testing::MakeDifferentialMix(seed);
 
-    const std::vector<BatchQuery> queries = MakeQueryMix(seed);
+    const BatchOptions inline_options = testing::DifferentialBatchOptions(
+        seed, SchedulerMode::kBlocking, queries.size());
+    const std::vector<BatchQueryResult> inline_run =
+        BatchKClosestPairs(fp.tree(), fq.tree(), queries, inline_options);
+    const std::vector<BatchQueryResult> multiplexed =
+        BatchKClosestPairs(fp.tree(), fq.tree(), queries,
+                           testing::DifferentialBatchOptions(
+                               seed, SchedulerMode::kResumable,
+                               queries.size()));
 
-    BatchOptions blocking;
-    blocking.threads = 2;
-    if (seed % 3 == 0) blocking.prefetch_window = 2;
-    const std::vector<BatchQueryResult> want =
-        BatchKClosestPairs(fp.tree(), fq.tree(), queries, blocking);
-
-    BatchOptions resumable = blocking;
-    resumable.scheduler = SchedulerMode::kResumable;
-    resumable.max_inflight = queries.size();
-    const std::vector<BatchQueryResult> got =
-        BatchKClosestPairs(fp.tree(), fq.tree(), queries, resumable);
-
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      const std::string label =
-          "seed " + std::to_string(seed) + " query " + std::to_string(i);
-      ASSERT_TRUE(want[i].status.ok()) << label << want[i].status.ToString();
-      ASSERT_TRUE(got[i].status.ok()) << label << got[i].status.ToString();
-      EXPECT_EQ(got[i].outcome, want[i].outcome) << label;
-      ExpectSameDistances(got[i].pairs, want[i].pairs, label);
-      ExpectSameStats(got[i].stats, want[i].stats,
-                      blocking.prefetch_window > 0, label);
+    const std::string label = "seed " + std::to_string(seed);
+    testing::ExpectMatchesBruteForce(data, queries, inline_run,
+                                     label + " inline");
+    testing::ExpectMatchesBruteForce(data, queries, multiplexed,
+                                     label + " multiplexed");
+    ASSERT_EQ(multiplexed.size(), inline_run.size());
+    for (size_t i = 0; i < queries.size(); ++i, ++row) {
+      const std::string q = label + " query " + std::to_string(i);
+      ASSERT_TRUE(inline_run[i].status.ok())
+          << q << inline_run[i].status.ToString();
+      ASSERT_TRUE(multiplexed[i].status.ok())
+          << q << multiplexed[i].status.ToString();
+      ExpectSameStats(multiplexed[i].stats, inline_run[i].stats,
+                      inline_options.prefetch_window > 0, q);
+      const std::string line =
+          testing::DifferentialDigestLine(seed, i, inline_run[i]);
+      if (update) {
+        emitted.push_back(line);
+        continue;
+      }
+      ASSERT_LT(row, golden.size()) << q << ": golden file too short";
+      testing::ExpectMatchesGolden(line, golden[row], q + " inline");
+      testing::ExpectMatchesGolden(
+          testing::DifferentialDigestLine(seed, i, multiplexed[i]),
+          golden[row], q + " multiplexed");
     }
   }
+  if (update) {
+    std::ofstream out(testing::DifferentialGoldenPath());
+    out << "# seed query outcome pairs=N ids=FNV-1a(p_id,q_id...) "
+           "disk=P/Q nodes=N cert=stop/exact/found | kth=D sum=D\n";
+    for (const std::string& line : emitted) out << line << "\n";
+    GTEST_SKIP() << "golden updated: " << testing::DifferentialGoldenPath();
+  }
+  EXPECT_EQ(row, golden.size()) << "golden file has extra lines";
 }
 
 // With a buffer large enough that every page is fetched exactly once per
@@ -201,6 +208,61 @@ TEST(ResumableDifferential, WarmBufferAggregateDiskAccessesMatch) {
         << label;
   }
   EXPECT_EQ(got_stats.disk_accesses, want_stats.disk_accesses);
+}
+
+// ---------------------------------------------------------------------------
+// Metric folds: every finished query folds its engine counters exactly
+// once, whichever scheduler drove it.
+
+TEST(ResumableMetrics, OneQueryBatchFoldsEngineMetricsOnce) {
+  if (!obs::MetricsCompiledIn()) GTEST_SKIP() << "metrics compiled out";
+  TreeFixture fp(0), fq(0);
+  KCPQ_ASSERT_OK(fp.Build(MakeUniformItems(200, 31)));
+  KCPQ_ASSERT_OK(fq.Build(MakeUniformItems(200, 32)));
+  const obs::KcpqMetrics& m = obs::KcpqMetrics::Get();
+
+  struct Case {
+    BatchQueryKind kind;
+    uint64_t cpq_queries;      // kcpq_cpq_queries_total
+    uint64_t hs_queries;       // kcpq_hs_queries_total
+    uint64_t closest_seconds;  // kcpq_query_seconds_closest_count
+  };
+  // Semi-joins time no per-family latency: the batch executor's
+  // per-scheduler histograms carry it.
+  const Case cases[] = {
+      {BatchQueryKind::kClosestPairs, 1, 0, 1},
+      {BatchQueryKind::kSelfClosestPairs, 1, 0, 1},
+      {BatchQueryKind::kSemiClosestPairs, 1, 0, 0},
+      {BatchQueryKind::kHsClosestPairs, 0, 1, 1},
+  };
+  for (const Case& c : cases) {
+    for (const SchedulerMode mode :
+         {SchedulerMode::kBlocking, SchedulerMode::kResumable}) {
+      BatchQuery query;
+      query.kind = c.kind;
+      query.options.k = 5;
+      BatchOptions options;
+      options.threads = 1;
+      options.scheduler = mode;
+      const uint64_t cpq_before = m.cpq_queries_total->value();
+      const uint64_t hs_before = m.hs_queries_total->value();
+      const uint64_t seconds_before = m.query_seconds_closest->count();
+      const std::vector<BatchQueryResult> r =
+          BatchKClosestPairs(fp.tree(), fq.tree(), {query}, options);
+      ASSERT_TRUE(r[0].status.ok()) << r[0].status.ToString();
+      const std::string label =
+          std::string(mode == SchedulerMode::kResumable ? "resumable "
+                                                        : "blocking ") +
+          "kind " + std::to_string(static_cast<int>(c.kind));
+      EXPECT_EQ(m.cpq_queries_total->value() - cpq_before, c.cpq_queries)
+          << label;
+      EXPECT_EQ(m.hs_queries_total->value() - hs_before, c.hs_queries)
+          << label;
+      EXPECT_EQ(m.query_seconds_closest->count() - seconds_before,
+                c.closest_seconds)
+          << label;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@
 #include "storage/file_storage.h"
 #include "storage/retrying_storage.h"
 #include "storage/uring_ring.h"
+#include "tests/differential_mix.h"
 #include "tests/test_util.h"
 
 namespace kcpq {
@@ -43,10 +44,6 @@ namespace {
 
 using testing::MakeClusteredItems;
 using testing::MakeUniformItems;
-
-constexpr CpqAlgorithm kAllAlgorithms[] = {
-    CpqAlgorithm::kNaive, CpqAlgorithm::kExhaustive, CpqAlgorithm::kSimple,
-    CpqAlgorithm::kSortedDistances, CpqAlgorithm::kHeap};
 
 #define KCPQ_SKIP_WITHOUT_URING()                                        \
   do {                                                                   \
@@ -146,64 +143,32 @@ void ExpectSameResults(const std::vector<BatchQueryResult>& got,
   }
 }
 
-/// All five algorithms x K in {1, 10}, plus self-join, HS, and semi riders
-/// (the resumable_test mix, run here against real files).
-std::vector<BatchQuery> MakeQueryMix(int seed) {
-  std::vector<BatchQuery> queries;
-  for (CpqAlgorithm algorithm : kAllAlgorithms) {
-    for (size_t k : {size_t{1}, size_t{10}}) {
-      BatchQuery q;
-      q.options.algorithm = algorithm;
-      q.options.k = k;
-      q.options.metric = (seed % 4 == 1) ? Metric::kL1 : Metric::kL2;
-      queries.push_back(q);
-    }
-  }
-  BatchQuery self;
-  self.kind = BatchQueryKind::kSelfClosestPairs;
-  self.options.algorithm =
-      kAllAlgorithms[static_cast<size_t>(seed) % std::size(kAllAlgorithms)];
-  self.options.k = 5;
-  queries.push_back(self);
-  BatchQuery hs;
-  hs.kind = BatchQueryKind::kHsClosestPairs;
-  hs.options.k = 10;
-  queries.push_back(hs);
-  BatchQuery semi;
-  semi.kind = BatchQueryKind::kSemiClosestPairs;
-  queries.push_back(semi);
-  return queries;
-}
-
 // 50 seeded workloads on file-backed, zero-buffer trees: for both the
-// blocking and the resumable executor, switching --io-backend from the
-// portable pool to the native ring must leave every query's pairs and
-// disk-access counts bit-identical. Prefetch rides along on every third
+// inline (blocking scheduler) and the multiplexed (resumable) executor,
+// the portable pool and the native ring must each reproduce the golden
+// digest of tests/differential_mix.h, agree with each other bit for bit,
+// and match the brute-force oracle. Prefetch rides along on every third
 // seed so the async path is exercised under the blocking scheduler too.
 TEST(UringDifferential, FiftySeedsPoolVsUringMatchExactly) {
   KCPQ_SKIP_WITHOUT_URING();
-  for (int seed = 0; seed < 50; ++seed) {
-    const size_t np = 80 + static_cast<size_t>(seed % 5) * 40;
-    const size_t nq = 80 + static_cast<size_t>((seed / 5) % 5) * 40;
+  const std::vector<std::string> golden = testing::LoadDifferentialGolden();
+  ASSERT_FALSE(golden.empty())
+      << "missing golden file " << testing::DifferentialGoldenPath();
+  for (int seed = 0; seed < testing::kDifferentialSeeds; ++seed) {
+    const testing::DifferentialData data = testing::MakeDifferentialData(seed);
     FileTreeFixture fp(0), fq(0);
-    KCPQ_ASSERT_OK(fp.Build(MakeUniformItems(np, 1000 + seed)));
-    KCPQ_ASSERT_OK(
-        fq.Build(seed % 2 == 0 ? MakeUniformItems(nq, 2000 + seed)
-                               : MakeClusteredItems(nq, 2000 + seed)));
-    const std::vector<BatchQuery> queries = MakeQueryMix(seed);
+    KCPQ_ASSERT_OK(fp.Build(data.p));
+    KCPQ_ASSERT_OK(fq.Build(data.q));
+    const std::vector<BatchQuery> queries =
+        testing::MakeDifferentialMix(seed);
 
     for (const SchedulerMode mode :
          {SchedulerMode::kBlocking, SchedulerMode::kResumable}) {
-      BatchOptions options;
-      options.threads = 2;
-      options.scheduler = mode;
-      if (mode == SchedulerMode::kResumable) {
-        options.max_inflight = queries.size();
-      }
-      if (seed % 3 == 0) options.prefetch_window = 2;
+      const BatchOptions options =
+          testing::DifferentialBatchOptions(seed, mode, queries.size());
       const std::string label =
           "seed " + std::to_string(seed) +
-          (mode == SchedulerMode::kResumable ? " resumable" : " blocking");
+          (mode == SchedulerMode::kResumable ? " multiplexed" : " inline");
 
       KCPQ_ASSERT_OK(fp.storage().SetIoBackend(IoBackend::kThreadPool));
       KCPQ_ASSERT_OK(fq.storage().SetIoBackend(IoBackend::kThreadPool));
@@ -222,6 +187,18 @@ TEST(UringDifferential, FiftySeedsPoolVsUringMatchExactly) {
           BatchKClosestPairs(fp.tree(), fq.tree(), queries, options);
 
       ExpectSameResults(got, want, label);
+      testing::ExpectMatchesBruteForce(data, queries, got, label);
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const size_t row = static_cast<size_t>(seed) * queries.size() + i;
+        ASSERT_LT(row, golden.size()) << label << ": golden file too short";
+        const std::string q = label + " query " + std::to_string(i);
+        testing::ExpectMatchesGolden(
+            testing::DifferentialDigestLine(seed, i, want[i]), golden[row],
+            q + " pool");
+        testing::ExpectMatchesGolden(
+            testing::DifferentialDigestLine(seed, i, got[i]), golden[row],
+            q + " uring");
+      }
     }
   }
 }
@@ -419,7 +396,7 @@ struct InlineRun {
 /// one — after dropping the files from the page cache when `cold`.
 InlineRun RunBlockingThenResumable(FileTreeFixture& fp, FileTreeFixture& fq,
                                    bool cold) {
-  const std::vector<BatchQuery> queries = MakeQueryMix(3);
+  const std::vector<BatchQuery> queries = testing::MakeDifferentialMix(3);
   KCPQ_CHECK_OK(fp.storage().SetIoBackend(RingOrPool()));
   KCPQ_CHECK_OK(fq.storage().SetIoBackend(RingOrPool()));
   BatchOptions options;

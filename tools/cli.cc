@@ -528,6 +528,19 @@ Status ParseSchedulerFlags(const Flags& flags, SchedulerMode* mode,
   return Status::OK();
 }
 
+// The single-query commands drive one state machine on the calling thread.
+// With no waker it reads inline; under --scheduler=resumable it parks on
+// each miss and resumes through `gate`.
+Waker WakerFor(SchedulerMode scheduler, InlineWakerGate& gate) {
+  return scheduler == SchedulerMode::kResumable ? gate.waker() : Waker();
+}
+
+// Settles speculation while the query that issued it is still alive.
+void DrainBoth(Database& p, Database& q) {
+  p.buffer->DrainPrefetches();
+  if (q.buffer.get() != p.buffer.get()) q.buffer->DrainPrefetches();
+}
+
 Status CmdGenerate(const Flags& flags, std::FILE* out) {
   if (flags.positional.size() != 4) {
     return Status::InvalidArgument(
@@ -1014,23 +1027,17 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
   CpqStats stats;
   Timer timer;
   std::vector<PairResult> pairs;
-  if (scheduler == SchedulerMode::kResumable) {
-    // Single-query diagnostic path for the completion-driven engine: the
-    // state machine is driven to completion inline (InlineWakerGate), so
+  {
+    // The one state machine, read inline under the blocking scheduler or
+    // parking through an InlineWakerGate under the resumable one, so
     // --explain/--trace observe exactly what a multiplexed worker would.
-    options.context = &ctx;
     InlineWakerGate gate;
     ResumableCpqQuery task(*p.tree, *q.tree, options, &stats,
-                           gate.waker());
+                           WakerFor(scheduler, gate));
     gate.RunToCompletion(task);
-    // Settle speculation while the task (the prefetch issuer) is alive.
-    p.buffer->DrainPrefetches();
-    if (q.buffer.get() != p.buffer.get()) q.buffer->DrainPrefetches();
+    DrainBoth(p, q);
     KCPQ_RETURN_IF_ERROR(task.status());
     pairs = task.TakeResults();
-  } else {
-    KCPQ_ASSIGN_OR_RETURN(
-        pairs, KClosestPairs(*p.tree, *q.tree, options, &stats));
   }
   const double seconds = timer.ElapsedSeconds();
   PrintPairs(out, pairs);
@@ -1409,21 +1416,15 @@ Status CmdSemi(const Flags& flags, std::FILE* out) {
   CpqStats stats;
   Timer timer;
   std::vector<PairResult> pairs;
-  if (scheduler == SchedulerMode::kResumable) {
-    // Same single-query diagnostic shape as kcp: the state machine runs
-    // to completion inline, parking and resuming through InlineWakerGate.
-    QueryContext ctx(control);
+  {
+    // Same single-query shape as kcp.
     InlineWakerGate gate;
-    ResumableSemiQuery task(*p.tree, *q.tree, &stats, control, &ctx,
-                            gate.waker());
+    ResumableSemiQuery task(*p.tree, *q.tree, &stats, control, nullptr,
+                            WakerFor(scheduler, gate));
     gate.RunToCompletion(task);
-    p.buffer->DrainPrefetches();
-    if (q.buffer.get() != p.buffer.get()) q.buffer->DrainPrefetches();
+    DrainBoth(p, q);
     KCPQ_RETURN_IF_ERROR(task.status());
     pairs = task.TakeResults();
-  } else {
-    KCPQ_ASSIGN_OR_RETURN(
-        pairs, SemiClosestPairs(*p.tree, *q.tree, &stats, control));
   }
   PrintPairs(out, pairs);
   PrintQuality(out, stats.quality);
