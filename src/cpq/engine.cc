@@ -261,9 +261,14 @@ void CpqEngine::GenerateCandidates(const NodeRef& ref_p, const Node& node_p,
   const size_t np = expand_p ? node_p.entries.size() : 1;
   const size_t nq = expand_q ? node_q.entries.size() : 1;
   out->reserve(np * nq);
-  const bool score_ties = !options_.tie_chain.empty() &&
-                          (options_.algorithm == CpqAlgorithm::kSortedDistances ||
-                           options_.algorithm == CpqAlgorithm::kHeap);
+  // STD's frame sort orders every candidate, so it scores them all. The
+  // heap loop only ever pushes a candidate with key <= T after tightening,
+  // and tightening only lowers T: scoring the ones with key <= T now
+  // covers every candidate the heap can take.
+  const bool sorts_all = options_.algorithm == CpqAlgorithm::kSortedDistances;
+  const bool score_ties =
+      !options_.tie_chain.empty() &&
+      (sorts_all || options_.algorithm == CpqAlgorithm::kHeap);
   for (size_t i = 0; i < np; ++i) {
     const NodeRef cp = make_ref_p(i);
     // Range-restricted objectives pre-prune subtrees that cannot contain a
@@ -289,7 +294,7 @@ void CpqEngine::GenerateCandidates(const NodeRef& ref_p, const Node& node_p,
       cand.key = objective_.NodeKey(cp.mbr, cq.mbr);
       cand.min_pairs = cp.min_points * cq.min_points;
       cand.max_pairs = SaturatingMul(cp.max_points, cq.max_points);
-      if (score_ties) {
+      if (score_ties && (sorts_all || cand.key <= bound_)) {
         ComputeTieScores(cp.mbr, cq.mbr, options_.tie_chain, tie_context_,
                          cand.tie);
       }
@@ -315,7 +320,10 @@ void CpqEngine::TightenBoundFromCandidates(
   if (!objective_.CanTightenFromCapacities()) return;
   if (objective_.minimizing() && options_.k == 1) {
     // 1-CPQ special case (Section 3.3): at least one point pair beneath
-    // each candidate lies within its MINMAXDIST.
+    // each candidate lies within its MINMAXDIST. Not gated on key >= T
+    // like the loop below: MinMaxDistSquared's
+    // `maxgap2_sum - maxgap2[k] - maxgap2[l]` can round to one ulp below
+    // MINMINDIST, so MINMAXDIST >= key does not hold in floating point.
     for (const Candidate& c : candidates) {
       bound_ = std::min(bound_, MinMaxDistPow(c.p.mbr, c.q.mbr,
                                               options_.metric));
@@ -331,14 +339,27 @@ void CpqEngine::TightenBoundFromCandidates(
   // is -MINMINDIST and the same ascending accumulation (= descending
   // MINMINDIST) bounds the K-th farthest distance from below. (For
   // kFarthest this covers K = 1 too — the exact mirror of MINMAXDIST.)
+  //
+  // Gate: only tighten keys below T can lower it, so only those are
+  // computed, kept and sorted. The gate rests on tighten key >= key, which
+  // holds exactly in floating point: per dimension MaxGap >= Gap (the
+  // separation |a.hi - b.lo| is the same double as b.lo - a.hi), and the
+  // L1/L2/Linf combiners are monotone, so MaxMaxDistPow >= MinMinDistPow
+  // (and -MINMINDIST >= -MAXMAXDIST for kFarthest). A candidate with
+  // key >= T therefore cannot contribute. The kept keys are the prefix of
+  // the full ascending list that lies below T; if that prefix never
+  // guarantees K pairs, the full list reaches K at a key >= T, and the
+  // min below leaves T unchanged either way.
   maxmax_scratch_.clear();
-  maxmax_scratch_.reserve(candidates.size());
   for (const Candidate& c : candidates) {
+    if (c.key >= bound_) continue;
     const double tighten_key =
         objective_.minimizing()
             ? MaxMaxDistPow(c.p.mbr, c.q.mbr, options_.metric)
             : -MinMinDistPow(c.p.mbr, c.q.mbr, options_.metric);
-    maxmax_scratch_.emplace_back(tighten_key, c.min_pairs);
+    if (tighten_key < bound_) {
+      maxmax_scratch_.emplace_back(tighten_key, c.min_pairs);
+    }
   }
   std::sort(maxmax_scratch_.begin(), maxmax_scratch_.end());
   uint64_t pairs = 0;

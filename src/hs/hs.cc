@@ -74,7 +74,9 @@ class JoinImpl {
     double key;
   };
 
-  void PushItem(QueueItem item);
+  /// Enqueues `item` unless it is ineligible or cannot be among the
+  /// first K; returns whether it was enqueued.
+  bool PushItem(QueueItem item);
   /// Range-restriction test for one queue-item side; always true for
   /// unrestricted families.
   bool SideEligible(const ItemSide& s) const {
@@ -84,7 +86,9 @@ class JoinImpl {
   }
   ItemSide NodeSide(const Entry& entry, int child_level) const;
   ItemSide ObjectSide(const Entry& entry) const;
-  double KeyOf(const ItemSide& a, const ItemSide& b) const;
+  /// Queue key of a pair from its two sides' rects (so an expansion can
+  /// test a child pair before building its sides).
+  double KeyOf(const Rect& a, const Rect& b) const;
   int32_t TieLevelOf(const ItemSide& a, const ItemSide& b) const;
 
   /// Expansion of a one-sided pair (after the node read): enqueues the
@@ -191,31 +195,32 @@ ItemSide JoinImpl::ObjectSide(const Entry& entry) const {
   return side;
 }
 
-double JoinImpl::KeyOf(const ItemSide& a, const ItemSide& b) const {
+double JoinImpl::KeyOf(const Rect& a, const Rect& b) const {
   // MINMINDIST degenerates to point-rect MINDIST and point-point distance
   // for degenerate rects, so one formula covers all four item kinds; the
   // same holds for MAXMAXDIST, whose negation is the kFarthest key
   // (ascending pop order then emits pairs farthest-first).
-  return objective_.minimizing() ? MinMinDistSquared(a.rect, b.rect)
-                                 : -MaxMaxDistSquared(a.rect, b.rect);
+  return objective_.minimizing() ? MinMinDistSquared(a, b)
+                                 : -MaxMaxDistSquared(a, b);
 }
 
 int32_t JoinImpl::TieLevelOf(const ItemSide& a, const ItemSide& b) const {
   return a.level + b.level;  // objects contribute -1: deepest
 }
 
-void JoinImpl::PushItem(QueueItem item) {
+bool JoinImpl::PushItem(QueueItem item) {
   // Range-restricted joins drop ineligible items at the push choke point:
   // a node side whose subtree is strictly outside the rect, or an object
   // side not contained in it, can never yield a qualifying pair — and a
   // skipped subtree is never expanded, so the saving compounds.
-  if (!SideEligible(item.a) || !SideEligible(item.b)) return;
-  if (item.key > k_bound_.Bound()) return;  // cannot be in the first K
+  if (!SideEligible(item.a) || !SideEligible(item.b)) return false;
+  if (item.key > k_bound_.Bound()) return false;  // cannot be in the first K
   if (!item.a.is_node && !item.b.is_node) k_bound_.Offer({item.key});
   item.seq = next_seq_++;
   queue_.Push(item);
   ++stats_.items_pushed;
   stats_.max_queue_size = std::max(stats_.max_queue_size, queue_.size());
+  return true;
 }
 
 void JoinImpl::LatchStop(StopCause cause, double key) {
@@ -252,21 +257,26 @@ size_t JoinImpl::PushChildrenOneSide(const Node& node, const ItemSide& other,
                                      bool node_first) {
   // Speculate on the node pages of the W nearest children: the queue pops
   // in ascending key order, so the children pushed with the smallest keys
-  // are the likeliest next expansions. Children the k_bound already rules
-  // out are dropped by PushItem and never speculated on.
+  // are the likeliest next expansions. Children PushItem drops — ruled out
+  // by the k_bound or, under a query rect, ineligible — are never
+  // speculated on.
   const bool speculate = prefetch_.enabled() && !node.IsLeaf();
   if (speculate) prefetch_.Clear();
   for (const Entry& entry : node.entries) {
+    // Key first: a child pair the k_bound rules out is dropped before its
+    // sides are built (PushItem would drop it anyway).
+    const double key = node_first ? KeyOf(entry.rect, other.rect)
+                                  : KeyOf(other.rect, entry.rect);
+    if (key > k_bound_.Bound()) continue;
     const ItemSide child = node.IsLeaf() ? ObjectSide(entry)
                                          : NodeSide(entry, node.level - 1);
     QueueItem item;
     item.a = node_first ? child : other;
     item.b = node_first ? other : child;
-    item.key = KeyOf(item.a, item.b);
+    item.key = key;
     item.tie_level = TieLevelOf(item.a, item.b);
-    PushItem(item);
-    if (speculate && item.key <= k_bound_.Bound()) {
-      prefetch_.Add(item.key, node_first ? entry.id : kInvalidPageId,
+    if (PushItem(item) && speculate) {
+      prefetch_.Add(key, node_first ? entry.id : kInvalidPageId,
                     node_first ? kInvalidPageId : entry.id);
     }
   }
@@ -279,19 +289,17 @@ size_t JoinImpl::PushChildrenBoth(const Node& node_a, const Node& node_b) {
       prefetch_.enabled() && !(node_a.IsLeaf() && node_b.IsLeaf());
   if (speculate) prefetch_.Clear();
   const auto push_pair = [&](const Entry& ea, const Entry& eb) {
-    const ItemSide ca = node_a.IsLeaf() ? ObjectSide(ea)
-                                        : NodeSide(ea, node_a.level - 1);
-    const ItemSide cb = node_b.IsLeaf() ? ObjectSide(eb)
-                                        : NodeSide(eb, node_b.level - 1);
+    // Key first, as in PushChildrenOneSide.
+    const double key = KeyOf(ea.rect, eb.rect);
+    if (key > k_bound_.Bound()) return true;
     QueueItem item;
-    item.a = ca;
-    item.b = cb;
-    item.key = KeyOf(ca, cb);
-    item.tie_level = TieLevelOf(ca, cb);
-    PushItem(item);
-    if (speculate && item.key <= k_bound_.Bound()) {
-      prefetch_.Add(item.key, ca.is_node ? ca.id : kInvalidPageId,
-                    cb.is_node ? cb.id : kInvalidPageId);
+    item.a = node_a.IsLeaf() ? ObjectSide(ea) : NodeSide(ea, node_a.level - 1);
+    item.b = node_b.IsLeaf() ? ObjectSide(eb) : NodeSide(eb, node_b.level - 1);
+    item.key = key;
+    item.tie_level = TieLevelOf(item.a, item.b);
+    if (PushItem(item) && speculate) {
+      prefetch_.Add(key, item.a.is_node ? item.a.id : kInvalidPageId,
+                    item.b.is_node ? item.b.id : kInvalidPageId);
     }
     return true;
   };
@@ -432,7 +440,7 @@ JoinImpl::TryOutcome JoinImpl::TryStart(Status* error) {
         ItemSide{true, root_mbr_p_, tree_p_.root_page(), tree_p_.height() - 1};
     item.b = ItemSide{true, node_a_.ComputeMbr(), tree_q_.root_page(),
                       tree_q_.height() - 1};
-    item.key = KeyOf(item.a, item.b);
+    item.key = KeyOf(item.a.rect, item.b.rect);
     item.tie_level = TieLevelOf(item.a, item.b);
     PushItem(item);
     started_ = true;

@@ -29,6 +29,7 @@
 #include "cpq/brute.h"
 #include "exec/batch.h"
 #include "gtest/gtest.h"
+#include "hs/hs.h"
 #include "tests/test_util.h"
 
 namespace kcpq {
@@ -130,15 +131,46 @@ inline std::string DifferentialDigestLine(int seed, size_t index,
   return buf;
 }
 
+/// One work-counter golden line. `hs` carries the HS-only counters (items
+/// pushed, peak queue) of the mix's HS query and is null for the others.
+inline std::string DifferentialWorkLine(int seed, size_t index,
+                                        const CpqStats& s,
+                                        const HsStats* hs) {
+  char buf[512];
+  const int n = std::snprintf(
+      buf, sizeof(buf),
+      "%d %zu generated=%llu pruned=%llu distances=%llu skipped=%llu "
+      "node_pairs=%llu max_heap=%llu",
+      seed, index,
+      static_cast<unsigned long long>(s.candidate_pairs_generated),
+      static_cast<unsigned long long>(s.candidate_pairs_pruned),
+      static_cast<unsigned long long>(s.point_distance_computations),
+      static_cast<unsigned long long>(s.leaf_pairs_skipped),
+      static_cast<unsigned long long>(s.node_pairs_processed),
+      static_cast<unsigned long long>(s.max_heap_size));
+  if (hs != nullptr) {
+    std::snprintf(buf + n, sizeof(buf) - static_cast<size_t>(n),
+                  " hs_pushed=%llu hs_max_queue=%llu",
+                  static_cast<unsigned long long>(hs->items_pushed),
+                  static_cast<unsigned long long>(hs->max_queue_size));
+  }
+  return buf;
+}
+
 inline std::string DifferentialGoldenPath() {
   return std::string(KCPQ_TEST_GOLDEN_DIR) + "/differential_fifty_seeds.txt";
 }
 
-/// The golden lines, '#' comments stripped; empty when the file is
-/// missing.
-inline std::vector<std::string> LoadDifferentialGolden() {
+inline std::string DifferentialWorkGoldenPath() {
+  return std::string(KCPQ_TEST_GOLDEN_DIR) + "/differential_work_counters.txt";
+}
+
+/// The golden lines of `path` (default: the answer digest), '#' comments
+/// stripped; empty when the file is missing.
+inline std::vector<std::string> LoadDifferentialGolden(
+    const std::string& path = DifferentialGoldenPath()) {
   std::vector<std::string> lines;
-  std::ifstream in(DifferentialGoldenPath());
+  std::ifstream in(path);
   std::string line;
   while (std::getline(in, line)) {
     if (!line.empty() && line[0] != '#') lines.push_back(line);

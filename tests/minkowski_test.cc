@@ -3,6 +3,7 @@
 // non-Euclidean metrics.
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "cpq/brute.h"
@@ -127,6 +128,67 @@ TEST_P(MinkowskiMetricPropertyTest, DegenerateRectsCollapseToPointDistance) {
     EXPECT_NEAR(MinMinDistPow(rp, rq, metric), d, 1e-12);
     EXPECT_NEAR(MinMaxDistPow(rp, rq, metric), d, 1e-12);
     EXPECT_NEAR(MaxMaxDistPow(rp, rq, metric), d, 1e-12);
+  }
+}
+
+// The invariant the K-CPQ bound-tightening gate relies on
+// (CpqEngine::TightenBoundFromCandidates): MAXMAXDIST >= MINMINDIST holds
+// exactly in floating point, with no tolerance, for every rect pair.
+TEST_P(MinkowskiMetricPropertyTest, MaxMaxNeverBelowMinMinExactly) {
+  const Metric metric = GetParam();
+  const auto expect_ordered = [metric](const Rect& a, const Rect& b) {
+    ASSERT_GE(MaxMaxDistPow(a, b, metric), MinMinDistPow(a, b, metric));
+    ASSERT_GE(MaxMaxDistPow(b, a, metric), MinMinDistPow(b, a, metric));
+  };
+  const auto box = [](double x0, double y0, double x1, double y1) {
+    Rect r;
+    r.lo[0] = x0;
+    r.lo[1] = y0;
+    r.hi[0] = x1;
+    r.hi[1] = y1;
+    return r;
+  };
+  Xoshiro256pp rng(7);
+  for (int i = 0; i < 2000; ++i) {
+    // Random: unit-square rects, then the same shapes scaled and shifted
+    // over many binades so the subtractions round differently.
+    const Rect a = RandomRect(rng), b = RandomRect(rng);
+    expect_ordered(a, b);
+    const double scale =
+        std::ldexp(1.0, static_cast<int>(rng.Next() % 80) - 40);
+    const double shift = (rng.NextDouble() - 0.5) * 1e6;
+    Rect sa = a, sb = b;
+    for (int d = 0; d < kDims; ++d) {
+      sa.lo[d] = a.lo[d] * scale + shift;
+      sa.hi[d] = a.hi[d] * scale + shift;
+      sb.lo[d] = b.lo[d] * scale + shift;
+      sb.hi[d] = b.hi[d] * scale + shift;
+    }
+    expect_ordered(sa, sb);
+    // Degenerate: point/point and point/rect.
+    const Rect p = Rect::FromPoint(RandomPointIn(rng, a));
+    const Rect q = Rect::FromPoint(RandomPointIn(rng, b));
+    expect_ordered(p, q);
+    expect_ordered(p, b);
+    // Nested (a point-shrunk box inside `a`) and identical.
+    const Point c = RandomPointIn(rng, a);
+    expect_ordered(a, box(a.lo[0], a.lo[1], c.coord[0], c.coord[1]));
+    expect_ordered(a, a);
+    expect_ordered(p, p);
+    // Touching: b shifted to share a's right edge, then a's top corner.
+    expect_ordered(a, box(a.hi[0], b.lo[1], a.hi[0] + (b.hi[0] - b.lo[0]),
+                          b.hi[1]));
+    expect_ordered(a, box(a.hi[0], a.hi[1], a.hi[0] + 0.1, a.hi[1] + 0.3));
+  }
+  // Fixed awkward values: non-representable decimals, tiny and huge
+  // magnitudes, and separations that round.
+  const Rect fixed[] = {
+      box(0.1, 0.2, 0.3, 0.7),      box(0.7, 0.1, 0.9, 0.3),
+      box(1e-300, 0, 2e-300, 1e-300), box(-1e300, -1, 1e300, 1),
+      box(1.0 / 3, 2.0 / 3, 1.0 / 3, 2.0 / 3), box(0.3, 0.7, 0.3, 0.7),
+      box(1e16, 1e16, 1e16 + 2, 1e16 + 4), box(-0.0, 0.0, 0.0, -0.0)};
+  for (const Rect& a : fixed) {
+    for (const Rect& b : fixed) expect_ordered(a, b);
   }
 }
 

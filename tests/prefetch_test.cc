@@ -8,14 +8,18 @@
 // storage faults, retries, deadlines, and prefetch (clean drains, no
 // leaked in-flight reads — run under ASan/TSan in CI).
 
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "buffer/buffer_manager.h"
 #include "buffer/replacement_policy.h"
 #include "cpq/cpq.h"
 #include "exec/batch.h"
+#include "geometry/metrics.h"
 #include "gtest/gtest.h"
 #include "hs/hs.h"
 #include "storage/fault_injection_storage.h"
@@ -187,6 +191,139 @@ TEST(PrefetchHsTest, ResultsAndDiskCountsBitIdentical) {
       EXPECT_EQ(off_stats.disk_accesses_q, on_stats.disk_accesses_q) << label;
       EXPECT_GE(on_stats.prefetch_issued, on_stats.prefetch_hits) << label;
     }
+  }
+}
+
+/// Pass-through storage that records the page id of every asynchronous
+/// (speculative) read before serving it through the default path.
+class AsyncRecordingStorage final : public StorageManager {
+ public:
+  explicit AsyncRecordingStorage(StorageManager* base)
+      : StorageManager(base->page_size()), base_(base) {}
+
+  std::vector<PageId> async_pages() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return async_pages_;
+  }
+
+  uint64_t PageCount() const override { return base_->PageCount(); }
+  Result<PageId> Allocate() override { return base_->Allocate(); }
+  Status Free(PageId id) override { return base_->Free(id); }
+  Status WritePage(PageId id, const Page& page) override {
+    CountWrite();
+    return base_->WritePage(id, page);
+  }
+  Status Sync() override { return base_->Sync(); }
+
+ protected:
+  Status DoReadPage(PageId id, Page* page, const QueryContext* ctx) override {
+    CountRead();
+    return base_->ReadPage(id, page, ctx);
+  }
+  void DoReadPagesAsync(const PageId* ids, size_t count,
+                        const AsyncReadCallback& callback) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      async_pages_.insert(async_pages_.end(), ids, ids + count);
+    }
+    StorageManager::DoReadPagesAsync(ids, count, callback);
+  }
+
+ private:
+  StorageManager* base_;
+  mutable std::mutex mu_;
+  std::vector<PageId> async_pages_;
+};
+
+/// Page id -> the rect its parent entry records, for every non-root node.
+std::map<PageId, Rect> ChildRects(const RStarTree& tree) {
+  std::map<PageId, Rect> rects;
+  std::vector<PageId> stack = {tree.root_page()};
+  while (!stack.empty()) {
+    Node node;
+    KCPQ_CHECK_OK(tree.ReadNode(stack.back(), &node));
+    stack.pop_back();
+    if (node.IsLeaf()) continue;
+    for (const Entry& e : node.entries) {
+      rects[e.id] = e.rect;
+      stack.push_back(e.id);
+    }
+  }
+  return rects;
+}
+
+// A range-restricted HS join drops every child pair with a subtree
+// strictly outside the query rect, so it must never speculate on such a
+// subtree either — even while its K-bound is still +infinity. Speculation
+// stays invisible: pairs and disk accesses equal a run without it.
+TEST(PrefetchHsTest, RangeClosestSpeculatesOnlyOnEnqueuedSubtrees) {
+  TreeFixture fp, fq;
+  KCPQ_ASSERT_OK(fp.Build(MakeUniformItems(1500, 9601)));
+  KCPQ_ASSERT_OK(fq.Build(MakeClusteredItems(1500, 9602)));
+  const std::map<PageId, Rect> rects_p = ChildRects(fp.tree());
+  const std::map<PageId, Rect> rects_q = ChildRects(fq.tree());
+  Rect window;
+  window.lo[0] = 0.30;
+  window.lo[1] = 0.35;
+  window.hi[0] = 0.45;
+  window.hi[1] = 0.50;
+  for (const HsTraversal traversal :
+       {HsTraversal::kBasic, HsTraversal::kEven,
+        HsTraversal::kSimultaneous}) {
+    const std::string label = HsTraversalName(traversal);
+    SCOPED_TRACE(label);
+    struct Run {
+      std::vector<PairResult> pairs;
+      HsStats stats;
+      std::vector<PageId> async_p, async_q;
+    };
+    const auto run = [&](size_t window_pages) {
+      AsyncRecordingStorage storage_p(&fp.storage());
+      AsyncRecordingStorage storage_q(&fq.storage());
+      BufferManager buffer_p(&storage_p, 4);
+      BufferManager buffer_q(&storage_q, 4);
+      auto tree_p = RStarTree::Open(&buffer_p, fp.tree().meta_page());
+      auto tree_q = RStarTree::Open(&buffer_q, fq.tree().meta_page());
+      KCPQ_CHECK_OK(tree_p.status());
+      KCPQ_CHECK_OK(tree_q.status());
+      HsOptions options;
+      options.traversal = traversal;
+      options.family = QueryFamily::kRangeClosest;
+      options.query_rect = window;
+      options.prefetch_window = window_pages;
+      Run r;
+      auto pairs = HsKClosestPairs(*tree_p.value(), *tree_q.value(), 10,
+                                   options, &r.stats);
+      KCPQ_CHECK_OK(pairs.status());
+      r.pairs = std::move(pairs).value();
+      r.async_p = storage_p.async_pages();
+      r.async_q = storage_q.async_pages();
+      return r;
+    };
+    const Run off = run(0);
+    const Run on = run(8);
+    EXPECT_TRUE(off.async_p.empty() && off.async_q.empty());
+    EXPECT_GT(on.async_p.size() + on.async_q.size(), 0u);
+    for (const auto& [pages, rects, side] :
+         {std::make_tuple(&on.async_p, &rects_p, "P"),
+          std::make_tuple(&on.async_q, &rects_q, "Q")}) {
+      for (const PageId page : *pages) {
+        const auto it = rects->find(page);
+        ASSERT_NE(it, rects->end()) << side << " page " << page;
+        EXPECT_EQ(MinMinDistSquared(it->second, window), 0.0)
+            << side << " page " << page << " lies outside the rect";
+      }
+    }
+    ASSERT_EQ(off.pairs.size(), on.pairs.size());
+    for (size_t i = 0; i < off.pairs.size(); ++i) {
+      EXPECT_EQ(off.pairs[i].p_id, on.pairs[i].p_id) << "rank " << i;
+      EXPECT_EQ(off.pairs[i].q_id, on.pairs[i].q_id) << "rank " << i;
+      EXPECT_EQ(off.pairs[i].distance, on.pairs[i].distance) << "rank " << i;
+    }
+    EXPECT_EQ(off.stats.items_pushed, on.stats.items_pushed);
+    EXPECT_EQ(off.stats.node_accesses, on.stats.node_accesses);
+    EXPECT_EQ(off.stats.disk_accesses_p, on.stats.disk_accesses_p);
+    EXPECT_EQ(off.stats.disk_accesses_q, on.stats.disk_accesses_q);
   }
 }
 

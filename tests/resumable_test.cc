@@ -161,6 +161,68 @@ TEST(ResumableDifferential, FiftySeedsMatchBlockingExactly) {
   EXPECT_EQ(row, golden.size()) << "golden file has extra lines";
 }
 
+// The same 50-seed mix, pinned by its work counters instead of its
+// answers: child pairs generated and pruned, distance computations, leaf
+// pairs skipped, node pairs expanded and the peak frontier (for the HS
+// query also items pushed and the peak queue, from a direct run). Every
+// line must stay byte-identical, so any change to how expansion is
+// computed — gating, key-first pushes — provably leaves the search itself
+// unchanged.
+TEST(ResumableDifferential, FiftySeedsWorkCountersMatchGolden) {
+  const bool update = std::getenv("KCPQ_UPDATE_GOLDEN") != nullptr;
+  const std::vector<std::string> golden =
+      testing::LoadDifferentialGolden(testing::DifferentialWorkGoldenPath());
+  if (!update) {
+    ASSERT_FALSE(golden.empty())
+        << "missing golden file " << testing::DifferentialWorkGoldenPath()
+        << " (run with KCPQ_UPDATE_GOLDEN=1)";
+  }
+  std::vector<std::string> emitted;
+  size_t row = 0;
+  for (int seed = 0; seed < testing::kDifferentialSeeds; ++seed) {
+    const testing::DifferentialData data = testing::MakeDifferentialData(seed);
+    TreeFixture fp(0), fq(0);
+    KCPQ_ASSERT_OK(fp.Build(data.p));
+    KCPQ_ASSERT_OK(fq.Build(data.q));
+    const std::vector<BatchQuery> queries =
+        testing::MakeDifferentialMix(seed);
+    const std::vector<BatchQueryResult> results = BatchKClosestPairs(
+        fp.tree(), fq.tree(), queries,
+        testing::DifferentialBatchOptions(seed, SchedulerMode::kBlocking,
+                                          queries.size()));
+    ASSERT_EQ(results.size(), queries.size());
+    for (size_t i = 0; i < queries.size(); ++i, ++row) {
+      const std::string q =
+          "seed " + std::to_string(seed) + " query " + std::to_string(i);
+      ASSERT_TRUE(results[i].status.ok()) << q << results[i].status.ToString();
+      HsStats hs;
+      const bool is_hs = queries[i].kind == BatchQueryKind::kHsClosestPairs;
+      if (is_hs) {
+        KCPQ_ASSERT_OK(HsKClosestPairs(fp.tree(), fq.tree(),
+                                       queries[i].options.k, HsOptions(), &hs)
+                           .status());
+      }
+      const std::string line = testing::DifferentialWorkLine(
+          seed, i, results[i].stats, is_hs ? &hs : nullptr);
+      if (update) {
+        emitted.push_back(line);
+        continue;
+      }
+      ASSERT_LT(row, golden.size()) << q << ": golden file too short";
+      EXPECT_EQ(line, golden[row]) << q;
+    }
+  }
+  if (update) {
+    std::ofstream out(testing::DifferentialWorkGoldenPath());
+    out << "# seed query generated pruned distances skipped node_pairs "
+           "max_heap [hs_pushed hs_max_queue]\n";
+    for (const std::string& line : emitted) out << line << "\n";
+    GTEST_SKIP() << "golden updated: "
+                 << testing::DifferentialWorkGoldenPath();
+  }
+  EXPECT_EQ(row, golden.size()) << "golden file has extra lines";
+}
+
 // With a buffer large enough that every page is fetched exactly once per
 // batch, which query pays a given miss depends on interleaving — but the
 // batch-aggregate disk-access count may not: one miss per distinct page,

@@ -295,8 +295,21 @@ TEST(UringCancellation, MidFlightDeadlineAndCancelWithCqesOutstanding) {
   // page cache the build left warm, when deadlines and the cancel land.
   fp.DropPageCache();
   fq.DropPageCache();
-  std::thread canceller([&cancel] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  // Cancel once the ring has taken a read, not on a fixed timer: under CPU
+  // load a timer can fire before the first submission and cancel the
+  // whole batch with no read in flight. The wait is bounded so a ring
+  // that never submits still ends in the assertion below, not a hang.
+  std::thread canceller([&cancel, &fp, &fq] {
+    const auto ring_took_a_read = [&fp, &fq] {
+      return fp.storage().UringStats().reads_submitted +
+                 fq.storage().UringStats().reads_submitted >
+             0;
+    };
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!ring_took_a_read() && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
     cancel.Cancel();
   });
   const std::vector<BatchQueryResult> results =
