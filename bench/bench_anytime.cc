@@ -84,7 +84,9 @@ void Main() {
                  "glb_mid", "glb_last", "exact", "stop"});
     for (const uint64_t budget : kBudgets) {
       CpqOptions options = base;
-      options.control.max_node_accesses = budget;
+      QueryContext ctx;  // fresh per run: a context serves one query
+      ctx.control().max_node_accesses = budget;
+      options.context = &ctx;
       const Run run = RunBudgeted(*store_p, *store_q, options);
       const QueryQuality& quality = run.stats.quality;
       const std::vector<double>& bounds = quality.rank_lower_bounds;

@@ -1,11 +1,7 @@
-// Per-query execution context: the one object the whole query path shares.
-//
-// PR 2 threaded a QueryControl (deadline / budgets / cancellation) through
-// every engine, but resource state stayed fragmented: the memory budget
-// metered engine-side candidate state only, buffer pages fetched on the
-// query's behalf were invisible to it, and the storage retry loop burned
-// backoff time with no idea of the query's deadline. QueryContext unifies
-// the three:
+// Per-query execution context: the one object the whole query path shares,
+// and the only carrier of a query's limits. A query without a context has
+// no limits and does no accounting (the zero-overhead path). A context
+// unifies three things:
 //
 //   * it owns the QueryControl (limits + cancellation token);
 //   * it owns a ResourceAccountant metering *all* per-query memory —
@@ -135,9 +131,10 @@ struct ReplicationStats {
 
 /// First-class per-query context: control plane + resource accounting.
 /// Owned by whoever issues the query (the batch executor builds one per
-/// query; direct engine callers may pass their own for observability, or
-/// none — the engines then run a private context off options.control).
-/// Not thread-safe and not copyable: one context, one query, one thread.
+/// query; direct engine callers pass their own to set limits or attach
+/// sinks, or none to run unlimited and unaccounted). It meters distinct
+/// pages, so it serves exactly one query and is never reused. Not
+/// thread-safe and not copyable: one context, one query, one thread.
 class QueryContext {
  public:
   QueryContext() = default;

@@ -1,14 +1,16 @@
 // Query lifecycle control: deadlines, cooperative cancellation, and
 // resource budgets, shared by every query execution path (cpq, hs, exec).
 //
-// A QueryControl rides inside the query options. The engines poll
-// `Check()` at node-pair granularity (each poll is an atomic load or two
-// and at most one clock read — noise next to a page read). When a limit
-// trips, the engine does NOT error out: it drains to a *partial result*
-// and reports a QueryQuality alongside, including a certified
-// `guaranteed_lower_bound` derived from the branch-and-bound invariant
-// (the smallest MINMINDIST among unexpanded node pairs lower-bounds every
-// undiscovered pair — see docs/robustness.md for the proof sketch).
+// A QueryControl rides inside the query's QueryContext
+// (common/query_context.h), the one carrier of a query's limits. The
+// engines poll `Check()` at node-pair granularity (each poll is an atomic
+// load or two and at most one clock read — noise next to a page read).
+// When a limit trips, the engine does NOT error out: it drains to a
+// *partial result* and reports a QueryQuality alongside, including a
+// certified `guaranteed_lower_bound` derived from the branch-and-bound
+// invariant (the smallest MINMINDIST among unexpanded node pairs
+// lower-bounds every undiscovered pair — see docs/robustness.md for the
+// proof sketch).
 
 #ifndef KCPQ_COMMON_QUERY_CONTROL_H_
 #define KCPQ_COMMON_QUERY_CONTROL_H_
@@ -51,9 +53,6 @@ class CancellationToken {
     return false;
   }
 
-  /// True when this token is linked to at least one source.
-  bool can_be_cancelled() const { return !flags_.empty(); }
-
   /// A token observing every source either input observes. Used by the
   /// batch executor to merge a per-query token with the batch-wide one.
   static CancellationToken Combine(const CancellationToken& a,
@@ -90,7 +89,8 @@ class CancellationSource {
 };
 
 /// Per-query execution limits. Default-constructed control is unlimited:
-/// no deadline, no budgets, no cancellation — the zero-cost common case.
+/// no deadline, no budgets, no cancellation. (A query without a context
+/// has no control at all and skips the polls entirely.)
 struct QueryControl {
   using Clock = std::chrono::steady_clock;
   static constexpr Clock::time_point kNoDeadline = Clock::time_point::max();
@@ -116,11 +116,6 @@ struct QueryControl {
     QueryControl c;
     c.deadline = Clock::now() + budget;
     return c;
-  }
-
-  bool IsUnlimited() const {
-    return deadline == kNoDeadline && max_node_accesses == 0 &&
-           max_candidate_bytes == 0 && !cancel.can_be_cancelled();
   }
 
   /// The stop decision, polled by the engines. Budget checks come before

@@ -32,21 +32,18 @@ std::vector<SweepPoint> ToSweepPoints(
 std::vector<PairResult> BruteForceKClosestPairs(
     const std::vector<std::pair<Point, uint64_t>>& p,
     const std::vector<std::pair<Point, uint64_t>>& q, size_t k,
-    bool self_join, Metric metric, LeafKernel kernel,
-    const QueryControl& control, QueryQuality* quality,
+    bool self_join, Metric metric, LeafKernel kernel, QueryQuality* quality,
     QueryContext* context) {
   ResultHeap heap(k, QueryObjective(QueryFamily::kClosest, metric));
   StopCause stop = StopCause::kNone;
-  const QueryControl& effective =
-      context != nullptr ? context->control() : control;
   // Stop granularity: one outer point (= |q| distance tests) per poll.
   // Node budgets are meaningless here (no tree is read), so only the
   // cancel / deadline limits are honored.
   uint64_t outer = 0;
   const auto should_stop = [&] {
     if (stop != StopCause::kNone) return true;
-    if (effective.IsUnlimited()) return false;
-    stop = effective.Check(0, 0);
+    if (context == nullptr) return false;
+    stop = context->control().Check(0, 0);
     if (stop == StopCause::kNodeBudget || stop == StopCause::kMemoryBudget) {
       stop = StopCause::kNone;
     }

@@ -21,20 +21,18 @@ namespace kcpq {
 /// remains independent of the sweep code it validates (a dedicated test
 /// asserts sweep == nested here too).
 ///
-/// `control` stops the scan early (deadline / cancellation; checked per
-/// outer point, node budgets do not apply — no tree is involved). Since a
-/// half-finished scan certifies nothing, a stopped run reports
+/// `context` (null = unlimited) stops the scan early, honoring only the
+/// deadline and cancellation of context->control(): node and memory
+/// budgets do not apply, as no tree is read. It is polled per outer point.
+/// Since a half-finished scan certifies nothing, a stopped run reports
 /// guaranteed_lower_bound = 0 in `*quality` (when given) and keeps the
-/// pairs seen so far. `context`, when given, supersedes `control` (there
-/// are no buffer pages to account for here, but the brute oracle then
-/// honors the same deadline/cancellation the tree engines see).
+/// pairs seen so far.
 std::vector<PairResult> BruteForceKClosestPairs(
     const std::vector<std::pair<Point, uint64_t>>& p,
     const std::vector<std::pair<Point, uint64_t>>& q, size_t k,
     bool self_join = false, Metric metric = Metric::kL2,
     LeafKernel kernel = LeafKernel::kNestedLoop,
-    const QueryControl& control = {}, QueryQuality* quality = nullptr,
-    QueryContext* context = nullptr);
+    QueryQuality* quality = nullptr, QueryContext* context = nullptr);
 
 /// For each point of `p`, its nearest point of `q`; ascending distance.
 /// The brute-force reference for SemiClosestPairs.

@@ -78,9 +78,8 @@ Result<std::vector<PairResult>> SelfKClosestPairs(const RStarTree& tree,
 Result<std::vector<PairResult>> SemiClosestPairs(const RStarTree& tree_p,
                                                  const RStarTree& tree_q,
                                                  CpqStats* stats,
-                                                 const QueryControl& control,
                                                  QueryContext* context) {
-  ResumableSemiQuery query(tree_p, tree_q, stats, control, context, Waker());
+  ResumableSemiQuery query(tree_p, tree_q, stats, context, Waker());
   query.Step();
   KCPQ_RETURN_IF_ERROR(query.status());
   return query.TakeResults();

@@ -152,19 +152,16 @@ struct CpqOptions {
   /// wall-clock, and is charged to the query's ResourceAccountant.
   size_t prefetch_window = 0;
 
-  /// Lifecycle limits (deadline / budgets / cancellation). Default is
-  /// unlimited. When a limit trips mid-query the engine returns OK with a
-  /// *partial* result and describes it in CpqStats::quality; it never
-  /// converts expiry into an error.
-  QueryControl control;
-
-  /// Optional externally-owned QueryContext. When set it supersedes
-  /// `control` (its own control is used) and the engine charges all buffer
-  /// pages it touches to the context's ResourceAccountant, making
-  /// `max_candidate_bytes` govern the query's *unified* footprint (engine
-  /// candidate state + distinct buffer pages). When null the engine runs a
-  /// private context built from `control`. Must outlive the call; a
-  /// context serves exactly one query at a time.
+  /// The query's context: the one carrier of its lifecycle limits
+  /// (deadline / budgets / cancellation, in context->control()) and of its
+  /// resource accounting. When a limit trips mid-query the engine returns
+  /// OK with a *partial* result described in CpqStats::quality; it never
+  /// converts expiry into an error. The engine charges every buffer page
+  /// it touches to the context's ResourceAccountant, so
+  /// `max_candidate_bytes` governs the query's *unified* footprint (engine
+  /// candidate state + distinct buffer pages). Null (the default) means no
+  /// limits and no accounting: the zero-overhead path. Must outlive the
+  /// call; a context serves exactly one query.
   QueryContext* context = nullptr;
 };
 
@@ -236,14 +233,13 @@ Result<std::vector<PairResult>> SelfKClosestPairs(const RStarTree& tree,
 
 /// Semi-CPQ (Section 6, future work): for every point of P, its nearest
 /// point in Q; results in ascending distance. |result| == |P| when the
-/// query completes. Under `control` limits the scan stops early with the
-/// nearest-neighbor lists of the P-leaves finished so far (quality reports
-/// a zero lower bound: per-point NN results certify nothing about the
-/// unvisited points).
+/// query completes. Under the limits of `context` (see CpqOptions::context;
+/// null = unlimited) the scan stops early with the nearest-neighbor lists
+/// of the P-leaves finished so far (quality reports a zero lower bound:
+/// per-point NN results certify nothing about the unvisited points).
 Result<std::vector<PairResult>> SemiClosestPairs(
     const RStarTree& tree_p, const RStarTree& tree_q,
-    CpqStats* stats = nullptr, const QueryControl& control = {},
-    QueryContext* context = nullptr);
+    CpqStats* stats = nullptr, QueryContext* context = nullptr);
 
 }  // namespace kcpq
 

@@ -30,14 +30,12 @@ class JoinWalker {
  public:
   JoinWalker(const RStarTree& tree_p, const RStarTree& tree_q,
              double epsilon_pow, const DistanceJoinOptions& options,
-             QueryContext* ctx, bool accounting, CpqStats* stats,
-             std::vector<PairResult>* out)
+             CpqStats* stats, std::vector<PairResult>* out)
       : tree_p_(tree_p),
         tree_q_(tree_q),
         epsilon_pow_(epsilon_pow),
         options_(options),
-        ctx_(ctx),
-        accounting_(accounting),
+        ctx_(options.context),
         stats_(stats),
         out_(out) {}
 
@@ -52,11 +50,10 @@ class JoinWalker {
       return Status::OK();
     }
 
-    QueryContext* read_ctx = accounting_ ? ctx_ : nullptr;
     Node node_p, node_q;
-    Status read_status = tree_p_.ReadNode(page_p, &node_p, read_ctx);
+    Status read_status = tree_p_.ReadNode(page_p, &node_p, ctx_);
     if (read_status.ok()) {
-      read_status = tree_q_.ReadNode(page_q, &node_q, read_ctx);
+      read_status = tree_q_.ReadNode(page_q, &node_q, ctx_);
     }
     if (read_status.code() == StatusCode::kDeadlineExceeded) {
       stop_ = StopCause::kDeadline;
@@ -126,7 +123,7 @@ class JoinWalker {
  private:
   bool ShouldStop() {
     if (stop_ != StopCause::kNone) return true;
-    if (!accounting_) return false;
+    if (ctx_ == nullptr) return false;
     stop_ = ctx_->Check(node_accesses_, out_->size() * sizeof(PairResult));
     return stop_ != StopCause::kNone;
   }
@@ -202,7 +199,6 @@ class JoinWalker {
   const double epsilon_pow_;
   const DistanceJoinOptions& options_;
   QueryContext* ctx_;
-  bool accounting_;
   CpqStats* stats_;
   std::vector<PairResult>* out_;
   cpq_internal::SweepScratch<Entry> sweep_scratch_;
@@ -226,7 +222,7 @@ void SortResults(std::vector<PairResult>* out) {
 Result<std::vector<PairResult>> DistanceRangeJoin(
     const RStarTree& tree_p, const RStarTree& tree_q, double epsilon,
     const DistanceJoinOptions& options, CpqStats* stats) {
-  if (epsilon < 0.0) {
+  if (!(epsilon >= 0.0)) {
     return Status::InvalidArgument("epsilon must be non-negative");
   }
   CpqStats local;
@@ -235,16 +231,10 @@ Result<std::vector<PairResult>> DistanceRangeJoin(
   std::vector<PairResult> out;
   if (tree_p.size() == 0 || tree_q.size() == 0) return out;
 
-  // An external context supersedes `control` (same rule as CpqOptions).
-  QueryContext local_ctx(options.control);
-  QueryContext* ctx = options.context != nullptr ? options.context
-                                                 : &local_ctx;
-  const bool accounting =
-      options.context != nullptr || !ctx->control().IsUnlimited();
-
   // Pre-trip check: a pre-cancelled or pre-expired join touches no pages.
   // Nothing was examined, so certify nothing: bound 0, not exact.
-  const StopCause pre = accounting ? ctx->Check(0, 0) : StopCause::kNone;
+  QueryContext* ctx = options.context;
+  const StopCause pre = ctx != nullptr ? ctx->Check(0, 0) : StopCause::kNone;
   if (pre != StopCause::kNone) {
     s->quality.stop_cause = pre;
     s->quality.guaranteed_lower_bound = 0.0;
@@ -258,12 +248,10 @@ Result<std::vector<PairResult>> DistanceRangeJoin(
   const BufferStats before_p = tree_p.buffer()->ThreadStats();
   const BufferStats before_q = tree_q.buffer()->ThreadStats();
   const double epsilon_pow = DistanceToPow(epsilon, options.metric);
-  JoinWalker walker(tree_p, tree_q, epsilon_pow, options, ctx, accounting, s,
-                    &out);
-  QueryContext* read_ctx = accounting ? ctx : nullptr;
+  JoinWalker walker(tree_p, tree_q, epsilon_pow, options, s, &out);
   Rect mbr_p, mbr_q;
-  Status root_status = tree_p.RootMbr(&mbr_p, read_ctx);
-  if (root_status.ok()) root_status = tree_q.RootMbr(&mbr_q, read_ctx);
+  Status root_status = tree_p.RootMbr(&mbr_p, ctx);
+  if (root_status.ok()) root_status = tree_q.RootMbr(&mbr_q, ctx);
   StopCause stop;
   double frontier_pow;
   uint64_t missing_pair_bound;

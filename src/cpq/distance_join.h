@@ -26,18 +26,15 @@ struct DistanceJoinOptions {
   /// the sweep skips pairs whose sweep-axis separation alone exceeds ε.
   LeafKernel leaf_kernel = LeafKernel::kPlaneSweep;
 
-  /// Lifecycle limits (see CpqOptions::control). A stopped join returns OK
-  /// with the pairs found so far; quality.guaranteed_lower_bound certifies
-  /// that every *unreported* qualifying pair is at least that far apart
-  /// (so is_exact holds when the frontier lies beyond ε), and
+  /// The join's context: its limits and accounting (see
+  /// CpqOptions::context; null = unlimited, unaccounted). A stopped join
+  /// returns OK with the pairs found so far; quality.guaranteed_lower_bound
+  /// certifies that every *unreported* qualifying pair is at least that far
+  /// apart (so is_exact holds when the frontier lies beyond ε), and
   /// quality.missing_pair_bound caps how many qualifying pairs the partial
   /// result can be missing (the sum of pair capacities over deferred node
   /// pairs with MINMINDIST <= ε). The memory budget meters the
   /// materialized result vector.
-  QueryControl control;
-
-  /// Optional externally-owned QueryContext; supersedes `control` and adds
-  /// buffer-page accounting (see CpqOptions::context).
   QueryContext* context = nullptr;
 };
 

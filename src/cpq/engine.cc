@@ -67,12 +67,10 @@ CpqEngine::CpqEngine(const RStarTree& tree_p, const RStarTree& tree_q,
       objective_(options.family, options.metric, options.query_rect),
       results_(options.k, objective_),
       bound_(std::numeric_limits<double>::infinity()),
-      local_context_(options.control),
-      context_(options.context != nullptr ? options.context : &local_context_),
-      profile_(context_->profile()),
-      trace_(context_->trace()),
-      accounting_(options.context != nullptr ||
-                  !options.control.IsUnlimited()),
+      context_(options.context),
+      profile_(context_ != nullptr ? context_->profile() : nullptr),
+      trace_(context_ != nullptr ? context_->trace() : nullptr),
+      observation_(context_ != nullptr ? context_->observation() : nullptr),
       certificate_(options.k) {}
 
 void CpqEngine::FinalizeQualityAndTrace() {
@@ -133,16 +131,16 @@ void CpqEngine::NoteBoundImprovement() {
     e.a = stats_->node_pairs_processed;
     trace_->RecordNow(e);
   }
-  if (obs::QueryObservation* live = context_->observation(); live != nullptr) {
+  if (observation_ != nullptr) {
     // The live registry reports real distance units (what the final
     // quality certificate will say), not the engine's power-space key.
-    live->NoteBound(objective_.KeyToDistance(bound_));
+    observation_->NoteBound(objective_.KeyToDistance(bound_));
   }
 }
 
 bool CpqEngine::ShouldStop(uint64_t extra_bytes) {
   if (stop_ != StopCause::kNone) return true;
-  if (!accounting_) return false;
+  if (context_ == nullptr) return false;
   // The context checks the *unified* footprint: the engine bytes recorded
   // here plus every distinct buffer page the query has read.
   stop_ = context_->Check(node_accesses_, candidate_bytes_ + extra_bytes);

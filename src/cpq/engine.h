@@ -170,20 +170,18 @@ class CpqEngine {
   PrefetchScheduler prefetch_;
 
   // --- lifecycle control state ---
-  /// The query's context: `options.context` when the caller provided one,
-  /// otherwise `local_context_` built from `options.control`. All stop
-  /// polls and resource charges go through it.
-  QueryContext local_context_;
+  /// The query's context (options.context). All stop polls and resource
+  /// charges go through it; null means no limits and no accounting — the
+  /// zero-overhead path (no polls, no page charging).
   QueryContext* context_;
-  /// Observability sinks borrowed from the context (null when the caller
-  /// attached none — the common case, which must stay zero-cost). The
-  /// profile feeds the EXPLAIN per-level pruning table; the trace records
-  /// descend/heap/prune/leaf events (obs/explain.h, obs/trace.h).
+  /// Sinks borrowed from the context (null when it has none, or there is
+  /// no context — the common case, which must stay zero-cost). The profile
+  /// feeds the EXPLAIN per-level pruning table; the trace records
+  /// descend/heap/prune/leaf events (obs/explain.h, obs/trace.h); the
+  /// observation carries the live bound (obs/query_registry.h).
   obs::PruningProfile* profile_;
   obs::TraceBuffer* trace_;
-  /// False only for uncontrolled queries with no external context — the
-  /// zero-overhead fast path (no polls, no page charging).
-  bool accounting_;
+  obs::QueryObservation* observation_;
   /// Logical node reads so far (2 per expanded pair); the budgeted
   /// quantity.
   uint64_t node_accesses_ = 0;

@@ -82,13 +82,11 @@ class MultiwayEngine {
  public:
   MultiwayEngine(const std::vector<const RStarTree*>& trees,
                  const std::vector<MultiwayEdge>& graph,
-                 const MultiwayOptions& options, QueryContext* ctx,
-                 bool accounting, CpqStats* stats)
+                 const MultiwayOptions& options, CpqStats* stats)
       : trees_(trees),
         graph_(graph),
         options_(options),
-        ctx_(ctx),
-        accounting_(accounting),
+        ctx_(options.context),
         stats_(stats),
         results_(options.k) {}
 
@@ -106,13 +104,12 @@ class MultiwayEngine {
     if (ShouldStop(0)) {
       stop_bound_ = 0.0;
     } else {
-      QueryContext* read_ctx = accounting_ ? ctx_ : nullptr;
       SearchTuple root;
       root.slots.resize(m);
       Status root_status;
       for (size_t i = 0; i < m && root_status.ok(); ++i) {
         Rect mbr;
-        root_status = trees_[i]->RootMbr(&mbr, read_ctx);
+        root_status = trees_[i]->RootMbr(&mbr, ctx_);
         if (!root_status.ok()) break;
         root.slots[i] =
             SlotRef{trees_[i]->root_page(), trees_[i]->height() - 1, mbr};
@@ -166,8 +163,8 @@ class MultiwayEngine {
         continue;
       }
       Node node;
-      const Status read_status = trees_[expand]->ReadNode(
-          tuple.slots[expand].page, &node, accounting_ ? ctx_ : nullptr);
+      const Status read_status =
+          trees_[expand]->ReadNode(tuple.slots[expand].page, &node, ctx_);
       if (read_status.code() == StatusCode::kDeadlineExceeded) {
         stop_ = StopCause::kDeadline;
         stop_bound_ = tuple.bound;
@@ -215,7 +212,7 @@ class MultiwayEngine {
  private:
   bool ShouldStop(uint64_t heap_bytes) {
     if (stop_ != StopCause::kNone) return true;
-    if (!accounting_) return false;
+    if (ctx_ == nullptr) return false;
     stop_ = ctx_->Check(node_accesses_, heap_bytes);
     return stop_ != StopCause::kNone;
   }
@@ -234,8 +231,8 @@ class MultiwayEngine {
     const size_t m = tuple.slots.size();
     nodes_.resize(m);
     for (size_t i = 0; i < m; ++i) {
-      KCPQ_RETURN_IF_ERROR(trees_[i]->ReadNode(tuple.slots[i].page, &nodes_[i],
-                                               accounting_ ? ctx_ : nullptr));
+      KCPQ_RETURN_IF_ERROR(
+          trees_[i]->ReadNode(tuple.slots[i].page, &nodes_[i], ctx_));
       ++node_accesses_;
     }
     ++stats_->node_pairs_processed;
@@ -287,7 +284,6 @@ class MultiwayEngine {
   const std::vector<MultiwayEdge>& graph_;
   const MultiwayOptions& options_;
   QueryContext* ctx_;
-  bool accounting_;
   CpqStats* stats_;
   TupleHeap results_;
   std::vector<Node> nodes_;
@@ -330,13 +326,7 @@ Result<std::vector<TupleResult>> MultiwayKClosestTuples(
     if (tree->size() == 0) return out;
     before.push_back(tree->buffer()->ThreadStats());
   }
-  // An external context supersedes `control` (same rule as CpqOptions).
-  QueryContext local_ctx(options.control);
-  QueryContext* ctx = options.context != nullptr ? options.context
-                                                 : &local_ctx;
-  const bool accounting =
-      options.context != nullptr || !ctx->control().IsUnlimited();
-  MultiwayEngine engine(trees, graph, options, ctx, accounting, s);
+  MultiwayEngine engine(trees, graph, options, s);
   KCPQ_RETURN_IF_ERROR(engine.Run(&out));
   for (size_t i = 0; i < trees.size(); ++i) {
     s->disk_accesses_p +=

@@ -45,15 +45,12 @@ struct MultiwayOptions {
   /// malformed query, not a slow one).
   uint64_t max_heap_items = 0;
 
-  /// Lifecycle limits (see CpqOptions::control). The best-first traversal
-  /// pops tuples in ascending bound order, so on a stop the last popped
-  /// bound certifies every unreported tuple's aggregate distance — the
-  /// natural anytime certificate the two-tree engines get from their
+  /// The query's context: its limits and accounting (see
+  /// CpqOptions::context; null = unlimited, unaccounted). The best-first
+  /// traversal pops tuples in ascending bound order, so on a stop the last
+  /// popped bound certifies every unreported tuple's aggregate distance —
+  /// the natural anytime certificate the two-tree engines get from their
   /// frontier minimum.
-  QueryControl control;
-
-  /// Optional externally-owned QueryContext; supersedes `control` and adds
-  /// buffer-page accounting (see CpqOptions::context).
   QueryContext* context = nullptr;
 };
 

@@ -120,8 +120,7 @@ bool ResumableCpqQuery::StartPhase() {
     return false;
   }
   e.prefetch_.Configure(e.tree_p_.buffer(), e.tree_q_.buffer(),
-                        options_.prefetch_window,
-                        e.accounting_ ? e.context_ : nullptr);
+                        options_.prefetch_window, e.context_);
   root_level_ = PairLevel(e.tree_p_.height() - 1, e.tree_q_.height() - 1);
   // The root pair enters the search unconditionally: it is the one pair
   // "considered" that no GenerateCandidates call accounts for.
@@ -142,9 +141,8 @@ bool ResumableCpqQuery::StartPhase() {
 bool ResumableCpqQuery::ReadRoot(bool is_p, StepResult* parked) {
   CpqEngine& e = engine_;
   const RStarTree& tree = is_p ? e.tree_p_ : e.tree_q_;
-  QueryContext* read_ctx = e.accounting_ ? e.context_ : nullptr;
   BufferManager::TryReadOutcome outcome;
-  const Status s = tree.TryReadNode(tree.root_page(), &node_p_, read_ctx,
+  const Status s = tree.TryReadNode(tree.root_page(), &node_p_, e.context_,
                                     waker_, &outcome);
   if (outcome.parked) {
     *parked = Park(tree.root_page());
@@ -197,11 +195,10 @@ void ResumableCpqQuery::SeedPhase() {
 ResumableCpqQuery::ReadPairOutcome ResumableCpqQuery::TryReadPair(
     Status* error) {
   CpqEngine& e = engine_;
-  QueryContext* read_ctx = e.accounting_ ? e.context_ : nullptr;
   if (!have_p_) {
     BufferManager::TryReadOutcome outcome;
     const Status s =
-        e.tree_p_.TryReadNode(cur_p_.page, &node_p_, read_ctx, waker_,
+        e.tree_p_.TryReadNode(cur_p_.page, &node_p_, e.context_, waker_,
                               &outcome);
     if (outcome.parked) {
       park_page_ = cur_p_.page;
@@ -220,7 +217,7 @@ ResumableCpqQuery::ReadPairOutcome ResumableCpqQuery::TryReadPair(
   if (!have_q_) {
     BufferManager::TryReadOutcome outcome;
     const Status s =
-        e.tree_q_.TryReadNode(cur_q_.page, &node_q_, read_ctx, waker_,
+        e.tree_q_.TryReadNode(cur_q_.page, &node_q_, e.context_, waker_,
                               &outcome);
     if (outcome.parked) {
       park_page_ = cur_q_.page;

@@ -24,14 +24,11 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point from,
 ResumableSemiQuery::ResumableSemiQuery(const RStarTree& tree_p,
                                        const RStarTree& tree_q,
                                        CpqStats* stats,
-                                       const QueryControl& control,
                                        QueryContext* context, Waker waker)
     : tree_p_(tree_p),
       tree_q_(tree_q),
       stats_(stats != nullptr ? stats : &local_stats_),
-      local_ctx_(control),
-      ctx_(context != nullptr ? context : &local_ctx_),
-      accounting_(context != nullptr || !ctx_->control().IsUnlimited()),
+      ctx_(context),
       waker_(std::move(waker)) {}
 
 ResumableSemiQuery::~ResumableSemiQuery() = default;
@@ -71,7 +68,7 @@ bool ResumableSemiQuery::StartPhase() {
   if (tree_p_.size() == 0 || tree_q_.size() == 0) return false;
   out_.reserve(tree_p_.size());
   // Pre-trip check: a pre-cancelled or pre-expired query touches no pages.
-  stop_ = accounting_ ? ctx_->Check(0, 0) : StopCause::kNone;
+  stop_ = ctx_ != nullptr ? ctx_->Check(0, 0) : StopCause::kNone;
   if (stop_ != StopCause::kNone) {
     phase_ = Phase::kFinish;
   } else {
@@ -132,8 +129,8 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
         }
         const PageId page = stack_.back();
         BufferManager::TryReadOutcome outcome;
-        const Status s = tree_p_.TryReadNode(
-            page, &node_p_, accounting_ ? ctx_ : nullptr, waker_, &outcome);
+        const Status s =
+            tree_p_.TryReadNode(page, &node_p_, ctx_, waker_, &outcome);
         if (outcome.parked) return Park(page);
         if (s.code() == StatusCode::kDeadlineExceeded) {
           stop_ = StopCause::kDeadline;
@@ -171,7 +168,7 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
           phase_ = Phase::kGroupEmit;
           continue;
         }
-        if (accounting_) {
+        if (ctx_ != nullptr) {
           // Stop poll BEFORE the read, once per popped node; a park resumes
           // at the read and never re-polls. On a stop the leaf's half-built
           // best lists are discarded: per-point answers are emitted whole.
@@ -187,9 +184,8 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
       }
       case Phase::kGroupRead: {
         BufferManager::TryReadOutcome outcome;
-        const Status s =
-            tree_q_.TryReadNode(group_page_, &node_q_,
-                                accounting_ ? ctx_ : nullptr, waker_, &outcome);
+        const Status s = tree_q_.TryReadNode(group_page_, &node_q_, ctx_,
+                                             waker_, &outcome);
         if (outcome.parked) return Park(group_page_);
         if (s.code() == StatusCode::kDeadlineExceeded) {
           stop_ = StopCause::kDeadline;

@@ -45,11 +45,11 @@ namespace kcpq {
 /// any buffer drain that settles staged pages.
 class ResumableSemiQuery final : public ResumableTask {
  public:
-  /// `stats` may be null; an external `context` supersedes `control`. An
-  /// empty `waker` runs the query inline (the first Step() returns kDone).
+  /// `stats` may be null; `context` carries the limits (null = unlimited,
+  /// unaccounted). An empty `waker` runs the query inline (the first
+  /// Step() returns kDone).
   ResumableSemiQuery(const RStarTree& tree_p, const RStarTree& tree_q,
-                     CpqStats* stats, const QueryControl& control,
-                     QueryContext* context, Waker waker);
+                     CpqStats* stats, QueryContext* context, Waker waker);
   ~ResumableSemiQuery() override;
 
   StepResult Step() override;
@@ -89,9 +89,7 @@ class ResumableSemiQuery final : public ResumableTask {
   const RStarTree& tree_q_;
   CpqStats* stats_;
   CpqStats local_stats_;
-  QueryContext local_ctx_;
   QueryContext* ctx_;
-  bool accounting_;
   Waker waker_;
 
   Phase phase_ = Phase::kStart;

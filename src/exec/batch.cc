@@ -136,28 +136,16 @@ void MapHsStats(const HsStats& hs, CpqStats* out) {
 
 /// The HsOptions a kHsClosestPairs batch query maps to (k_bound is set by
 /// HsKClosestPairs / the ResumableHsQuery constructor from options.k).
-HsOptions HsOptionsFrom(const CpqOptions& cpq, const QueryControl& merged,
-                        QueryContext* ctx, size_t batch_prefetch_window) {
+HsOptions HsOptionsFrom(const CpqOptions& cpq, QueryContext* ctx,
+                        size_t batch_prefetch_window) {
   HsOptions hs;
   hs.family = cpq.family;
   hs.query_rect = cpq.query_rect;
   hs.leaf_kernel = cpq.leaf_kernel;
   hs.prefetch_window =
       cpq.prefetch_window != 0 ? cpq.prefetch_window : batch_prefetch_window;
-  hs.control = merged;
   hs.context = ctx;
   return hs;
-}
-
-/// Surfaces the mirror's per-query replication tallies (failover, repair,
-/// hedging — see common/query_context.h) into the result; all zero when
-/// the storage stack has a single replica.
-void CopyReplication(const QueryContext& ctx, BatchQueryResult* result) {
-  const ReplicationStats& rep = ctx.replication();
-  result->failover_reads = rep.failover_reads;
-  result->read_repairs = rep.read_repairs;
-  result->hedged_reads = rep.hedged_reads;
-  result->hedge_wins = rep.hedge_wins;
 }
 
 QueryOutcome OutcomeOf(const BatchQueryResult& result) {
@@ -292,16 +280,14 @@ std::vector<BatchQueryResult> BatchKClosestPairs(
     QueryControl batch_control = options.control;
     batch_control.cancel =
         CancellationToken::Combine(batch_control.cancel, batch_token);
-    const QueryControl merged =
-        QueryControl::Merged(query.options.control, batch_control);
-    slot.ctx = std::make_unique<QueryContext>(merged);
+    slot.ctx = std::make_unique<QueryContext>(
+        QueryControl::Merged(query.control, batch_control));
     slot.ctx->set_observation(slot.live.get());
 
     switch (query.kind) {
       case BatchQueryKind::kClosestPairs:
       case BatchQueryKind::kSelfClosestPairs: {
         CpqOptions o = query.options;
-        o.control = merged;
         o.context = slot.ctx.get();
         if (o.prefetch_window == 0) o.prefetch_window = options.prefetch_window;
         const bool self = query.kind == BatchQueryKind::kSelfClosestPairs;
@@ -313,13 +299,12 @@ std::vector<BatchQueryResult> BatchKClosestPairs(
       case BatchQueryKind::kHsClosestPairs:
         return std::make_unique<ResumableHsQuery>(
             tree_p, tree_q, query.options.k,
-            HsOptionsFrom(query.options, merged, slot.ctx.get(),
+            HsOptionsFrom(query.options, slot.ctx.get(),
                           options.prefetch_window),
             &slot.hs_stats, std::move(waker));
       case BatchQueryKind::kSemiClosestPairs:
         return std::make_unique<ResumableSemiQuery>(
-            tree_p, tree_q, &result.stats, merged, slot.ctx.get(),
-            std::move(waker));
+            tree_p, tree_q, &result.stats, slot.ctx.get(), std::move(waker));
     }
     return nullptr;
   };
@@ -350,7 +335,7 @@ std::vector<BatchQueryResult> BatchKClosestPairs(
       }
     }
     result.peak_memory_bytes = slot.ctx->accountant().peak_total_bytes();
-    CopyReplication(*slot.ctx, &result);
+    result.replication = slot.ctx->replication();
     result.outcome = OutcomeOf(result);
     double seconds = -1.0;
     if (slot.timed) {
@@ -445,10 +430,10 @@ std::vector<BatchQueryResult> BatchKClosestPairs(
       }
       // Replication effort is real even when the query ultimately failed
       // (every replica may have been tried), so fold it unconditionally.
-      stats->failover_reads += r.failover_reads;
-      stats->read_repairs += r.read_repairs;
-      stats->hedged_reads += r.hedged_reads;
-      stats->hedge_wins += r.hedge_wins;
+      stats->replication.failover_reads += r.replication.failover_reads;
+      stats->replication.read_repairs += r.replication.read_repairs;
+      stats->replication.hedged_reads += r.replication.hedged_reads;
+      stats->replication.hedge_wins += r.replication.hedge_wins;
       if (!r.status.ok()) continue;
       stats->node_pairs_processed += r.stats.node_pairs_processed;
       stats->point_distance_computations +=

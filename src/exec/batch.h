@@ -40,8 +40,7 @@ enum class BatchQueryKind {
   kSemiClosestPairs,
   /// HsKClosestPairs(tree_p, tree_q, options.k): the incremental distance
   /// join with default traversal. Reuses the CpqOptions fields that make
-  /// sense for HS (k, family, query_rect, control, context,
-  /// prefetch_window, leaf_kernel);
+  /// sense for HS (k, family, query_rect, prefetch_window, leaf_kernel);
   /// algorithm / tie-breaking fields are ignored. HsStats are mapped into
   /// CpqStats (items_popped -> node_pairs_processed, max_queue_size ->
   /// max_heap_size; disk / node / prefetch / park counters carry over).
@@ -66,7 +65,13 @@ enum class SchedulerMode {
 /// One query of a batch.
 struct BatchQuery {
   BatchQueryKind kind = BatchQueryKind::kClosestPairs;
+  /// The batch builds one QueryContext per query and overwrites
+  /// `options.context` with it; a context set here is ignored.
   CpqOptions options;
+  /// The query's own limits, merged (QueryControl::Merged) with
+  /// BatchOptions::control and the batch cancellation token into its
+  /// context. Default: unlimited.
+  QueryControl control;
 };
 
 /// How one query of a batch ended.
@@ -105,13 +110,10 @@ struct BatchQueryResult {
   /// CpqStats::io_parked_ns for how much of it was I/O wait.
   double seconds = -1.0;
   /// Replication outcomes the mirrored storage stack recorded on this
-  /// query's behalf (common/query_context.h ReplicationStats); all zero on
-  /// single-replica stacks. Observational only — the result and the
-  /// paper's disk-access metric never depend on them.
-  uint64_t failover_reads = 0;
-  uint64_t read_repairs = 0;
-  uint64_t hedged_reads = 0;
-  uint64_t hedge_wins = 0;
+  /// query's behalf, copied from its context; all zero on single-replica
+  /// stacks. Observational only — the result and the paper's disk-access
+  /// metric never depend on them.
+  ReplicationStats replication;
 };
 
 struct BatchOptions {
@@ -120,8 +122,8 @@ struct BatchOptions {
   size_t threads = 0;
 
   /// Batch-wide lifecycle limits, merged (QueryControl::Merged) into every
-  /// query's own control: the deadline is shared by the whole batch, and
-  /// the batch cancellation token is observed by every query.
+  /// query's own BatchQuery::control: the deadline is shared by the whole
+  /// batch, and the batch cancellation token is observed by every query.
   QueryControl control;
 
   /// When true, the first query that *fails* (error Status, not a partial)
@@ -181,12 +183,9 @@ struct BatchStats {
   uint64_t point_distance_computations = 0;
   uint64_t leaf_pairs_skipped = 0;
   uint64_t disk_accesses = 0;
-  /// Replication totals (sums of the per-query fields; zero when the
+  /// Replication totals (sums of the per-query records; zero when the
   /// storage stack is not mirrored).
-  uint64_t failover_reads = 0;
-  uint64_t read_repairs = 0;
-  uint64_t hedged_reads = 0;
-  uint64_t hedge_wins = 0;
+  ReplicationStats replication;
 };
 
 /// Runs every query of `queries` against (`tree_p`, `tree_q`) on

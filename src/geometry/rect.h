@@ -39,10 +39,17 @@ struct Rect {
 
   bool IsEmpty() const { return lo[0] > hi[0]; }
 
-  /// True iff lo <= hi in all dimensions (a real, possibly degenerate box).
+  /// True iff lo <= hi and the extent hi - lo is finite in all dimensions
+  /// (a real, possibly degenerate box). NaN and infinite coordinates are
+  /// invalid: a NaN fails lo <= hi, and an infinite bound makes the extent
+  /// infinite or NaN. Two comparisons per dimension, as node decoding runs
+  /// this on every entry.
   bool IsValid() const {
     for (int d = 0; d < kDims; ++d) {
-      if (lo[d] > hi[d]) return false;
+      if (!(lo[d] <= hi[d] &&
+            hi[d] - lo[d] <= std::numeric_limits<double>::max())) {
+        return false;
+      }
     }
     return true;
   }

@@ -39,10 +39,8 @@ class JoinImpl {
       : tree_p_(tree_p),
         tree_q_(tree_q),
         options_(options),
-        local_ctx_(options.control),
-        ctx_(options.context != nullptr ? options.context : &local_ctx_),
-        accounting_(options.context != nullptr ||
-                    !options.control.IsUnlimited()),
+        ctx_(options.context),
+        trace_(ctx_ != nullptr ? ctx_->trace() : nullptr),
         queue_(options.queue_distance_threshold, options.queue_page_size,
                options.tie_policy == HsTiePolicy::kDepthFirst),
         objective_(options.family, Metric::kL2, options.query_rect),
@@ -132,11 +130,10 @@ class JoinImpl {
   const RStarTree& tree_p_;
   const RStarTree& tree_q_;
   HsOptions options_;
-  /// Context-wins (see CpqOptions::context): an external context supersedes
-  /// options_.control; local_ctx_ adapts plain-control queries.
-  QueryContext local_ctx_;
+  /// The query's context (see CpqOptions::context); null = no limits, no
+  /// accounting. trace_ is its trace sink, captured once (null = none).
   QueryContext* ctx_;
-  bool accounting_;
+  obs::TraceBuffer* trace_;
   HybridQueue queue_;
   /// Objective policy (family + rect); the join's keys are L2-only in
   /// every family, so the metric is pinned to kL2.
@@ -346,8 +343,7 @@ void JoinImpl::NotePark(PageId page) {
   park_pending_ = true;
   park_page_ = page;
   park_start_ = std::chrono::steady_clock::now();
-  obs::TraceBuffer* trace = ctx_->trace();
-  park_trace_ts_ = trace != nullptr ? trace->NowNs() : 0;
+  park_trace_ts_ = trace_ != nullptr ? trace_->NowNs() : 0;
 }
 
 void JoinImpl::NoteResumed() {
@@ -357,23 +353,20 @@ void JoinImpl::NoteResumed() {
                            .count();
   const uint64_t dur = elapsed > 0 ? static_cast<uint64_t>(elapsed) : 0;
   stats_.io_parked_ns += dur;
-  obs::TraceBuffer* trace = ctx_->trace();
-  if (trace != nullptr) {
+  if (trace_ != nullptr) {
     obs::TraceEvent ev;
     ev.kind = obs::TraceEventKind::kIoPark;
     ev.ts_ns = park_trace_ts_;
     ev.dur_ns = dur > 0 ? dur : 1;
     ev.a = park_page_;
-    trace->Record(ev);
+    trace_->Record(ev);
   }
 }
 
 JoinImpl::TryOutcome JoinImpl::TryStart(Status* error) {
-  QueryContext* read_ctx = accounting_ ? ctx_ : nullptr;
   if (root_stage_ == 0) {
     prefetch_.Configure(tree_p_.buffer(), tree_q_.buffer(),
-                        options_.prefetch_window,
-                        accounting_ ? ctx_ : nullptr);
+                        options_.prefetch_window, ctx_);
     if (tree_p_.size() == 0 || tree_q_.size() == 0) {
       started_ = true;
       root_stage_ = 3;
@@ -381,7 +374,7 @@ JoinImpl::TryOutcome JoinImpl::TryStart(Status* error) {
     }
     // Pre-trip: a pre-expired or pre-cancelled join reads no pages.
     // Nothing was examined, so nothing is certified (bound 0).
-    if (accounting_) {
+    if (ctx_ != nullptr) {
       const StopCause pre = ctx_->Check(0, 0);
       if (pre != StopCause::kNone) {
         LatchStop(pre, objective_.WeakestKey());
@@ -395,7 +388,7 @@ JoinImpl::TryOutcome JoinImpl::TryStart(Status* error) {
   if (root_stage_ == 1) {
     BufferManager::TryReadOutcome outcome;
     const Status s = tree_p_.TryReadNode(tree_p_.root_page(), &node_a_,
-                                         read_ctx, waker_, &outcome);
+                                         ctx_, waker_, &outcome);
     if (outcome.parked) {
       NotePark(tree_p_.root_page());
       return TryOutcome::kParked;
@@ -419,7 +412,7 @@ JoinImpl::TryOutcome JoinImpl::TryStart(Status* error) {
   if (root_stage_ == 2) {
     BufferManager::TryReadOutcome outcome;
     const Status s = tree_q_.TryReadNode(tree_q_.root_page(), &node_a_,
-                                         read_ctx, waker_, &outcome);
+                                         ctx_, waker_, &outcome);
     if (outcome.parked) {
       NotePark(tree_q_.root_page());
       return TryOutcome::kParked;
@@ -451,14 +444,13 @@ JoinImpl::TryOutcome JoinImpl::TryStart(Status* error) {
 
 JoinImpl::TryOutcome JoinImpl::TryExpand(Status* error) {
   const QueueItem& item = pending_item_;
-  QueryContext* read_ctx = accounting_ ? ctx_ : nullptr;
   const bool both = item.a.is_node && item.b.is_node &&
                     options_.traversal == HsTraversal::kSimultaneous;
   if (both) {
     if (!have_a_) {
       BufferManager::TryReadOutcome outcome;
       const Status s =
-          tree_p_.TryReadNode(item.a.id, &node_a_, read_ctx, waker_, &outcome);
+          tree_p_.TryReadNode(item.a.id, &node_a_, ctx_, waker_, &outcome);
       if (outcome.parked) {
         NotePark(item.a.id);
         return TryOutcome::kParked;
@@ -476,7 +468,7 @@ JoinImpl::TryOutcome JoinImpl::TryExpand(Status* error) {
     if (!have_b_) {
       BufferManager::TryReadOutcome outcome;
       const Status s =
-          tree_q_.TryReadNode(item.b.id, &node_b_, read_ctx, waker_, &outcome);
+          tree_q_.TryReadNode(item.b.id, &node_b_, ctx_, waker_, &outcome);
       if (outcome.parked) {
         NotePark(item.b.id);
         return TryOutcome::kParked;
@@ -531,7 +523,7 @@ JoinImpl::TryOutcome JoinImpl::TryExpand(Status* error) {
   }
   if (!have_a_) {
     BufferManager::TryReadOutcome outcome;
-    const Status s = tree->TryReadNode(node_side->id, &node_a_, read_ctx,
+    const Status s = tree->TryReadNode(node_side->id, &node_a_, ctx_,
                                        waker_, &outcome);
     if (outcome.parked) {
       NotePark(node_side->id);
@@ -599,7 +591,7 @@ JoinImpl::NextOutcome JoinImpl::TryNext(std::optional<PairResult>* out,
       // remaining (or beneath it) can be closer than this item. The memory
       // check covers the queue plus any buffer pages this query was
       // charged for.
-      if (accounting_) {
+      if (ctx_ != nullptr) {
         const StopCause cause = ctx_->Check(
             stats_.node_accesses, queue_.size() * sizeof(QueueItem));
         if (cause != StopCause::kNone) {

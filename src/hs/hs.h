@@ -75,16 +75,13 @@ struct HsOptions {
   /// speculation; results and disk-access counts are identical either way.
   size_t prefetch_window = 0;
 
-  /// Lifecycle limits (see CpqOptions::control), polled before each node
-  /// expansion. Because the join emits pairs in ascending distance, a
-  /// stopped join's output is an exact *prefix* of the full result and the
-  /// popped key at the stop is the certified lower bound on everything it
-  /// did not emit. The memory budget meters the priority queue.
-  QueryControl control;
-
-  /// Optional externally-owned QueryContext; supersedes `control` and adds
-  /// buffer-page accounting (see CpqOptions::context). Must outlive the
-  /// join object.
+  /// The join's context: its limits and accounting (see
+  /// CpqOptions::context; null = unlimited, unaccounted). The limits are
+  /// polled before each node expansion. Because the join emits pairs in
+  /// ascending distance, a stopped join's output is an exact *prefix* of
+  /// the full result and the popped key at the stop is the certified lower
+  /// bound on everything it did not emit. The memory budget meters the
+  /// priority queue. Must outlive the join object.
   QueryContext* context = nullptr;
 };
 
@@ -99,7 +96,8 @@ struct HsStats {
   uint64_t disk_accesses_p = 0;
   uint64_t disk_accesses_q = 0;
   /// Logical R-tree node reads (1 per one-sided expansion, 2 per
-  /// simultaneous one); the quantity HsOptions::control budgets.
+  /// simultaneous one); the quantity QueryControl::max_node_accesses
+  /// budgets.
   uint64_t node_accesses = 0;
   /// Speculative reads issued / claimed by this join (both trees
   /// combined; zero with prefetch_window = 0; see CpqStats).

@@ -83,7 +83,7 @@ Status DeserializeNode(const Page& page, Node* node) {
     }
     e.id = GetU64(p + 2 * kDims * 8);
     if (!e.rect.IsValid()) {
-      return Status::Corruption("entry rect with lo > hi");
+      return Status::Corruption("entry rect is inverted or not finite");
     }
     node->entries.push_back(e);
     p += kEntrySize;

@@ -130,14 +130,12 @@ Status RStarTree::Flush() {
 }
 
 Status RStarTree::Insert(const Point& p, uint64_t record_id) {
-  KCPQ_RETURN_IF_ERROR(InsertAtLevel(Entry::ForPoint(p, record_id), 0));
-  ++size_;
-  return Status::OK();
+  return InsertRect(Rect::FromPoint(p), record_id);
 }
 
 Status RStarTree::InsertRect(const Rect& rect, uint64_t record_id) {
   if (!rect.IsValid()) {
-    return Status::InvalidArgument("rect with lo > hi");
+    return Status::InvalidArgument("rect is inverted or not finite");
   }
   KCPQ_RETURN_IF_ERROR(InsertAtLevel(Entry{rect, record_id}, 0));
   ++size_;

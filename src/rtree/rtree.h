@@ -85,6 +85,7 @@ class RStarTree {
   RStarTree& operator=(const RStarTree&) = delete;
 
   /// Inserts one point with a caller-chosen record id (duplicates allowed).
+  /// A non-finite coordinate is InvalidArgument.
   Status Insert(const Point& p, uint64_t record_id);
 
   /// Inserts an extended object by its bounding rectangle (the classic

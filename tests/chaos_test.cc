@@ -418,7 +418,9 @@ TEST_P(MultiwayChaosTest, RandomConfigurationMatchesBruteForce) {
     // every true tuple with aggregate below the bound is reported, in
     // exact rank order; reported tuples beyond the bound are provisional
     // but still genuine (never better than the oracle's rank).
-    options.control.max_node_accesses = 1 + rng.NextBounded(30);
+    QueryContext ctx;
+    ctx.control().max_node_accesses = 1 + rng.NextBounded(30);
+    options.context = &ctx;
     CpqStats stats;
     auto partial = MultiwayKClosestTuples(trees, graph, options, &stats);
     ASSERT_TRUE(partial.ok()) << partial.status().ToString();

@@ -141,6 +141,7 @@ TEST_F(CliTest, RangeRejectsInvertedRect) {
   BuildBoth("100");
   std::string out;
   EXPECT_FALSE(RunCli({"range", db_p_, "1", "0", "0", "1"}, &out).ok());
+  EXPECT_FALSE(RunCli({"range", db_p_, "nan", "0", "1", "1"}, &out).ok());
 }
 
 TEST_F(CliTest, BulkBuildMatchesInsertBuildResults) {
@@ -204,19 +205,23 @@ TEST_F(CliTest, KcpNodeBudgetPrintsQualityReport) {
 TEST_F(CliTest, KcpGenerousDeadlineIsExact) {
   BuildBoth("400");
   std::string out;
-  KCPQ_ASSERT_OK(
-      RunCli({"kcp", db_p_, db_q_, "3", "--deadline-ms=60000"}, &out));
-  EXPECT_EQ(out.find("# partial"), std::string::npos);
-  EXPECT_NE(out.find("3: ("), std::string::npos);
+  // 1e300 ms overflows the clock: it means no deadline, not an expired one.
+  for (const char* flag : {"--deadline-ms=60000", "--deadline-ms=1e300"}) {
+    KCPQ_ASSERT_OK(RunCli({"kcp", db_p_, db_q_, "3", flag}, &out));
+    EXPECT_EQ(out.find("# partial"), std::string::npos) << flag;
+    EXPECT_NE(out.find("3: ("), std::string::npos) << flag;
+  }
 }
 
 TEST_F(CliTest, KcpRejectsNegativeDeadline) {
   BuildBoth("100");
   std::string out;
-  const Status status =
-      RunCli({"kcp", db_p_, db_q_, "1", "--deadline-ms=-5"}, &out);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  for (const char* flag :
+       {"--deadline-ms=-5", "--deadline-ms=nan", "--deadline-ms=inf"}) {
+    const Status status = RunCli({"kcp", db_p_, db_q_, "1", flag}, &out);
+    ASSERT_FALSE(status.ok()) << flag;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << flag;
+  }
 }
 
 TEST_F(CliTest, KcpIoRetriesAccepted) {

@@ -53,6 +53,8 @@ TEST(CsvTest, RejectsMalformedLines) {
   EXPECT_FALSE(ParseCsvPoints("abc,2\n").ok());
   EXPECT_FALSE(ParseCsvPoints("1,2 trailing\n").ok());
   EXPECT_FALSE(ParseCsvPoints("1,2,-5\n").ok());
+  EXPECT_FALSE(ParseCsvPoints("nan,0.5\n").ok());
+  EXPECT_FALSE(ParseCsvPoints("0.5,inf\n").ok());
 }
 
 TEST(CsvTest, FormatParseRoundTripIsLossless) {

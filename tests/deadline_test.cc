@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <set>
@@ -102,10 +103,12 @@ TEST_P(AnytimeBoundTest, CertifiedBoundHoldsVsBruteOracle) {
       const std::string label = std::string(CpqAlgorithmName(algorithm)) +
                                 " budget " + std::to_string(budget) +
                                 " seed " + std::to_string(seed);
+      QueryContext ctx;
+      ctx.control().max_node_accesses = budget;
       CpqOptions options;
       options.algorithm = algorithm;
       options.k = k;
-      options.control.max_node_accesses = budget;
+      options.context = &ctx;
       CpqStats stats;
       Result<std::vector<PairResult>> r =
           KClosestPairs(fp.tree(), fq.tree(), options, &stats);
@@ -129,6 +132,10 @@ TEST_P(AnytimeBoundTest, CertifiedBoundHoldsVsBruteOracle) {
       if (stats.quality.is_exact) ExpectSameDistances(partial, brute, label);
 
       // Node-access budgets are deterministic: a re-run is bit-identical.
+      // It gets a fresh context: a context serves exactly one query.
+      QueryContext ctx2;
+      ctx2.control().max_node_accesses = budget;
+      options.context = &ctx2;
       CpqStats stats2;
       Result<std::vector<PairResult>> r2 =
           KClosestPairs(fp.tree(), fq.tree(), options, &stats2);
@@ -168,7 +175,7 @@ TEST(DeadlineTest, PartialResultsDeterministicAcrossThreadCounts) {
       BatchQuery query;
       query.options.algorithm = algorithm;
       query.options.k = 16;
-      query.options.control.max_node_accesses = budget;
+      query.control.max_node_accesses = budget;
       batch.push_back(query);
     }
   }
@@ -216,10 +223,12 @@ TEST(DeadlineTest, ExpiredDeadlineReturnsPartialNotError) {
   KCPQ_ASSERT_OK(fp.Build(p_items));
   KCPQ_ASSERT_OK(fq.Build(q_items));
 
+  QueryContext ctx;
+  ctx.control().deadline = QueryControl::Clock::now() -
+                           std::chrono::milliseconds(1);
   CpqOptions options;
   options.k = 5;
-  options.control.deadline = QueryControl::Clock::now() -
-                             std::chrono::milliseconds(1);
+  options.context = &ctx;
   CpqStats stats;
   Result<std::vector<PairResult>> r =
       KClosestPairs(fp.tree(), fq.tree(), options, &stats);
@@ -241,9 +250,10 @@ TEST(DeadlineTest, GenerousDeadlineRunsToCompletion) {
   KCPQ_ASSERT_OK(fp.Build(p_items));
   KCPQ_ASSERT_OK(fq.Build(q_items));
 
+  QueryContext ctx(QueryControl::WithDeadlineAfter(std::chrono::hours(1)));
   CpqOptions options;
   options.k = 7;
-  options.control = QueryControl::WithDeadlineAfter(std::chrono::hours(1));
+  options.context = &ctx;
   CpqStats stats;
   Result<std::vector<PairResult>> r =
       KClosestPairs(fp.tree(), fq.tree(), options, &stats);
@@ -265,9 +275,11 @@ TEST(DeadlineTest, CancelledTokenStopsQuery) {
 
   CancellationSource source;
   source.Cancel();
+  QueryContext ctx;
+  ctx.control().cancel = source.token();
   CpqOptions options;
   options.k = 5;
-  options.control.cancel = source.token();
+  options.context = &ctx;
   CpqStats stats;
   Result<std::vector<PairResult>> r =
       KClosestPairs(fp.tree(), fq.tree(), options, &stats);
@@ -288,10 +300,12 @@ TEST(DeadlineTest, MemoryBudgetTripsAndCertifies) {
 
   for (const CpqAlgorithm algorithm :
        {CpqAlgorithm::kSortedDistances, CpqAlgorithm::kHeap}) {
+    QueryContext ctx;
+    ctx.control().max_candidate_bytes = 512;
     CpqOptions options;
     options.algorithm = algorithm;
     options.k = 8;
-    options.control.max_candidate_bytes = 512;
+    options.context = &ctx;
     CpqStats stats;
     Result<std::vector<PairResult>> r =
         KClosestPairs(fp.tree(), fq.tree(), options, &stats);
@@ -319,8 +333,10 @@ TEST(DeadlineTest, DistanceJoinPartialBoundHolds) {
 
   bool saw_partial = false;
   for (const uint64_t budget : {4u, 16u, 64u, 1u << 20}) {
+    QueryContext ctx;
+    ctx.control().max_node_accesses = budget;
     DistanceJoinOptions options;
-    options.control.max_node_accesses = budget;
+    options.context = &ctx;
     CpqStats stats;
     Result<std::vector<PairResult>> r =
         DistanceRangeJoin(fp.tree(), fq.tree(), epsilon, options, &stats);
@@ -365,8 +381,10 @@ TEST(DeadlineTest, HsPartialIsExactPrefix) {
 
   bool saw_partial = false;
   for (const uint64_t budget : {3u, 10u, 40u, 1u << 20}) {
+    QueryContext ctx;
+    ctx.control().max_node_accesses = budget;
     HsOptions options;
-    options.control.max_node_accesses = budget;
+    options.context = &ctx;
     HsStats stats;
     Result<std::vector<PairResult>> r =
         HsKClosestPairs(fp.tree(), fq.tree(), k, options, &stats);
@@ -404,11 +422,11 @@ TEST(DeadlineTest, SemiPartialIsPerPointExact) {
   const std::vector<PairResult> brute =
       BruteForceSemiClosestPairs(p_items, q_items);
 
-  QueryControl control;
-  control.max_node_accesses = 30;
+  QueryContext ctx;
+  ctx.control().max_node_accesses = 30;
   CpqStats stats;
   Result<std::vector<PairResult>> r =
-      SemiClosestPairs(fp.tree(), fq.tree(), &stats, control);
+      SemiClosestPairs(fp.tree(), fq.tree(), &stats, &ctx);
   KCPQ_ASSERT_OK(r.status());
   ASSERT_TRUE(stats.quality.is_partial());
   EXPECT_EQ(stats.quality.guaranteed_lower_bound, 0.0);
@@ -429,26 +447,26 @@ TEST(DeadlineTest, SemiPartialIsPerPointExact) {
 TEST(DeadlineTest, BruteForceHonorsControl) {
   const auto p_items = MakeUniformItems(500, 7701);
   const auto q_items = MakeUniformItems(500, 7702);
-  QueryControl cancelled;
+  QueryContext cancelled;
   CancellationSource source;
   source.Cancel();
-  cancelled.cancel = source.token();
+  cancelled.control().cancel = source.token();
   QueryQuality quality;
   const std::vector<PairResult> partial = BruteForceKClosestPairs(
       p_items, q_items, 10, /*self_join=*/false, Metric::kL2,
-      LeafKernel::kNestedLoop, cancelled, &quality);
+      LeafKernel::kNestedLoop, &quality, &cancelled);
   EXPECT_EQ(quality.stop_cause, StopCause::kCancelled);
   EXPECT_FALSE(quality.is_exact);
   EXPECT_EQ(quality.guaranteed_lower_bound, 0.0);
   EXPECT_TRUE(partial.empty());
 
   // Node/memory budgets do not apply to a scan: they never trip it.
-  QueryControl budget_only;
-  budget_only.max_node_accesses = 1;
+  QueryContext budget_only;
+  budget_only.control().max_node_accesses = 1;
   QueryQuality q2;
   const std::vector<PairResult> full = BruteForceKClosestPairs(
       p_items, q_items, 10, /*self_join=*/false, Metric::kL2,
-      LeafKernel::kNestedLoop, budget_only, &q2);
+      LeafKernel::kNestedLoop, &q2, &budget_only);
   EXPECT_FALSE(q2.is_partial());
   EXPECT_EQ(full.size(), 10u);
 }
@@ -497,6 +515,168 @@ TEST(QueryContextTest, AccountantTotalsCoverEngineOnlyAccounting) {
   }
 }
 
+/// Records the QueryContext every demand read carries down to storage.
+class ContextRecordingStorage final : public StorageManager {
+ public:
+  explicit ContextRecordingStorage(StorageManager* base)
+      : StorageManager(base->page_size()), base_(base) {}
+
+  std::vector<const QueryContext*>& seen() { return seen_; }
+
+  uint64_t PageCount() const override { return base_->PageCount(); }
+  Result<PageId> Allocate() override { return base_->Allocate(); }
+  Status Free(PageId id) override { return base_->Free(id); }
+  Status WritePage(PageId id, const Page& page) override {
+    return base_->WritePage(id, page);
+  }
+  Status Sync() override { return base_->Sync(); }
+
+ protected:
+  Status DoReadPage(PageId id, Page* page, const QueryContext* ctx) override {
+    seen_.push_back(ctx);
+    return base_->ReadPage(id, page, ctx);
+  }
+
+ private:
+  StorageManager* base_;
+  std::vector<const QueryContext*> seen_;
+};
+
+// A query's context is its only carrier of limits, and a query without one
+// passes nothing down: under a zero-page buffer, every read of every inline
+// entry point reaches storage with exactly the context the caller attached
+// (null when it attached none), and attaching an unlimited context changes
+// neither the pairs nor the disk accesses.
+TEST(QueryContextTest, OnlyTheAttachedContextReachesStorage) {
+  TreeFixture fp(/*buffer_pages=*/0, /*page_size=*/512);
+  TreeFixture fq(/*buffer_pages=*/0, /*page_size=*/512);
+  KCPQ_ASSERT_OK(fp.Build(MakeUniformItems(300, 7951)));
+  KCPQ_ASSERT_OK(fq.Build(MakeClusteredItems(300, 7952)));
+
+  struct Outcome {
+    std::vector<uint64_t> ids;
+    std::vector<double> distances;
+    uint64_t disk_accesses = 0;
+  };
+  const auto pairs_outcome = [](const Result<std::vector<PairResult>>& r,
+                                uint64_t disk_accesses) {
+    KCPQ_CHECK_OK(r.status());
+    Outcome out;
+    for (const PairResult& pr : r.value()) {
+      out.ids.push_back(pr.p_id);
+      out.ids.push_back(pr.q_id);
+      out.distances.push_back(pr.distance);
+    }
+    out.disk_accesses = disk_accesses;
+    return out;
+  };
+  using EntryPoint =
+      std::function<Outcome(const RStarTree&, const RStarTree&, QueryContext*)>;
+  const std::vector<std::pair<std::string, EntryPoint>> entry_points = {
+      {"KClosestPairs",
+       [&](const RStarTree& p, const RStarTree& q, QueryContext* ctx) {
+         CpqOptions options;
+         options.k = 10;
+         options.context = ctx;
+         CpqStats stats;
+         auto r = KClosestPairs(p, q, options, &stats);
+         return pairs_outcome(r, stats.disk_accesses());
+       }},
+      {"SelfKClosestPairs",
+       [&](const RStarTree& p, const RStarTree&, QueryContext* ctx) {
+         CpqOptions options;
+         options.k = 10;
+         options.context = ctx;
+         CpqStats stats;
+         auto r = SelfKClosestPairs(p, options, &stats);
+         return pairs_outcome(r, stats.disk_accesses());
+       }},
+      {"HsKClosestPairs",
+       [&](const RStarTree& p, const RStarTree& q, QueryContext* ctx) {
+         HsOptions options;
+         options.context = ctx;
+         HsStats stats;
+         auto r = HsKClosestPairs(p, q, 10, options, &stats);
+         return pairs_outcome(r, stats.disk_accesses());
+       }},
+      {"SemiClosestPairs",
+       [&](const RStarTree& p, const RStarTree& q, QueryContext* ctx) {
+         CpqStats stats;
+         auto r = SemiClosestPairs(p, q, &stats, ctx);
+         return pairs_outcome(r, stats.disk_accesses());
+       }},
+      {"DistanceRangeJoin",
+       [&](const RStarTree& p, const RStarTree& q, QueryContext* ctx) {
+         DistanceJoinOptions options;
+         options.context = ctx;
+         CpqStats stats;
+         auto r = DistanceRangeJoin(p, q, 0.02, options, &stats);
+         return pairs_outcome(r, stats.disk_accesses());
+       }},
+      {"MultiwayKClosestTuples",
+       [&](const RStarTree& p, const RStarTree& q, QueryContext* ctx) {
+         MultiwayOptions options;
+         options.k = 10;
+         options.context = ctx;
+         CpqStats stats;
+         auto r = MultiwayKClosestTuples({&p, &q}, {{0, 1}}, options, &stats);
+         KCPQ_CHECK_OK(r.status());
+         Outcome out;
+         for (const TupleResult& t : r.value()) {
+           out.ids.insert(out.ids.end(), t.ids.begin(), t.ids.end());
+           out.distances.push_back(t.aggregate_distance);
+         }
+         out.disk_accesses = stats.disk_accesses();
+         return out;
+       }},
+  };
+
+  for (const auto& [name, run] : entry_points) {
+    // Runs the entry point on fresh zero-page buffers over recording
+    // storage; returns its outcome and the context of every read.
+    const auto run_recorded = [&](QueryContext* ctx,
+                                  std::vector<const QueryContext*>* seen) {
+      ContextRecordingStorage storage_p(&fp.storage());
+      ContextRecordingStorage storage_q(&fq.storage());
+      BufferManager buffer_p(&storage_p, 0);
+      BufferManager buffer_q(&storage_q, 0);
+      auto tree_p = RStarTree::Open(&buffer_p, fp.tree().meta_page());
+      auto tree_q = RStarTree::Open(&buffer_q, fq.tree().meta_page());
+      KCPQ_CHECK_OK(tree_p.status());
+      KCPQ_CHECK_OK(tree_q.status());
+      // Opening a tree reads its meta page outside any query.
+      storage_p.seen().clear();
+      storage_q.seen().clear();
+      const Outcome out = run(*tree_p.value(), *tree_q.value(), ctx);
+      seen->insert(seen->end(), storage_p.seen().begin(),
+                   storage_p.seen().end());
+      seen->insert(seen->end(), storage_q.seen().begin(),
+                   storage_q.seen().end());
+      return out;
+    };
+
+    std::vector<const QueryContext*> bare_seen;
+    const Outcome bare = run_recorded(nullptr, &bare_seen);
+    ASSERT_FALSE(bare_seen.empty()) << name;
+    for (const QueryContext* seen : bare_seen) {
+      EXPECT_EQ(seen, nullptr) << name;
+    }
+
+    QueryContext ctx;
+    std::vector<const QueryContext*> attached_seen;
+    const Outcome attached = run_recorded(&ctx, &attached_seen);
+    EXPECT_EQ(attached_seen.size(), bare_seen.size()) << name;
+    for (const QueryContext* seen : attached_seen) {
+      EXPECT_EQ(seen, &ctx) << name;
+    }
+
+    EXPECT_EQ(attached.ids, bare.ids) << name;
+    EXPECT_EQ(attached.distances, bare.distances) << name;
+    EXPECT_EQ(attached.disk_accesses, bare.disk_accesses) << name;
+    EXPECT_GT(bare.disk_accesses, 0u) << name;
+  }
+}
+
 // A query whose *pinned-page footprint alone* exceeds max_candidate_bytes
 // is throttled by the unified accountant — and identically so at 1, 4, and
 // 8 batch threads, because pages are charged once per distinct page, hit
@@ -520,7 +700,7 @@ TEST(QueryContextTest, BufferFootprintThrottlesDeterministically) {
     query.options.k = k;
     // 8 pages of 512 B: trees this size touch far more, so the page
     // charges alone trip the budget long before engine state matters.
-    query.options.control.max_candidate_bytes = 8 * 512;
+    query.control.max_candidate_bytes = 8 * 512;
     batch.push_back(query);
   }
 
@@ -604,10 +784,12 @@ TEST(RankBoundTest, PerRankBoundsHoldVsBruteOracle) {
          {CpqAlgorithm::kExhaustive, CpqAlgorithm::kSimple,
           CpqAlgorithm::kSortedDistances, CpqAlgorithm::kHeap}) {
       for (const uint64_t budget : {6u, 20u, 60u, 120u}) {
+        QueryContext ctx;
+        ctx.control().max_node_accesses = budget;
         CpqOptions options;
         options.algorithm = algorithm;
         options.k = k;
-        options.control.max_node_accesses = budget;
+        options.context = &ctx;
         CpqStats stats;
         Result<std::vector<PairResult>> r =
             KClosestPairs(fp.tree(), fq.tree(), options, &stats);
@@ -668,9 +850,11 @@ TEST(DeadlineTest, MultiwayBudgetStopCertifiesPrefix) {
 
   bool saw_partial = false;
   for (const uint64_t budget : {4u, 20u, 100u, 1u << 20}) {
+    QueryContext ctx;
+    ctx.control().max_node_accesses = budget;
     MultiwayOptions options;
     options.k = k;
-    options.control.max_node_accesses = budget;
+    options.context = &ctx;
     CpqStats stats;
     Result<std::vector<TupleResult>> r =
         MultiwayKClosestTuples(trees, graph, options, &stats);
@@ -699,10 +883,12 @@ TEST(DeadlineTest, MultiwayBudgetStopCertifiesPrefix) {
   EXPECT_TRUE(saw_partial) << "budgets too generous to exercise the stop";
 
   // An already-expired deadline stops before the root is read.
+  QueryContext ctx;
+  ctx.control().deadline =
+      QueryControl::Clock::now() - std::chrono::milliseconds(1);
   MultiwayOptions options;
   options.k = k;
-  options.control.deadline =
-      QueryControl::Clock::now() - std::chrono::milliseconds(1);
+  options.context = &ctx;
   CpqStats stats;
   Result<std::vector<TupleResult>> r =
       MultiwayKClosestTuples(trees, graph, options, &stats);

@@ -1,5 +1,6 @@
 // Tests for the ε distance range join.
 
+#include <limits>
 #include <set>
 
 #include "cpq/distance_join.h"
@@ -88,9 +89,12 @@ TEST(DistanceJoinTest, NegativeEpsilonRejected) {
   TreeFixture fp, fq;
   KCPQ_ASSERT_OK(fp.Build(MakeUniformItems(10, 1002)));
   KCPQ_ASSERT_OK(fq.Build(MakeUniformItems(10, 1003)));
-  auto result = DistanceRangeJoin(fp.tree(), fq.tree(), -0.1);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  for (const double epsilon :
+       {-0.1, std::numeric_limits<double>::quiet_NaN()}) {
+    auto result = DistanceRangeJoin(fp.tree(), fq.tree(), epsilon);
+    EXPECT_FALSE(result.ok()) << epsilon;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(DistanceJoinTest, ExactDistanceIsIncluded) {
@@ -192,8 +196,10 @@ TEST(DistanceJoinTest, MissingPairBoundDominatesTrueDeficit) {
 
   bool saw_partial = false;
   for (uint64_t budget : {3u, 10u, 40u, 160u}) {
+    QueryContext ctx;  // fresh per budget: a context serves one query
+    ctx.control().max_node_accesses = budget;
     DistanceJoinOptions options;
-    options.control.max_node_accesses = budget;
+    options.context = &ctx;
     CpqStats stats;
     auto result =
         DistanceRangeJoin(fp.tree(), fq.tree(), epsilon, options, &stats);

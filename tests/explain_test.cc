@@ -35,14 +35,15 @@ struct ProfiledRun {
 
 // Runs one K-CPQ with a pruning profile attached; trees are built fresh
 // from fixed seeds so counts are deterministic.
-ProfiledRun RunProfiledOptions(CpqOptions options, size_t n) {
+ProfiledRun RunProfiledOptions(CpqOptions options, size_t n,
+                               const QueryControl& control = {}) {
   TreeFixture p;
   TreeFixture q;
   KCPQ_CHECK_OK(p.Build(MakeUniformItems(n, /*seed=*/42, UnitWorkspace())));
   KCPQ_CHECK_OK(q.Build(MakeUniformItems(n, /*seed=*/43, UnitWorkspace())));
 
   ProfiledRun run;
-  QueryContext ctx(options.control);
+  QueryContext ctx(control);
   ctx.set_profile(&run.profile);
   options.context = &ctx;
   auto result = KClosestPairs(p.tree(), q.tree(), options, &run.stats);
@@ -56,8 +57,7 @@ ProfiledRun RunProfiled(CpqAlgorithm algorithm, size_t n, size_t k,
   CpqOptions options;
   options.algorithm = algorithm;
   options.k = k;
-  options.control = control;
-  return RunProfiledOptions(options, n);
+  return RunProfiledOptions(options, n, control);
 }
 
 void ExpectIdentityHolds(const obs::PruningProfile& profile) {

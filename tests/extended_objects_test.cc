@@ -84,6 +84,16 @@ TEST(ExtendedObjectsTest, InvalidRectRejected) {
   bad.hi[0] = 0.0;
   EXPECT_EQ(fx.tree().InsertRect(bad, 0).code(),
             StatusCode::kInvalidArgument);
+  // Non-finite coordinates are rejected too, for rects and points alike.
+  Rect unbounded = Rect::FromPoint(P(0.5, 0.5));
+  unbounded.hi[1] = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(fx.tree().InsertRect(unbounded, 1).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      fx.tree().Insert(P(std::numeric_limits<double>::quiet_NaN(), 0.5), 2)
+          .code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(fx.tree().size(), 0u);
 }
 
 TEST(ExtendedObjectsTest, RangeQueryReturnsIntersectingRects) {

@@ -286,10 +286,12 @@ TEST(FamiliesEdgeCases, FarthestAnytimeCertificateIsUpperBound) {
   TreeFixture fp(0), fq(0);
   KCPQ_ASSERT_OK(fp.Build(items_p));
   KCPQ_ASSERT_OK(fq.Build(items_q));
+  QueryContext ctx;
+  ctx.control().max_node_accesses = 6;
   CpqOptions options;
   options.family = QueryFamily::kFarthest;
   options.k = 10;
-  options.control.max_node_accesses = 6;
+  options.context = &ctx;
   CpqStats stats;
   auto result = KClosestPairs(fp.tree(), fq.tree(), options, &stats);
   KCPQ_ASSERT_OK(result.status());

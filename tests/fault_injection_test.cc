@@ -324,8 +324,9 @@ TEST(RetryingStorageTest, NearDeadlineAbandonsRetryPromptly) {
   CpqOptions options;
   options.algorithm = CpqAlgorithm::kHeap;
   options.k = 10;
-  options.control =
-      QueryControl::WithDeadlineAfter(std::chrono::milliseconds(500));
+  QueryContext ctx(
+      QueryControl::WithDeadlineAfter(std::chrono::milliseconds(500)));
+  options.context = &ctx;
   CpqStats stats;
   const auto start = std::chrono::steady_clock::now();
   auto result = KClosestPairs(*tree_p.value(), fq.tree(), options, &stats);
@@ -359,23 +360,26 @@ TEST(RetryingStorageTest, NearDeadlineAbandonsRetryPromptly) {
     EXPECT_FALSE(quality.is_exact) << label;
   };
   expect_abandoned("hs", [&](const QueryControl& control) {
+    QueryContext hs_ctx(control);
     HsOptions hs;
-    hs.control = control;
+    hs.context = &hs_ctx;
     HsStats hs_stats;
     auto r = HsKClosestPairs(*tree_p.value(), fq.tree(), 10, hs, &hs_stats);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return hs_stats.quality;
   });
   expect_abandoned("semi", [&](const QueryControl& control) {
+    QueryContext semi_ctx(control);
     CpqStats semi_stats;
-    auto r = SemiClosestPairs(*tree_p.value(), fq.tree(), &semi_stats, control);
+    auto r =
+        SemiClosestPairs(*tree_p.value(), fq.tree(), &semi_stats, &semi_ctx);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return semi_stats.quality;
   });
   expect_abandoned("batch", [&](const QueryControl& control) {
     BatchQuery query;
-    query.options = options;
-    query.options.control = control;
+    query.options = options;  // the batch replaces options.context
+    query.control = control;
     BatchOptions batch;
     batch.threads = 1;
     batch.scheduler = SchedulerMode::kBlocking;

@@ -1,5 +1,7 @@
 // Unit tests for R-tree node serialization.
 
+#include <limits>
+
 #include "gtest/gtest.h"
 #include "rtree/node.h"
 #include "tests/test_util.h"
@@ -111,6 +113,12 @@ TEST(NodeTest, InvertedRectRejected) {
   Page page(1024);
   KCPQ_ASSERT_OK(SerializeNode(node, &page));
   Node out;
+  EXPECT_EQ(DeserializeNode(page, &out).code(), StatusCode::kCorruption);
+
+  // NaN compares false against everything, so lo > hi alone misses it.
+  node.entries[0].rect.lo[0] = std::numeric_limits<double>::quiet_NaN();
+  node.entries[0].rect.hi[0] = 1.0;
+  KCPQ_ASSERT_OK(SerializeNode(node, &page));
   EXPECT_EQ(DeserializeNode(page, &out).code(), StatusCode::kCorruption);
 }
 

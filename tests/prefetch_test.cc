@@ -478,10 +478,10 @@ TEST(PrefetchChaosTest, TransientFaultsAndDeadlinesDrainCleanly) {
   // every speculative read must be drained or claimed — nothing in
   // flight, and the identity holds at the buffer level.
   for (int round = 0; round < 8; ++round) {
+    QueryContext ctx(QueryControl::WithDeadlineAfter(
+        std::chrono::microseconds(round * 300)));
     CpqOptions limited = options;
-    limited.control.deadline =
-        QueryControl::Clock::now() +
-        std::chrono::microseconds(round * 300);
+    limited.context = &ctx;
     CpqStats limited_stats;
     auto partial = KClosestPairs(*tree_p.value(), *tree_q.value(), limited,
                                  &limited_stats);

@@ -632,7 +632,7 @@ TEST(ResumableChaosTest, FaultsDeadlinesCancellationMidPark) {
       q.options.k = 8;
       if (i % 4 == 1) {
         // A deadline that trips mid-traversal (some parks take longer).
-        q.options.control.deadline =
+        q.control.deadline =
             QueryControl::Clock::now() + std::chrono::microseconds(200);
       }
       queries.push_back(q);

@@ -277,10 +277,8 @@ TEST(UringCancellation, MidFlightDeadlineAndCancelWithCqesOutstanding) {
     BatchQuery q;
     q.options.algorithm = CpqAlgorithm::kHeap;
     q.options.k = 10;
-    if (i % 3 == 1) q.options.control.max_node_accesses = 4;  // early stop
-    if (i % 3 == 2) {
-      q.options.control.deadline = std::chrono::steady_clock::now();
-    }
+    if (i % 3 == 1) q.control.max_node_accesses = 4;  // early stop
+    if (i % 3 == 2) q.control.deadline = std::chrono::steady_clock::now();
     queries.push_back(q);
   }
   CancellationSource cancel;

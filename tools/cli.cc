@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -68,8 +69,9 @@ Status ParseFlags(const std::vector<std::string>& args, Flags* flags) {
 Status ParseNumber(const std::string& text, double* out) {
   char* end = nullptr;
   *out = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size() || text.empty()) {
-    return Status::InvalidArgument("not a number: " + text);
+  if (end != text.c_str() + text.size() || text.empty() ||
+      !std::isfinite(*out)) {
+    return Status::InvalidArgument("not a finite number: " + text);
   }
   return Status::OK();
 }
@@ -394,10 +396,14 @@ Status ParseControlFlags(const Flags& flags, QueryControl* control) {
     if (ms < 0) {
       return Status::InvalidArgument("--deadline-ms must be >= 0");
     }
+    // A deadline past the end of the clock's range is no deadline.
+    using Clock = QueryControl::Clock;
+    const Clock::time_point now = Clock::now();
+    const std::chrono::duration<double, std::milli> budget(ms);
     control->deadline =
-        QueryControl::Clock::now() +
-        std::chrono::duration_cast<QueryControl::Clock::duration>(
-            std::chrono::duration<double, std::milli>(ms));
+        budget < QueryControl::kNoDeadline - now
+            ? now + std::chrono::duration_cast<Clock::duration>(budget)
+            : QueryControl::kNoDeadline;
   }
   if (const auto it = flags.named.find("max-node-accesses");
       it != flags.named.end()) {
@@ -979,40 +985,38 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
                        batch_stats.admission_would_reject));
     }
     if (rep.replicas > 1) {
+      const ReplicationStats& r = batch_stats.replication;
       std::fprintf(
           out,
           "replication (%llu replicas, hedge=%s): failovers=%llu "
           "repairs=%llu hedged=%llu hedge-wins=%llu\n",
           static_cast<unsigned long long>(rep.replicas),
           HedgeModeName(rep.mirrored.hedge.mode),
-          static_cast<unsigned long long>(batch_stats.failover_reads),
-          static_cast<unsigned long long>(batch_stats.read_repairs),
-          static_cast<unsigned long long>(batch_stats.hedged_reads),
-          static_cast<unsigned long long>(batch_stats.hedge_wins));
+          static_cast<unsigned long long>(r.failover_reads),
+          static_cast<unsigned long long>(r.read_repairs),
+          static_cast<unsigned long long>(r.hedged_reads),
+          static_cast<unsigned long long>(r.hedge_wins));
     }
     finish_scrub(out);
     finish_obs();
     return write_stats_json();
   }
 
-  KCPQ_RETURN_IF_ERROR(ParseControlFlags(flags, &options.control));
-
-  // Single-query instrumentation: a context owning the pruning profile
-  // (--explain) and/or the trace ring (--trace-out), plus the buffer
-  // counters of this thread before the query so the report can show the
-  // query's own hits/misses. With telemetry on, both are attached
-  // unconditionally so the flight recorder can serve
+  // Single-query instrumentation: the query's one context carries the
+  // limit flags and owns the pruning profile (--explain) and/or the trace
+  // ring (--trace-out); the buffer counters of this thread before the
+  // query let the report show the query's own hits/misses. With telemetry
+  // on, both sinks are attached so the flight recorder can serve
   // /queries/<id>/trace and /queries/<id>/explain afterwards.
-  QueryContext ctx(options.control);
+  QueryContext ctx;
+  KCPQ_RETURN_IF_ERROR(ParseControlFlags(flags, &ctx.control()));
+  options.context = &ctx;
   obs::PruningProfile profile;
   obs::TraceBuffer trace;
   const bool want_profile = diag.explain || obs_on;
   const bool want_trace = !diag.trace_path.empty() || obs_on;
-  if (want_profile || want_trace) {
-    if (want_profile) ctx.set_profile(&profile);
-    if (want_trace) ctx.set_trace(&trace);
-    options.context = &ctx;
-  }
+  if (want_profile) ctx.set_profile(&profile);
+  if (want_trace) ctx.set_trace(&trace);
   std::shared_ptr<obs::QueryObservation> live;
   if (obs_on) {
     live = obs::QueryRegistry::Global().Register(
@@ -1285,7 +1289,9 @@ Status CmdJoin(const Flags& flags, std::FILE* out) {
     KCPQ_RETURN_IF_ERROR(ParseCount(it->second, &options.max_results));
   }
   options.self_join = flags.named.count("self") > 0;
-  KCPQ_RETURN_IF_ERROR(ParseControlFlags(flags, &options.control));
+  QueryContext ctx;
+  KCPQ_RETURN_IF_ERROR(ParseControlFlags(flags, &ctx.control()));
+  options.context = &ctx;
   CpqStats stats;
   Timer timer;
   KCPQ_ASSIGN_OR_RETURN(
@@ -1408,8 +1414,8 @@ Status CmdSemi(const Flags& flags, std::FILE* out) {
   IoBackendReport io_report;
   KCPQ_RETURN_IF_ERROR(OpenPair(flags, &p, &q, nullptr, &io_report));
   io_report.Print(out);
-  QueryControl control;
-  KCPQ_RETURN_IF_ERROR(ParseControlFlags(flags, &control));
+  QueryContext ctx;
+  KCPQ_RETURN_IF_ERROR(ParseControlFlags(flags, &ctx.control()));
   SchedulerMode scheduler = SchedulerMode::kBlocking;
   size_t max_inflight = 0;
   KCPQ_RETURN_IF_ERROR(ParseSchedulerFlags(flags, &scheduler, &max_inflight));
@@ -1419,7 +1425,7 @@ Status CmdSemi(const Flags& flags, std::FILE* out) {
   {
     // Same single-query shape as kcp.
     InlineWakerGate gate;
-    ResumableSemiQuery task(*p.tree, *q.tree, &stats, control, nullptr,
+    ResumableSemiQuery task(*p.tree, *q.tree, &stats, &ctx,
                             WakerFor(scheduler, gate));
     gate.RunToCompletion(task);
     DrainBoth(p, q);

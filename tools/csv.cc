@@ -1,6 +1,7 @@
 #include "tools/csv.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -10,13 +11,18 @@ namespace kcpq {
 namespace {
 
 // Parses one strict double; advances *pos past it.
-Status ParseDouble(const std::string& line, size_t* pos, double* out) {
+Status ParseDouble(const std::string& line, int line_number, size_t* pos,
+                   double* out) {
   const char* begin = line.c_str() + *pos;
   char* end = nullptr;
   errno = 0;
   *out = std::strtod(begin, &end);
   if (end == begin || errno == ERANGE) {
     return Status::InvalidArgument("bad number in: " + line);
+  }
+  if (!std::isfinite(*out)) {
+    return Status::InvalidArgument("non-finite number on line " +
+                                   std::to_string(line_number) + ": " + line);
   }
   *pos += static_cast<size_t>(end - begin);
   return Status::OK();
@@ -70,9 +76,9 @@ Result<std::vector<std::pair<Point, uint64_t>>> ParseCsvPoints(
 
     size_t pos = first;
     Point p;
-    KCPQ_RETURN_IF_ERROR(ParseDouble(line, &pos, &p.coord[0]));
+    KCPQ_RETURN_IF_ERROR(ParseDouble(line, line_number, &pos, &p.coord[0]));
     KCPQ_RETURN_IF_ERROR(ExpectComma(line, &pos));
-    KCPQ_RETURN_IF_ERROR(ParseDouble(line, &pos, &p.coord[1]));
+    KCPQ_RETURN_IF_ERROR(ParseDouble(line, line_number, &pos, &p.coord[1]));
     uint64_t id = next_id;
     if (pos < line.size()) {
       KCPQ_RETURN_IF_ERROR(ExpectComma(line, &pos));
