@@ -141,6 +141,39 @@ TEST(MultiwayTest, TwoWayChainAgreesWithPairwiseCpq) {
   }
 }
 
+// With zero-page buffers every node read is one storage read, so the
+// query's disk accesses must equal the storage-level read count: a check
+// independent of how the engine tallies its misses. Run unlimited and
+// under node budgets that stop mid-search.
+TEST(MultiwayTest, ZeroBufferDiskAccessesMatchStorageReads) {
+  std::vector<std::unique_ptr<TreeFixture>> fixtures;
+  std::vector<const RStarTree*> trees;
+  for (int i = 0; i < 3; ++i) {
+    fixtures.push_back(
+        std::make_unique<TreeFixture>(/*buffer_pages=*/0, /*page_size=*/512));
+    KCPQ_ASSERT_OK(fixtures.back()->Build(MakeUniformItems(150, 1300 + i)));
+    trees.push_back(&fixtures.back()->tree());
+  }
+  const std::vector<MultiwayEdge> graph = {{0, 1}, {1, 2}};
+  for (const uint64_t budget : {uint64_t{0}, uint64_t{5}, uint64_t{40}}) {
+    uint64_t reads_before = 0;
+    for (const auto& f : fixtures) reads_before += f->storage().stats().reads;
+    QueryContext ctx;
+    ctx.control().max_node_accesses = budget;
+    MultiwayOptions options;
+    options.k = 6;
+    options.context = &ctx;
+    CpqStats stats;
+    auto result = MultiwayKClosestTuples(trees, graph, options, &stats);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    uint64_t reads_after = 0;
+    for (const auto& f : fixtures) reads_after += f->storage().stats().reads;
+    EXPECT_GT(stats.disk_accesses(), 0u) << "budget " << budget;
+    EXPECT_EQ(stats.disk_accesses(), reads_after - reads_before)
+        << "budget " << budget;
+  }
+}
+
 TEST(MultiwayTest, DifferentTreeHeights) {
   std::vector<std::vector<std::pair<Point, uint64_t>>> sets = {
       MakeUniformItems(2000, 1302), MakeUniformItems(50, 1303),
