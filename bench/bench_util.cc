@@ -1,6 +1,7 @@
 #include "bench/bench_util.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -146,12 +147,15 @@ std::string JsonEscape(const std::string& s) {
 }
 
 // Emits a cell as a bare JSON number when it parses fully as one (so
-// downstream tooling can chart it), otherwise as a quoted string.
+// downstream tooling can chart it), as null when that number is not finite
+// (JSON has no inf or nan), otherwise as a quoted string.
 std::string JsonCell(const std::string& cell) {
   if (!cell.empty()) {
     char* end = nullptr;
-    std::strtod(cell.c_str(), &end);
-    if (end != nullptr && *end == '\0') return cell;
+    const double v = std::strtod(cell.c_str(), &end);
+    if (end != nullptr && *end == '\0') {
+      return std::isfinite(v) ? cell : "null";
+    }
   }
   std::string quoted;
   quoted.push_back('"');
@@ -161,6 +165,7 @@ std::string JsonCell(const std::string& cell) {
 }
 
 std::string FormatDouble(double v) {
+  if (!std::isfinite(v)) return "null";
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;

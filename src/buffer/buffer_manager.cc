@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <set>
 #include <utility>
 
 #include "obs/kcpq_metrics.h"
@@ -10,113 +9,12 @@
 
 namespace kcpq {
 
-namespace internal {
-
-/// One thread's counters for one buffer instance. Atomics because an
-/// aggregating thread (AggregateStats) reads them while the owner thread
-/// increments; all accesses are relaxed — per-counter exactness is all
-/// the consumers need, not cross-counter snapshots.
-struct BufferTlsCounters {
-  explicit BufferTlsCounters(uint64_t id) : instance_id(id) {}
-  const uint64_t instance_id;
-  std::atomic<uint64_t> hits{0};
-  std::atomic<uint64_t> misses{0};
-  std::atomic<uint64_t> evictions{0};
-  std::atomic<uint64_t> writebacks{0};
-  std::atomic<uint64_t> prefetch_issued{0};
-  std::atomic<uint64_t> prefetch_hits{0};
-  std::atomic<uint64_t> prefetch_wasted{0};
-
-  BufferStats Load() const {
-    BufferStats s;
-    s.hits = hits.load(std::memory_order_relaxed);
-    s.misses = misses.load(std::memory_order_relaxed);
-    s.evictions = evictions.load(std::memory_order_relaxed);
-    s.writebacks = writebacks.load(std::memory_order_relaxed);
-    s.prefetch_issued = prefetch_issued.load(std::memory_order_relaxed);
-    s.prefetch_hits = prefetch_hits.load(std::memory_order_relaxed);
-    s.prefetch_wasted = prefetch_wasted.load(std::memory_order_relaxed);
-    return s;
-  }
-};
-
-}  // namespace internal
-
 namespace {
 
-using internal::BufferTlsCounters;
-
-/// Monotone instance-id source: ids are never reused, so a thread-local
-/// table keyed by id can never confuse a dead buffer with a new one that
-/// happens to land at the same address.
+/// Monotone instance-id source: ids are never reused, so a query's
+/// ResourceAccountant, which charges pages by (instance, page), can never
+/// confuse a dead buffer with a new one at the same address.
 std::atomic<uint64_t> next_instance_id{1};
-
-void FoldInto(BufferStats& into, const BufferStats& s) {
-  into.hits += s.hits;
-  into.misses += s.misses;
-  into.evictions += s.evictions;
-  into.writebacks += s.writebacks;
-  into.prefetch_issued += s.prefetch_issued;
-  into.prefetch_hits += s.prefetch_hits;
-  into.prefetch_wasted += s.prefetch_wasted;
-}
-
-struct ThreadTable;
-
-/// Global view of every thread's per-buffer tables, so AggregateStats can
-/// sum contributions across threads — including threads that already
-/// exited, whose counts fold into `retired` from the ThreadTable dtor.
-/// Lock order: registry mu before any table mu.
-struct ThreadStatsRegistry {
-  std::mutex mu;
-  std::set<ThreadTable*> live;
-  std::unordered_map<uint64_t, BufferStats> retired;  // by instance id
-
-  static ThreadStatsRegistry& Get() {
-    // Leaked: thread_local destructors may run after static destructors.
-    static ThreadStatsRegistry* instance = new ThreadStatsRegistry();
-    return *instance;
-  }
-};
-
-/// One thread's table of per-buffer counters. The entries vector is
-/// append-only and guarded by `mu` so an aggregator can walk it; the
-/// owner thread scans without the lock (only the owner mutates the
-/// vector, and it appends under the lock). Counter slots are heap
-/// allocations so their addresses survive vector growth. Entries are tiny
-/// and never removed; a process would have to churn through millions of
-/// BufferManager instances on one thread for the table to matter.
-struct ThreadTable {
-  std::mutex mu;
-  std::vector<std::unique_ptr<BufferTlsCounters>> entries;
-
-  ThreadTable() {
-    ThreadStatsRegistry& reg = ThreadStatsRegistry::Get();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    reg.live.insert(this);
-  }
-
-  ~ThreadTable() {
-    // Retire this thread's counts so aggregate views keep seeing them.
-    ThreadStatsRegistry& reg = ThreadStatsRegistry::Get();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    reg.live.erase(this);
-    for (const auto& e : entries) {
-      FoldInto(reg.retired[e->instance_id], e->Load());
-    }
-  }
-
-  BufferTlsCounters& For(uint64_t instance_id) {
-    for (const auto& e : entries) {
-      if (e->instance_id == instance_id) return *e;
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    entries.push_back(std::make_unique<BufferTlsCounters>(instance_id));
-    return *entries.back();
-  }
-};
-
-thread_local ThreadTable tls_table;
 
 }  // namespace
 
@@ -156,37 +54,28 @@ BufferManager::~BufferManager() {
   Flush();
 }
 
-internal::BufferTlsCounters& BufferManager::Tls() const {
-  return tls_table.For(instance_id_);
-}
-
 void BufferManager::CountHit() {
   hits_.fetch_add(1, std::memory_order_relaxed);
-  Tls().hits.fetch_add(1, std::memory_order_relaxed);
   KCPQ_METRIC_INC(obs::KcpqMetrics::Get().buffer_hits_total);
 }
 
 void BufferManager::CountMiss() {
   misses_.fetch_add(1, std::memory_order_relaxed);
-  Tls().misses.fetch_add(1, std::memory_order_relaxed);
   KCPQ_METRIC_INC(obs::KcpqMetrics::Get().buffer_misses_total);
 }
 
 void BufferManager::CountPrefetchIssued() {
   prefetch_issued_.fetch_add(1, std::memory_order_relaxed);
-  Tls().prefetch_issued.fetch_add(1, std::memory_order_relaxed);
   KCPQ_METRIC_INC(obs::KcpqMetrics::Get().prefetch_issued_total);
 }
 
 void BufferManager::CountPrefetchHit() {
   prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
-  Tls().prefetch_hits.fetch_add(1, std::memory_order_relaxed);
   KCPQ_METRIC_INC(obs::KcpqMetrics::Get().prefetch_hits_total);
 }
 
 void BufferManager::CountPrefetchWasted() {
   prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
-  Tls().prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
   KCPQ_METRIC_INC(obs::KcpqMetrics::Get().prefetch_wasted_total);
 }
 
@@ -702,11 +591,9 @@ Status BufferManager::EvictIfFull(Shard& shard) {
   const PageId victim = shard.policy->ChooseVictim();
   auto it = shard.frames.find(victim);
   evictions_.fetch_add(1, std::memory_order_relaxed);
-  Tls().evictions.fetch_add(1, std::memory_order_relaxed);
   KCPQ_METRIC_INC(obs::KcpqMetrics::Get().buffer_evictions_total);
   if (it->second.dirty) {
     writebacks_.fetch_add(1, std::memory_order_relaxed);
-    Tls().writebacks.fetch_add(1, std::memory_order_relaxed);
     KCPQ_METRIC_INC(obs::KcpqMetrics::Get().buffer_writebacks_total);
     KCPQ_RETURN_IF_ERROR(storage_->WritePage(victim, it->second.page));
   }
@@ -720,7 +607,6 @@ Status BufferManager::Flush() {
     for (auto& [id, frame] : shard->frames) {
       if (!frame.dirty) continue;
       writebacks_.fetch_add(1, std::memory_order_relaxed);
-      Tls().writebacks.fetch_add(1, std::memory_order_relaxed);
       KCPQ_METRIC_INC(obs::KcpqMetrics::Get().buffer_writebacks_total);
       KCPQ_RETURN_IF_ERROR(storage_->WritePage(id, frame.page));
       frame.dirty = false;
@@ -773,7 +659,7 @@ size_t BufferManager::resident() const {
   return total;
 }
 
-BufferStats BufferManager::stats() const {
+BufferStats BufferManager::AggregateStats() const {
   BufferStats s;
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
@@ -785,36 +671,28 @@ BufferStats BufferManager::stats() const {
   return s;
 }
 
-BufferStats BufferManager::ThreadStats() const { return Tls().Load(); }
-
-BufferStats BufferManager::AggregateStats() const {
-  ThreadStatsRegistry& reg = ThreadStatsRegistry::Get();
-  std::lock_guard<std::mutex> reg_lock(reg.mu);
-  BufferStats total;
-  if (auto it = reg.retired.find(instance_id_); it != reg.retired.end()) {
-    total = it->second;
+BufferStats BufferManager::stats() const {
+  // The baseline is read first: it is a past snapshot of counters that
+  // only grow, so the subtraction cannot wrap.
+  BufferStats base;
+  {
+    std::lock_guard<std::mutex> lock(reset_mu_);
+    base = reset_baseline_;
   }
-  for (ThreadTable* table : reg.live) {
-    std::lock_guard<std::mutex> table_lock(table->mu);
-    for (const auto& e : table->entries) {
-      if (e->instance_id != instance_id_) continue;
-      FoldInto(total, e->Load());
-    }
-  }
-  return total;
+  BufferStats s = AggregateStats();
+  s.hits -= base.hits;
+  s.misses -= base.misses;
+  s.evictions -= base.evictions;
+  s.writebacks -= base.writebacks;
+  s.prefetch_issued -= base.prefetch_issued;
+  s.prefetch_hits -= base.prefetch_hits;
+  s.prefetch_wasted -= base.prefetch_wasted;
+  return s;
 }
 
 void BufferManager::ResetStats() {
-  // Resets the global counters only. Thread-local views are monotone and
-  // cannot be reset across threads; per-query accounting diffs them
-  // (before/after), which is reset-agnostic.
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-  writebacks_.store(0, std::memory_order_relaxed);
-  prefetch_issued_.store(0, std::memory_order_relaxed);
-  prefetch_hits_.store(0, std::memory_order_relaxed);
-  prefetch_wasted_.store(0, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(reset_mu_);
+  reset_baseline_ = AggregateStats();
   prefetch_inflight_peak_.store(0, std::memory_order_relaxed);
 }
 

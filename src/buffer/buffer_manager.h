@@ -67,17 +67,14 @@
 // abandonment doesn't apply to them; a failed fetch is delivered to the
 // first claimer as its read's error, and later waiters re-issue fresh.
 //
-// Statistics: the global counters (stats()) are atomics, exact under any
-// concurrency. Per-query cost accounting comes from the outcome each Read /
-// TryRead reports to its caller (TryReadOutcome), so it is exact however
-// many queries share a thread. Every hit/miss is also recorded in a
-// thread-local table keyed by buffer instance; ThreadStats() returns the
-// calling thread's view (for callers that own their thread, such as the
-// ε-join and multiway joins). The per-thread tables register themselves
-// in a global registry and fold their counts into a retired pool when
-// their thread exits, so AggregateStats() — the sum over all threads,
-// living and dead — never undercounts a batch whose workers finished
-// before collection.
+// Statistics: the buffer keeps one set of counters, atomics that only
+// grow and are exact under any concurrency. AggregateStats() returns them
+// as they stand; stats() returns them minus the baseline ResetStats()
+// recorded, so a reset restarts stats() from zero while AggregateStats()
+// stays monotone for before/after deltas across a whole batch. Per-query
+// cost accounting comes from the outcome each Read / TryRead reports to
+// its caller (TryReadOutcome), so it is exact however many queries share
+// a thread or a buffer.
 // Every hit/miss/eviction also feeds the process-wide metrics registry
 // (obs/kcpq_metrics.h: kcpq_buffer_*_total).
 
@@ -100,10 +97,6 @@
 #include "storage/storage_manager.h"
 
 namespace kcpq {
-
-namespace internal {
-struct BufferTlsCounters;  // buffer_manager.cc
-}  // namespace internal
 
 /// Hit/miss accounting snapshot. `misses` equals the *demand* physical
 /// reads this buffer caused — the paper's disk-access metric, unchanged by
@@ -238,19 +231,13 @@ class BufferManager {
   size_t shards() const { return shards_.size(); }
   size_t resident() const;
 
-  /// Snapshot of the global counters (by value: they are atomics).
+  /// The counters since the last ResetStats() (since construction when
+  /// never reset).
   BufferStats stats() const;
-  /// The calling thread's contribution to the counters — the basis for
-  /// per-query disk-access deltas when queries run concurrently. Threads
-  /// that never touched this buffer see all-zero stats.
-  BufferStats ThreadStats() const;
-  /// Sum of every thread's contribution to this buffer, including threads
-  /// that have already exited (their counts are retired into a global
-  /// pool on thread exit). Unlike stats(), this is unaffected by
-  /// ResetStats(), so batch-level hit ratios computed from before/after
-  /// AggregateStats() deltas are exact even when worker threads are gone
-  /// by collection time.
+  /// The counters since construction, unaffected by ResetStats(): deltas
+  /// of two snapshots are exact however the buffer was reset in between.
   BufferStats AggregateStats() const;
+  /// Restarts stats() from zero (and the prefetch in-flight peak).
   void ResetStats();
 
   StorageManager* storage() const { return storage_; }
@@ -351,9 +338,6 @@ class BufferManager {
   void CountPrefetchHit();
   void CountPrefetchWasted();
 
-  /// This thread's stats slot for this buffer instance.
-  internal::BufferTlsCounters& Tls() const;
-
   void CountHit();
   void CountMiss();
 
@@ -362,14 +346,18 @@ class BufferManager {
   /// unique_ptr: Shard holds a mutex and cannot move.
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// Distinguishes buffer instances in the thread-local stats table (ids
+  /// Distinguishes buffer instances in a query's ResourceAccountant (ids
   /// are never reused, unlike addresses).
   const uint64_t instance_id_;
 
+  /// Monotone since construction (AggregateStats); stats() subtracts the
+  /// snapshot the last ResetStats() took.
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> writebacks_{0};
+  mutable std::mutex reset_mu_;
+  BufferStats reset_baseline_;
 
   PrefetchArea prefetch_;
   /// Set once by the first Prefetch call; the demand-read hot path checks

@@ -1,7 +1,12 @@
 // Distance range join (ε-join): report every pair (p, q) in P x Q with
-// dist(p, q) <= epsilon. The fixed-radius sibling of the K-CPQ — the same
-// MINMINDIST pruning applies with a constant bound instead of an evolving
-// one, so it shares the traversal machinery of the cpq engine.
+// dist(p, q) <= epsilon. The fixed-radius sibling of the K-CPQ: the
+// paper's EXH algorithm with its bound T fixed at ε instead of tightened.
+// DistanceRangeJoin runs the K-CPQ state machine (cpq/resumable.h) inline
+// under QueryObjective::EpsilonJoin: a node pair is pruned when its
+// MINMINDIST > ε, children are visited in entry order, and every leaf pair
+// at distance <= ε (ε included) is kept. Pairs, disk and node accesses,
+// work counters and the certificate are pinned by
+// tests/golden/differential_distance_join.txt.
 
 #ifndef KCPQ_CPQ_DISTANCE_JOIN_H_
 #define KCPQ_CPQ_DISTANCE_JOIN_H_
@@ -34,7 +39,7 @@ struct DistanceJoinOptions {
   /// quality.missing_pair_bound caps how many qualifying pairs the partial
   /// result can be missing (the sum of pair capacities over deferred node
   /// pairs with MINMINDIST <= ε). The memory budget meters the
-  /// materialized result vector.
+  /// materialized results on top of the traversal's candidate state.
   QueryContext* context = nullptr;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "geometry/metrics.h"
 #include "obs/explain.h"
@@ -59,19 +60,24 @@ DescendChoice ChooseDescend(int level_p, int level_q,
 }
 
 CpqEngine::CpqEngine(const RStarTree& tree_p, const RStarTree& tree_q,
-                     const CpqOptions& options, CpqStats* stats)
+                     const CpqOptions& options,
+                     const QueryObjective& objective, CpqStats* stats)
     : tree_p_(tree_p),
       tree_q_(tree_q),
       options_(options),
       stats_(stats != nullptr ? stats : &local_stats_),
-      objective_(options.family, options.metric, options.query_rect),
-      results_(options.k, objective_),
-      bound_(std::numeric_limits<double>::infinity()),
+      objective_(objective),
+      // An ε-join keeps every qualifying pair (ProcessLeaves enforces its
+      // cap) and certifies no ranks: it has no K.
+      results_(objective.fixed_bound() ? std::numeric_limits<size_t>::max()
+                                       : options.k,
+               objective_),
+      bound_(objective.InitialBound()),
       context_(options.context),
       profile_(context_ != nullptr ? context_->profile() : nullptr),
       trace_(context_ != nullptr ? context_->trace() : nullptr),
       observation_(context_ != nullptr ? context_->observation() : nullptr),
-      certificate_(options.k) {}
+      certificate_(objective.fixed_bound() ? 0 : options.k) {}
 
 void CpqEngine::FinalizeQualityAndTrace() {
   // Quality certificate. A completed query keeps the default (exact,
@@ -83,7 +89,17 @@ void CpqEngine::FinalizeQualityAndTrace() {
   stats_->quality.stop_cause = stop_;
   stats_->quality.pairs_found = results_.size();
   stats_->quality.bound_is_upper = objective_.BoundIsUpper();
-  if (stop_ != StopCause::kNone) {
+  if (stop_ != StopCause::kNone && objective_.fixed_bound()) {
+    // ε-join: the stop is harmless when nothing within ε was left
+    // unexpanded; otherwise the deferred pairs within ε bound how many
+    // qualifying pairs are missing. No per-rank bounds: there is no K.
+    stats_->quality.guaranteed_lower_bound =
+        objective_.KeyToDistance(frontier_min_pow_);
+    stats_->quality.is_exact = frontier_min_pow_ > bound_;
+    if (!stats_->quality.is_exact) {
+      stats_->quality.missing_pair_bound = missing_pairs_;
+    }
+  } else if (stop_ != StopCause::kNone) {
     stats_->quality.guaranteed_lower_bound =
         objective_.KeyToDistance(frontier_min_pow_);
     stats_->quality.is_exact =
@@ -142,13 +158,17 @@ bool CpqEngine::ShouldStop(uint64_t extra_bytes) {
   if (stop_ != StopCause::kNone) return true;
   if (context_ == nullptr) return false;
   // The context checks the *unified* footprint: the engine bytes recorded
-  // here plus every distinct buffer page the query has read.
-  stop_ = context_->Check(node_accesses_, candidate_bytes_ + extra_bytes);
+  // here plus every distinct buffer page the query has read. An ε-join's
+  // results grow without bound, so they are metered too.
+  const uint64_t result_bytes =
+      objective_.fixed_bound() ? results_.size() * sizeof(PairResult) : 0;
+  stop_ = context_->Check(node_accesses_,
+                          candidate_bytes_ + result_bytes + extra_bytes);
   return stop_ != StopCause::kNone;
 }
 
-void CpqEngine::ProcessLeaves(const Node& node_p, const Node& node_q,
-                              bool same_node) {
+Status CpqEngine::ProcessLeaves(const Node& node_p, const Node& node_q,
+                                bool same_node) {
   // Leaf entries are degenerate rects for point data and real boxes for
   // extended objects; the object distance is MINMINDIST of the rects
   // (which collapses to the point distance for points), reported via a
@@ -159,6 +179,13 @@ void CpqEngine::ProcessLeaves(const Node& node_p, const Node& node_q,
   // arbitrary order — normalize on output); within one node, the id filter
   // keeps each unordered pair once and drops reflexive pairs. The filter
   // lives inside `consider` so both kernels apply identical rules.
+  //
+  // A K-best query keeps a pair only if it beats the K-th best so far; an
+  // ε-join keeps every pair with key <= T = ε (distance == ε included)
+  // and fails once it would hold more than options.k of them. `consider`
+  // returns false only for that failure, which aborts the enumeration.
+  const bool join = objective_.fixed_bound();
+  Status status;
   const auto consider = [&](const Entry& ep, const Entry& eq) {
     if (options_.self_join) {
       if (same_node) {
@@ -170,7 +197,14 @@ void CpqEngine::ProcessLeaves(const Node& node_p, const Node& node_q,
     if (!objective_.LeafPairEligible(ep.rect, eq.rect)) return true;
     ++stats_->point_distance_computations;
     const double key = objective_.LeafKey(ep.rect, eq.rect);
-    if (key >= results_.Bound()) return true;  // cheap reject before points
+    // Cheap reject before points.
+    if (join ? key > bound_ : key >= results_.Bound()) return true;
+    if (join && results_.size() >= options_.k) {
+      status = Status::ResourceExhausted(
+          "distance join exceeded max_results = " +
+          std::to_string(options_.k));
+      return false;
+    }
     Point p, q;
     ClosestPoints(ep.rect, eq.rect, &p, &q);
     if (options_.self_join && ep.id > eq.id) {
@@ -193,18 +227,20 @@ void CpqEngine::ProcessLeaves(const Node& node_p, const Node& node_q,
     // heap's bound, so their full distance would fail the `key >= Bound()`
     // reject above — identical results, fewer distance computations. The
     // bound is re-read per skip test, so pairs offered early in this very
-    // sweep tighten it for the rest.
+    // sweep tighten it for the rest. The ε-join's sweep is strict: a pair
+    // whose separation equals ε may still qualify.
     const uint64_t total =
         static_cast<uint64_t>(node_p.entries.size()) * node_q.entries.size();
     const uint64_t visited = PlaneSweepPairs(
-        node_p.entries, node_q.entries, options_.metric, /*strict=*/false,
+        node_p.entries, node_q.entries, options_.metric, /*strict=*/join,
         &sweep_scratch_, [](const Entry& e) -> const Rect& { return e.rect; },
-        [&] { return results_.Bound(); }, consider);
+        [&] { return join ? bound_ : results_.Bound(); }, consider);
+    if (!status.ok()) return status;
     stats_->leaf_pairs_skipped += total - visited;
   } else {
     for (const Entry& ep : node_p.entries) {
       for (const Entry& eq : node_q.entries) {
-        consider(ep, eq);
+        if (!consider(ep, eq)) return status;
       }
     }
   }
@@ -221,6 +257,7 @@ void CpqEngine::ProcessLeaves(const Node& node_p, const Node& node_q,
     e.b = node_q.entries.size();
     trace_->Record(e);
   }
+  return Status::OK();
 }
 
 void CpqEngine::GenerateCandidates(const NodeRef& ref_p, const Node& node_p,

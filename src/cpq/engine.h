@@ -83,18 +83,24 @@ DescendChoice ChooseDescend(int level_p, int level_q, HeightStrategy strategy);
 /// itself — the recursive descent of kNaive/kExhaustive/kSimple/
 /// kSortedDistances and the best-first heap loop of kHeap — is the state
 /// machine ResumableCpqQuery (cpq/resumable.h), which owns one engine and
-/// drives these kernels against its state.
+/// drives these kernels against its state. Under a fixed-bound objective
+/// (QueryObjective::EpsilonJoin) the same kernels run the ε-join: T stays
+/// at ε, the result store is unbounded, and options.k caps its size.
 class CpqEngine {
  public:
   CpqEngine(const RStarTree& tree_p, const RStarTree& tree_q,
-            const CpqOptions& options, CpqStats* stats);
+            const CpqOptions& options, const QueryObjective& objective,
+            CpqStats* stats);
 
  private:
   friend class ::kcpq::ResumableCpqQuery;
 
   /// Brute-force distance scan of two leaves; feeds the result heap and
-  /// tightens T. `same_node` drives the self-join duplicate rules.
-  void ProcessLeaves(const Node& node_p, const Node& node_q, bool same_node);
+  /// tightens T. `same_node` drives the self-join duplicate rules. Fails
+  /// only when an ε-join finds more than options.k pairs
+  /// (ResourceExhausted, its max_results guard).
+  Status ProcessLeaves(const Node& node_p, const Node& node_q,
+                       bool same_node);
 
   /// Generates the child pairs of (ref_p, ref_q) according to the descend
   /// choice, with minmin / tie / min_pairs filled in.
@@ -113,16 +119,23 @@ class CpqEngine {
 
   /// Polls the QueryContext (at node-pair granularity). Once a stop cause
   /// is latched it stays latched — the traversal switches from expanding
-  /// the frontier to draining it into the certificate.
+  /// the frontier to draining it into the certificate. The metered bytes
+  /// are the candidate state plus `extra_bytes`, and for an ε-join its
+  /// materialised results.
   bool ShouldStop(uint64_t extra_bytes);
 
   /// Records an unexpanded node pair: its key (the minimum over all of
   /// them certifies that no undiscovered pair can beat it — "closer" for
   /// minimizing families, "farther" for kFarthest) and its pair capacity,
-  /// which refines the certificate per rank.
+  /// which refines the certificate per rank — or, for an ε-join, counts
+  /// toward the qualifying pairs it may hide when its key is within ε.
   void FoldFrontier(double key, uint64_t max_pairs) {
     frontier_min_pow_ = std::min(frontier_min_pow_, key);
     certificate_.Add(key, std::max<uint64_t>(max_pairs, 1));
+    if (objective_.fixed_bound() && key <= bound_) {
+      missing_pairs_ =
+          SaturatingAdd(missing_pairs_, std::max<uint64_t>(max_pairs, 1));
+    }
   }
 
   /// Reports a strict improvement of the pruning bound T to the attached
@@ -197,6 +210,9 @@ class CpqEngine {
   double frontier_min_pow_ = std::numeric_limits<double>::infinity();
   /// Per-rank refinement of the frontier bound (see FrontierCertificate).
   FrontierCertificate certificate_;
+  /// ε-join certificate: saturating sum of the pair capacities of deferred
+  /// node pairs with key <= ε (QueryQuality::missing_pair_bound).
+  uint64_t missing_pairs_ = 0;
   /// Last bound_ value reported to the profile/trace (power space).
   double reported_bound_ = std::numeric_limits<double>::infinity();
 };

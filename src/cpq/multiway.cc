@@ -108,11 +108,11 @@ class MultiwayEngine {
       root.slots.resize(m);
       Status root_status;
       for (size_t i = 0; i < m && root_status.ok(); ++i) {
-        Rect mbr;
-        root_status = trees_[i]->RootMbr(&mbr, ctx_);
+        Node node;
+        root_status = Read(i, trees_[i]->root_page(), &node);
         if (!root_status.ok()) break;
-        root.slots[i] =
-            SlotRef{trees_[i]->root_page(), trees_[i]->height() - 1, mbr};
+        root.slots[i] = SlotRef{trees_[i]->root_page(),
+                                trees_[i]->height() - 1, node.ComputeMbr()};
       }
       if (root_status.code() == StatusCode::kDeadlineExceeded) {
         // Storage abandoned a retry before anything was examined: partial
@@ -164,7 +164,7 @@ class MultiwayEngine {
       }
       Node node;
       const Status read_status =
-          trees_[expand]->ReadNode(tuple.slots[expand].page, &node, ctx_);
+          Read(static_cast<size_t>(expand), tuple.slots[expand].page, &node);
       if (read_status.code() == StatusCode::kDeadlineExceeded) {
         stop_ = StopCause::kDeadline;
         stop_bound_ = tuple.bound;
@@ -210,6 +210,17 @@ class MultiwayEngine {
   }
 
  private:
+  // Reads one node of tree `tree`, tallying a served miss as one of the
+  // query's disk accesses (all trees' accesses land in disk_accesses_p).
+  // The empty waker never parks: the read waits like BufferManager::Read.
+  Status Read(size_t tree, PageId page, Node* node) {
+    BufferManager::TryReadOutcome outcome;
+    KCPQ_RETURN_IF_ERROR(
+        trees_[tree]->TryReadNode(page, node, ctx_, Waker(), &outcome));
+    if (!outcome.hit) ++stats_->disk_accesses_p;
+    return Status::OK();
+  }
+
   bool ShouldStop(uint64_t heap_bytes) {
     if (stop_ != StopCause::kNone) return true;
     if (ctx_ == nullptr) return false;
@@ -231,8 +242,7 @@ class MultiwayEngine {
     const size_t m = tuple.slots.size();
     nodes_.resize(m);
     for (size_t i = 0; i < m; ++i) {
-      KCPQ_RETURN_IF_ERROR(
-          trees_[i]->ReadNode(tuple.slots[i].page, &nodes_[i], ctx_));
+      KCPQ_RETURN_IF_ERROR(Read(i, tuple.slots[i].page, &nodes_[i]));
       ++node_accesses_;
     }
     ++stats_->node_pairs_processed;
@@ -320,18 +330,11 @@ Result<std::vector<TupleResult>> MultiwayKClosestTuples(
   *s = CpqStats{};
   std::vector<TupleResult> out;
   if (options.k == 0) return out;
-  std::vector<BufferStats> before;
-  before.reserve(trees.size());
   for (const RStarTree* tree : trees) {
     if (tree->size() == 0) return out;
-    before.push_back(tree->buffer()->ThreadStats());
   }
   MultiwayEngine engine(trees, graph, options, s);
   KCPQ_RETURN_IF_ERROR(engine.Run(&out));
-  for (size_t i = 0; i < trees.size(); ++i) {
-    s->disk_accesses_p +=
-        trees[i]->buffer()->ThreadStats().misses - before[i].misses;
-  }
   return out;
 }
 

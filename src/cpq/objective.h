@@ -36,6 +36,11 @@
 // sound, whether candidate capacities may tighten T, and — for the
 // range-restricted family — which subtrees and leaf pairs are eligible
 // at all.
+//
+// The ε-join (cpq/distance_join.h) is the closest family with T fixed:
+// QueryObjective::EpsilonJoin carries ε the way kRangeClosest carries its
+// rect, and the engine runs EXH with T = ε from the start, never
+// tightening it, keeping every leaf pair with key <= T.
 
 #ifndef KCPQ_CPQ_OBJECTIVE_H_
 #define KCPQ_CPQ_OBJECTIVE_H_
@@ -78,6 +83,16 @@ class QueryObjective {
   QueryObjective() = default;
   QueryObjective(QueryFamily family, Metric metric, const Rect& rect = Rect{})
       : family_(family), metric_(metric), rect_(rect) {}
+
+  /// The ε-join's objective: closest pairs with the pruning bound fixed at
+  /// `epsilon` (a true distance, >= 0). Every pair at distance <= ε
+  /// qualifies, so the answer is a set of unbounded size, not a top K.
+  static QueryObjective EpsilonJoin(Metric metric, double epsilon) {
+    QueryObjective o(QueryFamily::kClosest, metric);
+    o.fixed_bound_ = true;
+    o.initial_bound_ = DistanceToPow(epsilon, metric);
+    return o;
+  }
 
   QueryFamily family() const { return family_; }
   Metric metric() const { return metric_; }
@@ -152,10 +167,20 @@ class QueryObjective {
   /// most this far" — an upper bound (QueryQuality::bound_is_upper).
   bool BoundIsUpper() const { return family_ == QueryFamily::kFarthest; }
 
+  /// True for the ε-join: T starts at InitialBound() and never moves, a
+  /// leaf pair with key == T qualifies, and the result set is unbounded.
+  bool fixed_bound() const { return fixed_bound_; }
+
+  /// The pruning bound T before any pair is found (key space): ε's power
+  /// for the ε-join, +infinity for the K-best families.
+  double InitialBound() const { return initial_bound_; }
+
  private:
   QueryFamily family_ = QueryFamily::kClosest;
   Metric metric_ = Metric::kL2;
   Rect rect_{};
+  bool fixed_bound_ = false;
+  double initial_bound_ = std::numeric_limits<double>::infinity();
 };
 
 }  // namespace kcpq

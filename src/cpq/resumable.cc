@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <utility>
 
 #include "geometry/metrics.h"
@@ -38,11 +37,23 @@ ResumableCpqQuery::ResumableCpqQuery(const RStarTree& tree_p,
                                      const RStarTree& tree_q,
                                      CpqOptions options, CpqStats* stats,
                                      Waker waker)
+    : ResumableCpqQuery(tree_p, tree_q, options,
+                        QueryObjective(options.family, options.metric,
+                                       options.query_rect),
+                        stats, std::move(waker)) {}
+
+ResumableCpqQuery::ResumableCpqQuery(const RStarTree& tree_p,
+                                     const RStarTree& tree_q,
+                                     CpqOptions options,
+                                     const QueryObjective& objective,
+                                     CpqStats* stats, Waker waker)
     : options_(std::move(options)),
-      engine_(tree_p, tree_q, options_, stats),
+      engine_(tree_p, tree_q, options_, objective, stats),
       waker_(std::move(waker)) {
 #if KCPQ_METRICS
-  timed_ = obs::Enabled();
+  // Like the semi-join, an ε-join feeds no per-family latency histogram:
+  // its cost scales with its answer, not with a K.
+  timed_ = obs::Enabled() && !objective.fixed_bound();
 #endif
   if (timed_) start_ = std::chrono::steady_clock::now();
 }
@@ -126,10 +137,11 @@ bool ResumableCpqQuery::StartPhase() {
   // "considered" that no GenerateCandidates call accounts for.
   if (e.profile_ != nullptr) e.profile_->Considered(root_level_, 1);
   // Pre-trip check: a pre-cancelled or pre-expired query touches no pages.
-  // Nothing was examined, so it certifies nothing (bound 0 at every rank).
+  // Nothing was examined, so it certifies nothing (bound 0 at every rank;
+  // every pair of P x Q may be missing).
   if (e.ShouldStop(0)) {
     e.FoldFrontier(e.objective_.WeakestKey(),
-                   std::numeric_limits<uint64_t>::max());
+                   SaturatingMul(e.tree_p_.size(), e.tree_q_.size()));
     if (e.profile_ != nullptr) e.profile_->Deferred(root_level_, 1);
     phase_ = Phase::kFinish;
   } else {
@@ -153,7 +165,7 @@ bool ResumableCpqQuery::ReadRoot(bool is_p, StepResult* parked) {
     // a vacuous certificate, same as a pre-expired deadline.
     e.stop_ = StopCause::kDeadline;
     e.FoldFrontier(e.objective_.WeakestKey(),
-                   std::numeric_limits<uint64_t>::max());
+                   SaturatingMul(e.tree_p_.size(), e.tree_q_.size()));
     if (e.profile_ != nullptr) e.profile_->Deferred(root_level_, 1);
     phase_ = Phase::kFinish;
     return true;
@@ -485,7 +497,9 @@ ResumableTask::StepResult ResumableCpqQuery::Step() {
         const DescendChoice choice = ChooseDescend(
             node_p_.level, node_q_.level, options_.height_strategy);
         if (choice == DescendChoice::kLeaves) {
-          e.ProcessLeaves(node_p_, node_q_, cur_p_.page == cur_q_.page);
+          const Status s =
+              e.ProcessLeaves(node_p_, node_q_, cur_p_.page == cur_q_.page);
+          if (!s.ok()) return Fail(s);
           AdvanceRecursive();
           continue;
         }
@@ -539,7 +553,9 @@ ResumableTask::StepResult ResumableCpqQuery::Step() {
         const DescendChoice choice = ChooseDescend(
             node_p_.level, node_q_.level, options_.height_strategy);
         if (choice == DescendChoice::kLeaves) {
-          e.ProcessLeaves(node_p_, node_q_, cur_p_.page == cur_q_.page);
+          const Status s =
+              e.ProcessLeaves(node_p_, node_q_, cur_p_.page == cur_q_.page);
+          if (!s.ok()) return Fail(s);
           phase_ = Phase::kHeapLoop;
           continue;
         }

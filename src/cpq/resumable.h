@@ -1,6 +1,7 @@
 // K-CPQ execution as an explicit state machine: the one traversal of all
 // five algorithms (the recursive descent of NAIVE/EXH/SIM/STD and the
-// best-first heap loop of HEAP) for every query family.
+// best-first heap loop of HEAP) for every query family, and of the ε-join
+// (EXH with T fixed at ε, cpq/distance_join.h).
 //
 // The machine owns a CpqEngine (cpq/engine.h: kernels plus per-query
 // state) and drives it phase by phase. Every node read goes through
@@ -11,8 +12,8 @@
 //     BufferManager::Read: the QueryContext reaches storage
 //     (deadline-aware retry abandonment, replication tallies) and an
 //     in-flight staged page is awaited. One Step() call runs the query to
-//     completion. KClosestPairs, SelfKClosestPairs and the blocking batch
-//     scheduler drive the machine this way.
+//     completion. KClosestPairs, SelfKClosestPairs, DistanceRangeJoin and
+//     the blocking batch scheduler drive the machine this way.
 //   * Scheduler waker (multiplexed). A non-resident page registers the
 //     waker with the buffer's in-flight fetch and Step() returns kParked.
 //     exec::ResumableScheduler re-runs the task when the page lands, so a
@@ -28,8 +29,8 @@
 //      a stop poll, so a parked query observes no extra deadline polls.
 //   2. One count. Disk accesses are tallied from each read's
 //      TryReadOutcome, which counts a miss when the page is claimed, not
-//      when a fetch is issued. (Thread-local buffer deltas would be
-//      meaningless when many queries share a worker thread.)
+//      when a fetch is issued. (Buffer-wide counter deltas would mix in
+//      every other query sharing the buffer.)
 //   3. One epilogue. The finish step fills the stats and the certificate
 //      and folds the kcpq_cpq_* metrics, once per successful query.
 //
@@ -65,6 +66,13 @@ class ResumableCpqQuery final : public ResumableTask {
   /// from I/O completion threads until Step() has returned kDone.
   ResumableCpqQuery(const RStarTree& tree_p, const RStarTree& tree_q,
                     CpqOptions options, CpqStats* stats, Waker waker);
+  /// The same machine under an explicit objective (the constructor above
+  /// derives it from options.family / metric / query_rect).
+  /// DistanceRangeJoin passes QueryObjective::EpsilonJoin and runs
+  /// kExhaustive with options.k as its result cap (cpq/distance_join.h).
+  ResumableCpqQuery(const RStarTree& tree_p, const RStarTree& tree_q,
+                    CpqOptions options, const QueryObjective& objective,
+                    CpqStats* stats, Waker waker);
   ~ResumableCpqQuery() override;
 
   StepResult Step() override;

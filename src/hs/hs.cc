@@ -162,8 +162,8 @@ class JoinImpl {
   bool have_pending_ = false;
   Node node_a_, node_b_;
   bool have_a_ = false, have_b_ = false;
-  /// Per-query I/O tallies from read outcomes (thread-local buffer deltas
-  /// are meaningless when many queries multiplex one worker).
+  /// Per-query I/O tallies from read outcomes (buffer-wide counters mix
+  /// every query that shares the buffer).
   uint64_t misses_p_ = 0;
   uint64_t misses_q_ = 0;
   uint64_t prefetch_hits_local_ = 0;

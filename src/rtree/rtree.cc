@@ -116,9 +116,9 @@ Status RStarTree::WriteNode(PageId page, const Node& node) {
   return buffer_->Write(page, raw);
 }
 
-Status RStarTree::RootMbr(Rect* mbr, QueryContext* ctx) const {
+Status RStarTree::RootMbr(Rect* mbr) const {
   Node root;
-  KCPQ_RETURN_IF_ERROR(ReadNode(root_page_, &root, ctx));
+  KCPQ_RETURN_IF_ERROR(ReadNode(root_page_, &root));
   *mbr = root.ComputeMbr();
   return Status::OK();
 }

@@ -137,7 +137,7 @@ class RStarTree {
                      BufferManager::TryReadOutcome* outcome) const;
 
   /// Tight MBR of the whole tree (reads the root). Empty rect if empty.
-  Status RootMbr(Rect* mbr, QueryContext* ctx = nullptr) const;
+  Status RootMbr(Rect* mbr) const;
 
   /// Writes metadata and flushes the buffer to storage.
   Status Flush();

@@ -240,9 +240,8 @@ TEST(BufferManagerTest, PageChargesCountAgainstMemoryBudget) {
   EXPECT_EQ(ctx.Check(0, 0), StopCause::kMemoryBudget);  // 3 pages >= limit
 }
 
-// AggregateStats sums the per-thread tables across every thread that ever
-// touched this buffer — including threads that have already exited, whose
-// counters fold into a retired store on thread teardown.
+// AggregateStats counts every thread that ever touched this buffer —
+// including threads that have already exited.
 TEST(BufferManagerTest, AggregateStatsSurvivesThreadExit) {
   MemoryStorageManager storage(64);
   const auto ids = Populate(&storage, 3);
@@ -258,15 +257,46 @@ TEST(BufferManagerTest, AggregateStatsSurvivesThreadExit) {
     KCPQ_ASSERT_OK(buffer.Read(ids[1], &worker_out));  // miss
     KCPQ_ASSERT_OK(buffer.Read(ids[1], &worker_out));  // hit
   });
-  worker.join();  // worker's thread-locals are gone now
-
-  // ThreadStats is per-thread: the main thread never sees worker counts.
-  EXPECT_EQ(buffer.ThreadStats().hits, 1u);
-  EXPECT_EQ(buffer.ThreadStats().misses, 1u);
+  worker.join();
 
   const BufferStats total = buffer.AggregateStats();
   EXPECT_EQ(total.hits, 3u);
   EXPECT_EQ(total.misses, 2u);
+}
+
+// ResetStats restarts stats() from zero, while AggregateStats stays
+// monotone across it: before/after deltas of AggregateStats (the scrub
+// probe's, bench_e2e's) are exact however the buffer was reset between
+// them.
+TEST(BufferManagerTest, AggregateStatsMonotoneAcrossReset) {
+  MemoryStorageManager storage(64);
+  const auto ids = Populate(&storage, 3);
+  BufferManager buffer(&storage, 2);
+  Page out;
+  KCPQ_ASSERT_OK(buffer.Read(ids[0], &out));  // miss
+  KCPQ_ASSERT_OK(buffer.Read(ids[0], &out));  // hit
+  const BufferStats before = buffer.AggregateStats();
+  EXPECT_EQ(before.misses, 1u);
+  EXPECT_EQ(before.hits, 1u);
+
+  buffer.ResetStats();
+  EXPECT_EQ(buffer.stats().misses, 0u);
+  EXPECT_EQ(buffer.stats().hits, 0u);
+  EXPECT_EQ(buffer.AggregateStats().misses, before.misses);
+  EXPECT_EQ(buffer.AggregateStats().hits, before.hits);
+
+  KCPQ_ASSERT_OK(buffer.Read(ids[1], &out));  // miss
+  KCPQ_ASSERT_OK(buffer.Read(ids[2], &out));  // miss, evicts ids[0]
+  KCPQ_ASSERT_OK(buffer.Read(ids[1], &out));  // hit
+  const BufferStats since_reset = buffer.stats();
+  EXPECT_EQ(since_reset.misses, 2u);
+  EXPECT_EQ(since_reset.hits, 1u);
+  EXPECT_EQ(since_reset.evictions, 1u);
+  const BufferStats after = buffer.AggregateStats();
+  EXPECT_EQ(after.misses - before.misses, 2u);
+  EXPECT_EQ(after.hits - before.hits, 1u);
+  EXPECT_EQ(after.misses, 3u);
+  EXPECT_EQ(after.evictions, 1u);
 }
 
 // Aggregation is keyed by buffer instance: two buffers over one storage
@@ -287,8 +317,7 @@ TEST(BufferManagerTest, AggregateStatsIsPerInstance) {
 }
 
 // Concurrent readers while another thread aggregates: exercised under
-// TSan in CI to prove the per-thread tables and the retired fold are
-// race-free.
+// TSan in CI to prove the counters are race-free.
 TEST(BufferManagerTest, AggregateStatsConcurrentWithReaders) {
   MemoryStorageManager storage(64);
   const auto ids = Populate(&storage, 4);

@@ -1004,8 +1004,9 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
 
   // Single-query instrumentation: the query's one context carries the
   // limit flags and owns the pruning profile (--explain) and/or the trace
-  // ring (--trace-out); the buffer counters of this thread before the
-  // query let the report show the query's own hits/misses. With telemetry
+  // ring (--trace-out); the buffer counters before the query let the
+  // report show the query's own hits/misses (it is the buffers' only
+  // reader: the scrub probe reads storage, not the buffer). With telemetry
   // on, both sinks are attached so the flight recorder can serve
   // /queries/<id>/trace and /queries/<id>/explain afterwards.
   QueryContext ctx;
@@ -1025,8 +1026,8 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
         options.k);
     ctx.set_observation(live.get());
   }
-  const BufferStats buffer_before_p = p.buffer->ThreadStats();
-  const BufferStats buffer_before_q = q.buffer->ThreadStats();
+  const BufferStats buffer_before_p = p.buffer->stats();
+  const BufferStats buffer_before_q = q.buffer->stats();
 
   CpqStats stats;
   Timer timer;
@@ -1074,8 +1075,8 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
   std::string explain_text;
   uint64_t admission_estimate_bytes = 0;
   if (want_profile) {
-    const BufferStats after_p = p.buffer->ThreadStats();
-    const BufferStats after_q = q.buffer->ThreadStats();
+    const BufferStats after_p = p.buffer->stats();
+    const BufferStats after_q = q.buffer->stats();
 
     // The cost model's view of this query, for the estimate-vs-measured
     // line (an advisory controller is just the estimator).
