@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <thread>
+
+#include <sys/utsname.h>
 
 #include "buffer/replacement_policy.h"
 #include "storage/latency_storage.h"
@@ -224,9 +227,36 @@ void BenchJson::AddTable(const std::string& key, const Table& table) {
   tables_.emplace_back(key, table);
 }
 
+namespace {
+
+/// The machine a BENCH file was measured on: cores, kernel, compiler and
+/// build type, as one JSON object.
+std::string HostJson() {
+  utsname uts{};
+  const std::string kernel = uname(&uts) == 0 ? uts.release : "unknown";
+#if defined(__clang__)
+  const std::string compiler = "clang-" + std::to_string(__clang_major__) +
+                               "." + std::to_string(__clang_minor__) + "." +
+                               std::to_string(__clang_patchlevel__);
+#else
+  const std::string compiler = "gcc-" + std::to_string(__GNUC__) + "." +
+                               std::to_string(__GNUC_MINOR__) + "." +
+                               std::to_string(__GNUC_PATCHLEVEL__);
+#endif
+  std::ostringstream out;
+  out << "{\"nproc\": " << std::thread::hardware_concurrency()
+      << ", \"kernel\": \"" << JsonEscape(kernel) << "\", \"compiler\": \""
+      << JsonEscape(compiler) << "\", \"build_type\": \""
+      << JsonEscape(KCPQ_BENCH_BUILD_TYPE) << "\"}";
+  return out.str();
+}
+
+}  // namespace
+
 void BenchJson::Write() const {
   std::ostringstream out;
   out << "{\n  \"bench\": \"" << JsonEscape(name_) << "\",\n"
+      << "  \"host\": " << HostJson() << ",\n"
       << "  \"repro_scale\": " << FormatDouble(ReproScale()) << ",\n"
       << "  \"scalars\": {";
   for (size_t i = 0; i < scalars_.size(); ++i) {

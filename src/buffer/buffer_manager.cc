@@ -54,8 +54,9 @@ BufferManager::~BufferManager() {
   Flush();
 }
 
-void BufferManager::CountHit() {
-  hits_.fetch_add(1, std::memory_order_relaxed);
+void BufferManager::CountHit(Shard& shard) {
+  shard.hits.store(shard.hits.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_relaxed);
   KCPQ_METRIC_INC(obs::KcpqMetrics::Get().buffer_hits_total);
 }
 
@@ -102,53 +103,172 @@ Status TracedStorageRead(StorageManager* storage, PageId id, Page* out,
   return s;
 }
 
+/// Where a capacity-0 node read lands before it is decoded: reused per
+/// thread, since nothing suspends between the landing and the decode.
+Page& NodeScratchPage() {
+  thread_local Page page;
+  return page;
+}
+
 }  // namespace
 
 Status BufferManager::Read(PageId id, Page* out, QueryContext* ctx,
                            TryReadOutcome* outcome) {
+  return Resolve(id, ReadTarget{out, nullptr}, ctx, Waker(), outcome);
+}
+
+Status BufferManager::TryRead(PageId id, Page* out, QueryContext* ctx,
+                              const Waker& waker, TryReadOutcome* outcome) {
+  return Resolve(id, ReadTarget{out, nullptr}, ctx, waker, outcome);
+}
+
+Status BufferManager::ReadNode(PageId id, Node* node, QueryContext* ctx,
+                               const Waker& waker, TryReadOutcome* outcome) {
+  return Resolve(id, ReadTarget{nullptr, node}, ctx, waker, outcome);
+}
+
+Status BufferManager::Resolve(PageId id, const ReadTarget& out,
+                              QueryContext* ctx, const Waker& waker,
+                              TryReadOutcome* outcome) {
   TryReadOutcome local;
   if (outcome == nullptr) outcome = &local;
   *outcome = TryReadOutcome{};
   if (ctx != nullptr) ctx->OnPageRead(instance_id_, id, storage_->page_size());
-  // A miss always counts as a disk access (the paper's metric) whether the
-  // page then arrives via a claimed prefetch or a synchronous read — the
-  // speculative read replaced exactly that physical access.
+  AfterUnlock after;
+  Status s;
   if (capacity_ == 0) {
+    // Pass-through (the paper's zero-buffer setting): every serve is a
+    // miss, and a node read decodes straight into the caller's node.
+    Page* page = out.page != nullptr ? out.page : &NodeScratchPage();
+    s = Fetch(id, page, ctx, waker, outcome, &after);
+    if (s.ok() && !outcome->parked && out.node != nullptr) {
+      s = DeserializeNode(*page, out.node);
+    }
+  } else {
+    Shard& shard = ShardFor(id);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    if (Frame* frame = FindResident(shard, id)) {
+      CountHit(shard);
+      shard.policy->OnAccess(id);
+      outcome->hit = true;
+      return Deliver(*frame, out);
+    }
+    // Miss: resolved under the shard lock, so concurrent readers of the
+    // same page trigger exactly one storage read per residency.
+    Page page;
+    s = Fetch(id, &page, ctx, waker, outcome, &after);
+    if (s.ok() && !outcome->parked) {
+      s = InsertFetched(shard, id, std::move(page), out);
+    }
+  }
+  for (const Waker& w : after.waiters) w();
+  if (after.issue) IssueDemandFetch(id);
+  return s;
+}
+
+Status BufferManager::Fetch(PageId id, Page* page, QueryContext* ctx,
+                            const Waker& waker, TryReadOutcome* outcome,
+                            AfterUnlock* after) {
+  // A miss always counts as a disk access (the paper's metric) whether the
+  // page then arrives via a claimed prefetch or a storage read — the
+  // speculative read replaced exactly that physical access.
+  if (!waker) {
     CountMiss();
     if (prefetch_active_.load(std::memory_order_relaxed) &&
-        ClaimPrefetched(id, out, ctx, &outcome->prefetch_claim)) {
+        ClaimPrefetched(id, page, ctx, &outcome->prefetch_claim)) {
       return Status::OK();
     }
-    return TracedStorageRead(storage_, id, out, ctx);
+    return TracedStorageRead(storage_, id, page, ctx);
   }
-  Shard& shard = ShardFor(id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.frames.find(id);
-  if (it != shard.frames.end()) {
-    CountHit();
-    shard.policy->OnAccess(id);
-    *out = it->second.page;
-    outcome->hit = true;
+  // A page with no staging entry that storage can copy without waiting
+  // (page-cache resident) is served inline, skipping the park/wake round
+  // trip — under the shard lock when capacity > 0, exactly like a
+  // blocking fetch (shard mu -> prefetch mu is the legal lock order).
+  if (!AreaHolds(id) && storage_->TryReadPageNow(id, page)) {
+    CountMiss();
     return Status::OK();
   }
-  // Miss: fetch under the shard lock, so concurrent readers of the same
-  // page trigger exactly one storage read per residency.
-  CountMiss();
-  Page page;
-  if (!(prefetch_active_.load(std::memory_order_relaxed) &&
-        ClaimPrefetched(id, &page, ctx, &outcome->prefetch_claim))) {
-    KCPQ_RETURN_IF_ERROR(TracedStorageRead(storage_, id, &page, ctx));
+  // Otherwise consult the staging area: claim, park, or start a fetch.
+  // Concurrent parkers coalesce on one fetch, but only the first re-runner
+  // claims it. At capacity 0 later ones find no entry and read again (one
+  // miss per read, like blocking pass-through reads); otherwise they find
+  // the page resident and hit — matching the blocking path, where threads
+  // queued on the shard mutex during the fetch hit the fresh frame.
+  bool served = false;
+  Status result;
+  {
+    std::lock_guard<std::mutex> lock(prefetch_.mu);
+    auto it = prefetch_.entries.find(id);
+    if (it == prefetch_.entries.end()) {
+      StartDemandFetchLocked(id, waker);
+      after->issue = true;
+    } else if (!it->second.ready) {
+      it->second.waiters.push_back(waker);
+    } else {
+      served = true;
+      result = it->second.status;
+      if (result.ok()) {
+        outcome->prefetch_claim = !it->second.demand;
+        ReleaseIssuerLocked(it->second, ctx);
+        *page = std::move(it->second.page);
+      }
+      after->waiters = std::move(it->second.waiters);
+      prefetch_.entries.erase(it);
+      prefetch_.PublishSizeLocked();
+    }
   }
-  return InsertFetched(shard, id, std::move(page), out);
+  if (!served) {
+    outcome->parked = true;
+    return Status::OK();
+  }
+  // The claim is this query's demand miss. A failed fetch still counts,
+  // like a failed synchronous read on the blocking path.
+  CountMiss();
+  if (outcome->prefetch_claim) CountPrefetchHit();
+  return result;
+}
+
+BufferManager::Frame* BufferManager::FindResident(Shard& shard,
+                                                  PageId id) const {
+  const size_t slot = id / shards_.size();
+  if (slot >= shard.table.size() || !shard.table[slot].resident) {
+    return nullptr;
+  }
+  return &shard.table[slot];
+}
+
+BufferManager::Frame& BufferManager::Place(Shard& shard, PageId id, Page page,
+                                           bool dirty) {
+  const size_t slot = id / shards_.size();
+  if (slot >= shard.table.size()) shard.table.resize(slot + 1);
+  Frame& frame = shard.table[slot];
+  frame.resident = true;
+  frame.dirty = dirty;
+  frame.decoded = false;
+  frame.page = std::move(page);
+  ++shard.resident;
+  return frame;
+}
+
+Status BufferManager::Deliver(Frame& frame, const ReadTarget& out) {
+  if (out.page != nullptr) {
+    *out.page = frame.page;
+    return Status::OK();
+  }
+  if (!frame.decoded) {
+    KCPQ_RETURN_IF_ERROR(DeserializeNode(frame.page, &frame.node));
+    if (frame.node.IsLeaf()) BuildAxisOrders(&frame.node);
+    frame.decoded = true;
+  }
+  *out.node = frame.node;
+  return Status::OK();
 }
 
 Status BufferManager::InsertFetched(Shard& shard, PageId id, Page page,
-                                    Page* out) {
+                                    const ReadTarget& out) {
   KCPQ_RETURN_IF_ERROR(EvictIfFull(shard));
   shard.policy->OnInsert(id);
-  *out = page;
-  shard.frames.emplace(id, Frame{std::move(page), /*dirty=*/false});
-  return Status::OK();
+  return Deliver(Place(shard, id, std::move(page), /*dirty=*/false), out);
 }
 
 bool BufferManager::AreaHolds(PageId id) const {
@@ -163,16 +283,16 @@ Status BufferManager::Write(PageId id, const Page& page) {
   }
   Shard& shard = ShardFor(id);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.frames.find(id);
-  if (it != shard.frames.end()) {
+  if (Frame* frame = FindResident(shard, id)) {
     shard.policy->OnAccess(id);
-    it->second.page = page;
-    it->second.dirty = true;
+    frame->page = page;
+    frame->dirty = true;
+    frame->decoded = false;
     return Status::OK();
   }
   KCPQ_RETURN_IF_ERROR(EvictIfFull(shard));
   shard.policy->OnInsert(id);
-  shard.frames.emplace(id, Frame{page, /*dirty=*/true});
+  Place(shard, id, page, /*dirty=*/true);
   return Status::OK();
 }
 
@@ -194,7 +314,7 @@ size_t BufferManager::Prefetch(const PageId* ids, size_t count,
       // Already resident: a speculative read would be pure waste. (The
       // page may still be evicted before the demand read arrives; that
       // just costs the synchronous read it would have cost anyway.)
-      if (shard.frames.count(id) > 0) continue;
+      if (FindResident(shard, id) != nullptr) continue;
     }
     wanted.push_back(id);
   }
@@ -376,132 +496,6 @@ void BufferManager::IssueDemandFetch(PageId id) {
       [this](AsyncPageRead done) { OnPrefetchComplete(std::move(done)); });
 }
 
-Status BufferManager::TryRead(PageId id, Page* out, QueryContext* ctx,
-                              const Waker& waker, TryReadOutcome* outcome) {
-  if (!waker) return Read(id, out, ctx, outcome);
-  *outcome = TryReadOutcome{};
-  if (ctx != nullptr) ctx->OnPageRead(instance_id_, id, storage_->page_size());
-  bool issue = false;
-  bool served = false;
-  bool prefetch_claim = false;
-  Status result;
-  std::vector<Waker> waiters;
-  if (capacity_ == 0) {
-    // Pass-through: every serve is a miss (the paper's zero-buffer
-    // setting). A page with no staging entry that storage can copy
-    // without waiting (page-cache resident) is served inline, skipping
-    // the park/wake round trip. Otherwise concurrent parkers coalesce on
-    // one fetch, but only the first re-runner claims it — later ones
-    // find no entry and read again, so each query still pays one miss
-    // per read, exactly like blocking pass-through reads.
-    if (!AreaHolds(id) && storage_->TryReadPageNow(id, out)) {
-      CountMiss();
-      return Status::OK();
-    }
-    {
-      std::lock_guard<std::mutex> lock(prefetch_.mu);
-      auto it = prefetch_.entries.find(id);
-      if (it == prefetch_.entries.end()) {
-        StartDemandFetchLocked(id, waker);
-        issue = true;
-      } else if (!it->second.ready) {
-        it->second.waiters.push_back(waker);
-      } else {
-        served = true;
-        result = it->second.status;
-        if (result.ok()) {
-          prefetch_claim = !it->second.demand;
-          ReleaseIssuerLocked(it->second, ctx);
-          *out = std::move(it->second.page);
-        }
-        waiters = std::move(it->second.waiters);
-        prefetch_.entries.erase(it);
-        prefetch_.PublishSizeLocked();
-      }
-    }
-    for (const Waker& w : waiters) w();
-    if (issue) IssueDemandFetch(id);
-    if (!served) {
-      outcome->parked = true;
-      return Status::OK();
-    }
-    CountMiss();
-    outcome->prefetch_claim = prefetch_claim;
-    if (prefetch_claim) CountPrefetchHit();
-    return result;
-  }
-  Shard& shard = ShardFor(id);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto fit = shard.frames.find(id);
-    if (fit != shard.frames.end()) {
-      CountHit();
-      shard.policy->OnAccess(id);
-      *out = fit->second.page;
-      outcome->hit = true;
-      return Status::OK();
-    }
-    // Non-resident and not staged: try the page-cache fast path under the
-    // shard lock, exactly like a blocking fetch (shard mu -> prefetch mu
-    // is the legal lock order for the staging check).
-    if (!AreaHolds(id)) {
-      Page page;
-      if (storage_->TryReadPageNow(id, &page)) {
-        CountMiss();
-        return InsertFetched(shard, id, std::move(page), out);
-      }
-    }
-    // Otherwise consult the staging area: claim, park, or start a fetch.
-    bool claimed = false;
-    Page page;
-    {
-      std::lock_guard<std::mutex> alock(prefetch_.mu);
-      auto it = prefetch_.entries.find(id);
-      if (it == prefetch_.entries.end()) {
-        StartDemandFetchLocked(id, waker);
-        issue = true;
-      } else if (!it->second.ready) {
-        it->second.waiters.push_back(waker);
-      } else {
-        served = true;
-        result = it->second.status;
-        if (result.ok()) {
-          claimed = true;
-          prefetch_claim = !it->second.demand;
-          ReleaseIssuerLocked(it->second, ctx);
-          page = std::move(it->second.page);
-        }
-        waiters = std::move(it->second.waiters);
-        prefetch_.entries.erase(it);
-        prefetch_.PublishSizeLocked();
-      }
-    }
-    if (claimed) {
-      // The claim is this query's demand miss: counted and inserted
-      // through the same eviction path as a blocking miss, so the
-      // replacement policy sees the identical history. Parked waiters on
-      // the erased entry re-run and find the page resident (a hit) —
-      // matching the blocking path, where threads queued on the shard
-      // mutex during the fetch hit the fresh frame.
-      CountMiss();
-      outcome->prefetch_claim = prefetch_claim;
-      if (prefetch_claim) CountPrefetchHit();
-      result = InsertFetched(shard, id, std::move(page), out);
-    } else if (served) {
-      // Failed fetch: the access still counts, like a failed synchronous
-      // read on the blocking path.
-      CountMiss();
-    }
-  }
-  for (const Waker& w : waiters) w();
-  if (issue) IssueDemandFetch(id);
-  if (!served) {
-    outcome->parked = true;
-    return Status::OK();
-  }
-  return result;
-}
-
 void BufferManager::DrainPrefetches() {
   size_t dropped = 0;
   std::vector<Waker> waiters;
@@ -548,10 +542,10 @@ Status BufferManager::Free(PageId id) {
   {
     Shard& shard = ShardFor(id);
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.frames.find(id);
-    if (it != shard.frames.end()) {
+    if (Frame* frame = FindResident(shard, id)) {
       shard.policy->OnErase(id);
-      shard.frames.erase(it);
+      *frame = Frame{};
+      --shard.resident;
     }
   }
   if (prefetch_active_.load(std::memory_order_relaxed)) {
@@ -585,30 +579,34 @@ Status BufferManager::EvictIfFull(Shard& shard) {
   // The empty check matters when capacity_pages < shards leaves this
   // shard with capacity 0: there is no victim to choose, and the caller
   // is about to insert — such a shard holds exactly its most recent page.
-  if (shard.frames.size() < shard.capacity || shard.frames.empty()) {
+  if (shard.resident < shard.capacity || shard.resident == 0) {
     return Status::OK();
   }
   const PageId victim = shard.policy->ChooseVictim();
-  auto it = shard.frames.find(victim);
+  Frame& frame = *FindResident(shard, victim);
   evictions_.fetch_add(1, std::memory_order_relaxed);
   KCPQ_METRIC_INC(obs::KcpqMetrics::Get().buffer_evictions_total);
-  if (it->second.dirty) {
+  if (frame.dirty) {
     writebacks_.fetch_add(1, std::memory_order_relaxed);
     KCPQ_METRIC_INC(obs::KcpqMetrics::Get().buffer_writebacks_total);
-    KCPQ_RETURN_IF_ERROR(storage_->WritePage(victim, it->second.page));
+    KCPQ_RETURN_IF_ERROR(storage_->WritePage(victim, frame.page));
   }
-  shard.frames.erase(it);
+  frame = Frame{};
+  --shard.resident;
   return Status::OK();
 }
 
 Status BufferManager::Flush() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (auto& [id, frame] : shard->frames) {
-      if (!frame.dirty) continue;
+  const size_t n = shards_.size();
+  for (size_t s = 0; s < n; ++s) {
+    Shard& shard = *shards_[s];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    for (size_t slot = 0; slot < shard.table.size(); ++slot) {
+      Frame& frame = shard.table[slot];
+      if (!frame.resident || !frame.dirty) continue;
       writebacks_.fetch_add(1, std::memory_order_relaxed);
       KCPQ_METRIC_INC(obs::KcpqMetrics::Get().buffer_writebacks_total);
-      KCPQ_RETURN_IF_ERROR(storage_->WritePage(id, frame.page));
+      KCPQ_RETURN_IF_ERROR(storage_->WritePage(slot * n + s, frame.page));
       frame.dirty = false;
     }
   }
@@ -617,10 +615,15 @@ Status BufferManager::Flush() {
 
 Status BufferManager::FlushAndClear() {
   KCPQ_RETURN_IF_ERROR(Flush());
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& [id, frame] : shard->frames) shard->policy->OnErase(id);
-    shard->frames.clear();
+  const size_t n = shards_.size();
+  for (size_t s = 0; s < n; ++s) {
+    Shard& shard = *shards_[s];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    for (size_t slot = 0; slot < shard.table.size(); ++slot) {
+      if (shard.table[slot].resident) shard.policy->OnErase(slot * n + s);
+    }
+    std::vector<Frame>().swap(shard.table);
+    shard.resident = 0;
   }
   if (prefetch_active_.load(std::memory_order_relaxed)) {
     // Cold cache means cold speculation too: drop staged pages, abandon
@@ -654,14 +657,16 @@ size_t BufferManager::resident() const {
   size_t total = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->frames.size();
+    total += shard->resident;
   }
   return total;
 }
 
 BufferStats BufferManager::AggregateStats() const {
   BufferStats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
+  for (const auto& shard : shards_) {
+    s.hits += shard->hits.load(std::memory_order_relaxed);
+  }
   s.misses = misses_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
   s.writebacks = writebacks_.load(std::memory_order_relaxed);

@@ -9,19 +9,28 @@
 // storage manager.
 //
 // Semantics are copy-in/copy-out: Read copies the cached page into the
-// caller's buffer, so callers never hold pointers into frames and no pin
-// protocol is needed (a 1 KiB copy per node access is far below the cost
-// of deserializing the node). Writes are write-back: dirty frames reach
-// storage on eviction or Flush.
+// caller's buffer and ReadNode the cached node into the caller's Node, so
+// callers never hold pointers into frames and no pin protocol is needed.
+// (Engines keep a node across a park, and a capacity-0 buffer has no
+// frames at all, so a caller-owned copy is needed either way.) A frame
+// keeps its page decoded: the first ReadNode of a residency runs
+// DeserializeNode under the shard lock and, for a leaf, builds both axis
+// orders of the plane-sweep kernel (rtree/node.h); later ReadNodes copy
+// the decoded node. Write, Free, eviction and FlushAndClear drop the
+// decoded copy with the bytes it came from. A page that fails to decode
+// is never cached as decoded: every ReadNode of it returns the decoder's
+// kCorruption, while Read still returns its bytes. Writes are write-back:
+// dirty frames reach storage on eviction or Flush.
 //
 // Locking protocol (since the parallel batch executor, src/exec/): the
 // frame table is split into `shards` independent shards, each owning a
-// mutex, a frames map, a replacement policy, and a slice of the capacity.
-// A page id maps to the shard `id % shards`; the shard's mutex is held for
-// the whole Read / Write / Free operation on that page, including the
-// storage call on a miss, so a page is fetched at most once per residency
-// and the policy sees a consistent history. Operations on pages of
-// different shards never contend. Flush / FlushAndClear / resident() lock
+// mutex, a frame table, a replacement policy, and a slice of the capacity.
+// A page id maps to the shard `id % shards` and, page ids being dense from
+// Allocate, to the slot `id / shards` of that shard's table. The shard's
+// mutex is held for the whole Read / Write / Free operation on that page,
+// including the storage call on a miss, so a page is fetched at most once
+// per residency and the policy sees a consistent history. Operations on
+// pages of different shards never contend. Flush / FlushAndClear / resident() lock
 // one shard at a time; they are safe to run concurrently with readers but
 // see no global atomic snapshot (don't race them against writers and
 // expect exact counts). The default `shards = 1` reproduces the classic
@@ -44,7 +53,8 @@
 // they do without prefetch.
 //
 // Non-blocking reads (docs/io.md, "completion-driven scheduling"):
-// TryRead is the resumable engines' Read. A resident page is served
+// TryRead (and ReadNode with a waker, the engines' node read) is the
+// non-blocking Read. A resident page is served
 // exactly like a blocking hit; a non-resident one either claims a staged
 // (speculative or demand) copy — counted exactly like a blocking miss,
 // inserted through the same eviction path so the replacement policy sees
@@ -67,14 +77,15 @@
 // abandonment doesn't apply to them; a failed fetch is delivered to the
 // first claimer as its read's error, and later waiters re-issue fresh.
 //
-// Statistics: the buffer keeps one set of counters, atomics that only
-// grow and are exact under any concurrency. AggregateStats() returns them
-// as they stand; stats() returns them minus the baseline ResetStats()
-// recorded, so a reset restarts stats() from zero while AggregateStats()
-// stays monotone for before/after deltas across a whole batch. Per-query
-// cost accounting comes from the outcome each Read / TryRead reports to
-// its caller (TryReadOutcome), so it is exact however many queries share
-// a thread or a buffer.
+// Statistics: the buffer keeps one set of counters that only grow and are
+// exact under any concurrency. Hits are counted per shard, under the shard
+// lock the hit already holds; the other counters are buffer-wide atomics.
+// AggregateStats() returns their sums as they stand; stats() returns them
+// minus the baseline ResetStats() recorded, so a reset restarts stats()
+// from zero while AggregateStats() stays monotone for before/after deltas
+// across a whole batch. Per-query cost accounting comes from the outcome
+// each Read / TryRead / ReadNode reports to its caller (TryReadOutcome),
+// so it is exact however many queries share a thread or a buffer.
 // Every hit/miss/eviction also feeds the process-wide metrics registry
 // (obs/kcpq_metrics.h: kcpq_buffer_*_total).
 
@@ -94,6 +105,7 @@
 #include "common/query_context.h"
 #include "common/resumable.h"
 #include "common/status.h"
+#include "rtree/node.h"
 #include "storage/storage_manager.h"
 
 namespace kcpq {
@@ -182,6 +194,17 @@ class BufferManager {
   Status TryRead(PageId id, Page* out, QueryContext* ctx, const Waker& waker,
                  TryReadOutcome* outcome);
 
+  /// The node read of the R-tree (RStarTree::ReadNode / TryReadNode):
+  /// page `id` decoded into `*node`. Resolved exactly like TryRead — the
+  /// same hit / miss / park outcome, counts, policy calls and page charge;
+  /// an empty `waker` means blocking, like Read — but a resident page is
+  /// decoded only once per residency (see the file comment). A leaf that
+  /// arrives through a frame carries its axis orders; one read through a
+  /// capacity-0 buffer does not.
+  Status ReadNode(PageId id, Node* node, QueryContext* ctx = nullptr,
+                  const Waker& waker = Waker(),
+                  TryReadOutcome* outcome = nullptr);
+
   /// Speculatively reads `count` pages through the storage manager's async
   /// path into the prefetch area. Pages already resident, already staged,
   /// or beyond the area's capacity are skipped (duplicates coalesce);
@@ -243,16 +266,44 @@ class BufferManager {
   StorageManager* storage() const { return storage_; }
 
  private:
+  /// One slot of a shard's frame table. The slot holds a page while
+  /// `resident`; `node` is that page decoded once `decoded` is set (by the
+  /// first ReadNode of the residency). A non-resident slot owns no memory.
   struct Frame {
-    Page page;
+    bool resident = false;
     bool dirty = false;
+    bool decoded = false;
+    Page page;
+    Node node;
   };
 
   struct Shard {
     std::mutex mu;
-    std::unordered_map<PageId, Frame> frames;
+    /// Indexed by `id / shards` (page ids are dense from Allocate). Grown
+    /// only when a page becomes resident, never by a lookup, so a bogus id
+    /// cannot inflate it.
+    std::vector<Frame> table;
+    size_t resident = 0;
     std::unique_ptr<ReplacementPolicy> policy;
     size_t capacity = 0;
+    /// Hits served from this shard: written only under `mu`, so the bump
+    /// is an uncontended load and store; read lock-free by the stats.
+    std::atomic<uint64_t> hits{0};
+  };
+
+  /// Where a resolved read lands: the page's bytes (Read / TryRead) or
+  /// its decoded node (ReadNode). Exactly one is set.
+  struct ReadTarget {
+    Page* page = nullptr;
+    Node* node = nullptr;
+  };
+
+  /// Work a resolve leaves for after its locks are released: waking the
+  /// tasks parked on a claimed staging entry, and issuing the demand fetch
+  /// it started.
+  struct AfterUnlock {
+    std::vector<Waker> waiters;
+    bool issue = false;
   };
 
   /// One staged read's life in the prefetch area: in-flight (!ready),
@@ -299,13 +350,43 @@ class BufferManager {
 
   Shard& ShardFor(PageId id) { return *shards_[id % shards_.size()]; }
 
+  /// `id`'s frame when resident in `shard`, else null. Caller holds
+  /// shard.mu.
+  Frame* FindResident(Shard& shard, PageId id) const;
+
+  /// Makes `id` resident in `shard` holding `page` (not yet decoded),
+  /// growing the table as needed. Caller holds shard.mu and made room.
+  Frame& Place(Shard& shard, PageId id, Page page, bool dirty);
+
+  /// The one read path behind Read, TryRead and ReadNode: charges the
+  /// page to `ctx`, then serves a hit from its frame, or resolves the
+  /// miss (Fetch) and makes the page resident. An empty `waker` never
+  /// parks.
+  Status Resolve(PageId id, const ReadTarget& out, QueryContext* ctx,
+                 const Waker& waker, TryReadOutcome* outcome);
+
+  /// A miss: fetches `id` into `*page` — claiming a staged copy, reading
+  /// storage (synchronously when `waker` is empty, else only when storage
+  /// can serve without waiting) or, failing both, parking `waker` on the
+  /// page's in-flight fetch (outcome->parked). Counts the miss once the
+  /// read is served, failed or not. Caller holds the page's shard mutex
+  /// when capacity > 0; `after` collects what must run once it is
+  /// released.
+  Status Fetch(PageId id, Page* page, QueryContext* ctx, const Waker& waker,
+               TryReadOutcome* outcome, AfterUnlock* after);
+
+  /// Copies a resident frame into the read's target, decoding the page on
+  /// the residency's first node read. Caller holds the frame's shard.mu.
+  static Status Deliver(Frame& frame, const ReadTarget& out);
+
   /// Ensures space in `shard` for one more frame, evicting (with
   /// write-back) if full. Caller holds shard.mu.
   Status EvictIfFull(Shard& shard);
 
   /// Makes a fetched page resident: evicts if full, tells the policy, and
-  /// copies the page out. Caller holds shard.mu and has counted the miss.
-  Status InsertFetched(Shard& shard, PageId id, Page page, Page* out);
+  /// delivers the page. Caller holds shard.mu and has counted the miss.
+  Status InsertFetched(Shard& shard, PageId id, Page page,
+                       const ReadTarget& out);
 
   /// True when the staging area has an entry for `id`; never takes the
   /// area lock while the area is empty.
@@ -338,7 +419,7 @@ class BufferManager {
   void CountPrefetchHit();
   void CountPrefetchWasted();
 
-  void CountHit();
+  void CountHit(Shard& shard);
   void CountMiss();
 
   StorageManager* storage_;
@@ -350,9 +431,8 @@ class BufferManager {
   /// are never reused, unlike addresses).
   const uint64_t instance_id_;
 
-  /// Monotone since construction (AggregateStats); stats() subtracts the
-  /// snapshot the last ResetStats() took.
-  std::atomic<uint64_t> hits_{0};
+  /// Monotone since construction (AggregateStats, which adds the shards'
+  /// hits); stats() subtracts the snapshot the last ResetStats() took.
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> writebacks_{0};

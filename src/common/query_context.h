@@ -29,8 +29,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
-#include <unordered_set>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -66,7 +65,7 @@ class ResourceAccountant {
   /// seen; later reads of the same page are free.
   void ChargeBufferPage(uint64_t buffer_instance, uint64_t page_id,
                         uint64_t page_size) {
-    if (pages_[buffer_instance].insert(page_id).second) {
+    if (MarkSeen(buffer_instance, page_id)) {
       buffer_bytes_ += page_size;
       ++distinct_pages_;
       NotePeaks();
@@ -105,6 +104,34 @@ class ResourceAccountant {
     peak_total_bytes_ = std::max(peak_total_bytes_, total_bytes());
   }
 
+  /// Pages at or past this id are tracked in `far_pages_`, so a corrupt
+  /// child id cannot size a bitmap. 2^24 pages is 16 GiB of 1 KiB pages.
+  static constexpr uint64_t kBitmapPages = uint64_t{1} << 24;
+
+  /// Records (buffer_instance, page_id); true the first time it is seen.
+  bool MarkSeen(uint64_t buffer_instance, uint64_t page_id) {
+    if (page_id >= kBitmapPages) {
+      return far_pages_.emplace(buffer_instance, page_id).second;
+    }
+    std::vector<uint64_t>* bits = nullptr;
+    for (auto& [instance, words] : seen_) {
+      if (instance == buffer_instance) {
+        bits = &words;
+        break;
+      }
+    }
+    if (bits == nullptr) {
+      seen_.emplace_back(buffer_instance, std::vector<uint64_t>());
+      bits = &seen_.back().second;
+    }
+    const size_t word = page_id / 64;
+    const uint64_t mask = uint64_t{1} << (page_id % 64);
+    if (word >= bits->size()) bits->resize(word + 1);
+    if (((*bits)[word] & mask) != 0) return false;
+    (*bits)[word] |= mask;
+    return true;
+  }
+
   uint64_t engine_bytes_ = 0;
   uint64_t buffer_bytes_ = 0;
   /// Pages surrendered to other queries (see ReleaseForeignBufferBytes);
@@ -113,8 +140,11 @@ class ResourceAccountant {
   uint64_t distinct_pages_ = 0;
   uint64_t peak_engine_bytes_ = 0;
   uint64_t peak_total_bytes_ = 0;
-  /// Distinct pages per buffer instance (a query touches 2-3 buffers).
-  std::unordered_map<uint64_t, std::unordered_set<uint64_t>> pages_;
+  /// Distinct pages: one bitmap over the dense page ids per buffer
+  /// instance (a query touches 2-3 buffers, so a linear scan finds it).
+  std::vector<std::pair<uint64_t, std::vector<uint64_t>>> seen_;
+  /// (instance, page) pairs past the bitmaps' range (see kBitmapPages).
+  std::set<std::pair<uint64_t, uint64_t>> far_pages_;
 };
 
 /// Per-query replication outcomes (storage/mirrored_storage.h): how often

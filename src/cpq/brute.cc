@@ -9,22 +9,16 @@ namespace kcpq {
 
 namespace {
 
-/// A point dressed up with its degenerate rect so the shared sweep kernel
-/// (which speaks rects) can enumerate point pairs.
-struct SweepPoint {
-  Rect rect;
-  Point pt;
-  uint64_t id = 0;
-};
-
-std::vector<SweepPoint> ToSweepPoints(
-    const std::vector<std::pair<Point, uint64_t>>& items) {
-  std::vector<SweepPoint> out;
-  out.reserve(items.size());
+/// The points as one hand-built leaf for the shared sweep kernel, which
+/// orders its sweep axis into the oracle's own scratch (the oracle never
+/// borrows a buffer frame's orders).
+Node ToSweepLeaf(const std::vector<std::pair<Point, uint64_t>>& items) {
+  Node leaf;
+  leaf.entries.reserve(items.size());
   for (const auto& [pt, id] : items) {
-    out.push_back(SweepPoint{Rect::FromPoint(pt), pt, id});
+    leaf.entries.push_back(Entry::ForPoint(pt, id));
   }
-  return out;
+  return leaf;
 }
 
 }  // namespace
@@ -50,18 +44,16 @@ std::vector<PairResult> BruteForceKClosestPairs(
     return stop != StopCause::kNone;
   };
   if (kernel == LeafKernel::kPlaneSweep) {
-    const std::vector<SweepPoint> sp = ToSweepPoints(p);
-    const std::vector<SweepPoint> sq = ToSweepPoints(q);
-    cpq_internal::SweepScratch<SweepPoint> scratch;
+    cpq_internal::SweepScratch scratch;
     cpq_internal::PlaneSweepPairs(
-        sp, sq, metric, /*strict=*/false, &scratch,
-        [](const SweepPoint& it) -> const Rect& { return it.rect; },
+        ToSweepLeaf(p), ToSweepLeaf(q), metric, /*strict=*/false, &scratch,
         [&] { return heap.Bound(); },
-        [&](const SweepPoint& a, const SweepPoint& b) {
+        [&](const Entry& a, const Entry& b) {
           if (++outer % 1024 == 0 && should_stop()) return false;
           if (!self_join || a.id < b.id) {
-            heap.Offer(PointDistancePow(a.pt, b.pt, metric), a.pt, b.pt, a.id,
-                       b.id);
+            const Point pa = a.AsPoint();
+            const Point pb = b.AsPoint();
+            heap.Offer(PointDistancePow(pa, pb, metric), pa, pb, a.id, b.id);
           }
           return true;
         });

@@ -232,8 +232,7 @@ Status CpqEngine::ProcessLeaves(const Node& node_p, const Node& node_q,
     const uint64_t total =
         static_cast<uint64_t>(node_p.entries.size()) * node_q.entries.size();
     const uint64_t visited = PlaneSweepPairs(
-        node_p.entries, node_q.entries, options_.metric, /*strict=*/join,
-        &sweep_scratch_, [](const Entry& e) -> const Rect& { return e.rect; },
+        node_p, node_q, options_.metric, /*strict=*/join, &sweep_scratch_,
         [&] { return join ? bound_ : results_.Bound(); }, consider);
     if (!status.ok()) return status;
     stats_->leaf_pairs_skipped += total - visited;

@@ -176,8 +176,8 @@ class CpqEngine {
   /// Scratch for the capacity accumulation of TightenBoundFromCandidates
   /// (avoids reallocating per node).
   std::vector<std::pair<double, uint64_t>> maxmax_scratch_;
-  /// Sorted-copy buffers for the plane-sweep leaf kernel.
-  SweepScratch<Entry> sweep_scratch_;
+  /// Index orders for the plane-sweep leaf kernel's order-less leaves.
+  SweepScratch sweep_scratch_;
   /// Speculative reads for the frontier's best pairs (disabled unless
   /// options.prefetch_window > 0; see cpq/prefetch.h).
   PrefetchScheduler prefetch_;

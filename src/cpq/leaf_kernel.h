@@ -4,7 +4,7 @@
 //
 // Idea (classic in the closest-pair literature — the optimized
 // divide-and-conquer of Pereira & Lobo and the plane-sweep KCPQ variants
-// that followed the paper): sort both entry sets along one axis and visit
+// that followed the paper): order both entry sets along one axis and visit
 // pairs in sweep order. For a reference entry `r` and the other set's
 // entries in ascending lower-coordinate order, the axis separation
 // `other.lo - r.hi` is non-decreasing, and its power-space value
@@ -20,6 +20,15 @@
 // guard). The bound is re-read through a callable on every skip test, so a
 // bound tightened by the visitor mid-sweep prunes the remaining pairs of
 // the same leaf pair — strictly better than the nested loop's behavior.
+//
+// Sort once, merge per pair: the kernel walks index orders of the two
+// leaves rather than sorted copies. A leaf read through a buffer frame
+// carries both axis orders (Node::axis_order, built once per residency),
+// so its sweep sorts nothing; a leaf without orders (a capacity-0 read, a
+// hand-built node) has its sweep axis ordered into the caller's
+// SweepScratch, at the cost of the sort it replaces. Both orders are the
+// permutation std::sort yields on the entries (SortAxisOrder), so the
+// visit order is the same either way.
 //
 // Pair coverage: each cross pair (a, b) is visited exactly once, by
 // whichever side enters the sweep first (smaller lo on the sweep axis; ties
@@ -37,42 +46,38 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "geometry/minkowski.h"
 #include "geometry/rect.h"
+#include "rtree/node.h"
 
 namespace kcpq {
 namespace cpq_internal {
 
-/// Reusable sorted-copy buffers so per-leaf-pair sweeps don't reallocate.
-template <typename Item>
+/// Reusable index buffers for leaves that arrive without axis orders.
 struct SweepScratch {
-  std::vector<Item> a;
-  std::vector<Item> b;
+  std::vector<uint32_t> a;
+  std::vector<uint32_t> b;
 };
 
-/// The axis along which the union of both sets' extents is largest —
+/// The axis along which the union of both nodes' extents is largest —
 /// maximizing spread maximizes the chance the axis test fires early.
-template <typename Item, typename RectOf>
-int BestSweepAxis(const std::vector<Item>& a, const std::vector<Item>& b,
-                  RectOf rect_of) {
+inline int BestSweepAxis(const Node& a, const Node& b) {
   double lo[kDims], hi[kDims];
   for (int d = 0; d < kDims; ++d) {
     lo[d] = std::numeric_limits<double>::infinity();
     hi[d] = -std::numeric_limits<double>::infinity();
   }
-  auto account = [&](const std::vector<Item>& items) {
-    for (const Item& item : items) {
-      const auto& r = rect_of(item);
+  for (const Node* node : {&a, &b}) {
+    for (const Entry& e : node->entries) {
       for (int d = 0; d < kDims; ++d) {
-        lo[d] = std::min(lo[d], r.lo[d]);
-        hi[d] = std::max(hi[d], r.hi[d]);
+        lo[d] = std::min(lo[d], e.rect.lo[d]);
+        hi[d] = std::max(hi[d], e.rect.hi[d]);
       }
     }
-  };
-  account(a);
-  account(b);
+  }
   int best = 0;
   double best_spread = -1.0;
   for (int d = 0; d < kDims; ++d) {
@@ -85,33 +90,45 @@ int BestSweepAxis(const std::vector<Item>& a, const std::vector<Item>& b,
   return best;
 }
 
-/// Sweeps `a` x `b` and calls `visit(a_item, b_item)` for every pair whose
-/// sweep-axis separation does not already violate `bound()` (power space).
-/// `strict` selects the violation test: with strict = false a pair is
-/// skipped when AxisGapPow >= bound (for engines that discard distances
+/// `node`'s entries in ascending rect.lo[axis] order: its prebuilt order
+/// when it has one, else one sorted into `scratch`.
+inline const uint32_t* SweepOrder(const Node& node, int axis,
+                                  std::vector<uint32_t>* scratch) {
+  if (node.HasAxisOrders()) return node.AxisOrder(axis);
+  scratch->resize(node.entries.size());
+  SortAxisOrder(node.entries, axis, scratch->data());
+  return scratch->data();
+}
+
+/// Sweeps `a` x `b` and calls `visit(a_entry, b_entry)` for every pair
+/// whose sweep-axis separation does not already violate `bound()` (power
+/// space). `strict` selects the violation test: with strict = false a pair
+/// is skipped when AxisGapPow >= bound (for engines that discard distances
 /// >= bound, like the K-CPQ result heap); with strict = true only when
 /// AxisGapPow > bound (for the ε-join, whose results include distance ==
 /// epsilon exactly). `visit` returns false to abort. Returns the number of
 /// pairs visited, so callers can account skips as |a|·|b| − visited.
-template <typename Item, typename RectOf, typename BoundFn, typename VisitFn>
-uint64_t PlaneSweepPairs(const std::vector<Item>& a, const std::vector<Item>& b,
-                         Metric metric, bool strict,
-                         SweepScratch<Item>* scratch, RectOf rect_of,
-                         BoundFn bound, VisitFn visit) {
-  const int axis = BestSweepAxis(a, b, rect_of);
-  scratch->a.assign(a.begin(), a.end());
-  scratch->b.assign(b.begin(), b.end());
-  const auto by_lo = [&](const Item& x, const Item& y) {
-    return rect_of(x).lo[axis] < rect_of(y).lo[axis];
+template <typename BoundFn, typename VisitFn>
+uint64_t PlaneSweepPairs(const Node& a, const Node& b, Metric metric,
+                         bool strict, SweepScratch* scratch, BoundFn bound,
+                         VisitFn visit) {
+  const int axis = BestSweepAxis(a, b);
+  const uint32_t* order_a = SweepOrder(a, axis, &scratch->a);
+  const uint32_t* order_b = SweepOrder(b, axis, &scratch->b);
+  const size_t na = a.entries.size();
+  const size_t nb = b.entries.size();
+  const auto at_a = [&](size_t i) -> const Entry& {
+    return a.entries[order_a[i]];
   };
-  std::sort(scratch->a.begin(), scratch->a.end(), by_lo);
-  std::sort(scratch->b.begin(), scratch->b.end(), by_lo);
+  const auto at_b = [&](size_t j) -> const Entry& {
+    return b.entries[order_b[j]];
+  };
 
   // The axis separation between the reference and a later entry of the
   // other list: positive only when the later entry starts past the
   // reference's upper face, in which case it is the exact axis gap.
-  const auto beyond_bound = [&](double ref_hi, const Item& other) {
-    const double gap = rect_of(other).lo[axis] - ref_hi;
+  const auto beyond_bound = [&](double ref_hi, const Entry& other) {
+    const double gap = other.rect.lo[axis] - ref_hi;
     if (gap <= 0.0) return false;
     const double axis_pow = AxisGapPow(gap, metric);
     const double t = bound();
@@ -120,23 +137,23 @@ uint64_t PlaneSweepPairs(const std::vector<Item>& a, const std::vector<Item>& b,
 
   uint64_t visited = 0;
   size_t i = 0, j = 0;
-  while (i < scratch->a.size() && j < scratch->b.size()) {
-    if (rect_of(scratch->a[i]).lo[axis] <= rect_of(scratch->b[j]).lo[axis]) {
-      const Item& ref = scratch->a[i];
-      const double ref_hi = rect_of(ref).hi[axis];
-      for (size_t jj = j; jj < scratch->b.size(); ++jj) {
-        if (beyond_bound(ref_hi, scratch->b[jj])) break;
+  while (i < na && j < nb) {
+    if (at_a(i).rect.lo[axis] <= at_b(j).rect.lo[axis]) {
+      const Entry& ref = at_a(i);
+      const double ref_hi = ref.rect.hi[axis];
+      for (size_t jj = j; jj < nb; ++jj) {
+        if (beyond_bound(ref_hi, at_b(jj))) break;
         ++visited;
-        if (!visit(ref, scratch->b[jj])) return visited;
+        if (!visit(ref, at_b(jj))) return visited;
       }
       ++i;
     } else {
-      const Item& ref = scratch->b[j];
-      const double ref_hi = rect_of(ref).hi[axis];
-      for (size_t ii = i; ii < scratch->a.size(); ++ii) {
-        if (beyond_bound(ref_hi, scratch->a[ii])) break;
+      const Entry& ref = at_b(j);
+      const double ref_hi = ref.rect.hi[axis];
+      for (size_t ii = i; ii < na; ++ii) {
+        if (beyond_bound(ref_hi, at_a(ii))) break;
         ++visited;
-        if (!visit(scratch->a[ii], ref)) return visited;
+        if (!visit(at_a(ii), ref)) return visited;
       }
       ++j;
     }

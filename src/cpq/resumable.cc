@@ -224,6 +224,8 @@ ResumableCpqQuery::ReadPairOutcome ResumableCpqQuery::TryReadPair(
       return ReadPairOutcome::kError;
     }
     CountRead(outcome, /*is_p=*/true);
+    *error = CheckNodeLevel(node_p_, cur_p_.level, cur_p_.page);
+    if (!error->ok()) return ReadPairOutcome::kError;
     have_p_ = true;
   }
   if (!have_q_) {
@@ -243,15 +245,16 @@ ResumableCpqQuery::ReadPairOutcome ResumableCpqQuery::TryReadPair(
       return ReadPairOutcome::kError;
     }
     CountRead(outcome, /*is_p=*/false);
+    *error = CheckNodeLevel(node_q_, cur_q_.level, cur_q_.page);
+    if (!error->ok()) return ReadPairOutcome::kError;
     have_q_ = true;
   }
   // Both nodes in hand: the pair counts exactly once, no matter how many
   // parks interleaved. The refs are refreshed with exact facts from the
-  // pages (roots start with placeholder point counts).
+  // pages (roots start with placeholder point counts); their levels were
+  // checked against the pages above.
   ++e.stats_->node_pairs_processed;
   e.node_accesses_ += 2;
-  cur_p_.level = node_p_.level;
-  cur_q_.level = node_q_.level;
   cur_p_.mbr = node_p_.ComputeMbr();
   cur_q_.mbr = node_q_.ComputeMbr();
   cur_p_.min_points = MinPointsOfNode(node_p_, e.tree_p_.min_entries());

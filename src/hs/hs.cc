@@ -139,7 +139,7 @@ class JoinImpl {
   /// every family, so the metric is pinned to kL2.
   QueryObjective objective_;
   BoundedKeyHeap<KBoundKey> k_bound_;
-  cpq_internal::SweepScratch<Entry> sweep_scratch_;
+  cpq_internal::SweepScratch sweep_scratch_;
   /// Speculative reads for the W nearest children of each expansion
   /// (disabled unless options.prefetch_window > 0; see cpq/prefetch.h).
   cpq_internal::PrefetchScheduler prefetch_;
@@ -310,10 +310,10 @@ size_t JoinImpl::PushChildrenBoth(const Node& node_a, const Node& node_b) {
     // would fail PushItem's `key > Bound()` drop. The bound is re-read each
     // skip test: object pairs pushed earlier in this sweep tighten it. The
     // join's keys are L2-only (KeyOf), hence kL2 here.
-    cpq_internal::PlaneSweepPairs(
-        node_a.entries, node_b.entries, Metric::kL2, /*strict=*/true,
-        &sweep_scratch_, [](const Entry& e) -> const Rect& { return e.rect; },
-        [&] { return k_bound_.Bound(); }, push_pair);
+    cpq_internal::PlaneSweepPairs(node_a, node_b, Metric::kL2,
+                                  /*strict=*/true, &sweep_scratch_,
+                                  [&] { return k_bound_.Bound(); },
+                                  push_pair);
     return 0;
   }
   for (const Entry& ea : node_a.entries) {
@@ -406,6 +406,9 @@ JoinImpl::TryOutcome JoinImpl::TryStart(Status* error) {
       return TryOutcome::kError;
     }
     CountRead(outcome, /*is_p=*/true);
+    *error =
+        CheckNodeLevel(node_a_, tree_p_.height() - 1, tree_p_.root_page());
+    if (!error->ok()) return TryOutcome::kError;
     root_mbr_p_ = node_a_.ComputeMbr();
     root_stage_ = 2;
   }
@@ -428,6 +431,9 @@ JoinImpl::TryOutcome JoinImpl::TryStart(Status* error) {
       return TryOutcome::kError;
     }
     CountRead(outcome, /*is_p=*/false);
+    *error =
+        CheckNodeLevel(node_a_, tree_q_.height() - 1, tree_q_.root_page());
+    if (!error->ok()) return TryOutcome::kError;
     QueueItem item;
     item.a =
         ItemSide{true, root_mbr_p_, tree_p_.root_page(), tree_p_.height() - 1};
@@ -463,6 +469,8 @@ JoinImpl::TryOutcome JoinImpl::TryExpand(Status* error) {
         return TryOutcome::kError;
       }
       CountRead(outcome, /*is_p=*/true);
+      *error = CheckNodeLevel(node_a_, item.a.level, item.a.id);
+      if (!error->ok()) return TryOutcome::kError;
       have_a_ = true;
     }
     if (!have_b_) {
@@ -481,6 +489,8 @@ JoinImpl::TryOutcome JoinImpl::TryExpand(Status* error) {
         return TryOutcome::kError;
       }
       CountRead(outcome, /*is_p=*/false);
+      *error = CheckNodeLevel(node_b_, item.b.level, item.b.id);
+      if (!error->ok()) return TryOutcome::kError;
       have_b_ = true;
     }
     // Both nodes in hand: the expansion's bookkeeping and pushes run
@@ -537,6 +547,8 @@ JoinImpl::TryOutcome JoinImpl::TryExpand(Status* error) {
       return TryOutcome::kError;
     }
     CountRead(outcome, node_first);
+    *error = CheckNodeLevel(node_a_, node_side->level, node_side->id);
+    if (!error->ok()) return TryOutcome::kError;
     have_a_ = true;
   }
   ++stats_.node_accesses;

@@ -16,14 +16,17 @@
 //    relaxed atomic load. bench_trace uses this to measure the
 //    metrics-on-vs-off delta inside a single binary.
 //
-// Increment paths are wait-free: one relaxed fetch_add per counter event,
-// two or three per histogram observation. Registration, snapshotting, and
+// Increment paths are wait-free: one relaxed fetch_add per counter event
+// (on the calling thread's stripe of the counter, so threads bumping the
+// same counter rarely share a cache line), two or three per histogram
+// observation. Registration, snapshotting, and
 // export take locks and belong off the query path (metrics_registry.h).
 
 #ifndef KCPQ_OBS_METRICS_H_
 #define KCPQ_OBS_METRICS_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -49,16 +52,46 @@ inline void SetEnabled(bool on) {
   g_metrics_enabled.store(on, std::memory_order_relaxed);
 }
 
-/// Monotone event counter.
+/// The calling thread's stripe in [0, stripes): threads take stripes
+/// round-robin as they first bump a counter.
+inline size_t ThreadStripe(size_t stripes) {
+  static std::atomic<size_t> next{0};
+  thread_local const size_t mine =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return mine % stripes;
+}
+
+/// Monotone event counter, striped across threads: each thread adds to
+/// its own cache-line-padded slot and value() sums the slots, so hot
+/// counters bumped by every worker (buffer hits, storage reads) do not
+/// bounce one line between cores. The sum is exact once adders are quiet;
+/// under concurrent adds it is some value between the counts before and
+/// after, like a single atomic's.
 class Counter {
  public:
-  void Add(uint64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
+  static constexpr size_t kStripes = 8;
+
+  void Add(uint64_t n) {
+    slots_[ThreadStripe(kStripes)].value.fetch_add(n,
+                                                   std::memory_order_relaxed);
+  }
   void Increment() { Add(1); }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  uint64_t value() const {
+    uint64_t total = 0;
+    for (const Slot& slot : slots_) {
+      total += slot.value.load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+  void Reset() {
+    for (Slot& slot : slots_) slot.value.store(0, std::memory_order_relaxed);
+  }
 
  private:
-  std::atomic<uint64_t> value_{0};
+  struct alignas(64) Slot {
+    std::atomic<uint64_t> value{0};
+  };
+  Slot slots_[kStripes];
 };
 
 /// Last-write-wins level; SetMax keeps a high-water mark.

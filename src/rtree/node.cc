@@ -1,6 +1,8 @@
 #include "rtree/node.h"
 
+#include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <string>
 
 namespace kcpq {
@@ -73,6 +75,7 @@ Status DeserializeNode(const Page& page, Node* node) {
   }
   node->level = level;
   node->entries.clear();
+  node->axis_order.clear();
   node->entries.reserve(count);
   const uint8_t* p = base + kNodeHeaderSize;
   for (int32_t i = 0; i < count; ++i) {
@@ -89,6 +92,30 @@ Status DeserializeNode(const Page& page, Node* node) {
     p += kEntrySize;
   }
   return Status::OK();
+}
+
+Status CheckNodeLevel(const Node& node, int expected_level, PageId page) {
+  if (node.level == expected_level) return Status::OK();
+  return Status::Corruption("node level mismatch at page " +
+                            std::to_string(page) + ": expected " +
+                            std::to_string(expected_level) + ", found " +
+                            std::to_string(node.level));
+}
+
+void SortAxisOrder(const std::vector<Entry>& entries, int axis,
+                   uint32_t* order) {
+  std::iota(order, order + entries.size(), uint32_t{0});
+  std::sort(order, order + entries.size(), [&](uint32_t x, uint32_t y) {
+    return entries[x].rect.lo[axis] < entries[y].rect.lo[axis];
+  });
+}
+
+void BuildAxisOrders(Node* node) {
+  const size_t n = node->entries.size();
+  node->axis_order.resize(kDims * n);
+  for (int d = 0; d < kDims; ++d) {
+    SortAxisOrder(node->entries, d, node->axis_order.data() + d * n);
+  }
 }
 
 }  // namespace kcpq

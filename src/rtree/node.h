@@ -49,8 +49,23 @@ struct Entry {
 struct Node {
   int32_t level = 0;  // 0 = leaf; root level = tree height - 1
   std::vector<Entry> entries;
+  /// The leaf's per-axis sweep orders (BuildAxisOrders), or empty when not
+  /// built. DeserializeNode never builds them; a buffer frame does, once
+  /// per residency, for the leaves it decodes.
+  std::vector<uint32_t> axis_order;
 
   bool IsLeaf() const { return level == 0; }
+
+  /// True when axis_order holds every axis's order of the current entries.
+  bool HasAxisOrders() const {
+    return axis_order.size() == kDims * entries.size();
+  }
+
+  /// Axis `d`'s order: entries.size() indices, ascending by rect.lo[d].
+  /// Valid only when HasAxisOrders().
+  const uint32_t* AxisOrder(int d) const {
+    return axis_order.data() + static_cast<size_t>(d) * entries.size();
+  }
 
   /// Tight MBR over the entries; Rect::Empty() for an empty node.
   Rect ComputeMbr() const {
@@ -80,7 +95,24 @@ inline constexpr size_t NodeCapacity(size_t page_size) {
 Status SerializeNode(const Node& node, Page* page);
 
 /// Parses `page` into `*node`. Fails on an impossible count or level.
+/// Leaves `node->axis_order` empty.
 Status DeserializeNode(const Page& page, Node* node);
+
+/// kCorruption unless `node`, read from `page`, sits at `expected_level`:
+/// the level its parent entry implies (the root's is height - 1). A
+/// traversal that adopted a wrong level would, for example, sweep an
+/// internal node as a leaf and report its child page ids as point ids.
+Status CheckNodeLevel(const Node& node, int expected_level, PageId page);
+
+/// Writes to `order` the indices of `entries` ascending by rect.lo[axis]:
+/// exactly the permutation std::sort produces on the entries themselves
+/// (the sort sees the same comparisons in the same positions), so a sweep
+/// over the order visits equal-lo entries as a sweep over sorted copies.
+void SortAxisOrder(const std::vector<Entry>& entries, int axis,
+                   uint32_t* order);
+
+/// Fills `node->axis_order` with every axis's SortAxisOrder, axis-major.
+void BuildAxisOrders(Node* node);
 
 }  // namespace kcpq
 

@@ -96,18 +96,13 @@ Status RStarTree::ReadMeta() {
 }
 
 Status RStarTree::ReadNode(PageId page, Node* node, QueryContext* ctx) const {
-  Page raw;
-  KCPQ_RETURN_IF_ERROR(buffer_->Read(page, &raw, ctx));
-  return DeserializeNode(raw, node);
+  return buffer_->ReadNode(page, node, ctx);
 }
 
 Status RStarTree::TryReadNode(PageId page, Node* node, QueryContext* ctx,
                               const Waker& waker,
                               BufferManager::TryReadOutcome* outcome) const {
-  Page raw;
-  KCPQ_RETURN_IF_ERROR(buffer_->TryRead(page, &raw, ctx, waker, outcome));
-  if (outcome->parked) return Status::OK();
-  return DeserializeNode(raw, node);
+  return buffer_->ReadNode(page, node, ctx, waker, outcome);
 }
 
 Status RStarTree::WriteNode(PageId page, const Node& node) {

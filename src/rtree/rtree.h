@@ -127,9 +127,9 @@ class RStarTree {
   Status ReadNode(PageId page, Node* node, QueryContext* ctx = nullptr) const;
 
   /// The node read of the CPQ, HS and Semi-CPQ state machines: forwards to
-  /// BufferManager::TryRead. When `outcome->parked` is set the node was
+  /// BufferManager::ReadNode. When `outcome->parked` is set the node was
   /// not available — the waker is registered and the caller must retry
-  /// after it fires; otherwise the node is deserialized and outcome
+  /// after it fires; otherwise `*node` holds the decoded node and outcome
   /// carries the hit/miss accounting of the access. An empty `waker`
   /// never parks: the read is exactly ReadNode's, plus the outcome.
   Status TryReadNode(PageId page, Node* node, QueryContext* ctx,

@@ -4,7 +4,9 @@
 #include <vector>
 
 #include "buffer/buffer_manager.h"
+#include "common/random.h"
 #include "gtest/gtest.h"
+#include "rtree/node.h"
 #include "storage/memory_storage.h"
 #include "tests/test_util.h"
 
@@ -362,6 +364,219 @@ TEST(BufferManagerTest, FewerPagesThanShardsDoesNotCrash) {
   const BufferStats stats = buffer.AggregateStats();
   EXPECT_EQ(stats.logical_reads(), 2u * ids.size());
   EXPECT_GT(stats.misses, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Decoded frames: ReadNode decodes once per residency and copies out.
+
+// A one-entry leaf page whose entry carries `record_id`.
+Page LeafPage(size_t page_size, uint64_t record_id) {
+  Node node;
+  node.entries.push_back(Entry::ForPoint(
+      Point{{0.25, static_cast<double>(record_id)}}, record_id));
+  Page page(page_size);
+  KCPQ_CHECK_OK(SerializeNode(node, &page));
+  return page;
+}
+
+uint64_t FirstRecordId(const Node& node) {
+  return node.entries.empty() ? ~uint64_t{0} : node.entries[0].id;
+}
+
+TEST(BufferManagerTest, ReadNodeSeesWriteFreeAndFlushAndClear) {
+  MemoryStorageManager storage(kDefaultPageSize);
+  BufferManager buffer(&storage, 4);
+  const PageId id = buffer.Allocate().value();
+  Node node;
+
+  // A Write over a decoded frame replaces what ReadNode returns.
+  KCPQ_ASSERT_OK(buffer.Write(id, LeafPage(storage.page_size(), 1)));
+  KCPQ_ASSERT_OK(buffer.ReadNode(id, &node));
+  EXPECT_EQ(FirstRecordId(node), 1u);
+  KCPQ_ASSERT_OK(buffer.Write(id, LeafPage(storage.page_size(), 2)));
+  KCPQ_ASSERT_OK(buffer.ReadNode(id, &node));
+  EXPECT_EQ(FirstRecordId(node), 2u);
+
+  // Free drops the decoded copy: the reallocated id reads its new page.
+  KCPQ_ASSERT_OK(buffer.Free(id));
+  const PageId again = buffer.Allocate().value();
+  ASSERT_EQ(again, id);  // the memory store reuses freed ids
+  KCPQ_ASSERT_OK(buffer.Write(again, LeafPage(storage.page_size(), 3)));
+  KCPQ_ASSERT_OK(buffer.ReadNode(again, &node));
+  EXPECT_EQ(FirstRecordId(node), 3u);
+
+  // FlushAndClear drops it too: a page rewritten behind the buffer's back
+  // is read fresh afterwards.
+  KCPQ_ASSERT_OK(buffer.Flush());
+  KCPQ_ASSERT_OK(buffer.ReadNode(again, &node));
+  EXPECT_EQ(FirstRecordId(node), 3u);
+  KCPQ_ASSERT_OK(storage.WritePage(again, LeafPage(storage.page_size(), 4)));
+  KCPQ_ASSERT_OK(buffer.FlushAndClear());
+  KCPQ_ASSERT_OK(buffer.ReadNode(again, &node));
+  EXPECT_EQ(FirstRecordId(node), 4u);
+}
+
+TEST(BufferManagerTest, UndecodablePageIsCorruptionOnEveryReadNode) {
+  for (const size_t capacity : {size_t{0}, size_t{4}}) {
+    MemoryStorageManager storage(kDefaultPageSize);
+    const PageId id = storage.Allocate().value();
+    Page bad(storage.page_size());
+    bad.data()[0] = 90;  // level 90: out of range
+    KCPQ_ASSERT_OK(storage.WritePage(id, bad));
+    BufferManager buffer(&storage, capacity);
+    Node node;
+    for (int round = 0; round < 3; ++round) {
+      const Status s = buffer.ReadNode(id, &node);
+      EXPECT_EQ(s.code(), StatusCode::kCorruption)
+          << "capacity " << capacity << " round " << round;
+    }
+    // The bytes stay readable, and the failed decodes counted like reads.
+    Page out;
+    KCPQ_ASSERT_OK(buffer.Read(id, &out));
+    EXPECT_EQ(out.data()[0], 90);
+    EXPECT_EQ(buffer.stats().logical_reads(), 4u);
+    EXPECT_EQ(buffer.stats().misses, capacity == 0 ? 4u : 1u);
+  }
+}
+
+/// LRU that records every victim it chooses, across all shards.
+class RecordingLru : public ReplacementPolicy {
+ public:
+  explicit RecordingLru(std::vector<PageId>* victims)
+      : inner_(MakeLruPolicy()), victims_(victims) {}
+  void OnInsert(PageId id) override { inner_->OnInsert(id); }
+  void OnAccess(PageId id) override { inner_->OnAccess(id); }
+  PageId ChooseVictim() override {
+    const PageId victim = inner_->ChooseVictim();
+    victims_->push_back(victim);
+    return victim;
+  }
+  void OnErase(PageId id) override { inner_->OnErase(id); }
+  const char* name() const override { return "recording-lru"; }
+
+ private:
+  std::unique_ptr<ReplacementPolicy> inner_;
+  std::vector<PageId>* victims_;
+};
+
+// Node pages of a small inserted tree (every page but the meta page).
+std::vector<PageId> NodePages(testing::TreeFixture& fx) {
+  std::vector<PageId> pages;
+  for (PageId id = 0; id < fx.storage().PageCount(); ++id) {
+    if (id != fx.tree().meta_page()) pages.push_back(id);
+  }
+  return pages;
+}
+
+TEST(BufferManagerTest, ReadNodeMatchesReadHitsMissesAndVictims) {
+  testing::TreeFixture fx;
+  KCPQ_ASSERT_OK(fx.Build(testing::MakeUniformItems(2000, 17)));
+  const std::vector<PageId> pages = NodePages(fx);
+  ASSERT_GT(pages.size(), 40u);
+  Xoshiro256pp rng(5);
+  std::vector<PageId> sequence;
+  for (int i = 0; i < 4000; ++i) {
+    sequence.push_back(pages[rng.NextBounded(pages.size())]);
+  }
+  for (const size_t shards : {size_t{1}, size_t{4}}) {
+    std::vector<PageId> victims[2];
+    BufferStats stats[2];
+    for (int by_node = 0; by_node < 2; ++by_node) {
+      std::vector<PageId>* sink = &victims[by_node];
+      BufferManager buffer(
+          &fx.storage(), /*capacity_pages=*/24, shards,
+          [sink] { return std::make_unique<RecordingLru>(sink); });
+      Page page;
+      Node node;
+      for (const PageId id : sequence) {
+        KCPQ_ASSERT_OK(by_node ? buffer.ReadNode(id, &node)
+                               : buffer.Read(id, &page));
+      }
+      stats[by_node] = buffer.stats();
+    }
+    EXPECT_EQ(stats[0].hits, stats[1].hits) << shards << " shards";
+    EXPECT_EQ(stats[0].misses, stats[1].misses) << shards << " shards";
+    EXPECT_EQ(stats[0].evictions, stats[1].evictions) << shards << " shards";
+    EXPECT_GT(stats[0].evictions, 0u);
+    EXPECT_EQ(victims[0], victims[1]) << shards << " shards";
+  }
+}
+
+// Four threads race on the first decode of every frame, round after
+// round (each round starts cold): every copy equals the page decoded on
+// its own, and every leaf arrives with its axis orders.
+TEST(BufferManagerTest, ConcurrentFirstDecodeStress) {
+  testing::TreeFixture fx;
+  KCPQ_ASSERT_OK(fx.Build(testing::MakeUniformItems(3000, 23)));
+  const std::vector<PageId> pages = NodePages(fx);
+  std::vector<Node> expected(pages.size());
+  for (size_t i = 0; i < pages.size(); ++i) {
+    Page raw;
+    KCPQ_ASSERT_OK(fx.storage().ReadPage(pages[i], &raw));
+    KCPQ_ASSERT_OK(DeserializeNode(raw, &expected[i]));
+  }
+  BufferManager buffer(&fx.storage(), pages.size() + 1, /*shards=*/4,
+                       [] { return MakeLruPolicy(); });
+  constexpr int kThreads = 4;
+  for (int round = 0; round < 8; ++round) {
+    KCPQ_ASSERT_OK(buffer.FlushAndClear());
+    std::vector<int> mismatches(kThreads, 0);
+    std::vector<std::thread> readers;
+    for (int t = 0; t < kThreads; ++t) {
+      readers.emplace_back([&, t] {
+        Node node;
+        for (size_t k = 0; k < pages.size(); ++k) {
+          const size_t i = (k + t * 7) % pages.size();
+          const Status s = buffer.ReadNode(pages[i], &node);
+          const Node& want = expected[i];
+          bool same = s.ok() && node.level == want.level &&
+                      node.entries.size() == want.entries.size() &&
+                      node.HasAxisOrders() == node.IsLeaf();
+          for (size_t e = 0; same && e < want.entries.size(); ++e) {
+            same = node.entries[e].id == want.entries[e].id &&
+                   node.entries[e].rect == want.entries[e].rect;
+          }
+          if (!same) ++mismatches[t];
+        }
+      });
+    }
+    for (std::thread& r : readers) r.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(mismatches[t], 0) << "round " << round << " thread " << t;
+    }
+  }
+  EXPECT_EQ(buffer.AggregateStats().misses, 8 * pages.size());
+}
+
+// The distinct-page meter's bitmaps: word boundaries, a sparse high id and
+// an id past the bitmaps' range, on two buffer instances.
+TEST(ResourceAccountantTest, ChargesEachDistinctPageOnce) {
+  constexpr uint64_t kPage = 1024;
+  const uint64_t ids[] = {0, 63, 64, uint64_t{1} << 20, uint64_t{1} << 40};
+  ResourceAccountant acct;
+  acct.SetEngineBytes(100);
+  for (const uint64_t instance : {uint64_t{7}, uint64_t{9}}) {
+    for (const uint64_t id : ids) acct.ChargeBufferPage(instance, id, kPage);
+  }
+  EXPECT_EQ(acct.distinct_pages(), 10u);
+  EXPECT_EQ(acct.buffer_bytes(), 10 * kPage);
+  EXPECT_EQ(acct.peak_total_bytes(), 100 + 10 * kPage);
+  // Repeated reads are free, in any order.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const uint64_t instance : {uint64_t{9}, uint64_t{7}}) {
+      for (const uint64_t id : ids) acct.ChargeBufferPage(instance, id, kPage);
+    }
+  }
+  acct.SetEngineBytes(0);
+  EXPECT_EQ(acct.distinct_pages(), 10u);
+  EXPECT_EQ(acct.buffer_bytes(), 10 * kPage);
+  EXPECT_EQ(acct.total_bytes(), 10 * kPage);
+  EXPECT_EQ(acct.peak_engine_bytes(), 100u);
+  EXPECT_EQ(acct.peak_total_bytes(), 100 + 10 * kPage);
+  // A neighbour of a charged id is still new.
+  acct.ChargeBufferPage(7, 65, kPage);
+  EXPECT_EQ(acct.distinct_pages(), 11u);
+  EXPECT_EQ(acct.peak_total_bytes(), 11 * kPage);
 }
 
 }  // namespace

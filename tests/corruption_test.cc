@@ -2,10 +2,14 @@
 // as clean Corruption/error Status values — queries and validation never
 // crash, hang, or silently succeed on mangled structures they detect.
 
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "cpq/cpq.h"
 #include "gtest/gtest.h"
+#include "hs/hs.h"
+#include "storage/file_storage.h"
 #include "tests/test_util.h"
 
 namespace kcpq {
@@ -98,6 +102,102 @@ TEST(CorruptionTest, DanglingChildPointerDetected) {
   EXPECT_FALSE(fx.tree().Validate().ok());
   std::vector<Entry> hits;
   EXPECT_FALSE(fx.tree().RangeQuery(UnitWorkspace(), &hits).ok());
+}
+
+// Finds the root-to-leaf path of the leaf holding `record_id`.
+bool PathToRecord(const RStarTree& tree, PageId page, uint64_t record_id,
+                  std::vector<std::pair<PageId, int>>* path) {
+  Node node;
+  KCPQ_CHECK_OK(tree.ReadNode(page, &node));
+  path->emplace_back(page, node.level);
+  for (const Entry& e : node.entries) {
+    if (node.IsLeaf() ? e.id == record_id
+                      : PathToRecord(tree, e.id, record_id, path)) {
+      return true;
+    }
+  }
+  path->pop_back();
+  return false;
+}
+
+// An internal page whose level word is rewritten to another in-range value
+// decodes fine, so only the traversal can notice: its parent implies a
+// different level. Adopting the page's level would sweep the internal
+// node as a leaf and report its child page ids as point ids. Every engine
+// must instead stop with kCorruption, well within a node budget.
+TEST(CorruptionTest, RewrittenInternalLevelIsCorruption) {
+  const std::string path = ::testing::TempDir() + "kcpq_level_mismatch.db";
+  TreeFixture fq;
+  KCPQ_ASSERT_OK(fq.Build(MakeUniformItems(3000, 2202)));
+  PageId meta = kInvalidPageId;
+  {
+    auto file = FileStorageManager::Create(path).value();
+    BufferManager buffer(file.get(), 64);
+    auto tree = RStarTree::Create(&buffer).value();
+    for (const auto& [p, id] : MakeUniformItems(3000, 2201)) {
+      KCPQ_ASSERT_OK(tree->Insert(p, id));
+    }
+    KCPQ_ASSERT_OK(tree->Flush());
+    meta = tree->meta_page();
+  }
+  // The closest pair's P-side leaf lies under a level-1 internal page,
+  // which every engine must therefore expand: corrupt that page.
+  PageId victim = kInvalidPageId;
+  uint64_t pages = fq.storage().PageCount();
+  {
+    auto file = FileStorageManager::Open(path).value();
+    BufferManager buffer(file.get(), 0);
+    auto tree = RStarTree::Open(&buffer, meta).value();
+    ASSERT_GE(tree->height(), 3);
+    CpqOptions options;
+    options.k = 1;
+    auto clean = KClosestPairs(*tree, fq.tree(), options);
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    std::vector<std::pair<PageId, int>> trail;
+    ASSERT_TRUE(PathToRecord(*tree, tree->root_page(),
+                             clean.value().at(0).p_id, &trail));
+    for (const auto& [page, level] : trail) {
+      if (level == 1) victim = page;
+    }
+    ASSERT_NE(victim, tree->root_page());
+    Page raw;
+    KCPQ_ASSERT_OK(file->ReadPage(victim, &raw));
+    Node node;
+    KCPQ_ASSERT_OK(DeserializeNode(raw, &node));
+    node.level = 0;
+    KCPQ_ASSERT_OK(SerializeNode(node, &raw));
+    KCPQ_ASSERT_OK(file->WritePage(victim, raw));
+    KCPQ_ASSERT_OK(file->Sync());
+    pages += file->PageCount();
+  }
+  for (const size_t capacity : {size_t{0}, size_t{64}}) {
+    auto file = FileStorageManager::Open(path).value();
+    BufferManager buffer(file.get(), capacity);
+    auto tree = RStarTree::Open(&buffer, meta).value();
+    QueryControl budget;
+    budget.max_node_accesses = 2 * pages;
+    for (const CpqAlgorithm algorithm :
+         {CpqAlgorithm::kHeap, CpqAlgorithm::kSortedDistances}) {
+      QueryContext ctx(budget);
+      CpqOptions options;
+      options.k = 1;
+      options.algorithm = algorithm;
+      options.context = &ctx;
+      auto result = KClosestPairs(*tree, fq.tree(), options);
+      EXPECT_EQ(result.status().code(), StatusCode::kCorruption)
+          << "buffer " << capacity << " algorithm "
+          << static_cast<int>(algorithm) << ": "
+          << (result.ok() ? "query succeeded" : result.status().ToString());
+    }
+    QueryContext ctx(budget);
+    HsOptions options;
+    options.context = &ctx;
+    auto hs = HsKClosestPairs(*tree, fq.tree(), 1, options);
+    EXPECT_EQ(hs.status().code(), StatusCode::kCorruption)
+        << "buffer " << capacity << ": "
+        << (hs.ok() ? "join succeeded" : hs.status().ToString());
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

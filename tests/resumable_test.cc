@@ -330,72 +330,111 @@ TEST(ResumableMetrics, OneQueryBatchFoldsEngineMetricsOnce) {
 // ---------------------------------------------------------------------------
 // BufferManager::TryRead unit semantics.
 
-TEST(TryReadTest, ParkServeMissThenHit) {
-  MemoryStorageManager storage(kDefaultPageSize);
-  BufferManager buffer(&storage, 4);
-  auto id = buffer.Allocate();
-  KCPQ_ASSERT_OK(id.status());
+// Both park-capable reads: TryRead (page bytes) and ReadNode (decoded
+// node) share one resolve path and must park, serve and count alike.
+enum class ReadInput { kPage, kNode };
+
+// A one-entry leaf page whose record id marks its contents.
+Page MarkedLeafPage(uint64_t mark) {
+  Node node;
+  node.entries.push_back(Entry::ForPoint(Point{{0.5, 0.5}}, mark));
   Page page(kDefaultPageSize);
-  page.data()[0] = 0x5a;
-  KCPQ_ASSERT_OK(buffer.Write(id.value(), page));
-  KCPQ_ASSERT_OK(buffer.FlushAndClear());
-  buffer.ResetStats();
+  KCPQ_CHECK_OK(SerializeNode(node, &page));
+  return page;
+}
 
-  // Cold: the first TryRead parks (demand fetch; the sync backend
-  // completes it — and fires the waker — before TryRead even returns).
-  InlineWakerGate gate;
-  Page out(kDefaultPageSize);
-  BufferManager::TryReadOutcome outcome;
-  KCPQ_ASSERT_OK(
-      buffer.TryRead(id.value(), &out, nullptr, gate.waker(), &outcome));
-  ASSERT_TRUE(outcome.parked);
-  EXPECT_EQ(buffer.stats().misses, 0u);  // nothing counted while parked
-  gate.Wait();
+// Reads `id` through `input`; `*mark` receives the leaf's record id.
+Status ReadMarked(BufferManager& buffer, PageId id, ReadInput input,
+                  const Waker& waker, BufferManager::TryReadOutcome* outcome,
+                  uint64_t* mark) {
+  Status s;
+  if (input == ReadInput::kPage) {
+    Page out(kDefaultPageSize);
+    s = buffer.TryRead(id, &out, nullptr, waker, outcome);
+    Node node;
+    if (s.ok() && !outcome->parked) s = DeserializeNode(out, &node);
+    if (s.ok() && !outcome->parked) *mark = node.entries.at(0).id;
+  } else {
+    Node node;
+    s = buffer.ReadNode(id, &node, nullptr, waker, outcome);
+    if (s.ok() && !outcome->parked) *mark = node.entries.at(0).id;
+  }
+  return s;
+}
 
-  // Woken: the re-run claims the staged demand page — one miss, exactly
-  // like a blocking cold read.
-  KCPQ_ASSERT_OK(
-      buffer.TryRead(id.value(), &out, nullptr, gate.waker(), &outcome));
-  ASSERT_FALSE(outcome.parked);
-  EXPECT_FALSE(outcome.hit);
-  EXPECT_FALSE(outcome.prefetch_claim);
-  EXPECT_EQ(out.data()[0], 0x5a);
-  EXPECT_EQ(buffer.stats().misses, 1u);
+TEST(TryReadTest, ParkServeMissThenHit) {
+  for (const ReadInput input : {ReadInput::kPage, ReadInput::kNode}) {
+    SCOPED_TRACE(input == ReadInput::kPage ? "TryRead" : "ReadNode");
+    MemoryStorageManager storage(kDefaultPageSize);
+    BufferManager buffer(&storage, 4);
+    auto id = buffer.Allocate();
+    KCPQ_ASSERT_OK(id.status());
+    KCPQ_ASSERT_OK(buffer.Write(id.value(), MarkedLeafPage(0x5a)));
+    KCPQ_ASSERT_OK(buffer.FlushAndClear());
+    buffer.ResetStats();
 
-  // Resident now: a plain hit.
-  KCPQ_ASSERT_OK(
-      buffer.TryRead(id.value(), &out, nullptr, gate.waker(), &outcome));
-  ASSERT_FALSE(outcome.parked);
-  EXPECT_TRUE(outcome.hit);
-  EXPECT_EQ(buffer.stats().hits, 1u);
-  EXPECT_EQ(buffer.stats().misses, 1u);
+    // Cold: the first read parks (demand fetch; the sync backend
+    // completes it — and fires the waker — before the read even returns).
+    InlineWakerGate gate;
+    uint64_t mark = 0;
+    BufferManager::TryReadOutcome outcome;
+    KCPQ_ASSERT_OK(
+        ReadMarked(buffer, id.value(), input, gate.waker(), &outcome, &mark));
+    ASSERT_TRUE(outcome.parked);
+    EXPECT_EQ(buffer.stats().misses, 0u);  // nothing counted while parked
+    gate.Wait();
+
+    // Woken: the re-run claims the staged demand page — one miss, exactly
+    // like a blocking cold read.
+    KCPQ_ASSERT_OK(
+        ReadMarked(buffer, id.value(), input, gate.waker(), &outcome, &mark));
+    ASSERT_FALSE(outcome.parked);
+    EXPECT_FALSE(outcome.hit);
+    EXPECT_FALSE(outcome.prefetch_claim);
+    EXPECT_EQ(mark, 0x5au);
+    EXPECT_EQ(buffer.stats().misses, 1u);
+
+    // Resident now: a plain hit.
+    mark = 0;
+    KCPQ_ASSERT_OK(
+        ReadMarked(buffer, id.value(), input, gate.waker(), &outcome, &mark));
+    ASSERT_FALSE(outcome.parked);
+    EXPECT_TRUE(outcome.hit);
+    EXPECT_EQ(mark, 0x5au);
+    EXPECT_EQ(buffer.stats().hits, 1u);
+    EXPECT_EQ(buffer.stats().misses, 1u);
+  }
 }
 
 TEST(TryReadTest, CapacityZeroCountsOneMissPerServe) {
-  MemoryStorageManager storage(kDefaultPageSize);
-  BufferManager buffer(&storage, 0);
-  auto id = buffer.Allocate();
-  KCPQ_ASSERT_OK(id.status());
-  Page page(kDefaultPageSize);
-  KCPQ_ASSERT_OK(buffer.Write(id.value(), page));
-  buffer.ResetStats();
+  for (const ReadInput input : {ReadInput::kPage, ReadInput::kNode}) {
+    SCOPED_TRACE(input == ReadInput::kPage ? "TryRead" : "ReadNode");
+    MemoryStorageManager storage(kDefaultPageSize);
+    BufferManager buffer(&storage, 0);
+    auto id = buffer.Allocate();
+    KCPQ_ASSERT_OK(id.status());
+    KCPQ_ASSERT_OK(buffer.Write(id.value(), MarkedLeafPage(7)));
+    buffer.ResetStats();
 
-  InlineWakerGate gate;
-  Page out(kDefaultPageSize);
-  for (int round = 0; round < 2; ++round) {
-    BufferManager::TryReadOutcome outcome;
-    KCPQ_ASSERT_OK(
-        buffer.TryRead(id.value(), &out, nullptr, gate.waker(), &outcome));
-    ASSERT_TRUE(outcome.parked) << "round " << round;
-    gate.Wait();
-    KCPQ_ASSERT_OK(
-        buffer.TryRead(id.value(), &out, nullptr, gate.waker(), &outcome));
-    ASSERT_FALSE(outcome.parked) << "round " << round;
-    EXPECT_FALSE(outcome.hit) << "round " << round;
+    InlineWakerGate gate;
+    for (int round = 0; round < 2; ++round) {
+      uint64_t mark = 0;
+      BufferManager::TryReadOutcome outcome;
+      KCPQ_ASSERT_OK(ReadMarked(buffer, id.value(), input, gate.waker(),
+                                &outcome, &mark));
+      ASSERT_TRUE(outcome.parked) << "round " << round;
+      gate.Wait();
+      KCPQ_ASSERT_OK(ReadMarked(buffer, id.value(), input, gate.waker(),
+                                &outcome, &mark));
+      ASSERT_FALSE(outcome.parked) << "round " << round;
+      EXPECT_FALSE(outcome.hit) << "round " << round;
+      EXPECT_EQ(mark, 7u) << "round " << round;
+    }
+    // The pass-through buffer charges one miss per serve, like blocking
+    // Read.
+    EXPECT_EQ(buffer.stats().misses, 2u);
+    EXPECT_EQ(buffer.stats().hits, 0u);
   }
-  // The pass-through buffer charges one miss per serve, like blocking Read.
-  EXPECT_EQ(buffer.stats().misses, 2u);
-  EXPECT_EQ(buffer.stats().hits, 0u);
 }
 
 // ---------------------------------------------------------------------------
