@@ -406,8 +406,9 @@ class BufferManager {
   /// Creates an in-flight demand entry for `id` with `waker` parked on
   /// it. Caller holds prefetch mu and has verified no entry exists; the
   /// fetch itself must be issued after *all* locks are released
-  /// (IssueDemandFetch) because a kSync-backend completion runs inline
-  /// and takes prefetch mu.
+  /// (IssueDemandFetch) because completions take prefetch mu: the uring
+  /// backend fails an out-of-range id inline, and its SubmitReads can
+  /// block on a free slot until the reaper has run such completions.
   void StartDemandFetchLocked(PageId id, const Waker& waker);
   void IssueDemandFetch(PageId id);
 

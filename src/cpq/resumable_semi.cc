@@ -72,7 +72,7 @@ bool ResumableSemiQuery::StartPhase() {
   if (stop_ != StopCause::kNone) {
     phase_ = Phase::kFinish;
   } else {
-    stack_.push_back(tree_p_.root_page());
+    stack_.push_back(PageRef{tree_p_.root_page(), tree_p_.height() - 1});
     phase_ = Phase::kScanRead;
   }
   return true;
@@ -127,11 +127,11 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
           phase_ = Phase::kFinish;
           continue;
         }
-        const PageId page = stack_.back();
+        const PageRef ref = stack_.back();
         BufferManager::TryReadOutcome outcome;
         const Status s =
-            tree_p_.TryReadNode(page, &node_p_, ctx_, waker_, &outcome);
-        if (outcome.parked) return Park(page);
+            tree_p_.TryReadNode(ref.page, &node_p_, ctx_, waker_, &outcome);
+        if (outcome.parked) return Park(ref.page);
         if (s.code() == StatusCode::kDeadlineExceeded) {
           stop_ = StopCause::kDeadline;
           phase_ = Phase::kFinish;
@@ -139,11 +139,17 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
         }
         if (!s.ok()) return Fail(s);
         CountRead(outcome, /*is_p=*/true);
+        if (Status level = CheckNodeLevel(node_p_, ref.level, ref.page);
+            !level.ok()) {
+          return Fail(std::move(level));
+        }
         stack_.pop_back();
         if (!node_p_.IsLeaf()) {
           // Internal P nodes are read (and cost disk accesses) but are not
           // charged to node_accesses: only P leaves and popped Q nodes are.
-          for (const Entry& e : node_p_.entries) stack_.push_back(e.id);
+          for (const Entry& e : node_p_.entries) {
+            stack_.push_back(PageRef{e.id, ref.level - 1});
+          }
           continue;
         }
         ++node_accesses_;  // the P leaf itself
@@ -152,7 +158,8 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
                      std::numeric_limits<double>::infinity());
         best_entry_.assign(node_p_.entries.size(), Entry{});
         queue_ = decltype(queue_){};
-        queue_.push(QueueItem{0.0, tree_q_.root_page()});
+        queue_.push(
+            QueueItem{0.0, {tree_q_.root_page(), tree_q_.height() - 1}});
         phase_ = Phase::kGroupLoop;
         continue;
       }
@@ -178,15 +185,15 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
             continue;
           }
         }
-        group_page_ = item.page;
+        group_ref_ = item.ref;
         phase_ = Phase::kGroupRead;
         continue;
       }
       case Phase::kGroupRead: {
         BufferManager::TryReadOutcome outcome;
-        const Status s = tree_q_.TryReadNode(group_page_, &node_q_, ctx_,
+        const Status s = tree_q_.TryReadNode(group_ref_.page, &node_q_, ctx_,
                                              waker_, &outcome);
-        if (outcome.parked) return Park(group_page_);
+        if (outcome.parked) return Park(group_ref_.page);
         if (s.code() == StatusCode::kDeadlineExceeded) {
           stop_ = StopCause::kDeadline;
           phase_ = Phase::kFinish;
@@ -194,6 +201,11 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
         }
         if (!s.ok()) return Fail(s);
         CountRead(outcome, /*is_p=*/false);
+        if (Status level =
+                CheckNodeLevel(node_q_, group_ref_.level, group_ref_.page);
+            !level.ok()) {
+          return Fail(std::move(level));
+        }
         ++stats_->node_pairs_processed;
         ++node_accesses_;
         if (node_q_.IsLeaf()) {
@@ -214,7 +226,9 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
             // Re-test against the worst captured at this pop: later
             // insertions are useless once every point has a closer
             // neighbor.
-            if (key <= group_worst_) queue_.push(QueueItem{key, eq.id});
+            if (key <= group_worst_) {
+              queue_.push(QueueItem{key, {eq.id, group_ref_.level - 1}});
+            }
           }
         }
         phase_ = Phase::kGroupLoop;

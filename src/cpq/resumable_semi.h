@@ -70,9 +70,17 @@ class ResumableSemiQuery final : public ResumableTask {
     kDone,
   };
 
+  // A page to read with the level its parent implies (the root's is
+  // height - 1): a decoded page at any other level is kCorruption, never
+  // adopted (CheckNodeLevel).
+  struct PageRef {
+    PageId page;
+    int level;
+  };
+
   struct QueueItem {
     double key;
-    PageId page;
+    PageRef ref;
     bool operator>(const QueueItem& other) const { return key > other.key; }
   };
 
@@ -99,7 +107,7 @@ class ResumableSemiQuery final : public ResumableTask {
   // P traversal state: the depth-first leaf scan's explicit stack. The
   // page being read stays on the stack until the read lands, so a park
   // simply re-reads it.
-  std::vector<PageId> stack_;
+  std::vector<PageRef> stack_;
   Node node_p_, node_q_;
 
   // Group-NN state for the current P leaf.
@@ -110,7 +118,7 @@ class ResumableSemiQuery final : public ResumableTask {
                       std::greater<QueueItem>>
       queue_;
   double group_worst_ = 0.0;  // worst unresolved best at this pop
-  PageId group_page_ = kInvalidPageId;
+  PageRef group_ref_{kInvalidPageId, 0};
 
   // Per-query accounting (see header comment).
   uint64_t node_accesses_ = 0;

@@ -193,13 +193,11 @@ std::string RenderExplainReport(const ExplainInputs& in,
   }
 
   // Rendered only when the native uring completion loop served the query:
-  // pool/sync-backed reports (and every pre-uring golden) stay byte-stable.
+  // pool-backed reports (and every pre-uring golden) stay byte-stable.
   if (in.io_backend == "uring") {
     os << "IO\n";
-    os << "  backend: uring"
-       << (in.uring_sqpoll ? "  sqpoll: on" : "")
-       << "  buffers: " << (in.uring_fixed_buffers ? "fixed" : "copied")
-       << "\n";
+    os << "  backend: uring  buffers: "
+       << (in.uring_fixed_buffers ? "fixed" : "copied") << "\n";
     // Where the reads went: page-cache-resident misses are copied inline
     // (StorageManager::TryReadPageNow); only the rest ride the ring.
     os << "  inline reads: " << Num(in.inline_reads)

@@ -130,12 +130,11 @@ struct ExplainInputs {
   double io_parked_seconds = 0.0;
 
   // Async I/O backend (docs/io.md, "Native completion event loop"): the
-  // section renders only when `io_backend` == "uring", so pool/sync
-  // reports — and all pre-uring goldens — stay byte-stable. The counters
+  // section renders only when `io_backend` == "uring", so pool reports
+  // — and all pre-uring goldens — stay byte-stable. The counters
   // come from FileStorageManager::UringStats().
   std::string io_backend;            // "uring" -> section rendered
   std::string io_fallback_reason;    // non-empty -> degraded to pool
-  bool uring_sqpoll = false;         // kernel-side submission polling live
   bool uring_fixed_buffers = false;  // READ_FIXED into registered frames
   uint64_t uring_batches = 0;        // SubmitReads calls reaching the ring
   uint64_t uring_reads = 0;          // SQEs submitted
@@ -148,7 +147,7 @@ struct ExplainInputs {
   // replicas > 1, so single-replica reports — and their goldens — are
   // byte-identical to the pre-replication renderer.
   uint64_t replicas = 0;        // 0 or 1 -> section omitted
-  std::string hedge_mode;       // "off" / "static" / "adaptive"
+  std::string hedge_mode;       // "off" / "static"
   uint64_t failover_reads = 0;  // reads served past a replica failure
   uint64_t read_repairs = 0;    // corrupt copies healed inline
   uint64_t hedged_reads = 0;    // speculative second reads issued

@@ -127,7 +127,7 @@ KcpqMetrics Register() {
 
   m.io_backend_active =
       r.GetGauge("kcpq_io_backend_active",
-                 "Active async I/O backend: 0=sync, 1=pool, 2=uring "
+                 "Active async I/O backend: 1=pool, 2=uring "
                  "(after any fallback)");
   m.uring_sqe_batch_size =
       r.GetHistogram("kcpq_uring_sqe_batch_size", kAccesses,

@@ -103,7 +103,7 @@ struct KcpqMetrics {
   Counter* admission_feedback_updates_total;
 
   // -- io backend / native uring event loop (docs/io.md) ----------------
-  Gauge* io_backend_active;                // 0=sync, 1=pool, 2=uring
+  Gauge* io_backend_active;                // IoBackend: 1=pool, 2=uring
   Histogram* uring_sqe_batch_size;         // SQEs per SubmitReads flush
   Histogram* uring_cqes_per_wake;          // CQEs drained per reaper wake
   Counter* uring_sq_full_stalls_total;     // submit blocked on SQ/slots

@@ -149,13 +149,9 @@ Status FileStorageManager::DoSetIoBackend(IoBackend backend) {
   uring_fallback_reason_.clear();
   if (backend != IoBackend::kUring) return Status::OK();
 #if defined(__linux__) && KCPQ_HAVE_IOURING
-  UringEventLoop::Options options;
-  options.sq_depth = uring_options_.sq_depth;
-  options.sqpoll = uring_options_.sqpoll;
-  options.fixed_buffers = uring_options_.fixed_buffers;
   std::string error;
   uring_loop_ = UringEventLoop::Create(fd_, kSuperblockSize, page_size(),
-                                       options, &error);
+                                       uring_options_.sq_depth, &error);
   if (uring_loop_ == nullptr) uring_fallback_reason_ = error;
 #else
   uring_fallback_reason_ = UringUnavailableReason();
@@ -179,13 +175,8 @@ IoEventLoopStats FileStorageManager::UringStats() const {
 
 void FileStorageManager::DoReadPagesAsync(const PageId* ids, size_t count,
                                           const AsyncReadCallback& callback) {
-  const IoBackend backend = io_backend();
-  if (backend == IoBackend::kSync) {
-    StorageManager::DoReadPagesAsync(ids, count, callback);
-    return;
-  }
   IoEventLoop* loop =
-      backend == IoBackend::kUring ? uring_loop_.get() : nullptr;
+      io_backend() == IoBackend::kUring ? uring_loop_.get() : nullptr;
   if (loop == nullptr) {
     pool_loop_->SubmitReads(ids, count, callback);
     return;

@@ -24,9 +24,7 @@ class FileStorageManager final : public StorageManager {
   /// SetIoBackend(kUring) runs (docs/io.md, "Native completion event
   /// loop").
   struct UringOptions {
-    unsigned sq_depth = 64;     ///< SQ entries; in-flight bound is 2x this
-    bool sqpoll = false;        ///< kernel-side submission polling
-    bool fixed_buffers = true;  ///< register slot frames as fixed buffers
+    unsigned sq_depth = 64;  ///< SQ entries; in-flight bound is 2x this
   };
 
   /// Creates a new store at `path` (truncating any existing file).
@@ -62,8 +60,8 @@ class FileStorageManager final : public StorageManager {
 
   /// The uring loop's counters (zeroes when the ring never came up).
   IoEventLoopStats UringStats() const;
-  /// Null unless the uring loop is live. Exposes SQPOLL / fixed-buffer
-  /// status for the CLI's active-backend report.
+  /// Null unless the uring loop is live. Exposes fixed-buffer status for
+  /// the CLI's active-backend report.
   const IoEventLoop* uring_loop() const { return uring_loop_.get(); }
 
   /// Reads served by TryReadPageNow (page-cache resident, no wait).
@@ -83,9 +81,8 @@ class FileStorageManager final : public StorageManager {
 
   /// kUring submits the batch into the persistent uring event loop (the
   /// reaper thread invokes `callback` directly — no IoThreadPool hop);
-  /// kThreadPool goes through the portable ThreadPoolEventLoop; kSync
-  /// delegates to the base inline implementation. A uring loop that
-  /// failed to come up degrades to the pool loop (see
+  /// kThreadPool goes through the portable ThreadPoolEventLoop. A uring
+  /// loop that failed to come up degrades to the pool loop (see
   /// IoBackendFallbackReason).
   void DoReadPagesAsync(const PageId* ids, size_t count,
                         const AsyncReadCallback& callback) override;

@@ -49,24 +49,21 @@ UringEventLoop::UringEventLoop(uint64_t base_offset, size_t page_size)
     : base_offset_(base_offset), page_size_(page_size) {}
 
 std::unique_ptr<UringEventLoop> UringEventLoop::Create(
-    int file_fd, uint64_t base_offset, size_t page_size,
-    const Options& options, std::string* error) {
+    int file_fd, uint64_t base_offset, size_t page_size, unsigned sq_depth,
+    std::string* error) {
   if (!UringAvailable()) {
     if (error != nullptr) *error = UringUnavailableReason();
     return nullptr;
   }
   std::unique_ptr<UringEventLoop> loop(
       new UringEventLoop(base_offset, page_size));
-  if (!loop->InitRing(file_fd, options, error)) return nullptr;
+  if (!loop->InitRing(file_fd, sq_depth, error)) return nullptr;
   return loop;
 }
 
-bool UringEventLoop::InitRing(int file_fd, const Options& options,
+bool UringEventLoop::InitRing(int file_fd, unsigned sq_depth,
                               std::string* error) {
-  UringRingOptions ring_options;
-  ring_options.sq_entries = options.sq_depth == 0 ? 64 : options.sq_depth;
-  ring_options.sqpoll = options.sqpoll;
-  if (!ring_.Init(file_fd, ring_options)) {
+  if (!ring_.Init(file_fd, sq_depth == 0 ? 64 : sq_depth)) {
     if (error != nullptr) *error = "io_uring ring setup failed";
     return false;
   }
@@ -79,13 +76,11 @@ bool UringEventLoop::InitRing(int file_fd, const Options& options,
     return false;
   }
   arena_ = static_cast<uint8_t*>(arena);
-  if (options.fixed_buffers) {
-    // Best-effort: RLIMIT_MEMLOCK can refuse; plain reads into the same
-    // frames are the documented degradation.
-    std::vector<void*> frames(capacity);
-    for (size_t i = 0; i < capacity; ++i) frames[i] = Frame(i);
-    ring_.RegisterBuffers(frames.data(), capacity, page_size_);
-  }
+  // Best-effort: RLIMIT_MEMLOCK can refuse; plain reads into the same
+  // frames are the documented degradation.
+  std::vector<void*> frames(capacity);
+  for (size_t i = 0; i < capacity; ++i) frames[i] = Frame(i);
+  ring_.RegisterBuffers(frames.data(), capacity, page_size_);
   slots_.resize(capacity);
   free_slots_.reserve(capacity);
   for (size_t i = capacity; i > 0; --i) {
@@ -159,7 +154,7 @@ void UringEventLoop::SubmitReads(const PageId* ids, size_t count,
     while (!ring_.PrepRead(slot, Frame(slot), page_size_, offset, fixed)) {
       ++submit_stats_.sq_full_stalls;
       KCPQ_METRIC_INC(obs::KcpqMetrics::Get().uring_sq_full_stalls_total);
-      ring_.Submit();  // non-SQPOLL: the enter consumes the SQ tail
+      ring_.Submit();  // the enter consumes the SQ tail
       if (ring_.sq_space() == 0) std::this_thread::yield();
     }
     if (fixed >= 0) {
@@ -174,9 +169,9 @@ void UringEventLoop::SubmitReads(const PageId* ids, size_t count,
   // count is a read the kernel already owns, so at least one completion
   // is on its way and the reaper's next submit-and-wait enter will
   // publish what we just staged — skip the syscall. Only an idle ring
-  // (or SQPOLL, where Submit is a flag check) publishes eagerly.
+  // publishes eagerly.
   const size_t taken = slots_.size() - free_slots_.size();
-  if (!ring_.sqpoll() && taken > ring_.pending()) {
+  if (taken > ring_.pending()) {
     ++submit_stats_.deferred_batches;
   } else {
     ring_.Submit();

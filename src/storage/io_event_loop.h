@@ -7,11 +7,11 @@
 //   IoEventLoop           interface: batch submit -> per-page callback
 //   ThreadPoolEventLoop   portable backend (one IoThreadPool task/page)
 //   UringEventLoop        native backend: a single persistent io_uring
-//                         instance (registered file, optionally
-//                         registered fixed buffers, SQPOLL behind a
-//                         flag) plus one reaper thread that drains CQEs
-//                         in batches and invokes the callbacks directly
-//                         — no IoThreadPool hop, no per-read dispatch
+//                         instance (registered file, registered fixed
+//                         buffers where the kernel allows) plus one
+//                         reaper thread that drains CQEs in batches and
+//                         invokes the callbacks directly — no
+//                         IoThreadPool hop, no per-read dispatch
 //                         allocation.
 //
 // FileStorageManager routes DoReadPagesAsync through whichever loop the
@@ -99,7 +99,9 @@ class ThreadPoolEventLoop : public IoEventLoop {
 /// SubmitReads blocks until the reaper frees one, counted as a
 /// sq_full_stall. Each slot owns a page-sized frame in one contiguous
 /// 4 KiB-aligned arena; when the kernel accepts RegisterBuffers the
-/// frames become fixed buffers and reads use IORING_OP_READ_FIXED.
+/// frames become fixed buffers and reads use IORING_OP_READ_FIXED
+/// (registration is best-effort: an RLIMIT_MEMLOCK refusal leaves plain
+/// reads into the same frames).
 /// Completion copies the frame into the callback's Page (the Page
 /// contract is ownership-by-value, so frames never escape the loop).
 ///
@@ -112,20 +114,15 @@ class ThreadPoolEventLoop : public IoEventLoop {
 /// keeps the latency of the eager path.
 class UringEventLoop : public IoEventLoop {
  public:
-  struct Options {
-    unsigned sq_depth = 64;     ///< 0 -> default 64
-    bool sqpoll = false;        ///< kernel-side submission polling
-    bool fixed_buffers = true;  ///< try IORING_REGISTER_BUFFERS
-  };
-
-  /// Builds the ring against `file_fd` (registered as fixed file 0).
-  /// Page `id` lives at byte offset `base_offset + id * page_size`.
+  /// Builds a ring of `sq_depth` SQEs (0 -> 64) against `file_fd`
+  /// (registered as fixed file 0). Page `id` lives at byte offset
+  /// `base_offset + id * page_size`.
   /// Returns nullptr with `*error` set when the kernel rejects the ring —
   /// callers fall back to ThreadPoolEventLoop and surface the reason.
   static std::unique_ptr<UringEventLoop> Create(int file_fd,
                                                 uint64_t base_offset,
                                                 size_t page_size,
-                                                const Options& options,
+                                                unsigned sq_depth,
                                                 std::string* error);
 
   ~UringEventLoop() override;
@@ -137,7 +134,6 @@ class UringEventLoop : public IoEventLoop {
                    AsyncReadCallback callback) override;
   IoEventLoopStats stats() const override;
 
-  bool sqpoll_active() const { return ring_.sqpoll(); }
   bool fixed_buffers_active() const { return ring_.buffers_registered(); }
   unsigned sq_depth() const { return ring_.sq_entries(); }
   /// In-flight bound (== cq_entries == slot count).
@@ -161,7 +157,7 @@ class UringEventLoop : public IoEventLoop {
   };
 
   UringEventLoop(uint64_t base_offset, size_t page_size);
-  bool InitRing(int file_fd, const Options& options, std::string* error);
+  bool InitRing(int file_fd, unsigned sq_depth, std::string* error);
   void Reap();
   uint8_t* Frame(size_t slot) {
     return arena_ + slot * page_size_;

@@ -121,12 +121,10 @@ class LatencyStorageManager final : public StorageManager {
   /// Async batch with per-page (not per-pool-pass) latency: each page of
   /// the batch becomes ready one drawn latency after submission, even
   /// when the shared I/O pool is narrower than the batch (file comment).
-  /// kSync keeps the default inline path — its sequential per-page sleeps
-  /// are the point of that differential baseline.
+  /// Without read latency the default per-page pool path is the same.
   void DoReadPagesAsync(const PageId* ids, size_t count,
                         const AsyncReadCallback& callback) override {
-    if (io_backend() != IoBackend::kThreadPool ||
-        !profile_.has_read_latency()) {
+    if (!profile_.has_read_latency()) {
       StorageManager::DoReadPagesAsync(ids, count, callback);
       return;
     }

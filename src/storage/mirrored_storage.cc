@@ -1,8 +1,6 @@
 #include "storage/mirrored_storage.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstring>
 #include <sstream>
 #include <utility>
@@ -32,8 +30,6 @@ const char* HedgeModeName(HedgeMode mode) {
       return "off";
     case HedgeMode::kStatic:
       return "static";
-    case HedgeMode::kAdaptive:
-      return "adaptive";
   }
   return "unknown";
 }
@@ -92,12 +88,6 @@ MirroredStorageManager::MirroredStorageManager(
 
 MirroredStorageManager::~MirroredStorageManager() { DrainHedges(); }
 
-size_t MirroredStorageManager::PrimaryReplica(PageId id) const {
-  return options_.rotate_primary
-             ? static_cast<size_t>(id % replicas_.size())
-             : 0;
-}
-
 uint64_t MirroredStorageManager::NextProbeAt(size_t replica,
                                              uint64_t opens) const {
   SplitMix64 h(options_.breaker.seed ^
@@ -111,15 +101,13 @@ uint64_t MirroredStorageManager::NextProbeAt(size_t replica,
 }
 
 std::vector<MirroredStorageManager::OrderEntry>
-MirroredStorageManager::ReadOrder(PageId id) {
+MirroredStorageManager::ReadOrder() {
   const size_t n = replicas_.size();
   std::vector<OrderEntry> front;
   std::vector<OrderEntry> back;
   front.reserve(n);
   bool probe_chosen = false;
-  const size_t primary = PrimaryReplica(id);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t r = (primary + i) % n;
+  for (size_t r = 0; r < n; ++r) {
     Breaker& b = *breakers_[r];
     std::lock_guard<std::mutex> lock(b.mu);
     switch (b.state) {
@@ -203,43 +191,6 @@ BreakerState MirroredStorageManager::breaker_state(size_t replica) const {
   return b.state;
 }
 
-void MirroredStorageManager::ObserveLatency(std::chrono::nanoseconds latency) {
-  const double us =
-      static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(latency)
-              .count()) /
-      1000.0;
-  std::lock_guard<std::mutex> lock(latency_mu_);
-  if (latency_samples_ == 0) {
-    ewma_mean_us_ = us;
-    ewma_dev_us_ = 0.0;
-  } else {
-    const double d = us - ewma_mean_us_;
-    ewma_mean_us_ += options_.hedge.ewma_alpha * d;
-    ewma_dev_us_ +=
-        options_.hedge.ewma_alpha * (std::abs(d) - ewma_dev_us_);
-  }
-  ++latency_samples_;
-}
-
-std::chrono::microseconds MirroredStorageManager::HedgeDelayLocked() const {
-  if (options_.hedge.mode != HedgeMode::kAdaptive ||
-      latency_samples_ < options_.hedge.min_samples) {
-    return options_.hedge.static_delay;
-  }
-  const double us =
-      ewma_mean_us_ + options_.hedge.deviation_multiplier * ewma_dev_us_;
-  const auto lo = static_cast<double>(options_.hedge.min_delay.count());
-  const auto hi = static_cast<double>(options_.hedge.max_delay.count());
-  return std::chrono::microseconds(
-      static_cast<int64_t>(std::min(std::max(us, lo), hi)));
-}
-
-std::chrono::microseconds MirroredStorageManager::CurrentHedgeDelay() const {
-  std::lock_guard<std::mutex> lock(latency_mu_);
-  return HedgeDelayLocked();
-}
-
 Status MirroredStorageManager::FailoverRead(
     const std::vector<OrderEntry>& order, size_t first, PageId id, Page* page,
     const QueryContext* ctx, std::vector<std::pair<size_t, Status>>* errors) {
@@ -293,9 +244,7 @@ void MirroredStorageManager::SubmitHedgeAttempt(
   replica_attempts_.fetch_add(1, std::memory_order_relaxed);
   KCPQ_METRIC_INC(
       obs::KcpqMetrics::Get().storage_replica_read_attempts_total);
-  const auto submitted = Clock::now();
-  IoThreadPool::Shared().Submit([this, state, replica, id, is_hedge,
-                                 submitted] {
+  IoThreadPool::Shared().Submit([this, state, replica, id, is_hedge] {
     Page local;
     Status s;
     {
@@ -306,9 +255,6 @@ void MirroredStorageManager::SubmitHedgeAttempt(
       s = replicas_[replica]->ReadPage(id, &local, nullptr);
     }
     RecordOutcome(replica, AttemptKind::kNormal, s.ok());
-    if (options_.hedge.mode == HedgeMode::kAdaptive) {
-      ObserveLatency(Clock::now() - submitted);
-    }
     bool won = false;
     {
       std::lock_guard<std::mutex> lock(state->mu);
@@ -357,7 +303,7 @@ Status MirroredStorageManager::HedgedRead(
     std::vector<std::pair<size_t, Status>>* errors) {
   auto state = std::make_shared<HedgeState>();
   const auto start = Clock::now();
-  const auto delay = CurrentHedgeDelay();
+  const auto delay = options_.hedge.static_delay;
   SubmitHedgeAttempt(state, order[0].replica, id, /*is_hedge=*/false);
   bool hedged = false;
   {
@@ -435,7 +381,7 @@ uint64_t MirroredStorageManager::RepairReplicas(
 
 Status MirroredStorageManager::DoReadPage(PageId id, Page* page,
                                           const QueryContext* ctx) {
-  std::vector<OrderEntry> order = ReadOrder(id);
+  std::vector<OrderEntry> order = ReadOrder();
   std::vector<std::pair<size_t, Status>> errors;
   Status s;
   // Hedging pairs two healthy replicas and blocks on pool completions, so
@@ -471,9 +417,11 @@ Status MirroredStorageManager::DoReadPage(PageId id, Page* page,
 }
 
 Result<PageId> MirroredStorageManager::Allocate() {
-  // Structural mutation is single-threaded by the storage contract; the
-  // replicas allocate in lockstep and must hand back the same id (they
-  // start empty together and see the same operation sequence).
+  // Structural mutation is single-threaded by the storage contract, but a
+  // losing hedge may still be reading a replica: let it finish first.
+  // The replicas allocate in lockstep and must hand back the same id
+  // (they start empty together and see the same operation sequence).
+  DrainHedges();
   Result<PageId> first = replicas_[0]->Allocate();
   if (!first.ok()) return first;
   for (size_t r = 1; r < replicas_.size(); ++r) {
@@ -487,6 +435,7 @@ Result<PageId> MirroredStorageManager::Allocate() {
 }
 
 Status MirroredStorageManager::Free(PageId id) {
+  DrainHedges();  // as in Allocate
   Status result;
   for (StorageManager* r : replicas_) {
     Status s = r->Free(id);
@@ -534,8 +483,8 @@ ScrubReport MirroredStorageManager::ScrubPages(PageId begin,
       std::shared_lock<std::shared_mutex> lock(Stripe(id));
       for (size_t r = 0; r < nr; ++r) {
         // Direct replica reads: scrub is maintenance I/O and must not
-        // move the mirror's logical read counters, breaker windows, or
-        // hedge estimate (only the replicas' own physical counters).
+        // move the mirror's logical read counters or breaker windows
+        // (only the replicas' own physical counters).
         st[r] = replicas_[r]->ReadPage(id, &copies[r], nullptr);
         if (st[r].code() == StatusCode::kCorruption) {
           ++rep.replica_corruptions;

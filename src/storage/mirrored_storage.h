@@ -10,10 +10,9 @@
 //   * read-repair — when a read found a *corrupt* copy and a later
 //     replica served good bytes, the good page is written back to the
 //     corrupt replica, healing it in place;
-//   * hedged reads — after a configurable delay (static --hedge-after-us
-//     or an EWMA-adaptive latency estimate) a second read is issued to
-//     another replica through the shared IoThreadPool; the first
-//     completion wins and the loser is accounted hedge_wasted;
+//   * hedged reads — after a fixed delay (--hedge-after-us) a second
+//     read is issued to another replica through the shared IoThreadPool;
+//     the first completion wins and the loser is accounted hedge_wasted;
 //   * a per-replica circuit breaker — closed/open/half-open on an
 //     error-rate window with a seeded-deterministic probe schedule, so a
 //     dead replica stops eating failover attempts and hedge budget;
@@ -56,7 +55,8 @@
 // queued behind the caller itself); IoThreadPool::OnWorkerThread() gates
 // this — such reads use plain failover, which is correct and non-blocking
 // on the pool. The destructor drains any losing hedge completions still
-// in flight, so no task outlives the manager.
+// in flight, so no task outlives the manager; Allocate and Free drain
+// them too, so a loser never reads a replica during structural mutation.
 
 #ifndef KCPQ_STORAGE_MIRRORED_STORAGE_H_
 #define KCPQ_STORAGE_MIRRORED_STORAGE_H_
@@ -78,29 +78,16 @@ namespace kcpq {
 
 /// When a second (hedged) read is issued. docs/robustness.md.
 enum class HedgeMode {
-  kOff,      // never hedge; failover only
-  kStatic,   // hedge after a fixed delay (HedgePolicy::static_delay)
-  kAdaptive  // hedge after EWMA(mean) + multiplier * EWMA(|dev|)
+  kOff,    // never hedge; failover only
+  kStatic  // hedge after a fixed delay (HedgePolicy::static_delay)
 };
 
 const char* HedgeModeName(HedgeMode mode);
 
 struct HedgePolicy {
   HedgeMode mode = HedgeMode::kOff;
-  /// kStatic: the hedge delay. kAdaptive: the delay used until enough
-  /// latency samples exist (HedgePolicy::min_samples).
+  /// kStatic: how long the primary read may run before the hedge fires.
   std::chrono::microseconds static_delay{1000};
-  /// kAdaptive parameters: per-read completion latencies (winners and
-  /// losers alike, so a slow replica keeps feeding the estimate) update
-  /// exponentially weighted means of the latency and its absolute
-  /// deviation; the hedge fires after mean + deviation_multiplier * dev.
-  double ewma_alpha = 0.125;
-  double deviation_multiplier = 4.0;
-  uint64_t min_samples = 8;
-  /// Clamp on the adaptive delay. The floor keeps a run of fast reads
-  /// from collapsing the delay to zero and hedging every read.
-  std::chrono::microseconds min_delay{50};
-  std::chrono::microseconds max_delay{100000};
 };
 
 /// Per-replica circuit breaker (closed -> open on error rate, open ->
@@ -130,10 +117,6 @@ const char* BreakerStateName(BreakerState state);
 struct MirroredOptions {
   HedgePolicy hedge;
   BreakerPolicy breaker;
-  /// Spread primaries as page_id % replicas instead of always reading
-  /// replica 0 first. Off by default: a fixed primary makes failover
-  /// and repair behaviour trivially predictable in tests.
-  bool rotate_primary = false;
 };
 
 /// Monotonic counters, snapshot by value. After DrainHedges (or the
@@ -203,10 +186,6 @@ class MirroredStorageManager final : public StorageManager {
   MirroredStats mirrored_stats() const;
   BreakerState breaker_state(size_t replica) const;
 
-  /// The hedge delay a read issued now would use (static, or the current
-  /// adaptive estimate). Exposed for tests and EXPLAIN.
-  std::chrono::microseconds CurrentHedgeDelay() const;
-
  protected:
   Status DoReadPage(PageId id, Page* page, const QueryContext* ctx) override;
 
@@ -246,11 +225,11 @@ class MirroredStorageManager final : public StorageManager {
     std::vector<std::pair<size_t, Status>> failures;  // (replica, error)
   };
 
-  size_t PrimaryReplica(PageId id) const;
   /// Read order for one logical read: closed replicas (and at most one
-  /// due probe, placed first) in rotation order, then open replicas as a
-  /// last resort. Mutates breaker skip counters.
-  std::vector<OrderEntry> ReadOrder(PageId id);
+  /// due probe, placed first) in index order, so replica 0 is the
+  /// primary, then open replicas as a last resort. Mutates breaker skip
+  /// counters.
+  std::vector<OrderEntry> ReadOrder();
   void RecordOutcome(size_t replica, AttemptKind kind, bool ok);
   uint64_t NextProbeAt(size_t replica, uint64_t opens) const;
 
@@ -277,9 +256,6 @@ class MirroredStorageManager final : public StorageManager {
                           const std::vector<std::pair<size_t, Status>>& errors,
                           const Page& good, const QueryContext* ctx);
 
-  void ObserveLatency(std::chrono::nanoseconds latency);
-  std::chrono::microseconds HedgeDelayLocked() const;
-
   std::shared_mutex& Stripe(PageId id) {
     return page_stripes_[id % kStripes].mu;
   }
@@ -293,12 +269,6 @@ class MirroredStorageManager final : public StorageManager {
   MirroredOptions options_;
   std::vector<std::unique_ptr<Breaker>> breakers_;
   std::array<Striped, kStripes> page_stripes_;
-
-  // Adaptive hedge latency estimate (microseconds).
-  mutable std::mutex latency_mu_;
-  double ewma_mean_us_ = 0.0;
-  double ewma_dev_us_ = 0.0;
-  uint64_t latency_samples_ = 0;
 
   // Outstanding hedge completions (both submissions of a hedged read).
   std::mutex inflight_mu_;

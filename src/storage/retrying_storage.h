@@ -41,16 +41,13 @@
 namespace kcpq {
 
 /// Backoff schedule for RetryingStorageManager. attempt i (0-based retry)
-/// sleeps min(initial_backoff * multiplier^i, max_backoff), scaled by a
-/// deterministic jitter factor in [1 - jitter_fraction, 1]. With
-/// initial_backoff == 0 no sleeping happens at all (the test default:
-/// deterministic and fast).
+/// sleeps min(initial_backoff * 2^i, max_backoff), scaled by a
+/// deterministic jitter factor in [0.5, 1]. With initial_backoff == 0 no
+/// sleeping happens at all (the test default: deterministic and fast).
 struct RetryPolicy {
   int max_retries = 3;
   std::chrono::microseconds initial_backoff{100};
-  double multiplier = 2.0;
   std::chrono::microseconds max_backoff{5000};
-  double jitter_fraction = 0.5;
   /// Seed for the jitter hash; together with the operation salt and the
   /// attempt number it makes every sleep reproducible.
   uint64_t seed = 0;
@@ -181,6 +178,9 @@ class RetryingStorageManager final : public StorageManager {
     return s;
   }
 
+  static constexpr double kBackoffMultiplier = 2.0;
+  static constexpr double kJitterFraction = 0.5;
+
   /// The exact (jittered, capped) sleep before retry `attempt`.
   /// Deterministic in (seed, op salt, attempt), so both the sleeping and
   /// the deadline-abandon decision reproduce across runs.
@@ -189,15 +189,15 @@ class RetryingStorageManager final : public StorageManager {
       return std::chrono::microseconds(0);
     }
     double backoff = static_cast<double>(policy_.initial_backoff.count());
-    for (int i = 0; i < attempt; ++i) backoff *= policy_.multiplier;
+    for (int i = 0; i < attempt; ++i) backoff *= kBackoffMultiplier;
     const double cap = static_cast<double>(policy_.max_backoff.count());
     if (backoff > cap) backoff = cap;
     // Deterministic jitter: hash (seed, op salt, attempt) to a factor in
-    // [1 - jitter_fraction, 1]. Lock-free and reproducible across runs.
+    // [1 - kJitterFraction, 1]. Lock-free and reproducible across runs.
     SplitMix64 h(policy_.seed ^ salt ^ (static_cast<uint64_t>(attempt) + 1));
     const double u =
         static_cast<double>(h.Next() >> 11) * 0x1.0p-53;  // [0, 1)
-    const double factor = 1.0 - policy_.jitter_fraction * u;
+    const double factor = 1.0 - kJitterFraction * u;
     return std::chrono::microseconds(static_cast<int64_t>(backoff * factor));
   }
 

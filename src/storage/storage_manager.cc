@@ -10,19 +10,10 @@ namespace kcpq {
 
 void StorageManager::DoReadPagesAsync(const PageId* ids, size_t count,
                                       const AsyncReadCallback& callback) {
-  if (io_backend() == IoBackend::kSync) {
-    for (size_t i = 0; i < count; ++i) {
-      AsyncPageRead done;
-      done.id = ids[i];
-      done.status = ReadPage(ids[i], &done.page, nullptr);
-      callback(std::move(done));
-    }
-    return;
-  }
-  // kThreadPool: one task per page through the virtual ReadPage, so a
-  // decorated stack (latency/retry/fault-injection/checksum) services
-  // async reads identically to demand reads. Copy the ids out of the
-  // caller's span — it may go out of scope before the tasks run.
+  // One task per page through the virtual ReadPage, so a decorated stack
+  // (latency/retry/fault-injection/checksum) services async reads
+  // identically to demand reads. Copy the ids out of the caller's span —
+  // it may go out of scope before the tasks run.
   IoThreadPool& pool = IoThreadPool::Shared();
   for (size_t i = 0; i < count; ++i) {
     PageId id = ids[i];

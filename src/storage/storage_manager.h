@@ -22,26 +22,22 @@ namespace kcpq {
 
 class QueryContext;
 
-/// How ReadPagesAsync services a batch (docs/io.md).
+/// How ReadPagesAsync services a batch (docs/io.md). The values are
+/// explicit because the `kcpq_io_backend_active` gauge exports them.
 enum class IoBackend {
-  /// Completions run inline on the calling thread, in submission order.
-  /// No overlap; useful as a differential baseline.
-  kSync,
   /// Each page is read by the shared IoThreadPool (storage/async_io.h)
   /// through the full virtual ReadPage stack, so every decorator
   /// (latency/retry/fault-injection/checksum) composes. Portable default.
-  kThreadPool,
+  kThreadPool = 1,
   /// Native io_uring completion event loop (FileStorageManager on Linux,
   /// built with -DKCPQ_IOURING=ON; no liburing needed — raw syscalls).
   /// Bypasses decorators: only valid on a bare file store.
-  kUring,
+  kUring = 2,
 };
 
 /// Stable lower-case tag for CLI / stats-json / EXPLAIN output.
 inline const char* IoBackendName(IoBackend backend) {
   switch (backend) {
-    case IoBackend::kSync:
-      return "sync";
     case IoBackend::kThreadPool:
       return "pool";
     case IoBackend::kUring:
@@ -142,11 +138,11 @@ class StorageManager {
   }
 
   /// True when this implementation (including anything it decorates) can
-  /// service ReadPagesAsync with `backend`. Every store supports kSync and
+  /// service ReadPagesAsync with `backend`. Every store supports
   /// kThreadPool; kUring requires a bare FileStorageManager built with
   /// KCPQ_IOURING on a kernel whose io_uring probe passes.
   virtual bool SupportsIoBackend(IoBackend backend) const {
-    return backend == IoBackend::kSync || backend == IoBackend::kThreadPool;
+    return backend == IoBackend::kThreadPool;
   }
 
   /// Selects the backend for subsequent ReadPagesAsync calls. Rejects
@@ -215,9 +211,9 @@ class StorageManager {
   }
 
   /// ReadPagesAsync implementation hook (`count` >= 1). The default
-  /// honours io_backend(): kSync completes inline; kThreadPool dispatches
-  /// one task per page to IoThreadPool::Shared(), each going through the
-  /// virtual ReadPage so decorators compose (storage_manager.cc).
+  /// dispatches one task per page to IoThreadPool::Shared(), each going
+  /// through the virtual ReadPage so decorators compose
+  /// (storage_manager.cc).
   virtual void DoReadPagesAsync(const PageId* ids, size_t count,
                                 const AsyncReadCallback& callback);
 

@@ -54,24 +54,13 @@ unsigned* UringRing::CqAtomic(size_t offset) const {
   return reinterpret_cast<unsigned*>(static_cast<char*>(cq_ring_) + offset);
 }
 
-bool UringRing::Init(int file_fd, const UringRingOptions& options) {
+bool UringRing::Init(int file_fd, unsigned sq_entries) {
   Close();
   io_uring_params params;
   std::memset(&params, 0, sizeof(params));
-  if (options.sqpoll) {
-    params.flags |= IORING_SETUP_SQPOLL;
-    params.sq_thread_idle = 1000;  // ms before the poller sleeps
-  }
-  int fd = SysSetup(options.sq_entries, &params);
-  if (fd < 0 && options.sqpoll) {
-    // SQPOLL needs privileges on older kernels; a plain ring is strictly
-    // better than no ring.
-    std::memset(&params, 0, sizeof(params));
-    fd = SysSetup(options.sq_entries, &params);
-  }
+  const int fd = SysSetup(sq_entries, &params);
   if (fd < 0) return false;
   ring_fd_ = fd;
-  sqpoll_ = (params.flags & IORING_SETUP_SQPOLL) != 0;
   sq_entries_ = params.sq_entries;
   cq_entries_ = params.cq_entries;
   sq_off_ = params.sq_off;
@@ -115,9 +104,8 @@ bool UringRing::Init(int file_fd, const UringRingOptions& options) {
   unsigned* array = SqAtomic(sq_off_.array);
   for (unsigned i = 0; i < sq_entries_; ++i) array[i] = i;
 
-  // Registered file: required under SQPOLL on older kernels, and saves
-  // the per-SQE fdget either way. Failure closes the ring — every SQE
-  // below assumes fixed file 0.
+  // Registered file: saves the per-SQE fdget. Failure closes the ring —
+  // every SQE below assumes fixed file 0.
   if (SysRegister(ring_fd_, IORING_REGISTER_FILES, &file_fd, 1) < 0) {
     Close();
     return false;
@@ -177,29 +165,11 @@ bool UringRing::PrepRead(uint64_t user_data, void* buf, size_t len,
   return true;
 }
 
-bool UringRing::EnterWakeupIfNeeded(unsigned to_submit, int* res) {
-  if (!sqpoll_) {
-    *res = SysEnter(ring_fd_, to_submit, 0, 0);
-    return true;
-  }
-  // SQPOLL: the kernel thread consumes the tail on its own; only enter
-  // when it went to sleep.
-  const unsigned flags = LoadAcquire(SqAtomic(sq_off_.flags));
-  if (flags & IORING_SQ_NEED_WAKEUP) {
-    *res = SysEnter(ring_fd_, to_submit, 0, IORING_ENTER_SQ_WAKEUP);
-  } else {
-    *res = static_cast<int>(to_submit);
-  }
-  return true;
-}
-
 int UringRing::Submit() {
   const unsigned n = to_submit_;
   if (n == 0) return 0;
   to_submit_ = 0;
-  int res = 0;
-  EnterWakeupIfNeeded(n, &res);
-  if (res < 0) return -errno;
+  if (SysEnter(ring_fd_, n, 0, 0) < 0) return -errno;
   return static_cast<int>(n);
 }
 
@@ -227,22 +197,16 @@ int UringRing::SubmitWaitReap(unsigned to_submit, UringCqe* out,
   *accepted = 0;
   const size_t ready = ReapReady(out, capacity);
   if (to_submit == 0 && ready > 0) return static_cast<int>(ready);
-  unsigned flags = IORING_ENTER_GETEVENTS;
-  if (sqpoll_) {
-    // The poller consumes the tail on its own; the enter only wakes it
-    // when it went to sleep, and the claimed SQEs count as accepted.
-    const unsigned sq_flags = LoadAcquire(SqAtomic(sq_off_.flags));
-    if (sq_flags & IORING_SQ_NEED_WAKEUP) flags |= IORING_ENTER_SQ_WAKEUP;
-  }
   // CQEs already drained above: publish without blocking so the caller
   // processes them now; otherwise submit and wait in the one syscall.
   const unsigned min_complete = ready > 0 ? 0 : 1;
-  const int res = SysEnter(ring_fd_, to_submit, min_complete, flags);
+  const int res =
+      SysEnter(ring_fd_, to_submit, min_complete, IORING_ENTER_GETEVENTS);
   if (res >= 0) {
     // io_uring_enter submits before it waits, so an interrupted wait
     // still reports the submitted count here; a negative return means
     // nothing was consumed.
-    *accepted = sqpoll_ ? to_submit : static_cast<unsigned>(res);
+    *accepted = static_cast<unsigned>(res);
   } else if (errno != EINTR && errno != EAGAIN && errno != EBUSY) {
     return -errno;
   }
@@ -278,7 +242,6 @@ void UringRing::Close() {
     ::close(ring_fd_);
     ring_fd_ = -1;
   }
-  sqpoll_ = false;
   buffers_registered_ = false;
   to_submit_ = 0;
 }

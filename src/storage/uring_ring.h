@@ -5,8 +5,8 @@
 // directly: io_uring_setup / io_uring_enter / io_uring_register plus the
 // mmap'd submission and completion rings from <linux/io_uring.h>. Only
 // the slice the event loop needs is wrapped — fixed-depth read
-// submission, registered files, optionally registered fixed buffers,
-// SQPOLL, and batched CQE reaping. See docs/io.md ("Native completion
+// submission, registered files, optionally registered fixed buffers, and
+// batched CQE reaping. See docs/io.md ("Native completion
 // event loop") for the lifecycle this supports.
 //
 // Thread-safety: PrepRead/Submit/TakePending/Recredit must be externally
@@ -38,18 +38,6 @@ struct UringCqe {
 
 #if defined(__linux__) && KCPQ_HAVE_IOURING
 
-/// Setup-time knobs for UringRing::Init.
-struct UringRingOptions {
-  /// SQ depth (rounded up to a power of two by the kernel). The CQ is
-  /// sized 2x this; the event loop bounds in-flight reads to cq_entries.
-  unsigned sq_entries = 64;
-  /// Kernel-side submission polling (IORING_SETUP_SQPOLL). Saves the
-  /// io_uring_enter syscall per submission wave but pins a kernel thread;
-  /// requires a recent kernel or privileges, so Init degrades to a
-  /// non-SQPOLL ring when the flag is rejected.
-  bool sqpoll = false;
-};
-
 /// A single io_uring instance: setup, mmap'd rings, registered file, and
 /// optionally registered fixed buffers. Not copyable; Close is idempotent.
 class UringRing {
@@ -59,12 +47,12 @@ class UringRing {
   UringRing(const UringRing&) = delete;
   UringRing& operator=(const UringRing&) = delete;
 
-  /// Sets up the ring and registers `file_fd` as fixed file 0. Returns
-  /// false (with the ring closed) when the kernel rejects the setup —
-  /// callers fall back to the thread-pool backend. SQPOLL rejection alone
-  /// is not fatal: the ring retries without it and reports sqpoll()
-  /// false.
-  bool Init(int file_fd, const UringRingOptions& options);
+  /// Sets up a ring of `sq_entries` SQEs (rounded up to a power of two
+  /// by the kernel; the CQ is sized 2x that, and the event loop bounds
+  /// in-flight reads to cq_entries) and registers `file_fd` as fixed
+  /// file 0. Returns false (with the ring closed) when the kernel rejects
+  /// the setup — callers fall back to the thread-pool backend.
+  bool Init(int file_fd, unsigned sq_entries);
 
   /// Registers `count` fixed buffers of `len` bytes each at `frames[i]`.
   /// Best-effort: returns false (reads then use plain IORING_OP_READ into
@@ -81,8 +69,7 @@ class UringRing {
                 int fixed_index);
 
   /// Publishes queued SQEs to the kernel. Returns the number submitted,
-  /// or a negative errno. With SQPOLL this is usually just a wakeup
-  /// check.
+  /// or a negative errno.
   int Submit();
 
   /// SQEs queued by PrepRead that no Submit/TakePending has claimed yet.
@@ -123,7 +110,6 @@ class UringRing {
   void Close();
 
   bool valid() const { return ring_fd_ >= 0; }
-  bool sqpoll() const { return sqpoll_; }
   bool buffers_registered() const { return buffers_registered_; }
   unsigned sq_entries() const { return sq_entries_; }
   unsigned cq_entries() const { return cq_entries_; }
@@ -134,10 +120,8 @@ class UringRing {
   unsigned* SqAtomic(size_t offset) const;
   unsigned* CqAtomic(size_t offset) const;
   io_uring_sqe* GetSqe();
-  bool EnterWakeupIfNeeded(unsigned to_submit, int* res);
 
   int ring_fd_ = -1;
-  bool sqpoll_ = false;
   bool buffers_registered_ = false;
   unsigned sq_entries_ = 0;
   unsigned cq_entries_ = 0;

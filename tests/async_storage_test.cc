@@ -100,23 +100,6 @@ TEST(IoThreadPoolTest, SharedPoolIsUsable) {
   EXPECT_GE(IoThreadPool::Shared().threads(), 1u);
 }
 
-TEST(AsyncStorageTest, SyncBackendCompletesInline) {
-  MemoryStorageManager storage;
-  const std::vector<PageId> ids = FillPages(&storage, 4);
-  KCPQ_ASSERT_OK(storage.SetIoBackend(IoBackend::kSync));
-  Completions got;
-  storage.ReadPagesAsync(ids.data(), ids.size(), got.Callback());
-  // kSync completes before ReadPagesAsync returns — no waiting needed.
-  ASSERT_EQ(got.done.size(), ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const AsyncPageRead* r = got.Find(ids[i]);
-    ASSERT_NE(r, nullptr);
-    KCPQ_EXPECT_OK(r->status);
-    ASSERT_EQ(r->page.size(), storage.page_size());
-    EXPECT_EQ(r->page.data()[0], static_cast<uint8_t>('A' + i % 26));
-  }
-}
-
 TEST(AsyncStorageTest, ThreadPoolBackendReadsCorrectDataAndReportsErrors) {
   MemoryStorageManager storage;
   const std::vector<PageId> valid = FillPages(&storage, 8);
@@ -145,15 +128,18 @@ TEST(AsyncStorageTest, EmptyBatchNeverInvokesCallback) {
 }
 
 TEST(AsyncStorageTest, SetIoBackendRejectsUnsupported) {
+  // A memory store is pool-only.
   MemoryStorageManager storage;
-  EXPECT_TRUE(storage.SupportsIoBackend(IoBackend::kSync));
   EXPECT_TRUE(storage.SupportsIoBackend(IoBackend::kThreadPool));
   EXPECT_FALSE(storage.SupportsIoBackend(IoBackend::kUring));
   const Status bad = storage.SetIoBackend(IoBackend::kUring);
   EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(storage.io_backend(), IoBackend::kThreadPool);  // unchanged
-  KCPQ_EXPECT_OK(storage.SetIoBackend(IoBackend::kSync));
-  EXPECT_EQ(storage.io_backend(), IoBackend::kSync);
+  KCPQ_EXPECT_OK(storage.SetIoBackend(IoBackend::kThreadPool));
+  EXPECT_EQ(storage.io_backend(), IoBackend::kThreadPool);
+  // The kcpq_io_backend_active gauge exports the enum value.
+  EXPECT_EQ(static_cast<int>(IoBackend::kThreadPool), 1);
+  EXPECT_EQ(static_cast<int>(IoBackend::kUring), 2);
 }
 
 TEST(AsyncStorageTest, DecoratorsComposeOnTheAsyncPath) {

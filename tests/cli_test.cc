@@ -5,6 +5,7 @@
 #include <string>
 
 #include "gtest/gtest.h"
+#include "storage/stack.h"
 #include "tests/test_util.h"
 #include "tools/cli.h"
 
@@ -291,6 +292,26 @@ TEST_F(CliTest, SchedulerFlagValidation) {
                        "--max-inflight=0"},
                       &out)
                    .ok());
+}
+
+TEST_F(CliTest, IoBackendAndHedgeFlagValidation) {
+  BuildBoth("100");
+  std::string out;
+  KCPQ_EXPECT_OK(
+      RunCli({"kcp", db_p_, db_q_, "1", "--io-backend=pool"}, &out));
+  Status status =
+      RunCli({"kcp", db_p_, db_q_, "1", "--io-backend=sync"}, &out);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "--io-backend must be pool or uring");
+  KCPQ_EXPECT_OK(RunCli(
+      {"kcp", db_p_, db_q_, "1", "--replicas=2", "--hedge=static"}, &out));
+  status = RunCli(
+      {"kcp", db_p_, db_q_, "1", "--replicas=2", "--hedge=adaptive"}, &out);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "--hedge must be off or static");
+  for (const std::string& db : {db_p_, db_q_}) {
+    std::remove(ReplicaFilePath(db, 1).c_str());
+  }
 }
 
 TEST_F(CliTest, JoinAndSemiHonorNodeBudget) {

@@ -196,6 +196,11 @@ TEST(CorruptionTest, RewrittenInternalLevelIsCorruption) {
     EXPECT_EQ(hs.status().code(), StatusCode::kCorruption)
         << "buffer " << capacity << ": "
         << (hs.ok() ? "join succeeded" : hs.status().ToString());
+    QueryContext semi_ctx(budget);
+    auto semi = SemiClosestPairs(*tree, fq.tree(), nullptr, &semi_ctx);
+    EXPECT_EQ(semi.status().code(), StatusCode::kCorruption)
+        << "buffer " << capacity << ": "
+        << (semi.ok() ? "semi-join succeeded" : semi.status().ToString());
   }
   std::remove(path.c_str());
 }

@@ -449,37 +449,6 @@ TEST(MirroredHedge, AccountingIdentityHoldsUnderHeavyTailLatency) {
   EXPECT_GT(stats.hedge_wins, 0u);
 }
 
-TEST(MirroredHedge, AdaptiveDelayConvergesAndStaysClamped) {
-  ReplicaStackConfig config;
-  config.replicas = 2;
-  config.latency.read_latency = std::chrono::microseconds(80);
-  config.latency.seed = 3;
-  config.mirrored.hedge.mode = HedgeMode::kAdaptive;
-  config.mirrored.hedge.static_delay = std::chrono::microseconds(500);
-  config.mirrored.hedge.min_samples = 4;
-  config.mirrored.hedge.min_delay = std::chrono::microseconds(50);
-  config.mirrored.hedge.max_delay = std::chrono::microseconds(5000);
-  ReplicatedMemoryStack stack(config);
-  MirroredStorageManager* mirror = stack.mirrored();
-
-  // Before any samples: the static fallback.
-  EXPECT_EQ(mirror->CurrentHedgeDelay(), std::chrono::microseconds(500));
-
-  const PageId id = mirror->Allocate().value();
-  Page page(mirror->page_size());
-  KCPQ_ASSERT_OK(mirror->WritePage(id, page));
-  for (int i = 0; i < 32; ++i) {
-    Page got;
-    KCPQ_ASSERT_OK(mirror->ReadPage(id, &got));
-  }
-  mirror->DrainHedges();
-  const auto delay = mirror->CurrentHedgeDelay();
-  EXPECT_GE(delay, std::chrono::microseconds(50));
-  EXPECT_LE(delay, std::chrono::microseconds(5000));
-  // ~80 us reads must not leave the 500 us bootstrap estimate in place.
-  EXPECT_NE(delay, std::chrono::microseconds(500));
-}
-
 TEST(MirroredFaultPlan, SeededPlansReplayIdentically) {
   auto build = [](ReplicatedMemoryStack* stack) {
     for (int i = 0; i < 32; ++i) {

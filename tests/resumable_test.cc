@@ -373,8 +373,8 @@ TEST(TryReadTest, ParkServeMissThenHit) {
     KCPQ_ASSERT_OK(buffer.FlushAndClear());
     buffer.ResetStats();
 
-    // Cold: the first read parks (demand fetch; the sync backend
-    // completes it — and fires the waker — before the read even returns).
+    // Cold: the first read parks (demand fetch; a pool worker completes
+    // it and fires the waker).
     InlineWakerGate gate;
     uint64_t mark = 0;
     BufferManager::TryReadOutcome outcome;
@@ -455,8 +455,8 @@ TEST(AccountantTest, ForeignClaimReleasesIssuerCharge) {
   ASSERT_EQ(buffer.Prefetch(&pid, 1, &issuer), 1u);
   EXPECT_EQ(issuer.accountant().buffer_bytes(), kDefaultPageSize);
 
-  // The sync backend stages the page before Prefetch returns; a different
-  // query claims it via a demand read.
+  // A different query claims the speculative page (staged, or still in
+  // flight on the pool) via a demand read.
   Page out(kDefaultPageSize);
   KCPQ_ASSERT_OK(buffer.Read(pid, &out, &claimer));
   EXPECT_EQ(claimer.accountant().buffer_bytes(), kDefaultPageSize);

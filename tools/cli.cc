@@ -318,12 +318,8 @@ Status ParseReplicationFlags(const Flags& flags, ReplicationFlags* rep) {
     } else if (it->second == "static") {
       rep->mirrored.hedge.mode = HedgeMode::kStatic;
       hedging = true;
-    } else if (it->second == "adaptive") {
-      rep->mirrored.hedge.mode = HedgeMode::kAdaptive;
-      hedging = true;
     } else {
-      return Status::InvalidArgument(
-          "--hedge must be off, static, or adaptive");
+      return Status::InvalidArgument("--hedge must be off or static");
     }
   }
   if (const auto it = flags.named.find("hedge-after-us");
@@ -705,21 +701,17 @@ Status OpenPair(const Flags& flags, Database* p, Database* q,
   if (const auto it = flags.named.find("io-backend");
       it != flags.named.end()) {
     IoBackend backend;
-    if (it->second == "sync") {
-      backend = IoBackend::kSync;
-    } else if (it->second == "pool") {
+    if (it->second == "pool") {
       backend = IoBackend::kThreadPool;
     } else if (it->second == "uring") {
       backend = IoBackend::kUring;
     } else {
-      return Status::InvalidArgument(
-          "--io-backend must be sync, pool, or uring");
+      return Status::InvalidArgument("--io-backend must be pool or uring");
     }
     std::string fallback_reason;
     if (backend == IoBackend::kUring) {
-      // Ring tuning: the SQ depth rides --max-inflight (a deeper ring
-      // buys nothing beyond the scheduler's in-flight bound), SQPOLL
-      // stays opt-in.
+      // The SQ depth rides --max-inflight: a deeper ring buys nothing
+      // beyond the scheduler's in-flight bound.
       FileStorageManager::UringOptions uopt;
       if (const auto mi = flags.named.find("max-inflight");
           mi != flags.named.end()) {
@@ -730,7 +722,6 @@ Status OpenPair(const Flags& flags, Database* p, Database* q,
               std::min<uint64_t>(std::max<uint64_t>(inflight, 8), 1024));
         }
       }
-      uopt.sqpoll = flags.named.count("uring-sqpoll") > 0;
       for (Database* db : {p, q}) {
         if (auto* file =
                 dynamic_cast<FileStorageManager*>(db->top_storage())) {
@@ -785,9 +776,9 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
         "[--max-node-accesses=N] [--io-retries=N] [--fail-fast] "
         "[--admission=off|advisory|enforce] [--memory-pool-bytes=N] "
         "[--admission-feedback=ALPHA] [--prefetch=on|off] "
-        "[--prefetch-window=N] [--io-backend=sync|pool|uring] "
+        "[--prefetch-window=N] [--io-backend=pool|uring] "
         "[--scheduler=blocking|resumable] [--max-inflight=N] "
-        "[--replicas=N] [--hedge=off|static|adaptive] [--hedge-after-us=N] "
+        "[--replicas=N] [--hedge=off|static] [--hedge-after-us=N] "
         "[--scrub] [--explain] [--trace-out=PATH] [--stats-json=PATH] "
         "[--obs-port=N] [--obs-linger-ms=N] [--slow-query-log=PATH] "
         "[--slow-query-ms=T]");
@@ -1188,7 +1179,6 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
             if (const IoEventLoop* loop = file->uring_loop()) {
 #if defined(__linux__) && KCPQ_HAVE_IOURING
               const auto* ul = static_cast<const UringEventLoop*>(loop);
-              inputs.uring_sqpoll = inputs.uring_sqpoll || ul->sqpoll_active();
               inputs.uring_fixed_buffers =
                   inputs.uring_fixed_buffers || ul->fixed_buffers_active();
 #endif
@@ -1408,7 +1398,7 @@ Status CmdSemi(const Flags& flags, std::FILE* out) {
     return Status::InvalidArgument(
         "usage: semi <p.db> <q.db> [--buffer=N] [--deadline-ms=N] "
         "[--max-node-accesses=N] [--io-retries=N] "
-        "[--io-backend=sync|pool|uring] [--scheduler=blocking|resumable] "
+        "[--io-backend=pool|uring] [--scheduler=blocking|resumable] "
         "— nearest Q point for every P point");
   }
   Database p, q;
@@ -1504,9 +1494,9 @@ void PrintUsage(std::FILE* out) {
       "       [--fail-fast] [--admission=off|advisory|enforce]\n"
       "       [--memory-pool-bytes=N] [--admission-feedback=ALPHA]\n"
       "       [--prefetch=on|off] [--prefetch-window=N]\n"
-      "       [--io-backend=sync|pool|uring] [--uring-sqpoll]\n"
+      "       [--io-backend=pool|uring]\n"
       "       [--scheduler=blocking|resumable] [--max-inflight=N]\n"
-      "       [--replicas=N] [--hedge=off|static|adaptive]\n"
+      "       [--replicas=N] [--hedge=off|static]\n"
       "       [--hedge-after-us=N] [--scrub]\n"
       "       [--explain] [--trace-out=PATH] [--stats-json=PATH]\n"
       "       [--obs-port=N] [--obs-linger-ms=N]\n"
@@ -1516,7 +1506,7 @@ void PrintUsage(std::FILE* out) {
       "       [--max-node-accesses=N] [--io-retries=N]\n"
       "  kcpq semi <p.db> <q.db> [--buffer=N] [--deadline-ms=N]\n"
       "       [--max-node-accesses=N] [--io-retries=N]\n"
-      "       [--io-backend=sync|pool|uring]\n"
+      "       [--io-backend=pool|uring]\n"
       "       [--scheduler=blocking|resumable] [--max-inflight=N]\n"
       "  kcpq plan <p.db> <q.db> <K> [--buffer=N]\n"
       "  kcpq multiway <db1> <db2> [<db3> ...] <K> [--edges=0-1,1-2]\n"
