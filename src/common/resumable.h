@@ -63,11 +63,11 @@ class InlineWakerGate {
  public:
   /// The waker to hand to the task's constructor.
   Waker waker() {
+    // Notify while holding the lock: the waiter cannot see woken_, return
+    // and destroy the gate until the notifier has left notify_one.
     return [this] {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        woken_ = true;
-      }
+      std::lock_guard<std::mutex> lock(mu_);
+      woken_ = true;
       cv_.notify_one();
     };
   }

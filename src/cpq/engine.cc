@@ -29,19 +29,21 @@ uint64_t MaxPointsAtLevel(int level, uint64_t max_entries) {
   return n;
 }
 
-}  // namespace
-
+// Lower bound on points under a node that has been read.
 uint64_t MinPointsOfNode(const Node& node, uint64_t min_entries) {
   if (node.IsLeaf()) return node.entries.size();
   // Each child is a non-root subtree at node.level - 1.
   return node.entries.size() * MinPointsAtLevel(node.level - 1, min_entries);
 }
 
+// Upper bound on points under a node that has been read (saturating).
 uint64_t MaxPointsOfNode(const Node& node, uint64_t max_entries) {
   if (node.IsLeaf()) return node.entries.size();
   return SaturatingMul(node.entries.size(),
                        MaxPointsAtLevel(node.level - 1, max_entries));
 }
+
+}  // namespace
 
 DescendChoice ChooseDescend(int level_p, int level_q,
                             HeightStrategy strategy) {
@@ -73,6 +75,7 @@ CpqEngine::CpqEngine(const RStarTree& tree_p, const RStarTree& tree_q,
                                        : options.k,
                objective_),
       bound_(objective.InitialBound()),
+      tie_tail_(options.tie_chain.size()),
       context_(options.context),
       profile_(context_ != nullptr ? context_->profile() : nullptr),
       trace_(context_ != nullptr ? context_->trace() : nullptr),
@@ -162,8 +165,9 @@ bool CpqEngine::ShouldStop(uint64_t extra_bytes) {
   // results grow without bound, so they are metered too.
   const uint64_t result_bytes =
       objective_.fixed_bound() ? results_.size() * sizeof(PairResult) : 0;
-  stop_ = context_->Check(node_accesses_,
-                          candidate_bytes_ + result_bytes + extra_bytes);
+  stop_ = context_->Check(
+      node_accesses_,
+      frame_bytes_ + tie_tail_.bytes() + result_bytes + extra_bytes);
   return stop_ != StopCause::kNone;
 }
 
@@ -259,151 +263,195 @@ Status CpqEngine::ProcessLeaves(const Node& node_p, const Node& node_q,
   return Status::OK();
 }
 
-void CpqEngine::GenerateCandidates(const NodeRef& ref_p, const Node& node_p,
-                                   const NodeRef& ref_q, const Node& node_q,
-                                   DescendChoice choice,
-                                   std::vector<Candidate>* out) {
-  out->clear();
-  const bool expand_p = choice == DescendChoice::kBoth ||
-                        choice == DescendChoice::kFirstOnly;
-  const bool expand_q = choice == DescendChoice::kBoth ||
-                        choice == DescendChoice::kSecondOnly;
+CpqEngine::Side CpqEngine::MakeSide(PageId page, const Node& node,
+                                    bool expand,
+                                    const RStarTree& tree) const {
+  Side side{&node, expand, page, Rect{}, 0, 0, 0};
+  if (expand) {
+    side.child_level = static_cast<int16_t>(node.level - 1);
+    side.child_min_points =
+        MinPointsAtLevel(node.level - 1, tree.min_entries());
+    side.child_max_points =
+        MaxPointsAtLevel(node.level - 1, tree.max_entries());
+  } else {
+    // The fixed side contributes itself as the single "child", with exact
+    // facts from its page.
+    side.mbr = node.ComputeMbr();
+    side.child_level = static_cast<int16_t>(node.level);
+    side.child_min_points = MinPointsOfNode(node, tree.min_entries());
+    side.child_max_points = MaxPointsOfNode(node, tree.max_entries());
+  }
+  return side;
+}
 
-  // The fixed side contributes itself as the single "child".
-  const uint64_t child_min_p =
-      MinPointsAtLevel(node_p.level - 1, tree_p_.min_entries());
-  const uint64_t child_min_q =
-      MinPointsAtLevel(node_q.level - 1, tree_q_.min_entries());
-  const uint64_t child_max_p =
-      MaxPointsAtLevel(node_p.level - 1, tree_p_.max_entries());
-  const uint64_t child_max_q =
-      MaxPointsAtLevel(node_q.level - 1, tree_q_.max_entries());
+void CpqEngine::Expand(PageId page_p, const Node& node_p, PageId page_q,
+                       const Node& node_q, DescendChoice choice,
+                       std::vector<FrontierEntry>* out) {
+  const Side p = MakeSide(page_p, node_p,
+                          choice == DescendChoice::kBoth ||
+                              choice == DescendChoice::kFirstOnly,
+                          tree_p_);
+  const Side q = MakeSide(page_q, node_q,
+                          choice == DescendChoice::kBoth ||
+                              choice == DescendChoice::kSecondOnly,
+                          tree_q_);
+  GenerateCandidates(p, q);
+  if (TightensBound()) {
+    TightenBoundFromCandidates(p, q);
+    NoteBoundImprovement();
+  }
 
-  auto make_ref_p = [&](size_t i) {
-    return expand_p ? NodeRef{node_p.entries[i].id, node_p.level - 1,
-                              node_p.entries[i].rect, child_min_p,
-                              child_max_p}
-                    : ref_p;
-  };
-  auto make_ref_q = [&](size_t j) {
-    return expand_q ? NodeRef{node_q.entries[j].id, node_q.level - 1,
-                              node_q.entries[j].rect, child_min_q,
-                              child_max_q}
-                    : ref_q;
-  };
-
-  const size_t np = expand_p ? node_p.entries.size() : 1;
-  const size_t nq = expand_q ? node_q.entries.size() : 1;
-  out->reserve(np * nq);
-  // STD's frame sort orders every candidate, so it scores them all. The
-  // heap loop only ever pushes a candidate with key <= T after tightening,
-  // and tightening only lowers T: scoring the ones with key <= T now
-  // covers every candidate the heap can take.
-  const bool sorts_all = options_.algorithm == CpqAlgorithm::kSortedDistances;
+  // The second pass. Every child of one expansion shares its levels and
+  // its pair capacity. The heap takes only children with key <= T after
+  // tightening, and STD's frame sort orders every child, so each scores
+  // the tie chain of exactly the entries it builds.
+  const bool heap = options_.algorithm == CpqAlgorithm::kHeap;
   const bool score_ties =
       !options_.tie_chain.empty() &&
-      (sorts_all || options_.algorithm == CpqAlgorithm::kHeap);
-  for (size_t i = 0; i < np; ++i) {
-    const NodeRef cp = make_ref_p(i);
-    // Range-restricted objectives pre-prune subtrees that cannot contain a
-    // qualifying point (MBR strictly outside the query rect). Skipped
-    // children never enter the candidate list, so the EXPLAIN accounting
-    // identity (considered = visited + pruned + deferred) holds as-is.
-    if (!objective_.SubtreeEligible(cp.mbr)) continue;
-    for (size_t j = 0; j < nq; ++j) {
-      const NodeRef cq = make_ref_q(j);
-      if (!objective_.SubtreeEligible(cq.mbr)) continue;
-      // Self-join: when both sides expand the *same* node, the child pairs
-      // (i, j) and (j, i) both arise here and cover the same unordered
-      // object pairs — keep only the page-ordered one (nearly halves the
-      // traversal). Distinct parents already appear in exactly one
-      // orientation, inherited from the ancestor where they split apart.
-      if (options_.self_join && ref_p.page == ref_q.page &&
-          cp.page > cq.page) {
-        continue;
+      (heap || options_.algorithm == CpqAlgorithm::kSortedDistances);
+  const uint64_t max_pairs =
+      SaturatingMul(p.child_max_points, q.child_max_points);
+  const FrontierLess less = Less();
+  if (!heap) out->reserve(child_keys_.size());
+  for (const ChildKey& c : child_keys_) {
+    if (heap && c.key > bound_) {
+      ++stats_->candidate_pairs_pruned;
+      if (profile_ != nullptr) {
+        profile_->PrunedIneq1(PairLevel(p.child_level, q.child_level), 1);
       }
-      Candidate cand;
-      cand.p = cp;
-      cand.q = cq;
-      cand.key = objective_.NodeKey(cp.mbr, cq.mbr);
-      cand.min_pairs = cp.min_points * cq.min_points;
-      cand.max_pairs = SaturatingMul(cp.max_points, cq.max_points);
-      if (score_ties && (sorts_all || cand.key <= bound_)) {
-        ComputeTieScores(cp.mbr, cq.mbr, options_.tie_chain, tie_context_,
-                         cand.tie);
+      if (trace_ != nullptr) {
+        obs::TraceEvent ev;
+        ev.kind = obs::TraceEventKind::kPrune;
+        ev.level_p = p.child_level;
+        ev.level_q = q.child_level;
+        ev.value = c.key;
+        ev.bound = bound_;
+        trace_->RecordNow(ev);
       }
-      out->push_back(cand);
+      continue;
     }
-  }
-  stats_->candidate_pairs_generated += out->size();
-  if (profile_ != nullptr) {
-    // All candidates of one expansion share their level: each expanded
-    // side steps down one level, a fixed side stays.
-    profile_->Considered(
-        PairLevel(expand_p ? node_p.level - 1 : node_p.level,
-                  expand_q ? node_q.level - 1 : node_q.level),
-        out->size());
+    FrontierEntry entry;
+    entry.key = c.key;
+    entry.page_p = p.child_page(c.i);
+    entry.page_q = q.child_page(c.j);
+    entry.max_pairs = max_pairs;
+    entry.level_p = p.child_level;
+    entry.level_q = q.child_level;
+    if (score_ties) {
+      double scores[kMaxTieChain];
+      ComputeTieScores(p.rect(c.i), q.rect(c.j), options_.tie_chain,
+                       tie_context_, scores);
+      entry.tie = scores[0];
+      if (tie_tail_.width() != 0) entry.tie_row = tie_tail_.Add(scores + 1);
+    }
+    out->push_back(entry);
+    if (!heap) continue;
+    if (trace_ != nullptr) {
+      obs::TraceEvent ev;
+      ev.kind = obs::TraceEventKind::kHeapPush;
+      ev.level_p = entry.level_p;
+      ev.level_q = entry.level_q;
+      ev.value = entry.key;
+      ev.bound = bound_;
+      trace_->RecordNow(ev);
+    }
+    std::push_heap(out->begin(), out->end(),
+                   [&less](const FrontierEntry& a, const FrontierEntry& b) {
+                     return less(b, a);
+                   });
   }
 }
 
-void CpqEngine::TightenBoundFromCandidates(
-    const std::vector<Candidate>& candidates) {
-  if (candidates.empty()) return;
+void CpqEngine::GenerateCandidates(const Side& p, const Side& q) {
+  child_keys_.clear();
+  const size_t np = p.size();
+  const size_t nq = q.size();
+  // Self-join: when both sides expand the *same* node, the child pairs
+  // (i, j) and (j, i) both arise here and cover the same unordered object
+  // pairs — keep only the page-ordered one (nearly halves the traversal).
+  // Distinct parents already appear in exactly one orientation, inherited
+  // from the ancestor where they split apart.
+  const bool same_node = options_.self_join && p.page == q.page;
+  for (uint32_t i = 0; i < np; ++i) {
+    const Rect& rp = p.rect(i);
+    // Range-restricted objectives pre-prune subtrees that cannot contain a
+    // qualifying point (MBR strictly outside the query rect). Skipped
+    // children never enter the list, so the EXPLAIN accounting identity
+    // (considered = visited + pruned + deferred) holds as-is.
+    if (!objective_.SubtreeEligible(rp)) continue;
+    for (uint32_t j = 0; j < nq; ++j) {
+      const Rect& rq = q.rect(j);
+      if (!objective_.SubtreeEligible(rq)) continue;
+      if (same_node && p.child_page(i) > q.child_page(j)) continue;
+      child_keys_.push_back(ChildKey{objective_.NodeKey(rp, rq), i, j});
+    }
+  }
+  stats_->candidate_pairs_generated += child_keys_.size();
+  if (profile_ != nullptr) {
+    // All children of one expansion share their level: each expanded
+    // side steps down one level, a fixed side stays.
+    profile_->Considered(PairLevel(p.child_level, q.child_level),
+                         child_keys_.size());
+  }
+}
+
+void CpqEngine::TightenBoundFromCandidates(const Side& p, const Side& q) {
+  if (child_keys_.empty()) return;
   // Range-restricted objectives cannot count pairs toward the bound: the
-  // guaranteed pairs beneath a candidate may all lie outside the rect.
+  // guaranteed pairs beneath a child pair may all lie outside the rect.
   if (!objective_.CanTightenFromCapacities()) return;
   if (objective_.minimizing() && options_.k == 1) {
     // 1-CPQ special case (Section 3.3): at least one point pair beneath
-    // each candidate lies within its MINMAXDIST. Not gated on key >= T
+    // each child pair lies within its MINMAXDIST. Not gated on key >= T
     // like the loop below: MinMaxDistSquared's
     // `maxgap2_sum - maxgap2[k] - maxgap2[l]` can round to one ulp below
     // MINMINDIST, so MINMAXDIST >= key does not hold in floating point.
-    for (const Candidate& c : candidates) {
-      bound_ = std::min(bound_, MinMaxDistPow(c.p.mbr, c.q.mbr,
+    for (const ChildKey& c : child_keys_) {
+      bound_ = std::min(bound_, MinMaxDistPow(p.rect(c.i), q.rect(c.j),
                                               options_.metric));
     }
     return;
   }
   if (options_.k > 1 && !options_.use_maxmaxdist_pruning) return;
-  // K > 1 (Section 3.8): every point pair beneath a candidate is within its
-  // MAXMAXDIST; accumulate candidates in ascending MAXMAXDIST until the
-  // guaranteed pair count reaches K — that MAXMAXDIST bounds the K-th
+  // K > 1 (Section 3.8): every point pair beneath a child pair is within
+  // its MAXMAXDIST; accumulate child pairs in ascending MAXMAXDIST until
+  // the guaranteed pair count reaches K — that MAXMAXDIST bounds the K-th
   // closest distance. kFarthest mirrors this in key space: every pair
-  // beneath a candidate is at least its MINMINDIST away, so the tighten key
-  // is -MINMINDIST and the same ascending accumulation (= descending
+  // beneath a child pair is at least its MINMINDIST away, so the tighten
+  // key is -MINMINDIST and the same ascending accumulation (= descending
   // MINMINDIST) bounds the K-th farthest distance from below. (For
   // kFarthest this covers K = 1 too — the exact mirror of MINMAXDIST.)
+  // Every child pair of one expansion guarantees the same pair count.
   //
   // Gate: only tighten keys below T can lower it, so only those are
-  // computed, kept and sorted. The gate rests on tighten key >= key, which
+  // computed, kept and selected. The gate rests on tighten key >= key, which
   // holds exactly in floating point: per dimension MaxGap >= Gap (the
   // separation |a.hi - b.lo| is the same double as b.lo - a.hi), and the
   // L1/L2/Linf combiners are monotone, so MaxMaxDistPow >= MinMinDistPow
-  // (and -MINMINDIST >= -MAXMAXDIST for kFarthest). A candidate with
+  // (and -MINMINDIST >= -MAXMAXDIST for kFarthest). A child pair with
   // key >= T therefore cannot contribute. The kept keys are the prefix of
   // the full ascending list that lies below T; if that prefix never
   // guarantees K pairs, the full list reaches K at a key >= T, and the
   // min below leaves T unchanged either way.
+  const uint64_t min_pairs = p.child_min_points * q.child_min_points;
+  if (min_pairs == 0) return;
   maxmax_scratch_.clear();
-  for (const Candidate& c : candidates) {
+  for (const ChildKey& c : child_keys_) {
     if (c.key >= bound_) continue;
+    const Rect& rp = p.rect(c.i);
+    const Rect& rq = q.rect(c.j);
     const double tighten_key =
-        objective_.minimizing()
-            ? MaxMaxDistPow(c.p.mbr, c.q.mbr, options_.metric)
-            : -MinMinDistPow(c.p.mbr, c.q.mbr, options_.metric);
-    if (tighten_key < bound_) {
-      maxmax_scratch_.emplace_back(tighten_key, c.min_pairs);
-    }
+        objective_.minimizing() ? MaxMaxDistPow(rp, rq, options_.metric)
+                                : -MinMinDistPow(rp, rq, options_.metric);
+    if (tighten_key < bound_) maxmax_scratch_.push_back(tighten_key);
   }
-  std::sort(maxmax_scratch_.begin(), maxmax_scratch_.end());
-  uint64_t pairs = 0;
-  for (const auto& [tighten_key, count] : maxmax_scratch_) {
-    pairs += count;
-    if (pairs >= options_.k) {
-      bound_ = std::min(bound_, tighten_key);
-      break;
-    }
-  }
+  // The accumulation reaches K at the ceil(K / min_pairs)-th smallest key.
+  const uint64_t needed =
+      options_.k / min_pairs + (options_.k % min_pairs != 0 ? 1 : 0);
+  if (needed > maxmax_scratch_.size()) return;
+  const auto nth = maxmax_scratch_.begin() + static_cast<ptrdiff_t>(needed - 1);
+  std::nth_element(maxmax_scratch_.begin(), nth, maxmax_scratch_.end());
+  bound_ = std::min(bound_, *nth);
 }
 
 void FoldCpqMetrics(const CpqStats& s, double seconds, QueryFamily family) {

@@ -19,6 +19,12 @@
 //     exec::ResumableScheduler re-runs the task when the page lands, so a
 //     small worker pool multiplexes hundreds of in-flight queries.
 //
+// The frontier — the HEAP heap, the recursive frames' child lists and the
+// pair chosen for expansion (pending_) — is made of 48-byte FrontierEntry
+// values (cpq/engine.h): key, first tie score, page ids, levels and pair
+// capacity. A pair's MBRs and point counts come from its nodes once both
+// are read, so an entry that crosses a park carries nothing to refresh.
+//
 // Both modes run the same query: identical results, quality certificate
 // and per-query disk accesses (tests/resumable_test.cc checks both against
 // one golden digest). Three properties deliver that:
@@ -96,21 +102,19 @@ class ResumableCpqQuery final : public ResumableTask {
     kDone,
   };
 
-  /// One suspended level of the recursive descent: the candidate list of
-  /// an expanded pair and the index of the next candidate to visit.
+  /// One suspended level of the recursive descent: the child entries of
+  /// an expanded pair and the index of the next one to visit.
   struct RecFrame {
-    std::vector<cpq_internal::Candidate> candidates;
+    std::vector<cpq_internal::FrontierEntry> entries;
     size_t next = 0;
-    uint64_t frame_bytes = 0;
   };
 
   enum class ReadPairOutcome { kOk, kParked, kDeadline, kError };
 
-  /// Reads whichever side of (cur_p_, cur_q_) is not in hand yet,
-  /// parking on a miss-in-flight. Only after BOTH nodes are read does it
-  /// count the pair (node_pairs_processed, node_accesses += 2) and
-  /// refresh the refs from the pages, so the bookkeeping is the same no
-  /// matter how many parks interleaved.
+  /// Reads whichever node of pending_ is not in hand yet, parking on a
+  /// miss-in-flight. Only after BOTH nodes are read does it count the pair
+  /// (node_pairs_processed, node_accesses += 2), so the bookkeeping is the
+  /// same no matter how many parks interleaved.
   ReadPairOutcome TryReadPair(Status* error);
 
   /// Records a park on `page` and returns kParked. The matching resume
@@ -131,13 +135,13 @@ class ResumableCpqQuery final : public ResumableTask {
   /// (disk_accesses_p and disk_accesses_q both cover the one buffer).
   void CountRead(const BufferManager::TryReadOutcome& outcome, bool is_p);
 
-  /// Walks the frame stack to the next candidate to expand (re-testing
-  /// each against T, draining into the certificate once stopped), setting
+  /// Walks the frame stack to the next entry to expand (re-testing each
+  /// against T, draining into the certificate once stopped), setting
   /// pending_ and phase kExpandCheck; kFinish when the stack empties.
   void AdvanceRecursive();
   /// The heap loop's stop-drain: folds the popped pair plus the whole
   /// remaining heap into the certificate.
-  void DrainHeapIntoCertificate(const cpq_internal::Candidate& popped);
+  void DrainHeapIntoCertificate(const cpq_internal::FrontierEntry& popped);
 
   bool StartPhase();     // returns false when the query is trivially done
   bool ReadRoot(bool is_p, StepResult* parked);
@@ -154,17 +158,15 @@ class ResumableCpqQuery final : public ResumableTask {
   // Traversal state.
   int root_level_ = 0;
   Rect mbr_p_, mbr_q_;
-  cpq_internal::Candidate pending_;  // pair chosen for expansion, pre-read
-  cpq_internal::NodeRef cur_p_, cur_q_;  // refs refreshed by TryReadPair
+  cpq_internal::FrontierEntry pending_;  // pair chosen for expansion, pre-read
   Node node_p_, node_q_;
   bool have_p_ = false, have_q_ = false;
   std::vector<RecFrame> rec_stack_;
-  /// kHeap's min-heap of node pairs by (key, tie chain): CP1-CP5 of
-  /// Section 3.5, open-coded over a vector with std::push_heap / pop_heap
-  /// so the prefetch scheduler can peek at the frontier's best pairs
-  /// without disturbing the heap.
-  std::vector<cpq_internal::Candidate> heap_;
-  std::vector<cpq_internal::Candidate> candidates_scratch_;
+  /// kHeap's min-heap of node pairs in FrontierLess order (key, tie
+  /// chain, pages): CP1-CP5 of Section 3.5, open-coded over a vector with
+  /// std::push_heap / pop_heap so the prefetch scheduler can peek at the
+  /// frontier's best pairs without disturbing the heap. 48 bytes a pair.
+  std::vector<cpq_internal::FrontierEntry> heap_;
   std::vector<uint32_t> spec_order_;
 
   // Per-query I/O accounting from TryReadOutcome (see header comment).

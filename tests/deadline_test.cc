@@ -21,6 +21,7 @@
 #include "cpq/brute.h"
 #include "cpq/cpq.h"
 #include "cpq/distance_join.h"
+#include "cpq/engine.h"
 #include "cpq/multiway.h"
 #include "exec/batch.h"
 #include "gtest/gtest.h"
@@ -513,6 +514,28 @@ TEST(QueryContextTest, AccountantTotalsCoverEngineOnlyAccounting) {
     // are free) and must cover the root pages.
     EXPECT_LE(acct.distinct_pages(), stats.node_accesses + 2) << label;
   }
+}
+
+// HEAP meters its frontier at the size of the entries it holds: an
+// unlimited context still records the engine bytes at every poll, and
+// their peak never exceeds the peak heap at one FrontierEntry a pair (the
+// default one-criterion tie chain keeps no tie rows).
+TEST(QueryContextTest, HeapChargesFrontierEntryBytes) {
+  TreeFixture fp(/*buffer_pages=*/0, /*page_size=*/512);
+  TreeFixture fq(/*buffer_pages=*/0, /*page_size=*/512);
+  KCPQ_ASSERT_OK(fp.Build(MakeUniformItems(400, 7811)));
+  KCPQ_ASSERT_OK(fq.Build(MakeUniformItems(400, 7812)));
+  QueryContext ctx;
+  CpqOptions options;
+  options.algorithm = CpqAlgorithm::kHeap;
+  options.k = 100;
+  options.context = &ctx;
+  CpqStats stats;
+  KCPQ_ASSERT_OK(KClosestPairs(fp.tree(), fq.tree(), options, &stats).status());
+  ASSERT_GT(stats.max_heap_size, 1u);
+  EXPECT_GT(ctx.accountant().peak_engine_bytes(), 0u);
+  EXPECT_LE(ctx.accountant().peak_engine_bytes(),
+            stats.max_heap_size * sizeof(cpq_internal::FrontierEntry));
 }
 
 /// Records the QueryContext every demand read carries down to storage.
