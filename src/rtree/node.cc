@@ -9,10 +9,6 @@ namespace kcpq {
 
 namespace {
 
-// Bounds sanity for deserialization; R-tree heights are single digits even
-// for billions of entries, so 64 levels means corruption.
-constexpr int32_t kMaxLevel = 64;
-
 void PutU64(uint8_t* dst, uint64_t v) { std::memcpy(dst, &v, sizeof(v)); }
 uint64_t GetU64(const uint8_t* src) {
   uint64_t v;
@@ -41,7 +37,7 @@ Status SerializeNode(const Node& node, Page* page) {
         "node with " + std::to_string(node.entries.size()) +
         " entries exceeds page capacity " + std::to_string(capacity));
   }
-  if (node.level < 0 || node.level > kMaxLevel) {
+  if (node.level < 0 || node.level > kMaxNodeLevel) {
     return Status::InvalidArgument("bad node level");
   }
   page->Clear();
@@ -67,7 +63,7 @@ Status DeserializeNode(const Page& page, Node* node) {
   const uint8_t* base = page.data();
   const int32_t level = GetI32(base + 0);
   const int32_t count = GetI32(base + 4);
-  if (level < 0 || level > kMaxLevel) {
+  if (level < 0 || level > kMaxNodeLevel) {
     return Status::Corruption("node level out of range");
   }
   if (count < 0 || static_cast<size_t>(count) > capacity) {

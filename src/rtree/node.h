@@ -98,6 +98,10 @@ Status SerializeNode(const Node& node, Page* page);
 /// Leaves `node->axis_order` empty.
 Status DeserializeNode(const Page& page, Node* node);
 
+/// The highest level a node may carry. R-tree heights are single digits
+/// even for billions of entries, so anything above this is corruption.
+inline constexpr int32_t kMaxNodeLevel = 64;
+
 /// kCorruption unless `node`, read from `page`, sits at `expected_level`:
 /// the level its parent entry implies (the root's is height - 1). A
 /// traversal that adopted a wrong level would, for example, sweep an

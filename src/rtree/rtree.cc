@@ -87,6 +87,9 @@ Status RStarTree::ReadMeta() {
   if (meta.max_entries != max_entries_) {
     return Status::Corruption("page size mismatch with stored tree");
   }
+  if (meta.height < 1 || meta.height > kMaxNodeLevel + 1) {
+    return Status::Corruption("R-tree height out of range");
+  }
   root_page_ = meta.root_page;
   height_ = static_cast<int>(meta.height);
   size_ = meta.size;

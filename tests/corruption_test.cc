@@ -3,6 +3,7 @@
 // crash, hang, or silently succeed on mangled structures they detect.
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -102,6 +103,26 @@ TEST(CorruptionTest, DanglingChildPointerDetected) {
   EXPECT_FALSE(fx.tree().Validate().ok());
   std::vector<Entry> hits;
   EXPECT_FALSE(fx.tree().RangeQuery(UnitWorkspace(), &hits).ok());
+}
+
+// The meta page's height sets the level every traversal expects of the
+// root, so a height no tree can have must fail Open, not a later query.
+TEST(CorruptionTest, MetaHeightOutOfRangeFailsOpen) {
+  TreeFixture fx;
+  KCPQ_ASSERT_OK(fx.Build(MakeUniformItems(1000, 2102)));
+  const PageId meta = fx.tree().meta_page();
+  for (const int64_t height : {int64_t{0}, int64_t{kMaxNodeLevel} + 2,
+                               int64_t{65536} + 3}) {
+    Page page;
+    KCPQ_ASSERT_OK(fx.storage().ReadPage(meta, &page));
+    // MetaBlock: magic, root page, then the height.
+    std::memcpy(page.data() + 16, &height, sizeof(height));
+    KCPQ_ASSERT_OK(fx.storage().WritePage(meta, page));
+    BufferManager buffer(&fx.storage(), 0);
+    EXPECT_EQ(RStarTree::Open(&buffer, meta).status().code(),
+              StatusCode::kCorruption)
+        << "height " << height;
+  }
 }
 
 // Finds the root-to-leaf path of the leaf holding `record_id`.
