@@ -2,6 +2,7 @@
 
 #include "cpq/resumable.h"
 #include "cpq/resumable_semi.h"
+#include "obs/explain.h"
 #include "obs/kcpq_metrics.h"
 
 namespace kcpq {
@@ -83,6 +84,60 @@ Result<std::vector<PairResult>> SemiClosestPairs(const RStarTree& tree_p,
   query.Step();
   KCPQ_RETURN_IF_ERROR(query.status());
   return query.TakeResults();
+}
+
+obs::ExplainInputs CpqExplainInputs(const CpqOptions& options,
+                                    const CpqStats& stats,
+                                    const std::vector<PairResult>& pairs) {
+  const QueryObjective objective(options.family, options.metric,
+                                 options.query_rect);
+  obs::ExplainInputs inputs;
+  inputs.algorithm = CpqAlgorithmName(options.algorithm);
+  inputs.leaf_kernel = options.leaf_kernel == LeafKernel::kPlaneSweep
+                           ? "plane-sweep"
+                           : "nested-loop";
+  inputs.family = QueryFamilyName(options.family);
+  inputs.bound_is_upper = objective.BoundIsUpper();
+  switch (options.family) {
+    case QueryFamily::kClosest:
+      break;  // keep the default caption (and the pre-policy goldens)
+    case QueryFamily::kFarthest:
+      inputs.prune_rule =
+          "Inequality 1 = MAXMAXDIST < T; order = worst-first cutoff";
+      break;
+    case QueryFamily::kRangeClosest:
+      inputs.prune_rule =
+          "Inequality 1 = MINMINDIST > T; order = best-first cutoff; "
+          "rect-ineligible subtrees skipped before candidacy";
+      break;
+  }
+  // The objective's prefetch pop order, so the wasted count is read
+  // against the right speculation order (closest keeps the legacy
+  // unlabelled rendering).
+  if (options.family != QueryFamily::kClosest) {
+    inputs.prefetch_pop_order = objective.minimizing()
+                                    ? "MINMINDIST ascending"
+                                    : "MAXMAXDIST descending";
+  }
+  inputs.k = options.k;
+  inputs.results_returned = pairs.size();
+  inputs.result_max_distance = pairs.empty() ? -1.0 : pairs.back().distance;
+  inputs.node_pairs_processed = stats.node_pairs_processed;
+  inputs.candidate_pairs_generated = stats.candidate_pairs_generated;
+  inputs.candidate_pairs_pruned = stats.candidate_pairs_pruned;
+  inputs.point_distance_computations = stats.point_distance_computations;
+  inputs.leaf_pairs_skipped = stats.leaf_pairs_skipped;
+  inputs.max_heap_size = stats.max_heap_size;
+  inputs.node_accesses = stats.node_accesses;
+  inputs.disk_accesses = stats.disk_accesses();
+  inputs.prefetch_issued = stats.prefetch_issued;
+  inputs.prefetch_hits = stats.prefetch_hits;
+  inputs.complete = !stats.quality.is_partial();
+  if (!inputs.complete) {
+    inputs.stop_cause = StopCauseName(stats.quality.stop_cause);
+    inputs.quality_bound = stats.quality.guaranteed_lower_bound;
+  }
+  return inputs;
 }
 
 }  // namespace kcpq

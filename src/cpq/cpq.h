@@ -46,6 +46,10 @@
 
 namespace kcpq {
 
+namespace obs {
+struct ExplainInputs;  // obs/explain.h
+}  // namespace obs
+
 enum class CpqAlgorithm {
   kNaive,
   kExhaustive,
@@ -240,6 +244,16 @@ Result<std::vector<PairResult>> SelfKClosestPairs(const RStarTree& tree,
 Result<std::vector<PairResult>> SemiClosestPairs(
     const RStarTree& tree_p, const RStarTree& tree_q,
     CpqStats* stats = nullptr, QueryContext* context = nullptr);
+
+/// The part of a K-CPQ's EXPLAIN report that the query determines: the
+/// labels, prune-rule caption, bound direction and prefetch pop order of
+/// `options`; the totals and quality of `stats`; the result count and K-th
+/// distance of `pairs`. The caller adds what it measured around the query
+/// (buffer deltas, memory, scheduler, I/O backend, wall time). The CLI's
+/// --explain and the EXPLAIN goldens both build their inputs here.
+obs::ExplainInputs CpqExplainInputs(const CpqOptions& options,
+                                    const CpqStats& stats,
+                                    const std::vector<PairResult>& pairs);
 
 }  // namespace kcpq
 

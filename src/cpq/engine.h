@@ -10,7 +10,6 @@
 
 #include "cpq/cpq.h"
 #include "cpq/leaf_kernel.h"
-#include "cpq/prefetch.h"
 #include "cpq/result_heap.h"
 #include "cpq/tie.h"
 #include "rtree/rtree.h"
@@ -275,9 +274,6 @@ class CpqEngine {
   std::vector<double> maxmax_scratch_;
   /// Index orders for the plane-sweep leaf kernel's order-less leaves.
   SweepScratch sweep_scratch_;
-  /// Speculative reads for the frontier's best pairs (disabled unless
-  /// options.prefetch_window > 0; see cpq/prefetch.h).
-  PrefetchScheduler prefetch_;
 
   // --- lifecycle control state ---
   /// The query's context (options.context). All stop polls and resource

@@ -6,6 +6,7 @@
 #include <queue>
 #include <string>
 
+#include "cpq/node_reader.h"
 #include "geometry/minkowski.h"
 
 namespace kcpq {
@@ -109,7 +110,8 @@ class MultiwayEngine {
       Status root_status;
       for (size_t i = 0; i < m && root_status.ok(); ++i) {
         Node node;
-        root_status = Read(i, trees_[i]->root_page(), &node);
+        root_status = Read(i, trees_[i]->root_page(),
+                           trees_[i]->height() - 1, &node);
         if (!root_status.ok()) break;
         root.slots[i] = SlotRef{trees_[i]->root_page(),
                                 trees_[i]->height() - 1, node.ComputeMbr()};
@@ -164,7 +166,8 @@ class MultiwayEngine {
       }
       Node node;
       const Status read_status =
-          Read(static_cast<size_t>(expand), tuple.slots[expand].page, &node);
+          Read(static_cast<size_t>(expand), tuple.slots[expand].page,
+               tuple.slots[expand].level, &node);
       if (read_status.code() == StatusCode::kDeadlineExceeded) {
         stop_ = StopCause::kDeadline;
         stop_bound_ = tuple.bound;
@@ -210,13 +213,15 @@ class MultiwayEngine {
   }
 
  private:
-  // Reads one node of tree `tree`, tallying a served miss as one of the
-  // query's disk accesses (all trees' accesses land in disk_accesses_p).
-  // The empty waker never parks: the read waits like BufferManager::Read.
-  Status Read(size_t tree, PageId page, Node* node) {
+  // Reads one node of tree `tree`, expected at `level` (kCorruption
+  // otherwise, so a cyclic page cannot loop the search), tallying a served
+  // miss as one of the query's disk accesses (all trees' accesses land in
+  // disk_accesses_p). The empty waker never parks: the read waits like
+  // BufferManager::Read.
+  Status Read(size_t tree, PageId page, int level, Node* node) {
     BufferManager::TryReadOutcome outcome;
-    KCPQ_RETURN_IF_ERROR(
-        trees_[tree]->TryReadNode(page, node, ctx_, Waker(), &outcome));
+    KCPQ_RETURN_IF_ERROR(cpq_internal::TryReadCheckedNode(
+        *trees_[tree], page, level, ctx_, Waker(), node, &outcome));
     if (!outcome.hit) ++stats_->disk_accesses_p;
     return Status::OK();
   }
@@ -242,7 +247,8 @@ class MultiwayEngine {
     const size_t m = tuple.slots.size();
     nodes_.resize(m);
     for (size_t i = 0; i < m; ++i) {
-      KCPQ_RETURN_IF_ERROR(Read(i, tuple.slots[i].page, &nodes_[i]));
+      KCPQ_RETURN_IF_ERROR(
+          Read(i, tuple.slots[i].page, tuple.slots[i].level, &nodes_[i]));
       ++node_accesses_;
     }
     ++stats_->node_pairs_processed;

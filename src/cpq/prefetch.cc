@@ -5,10 +5,10 @@
 namespace kcpq {
 namespace cpq_internal {
 
-size_t PrefetchScheduler::Issue() {
+void PrefetchScheduler::Issue() {
   if (!enabled() || targets_.empty()) {
     targets_.clear();
-    return 0;
+    return;
   }
   if (targets_.size() > window_) {
     // Deterministic selection (key, then pages) so two runs over the same
@@ -31,14 +31,18 @@ size_t PrefetchScheduler::Issue() {
     }
   }
   targets_.clear();
-  size_t issued = 0;
   if (buffer_p_ != nullptr && !pages_p_.empty()) {
-    issued += buffer_p_->Prefetch(pages_p_.data(), pages_p_.size(), ctx_);
+    issued_ += buffer_p_->Prefetch(pages_p_.data(), pages_p_.size(), ctx_);
   }
   if (!merged && buffer_q_ != nullptr && !pages_q_.empty()) {
-    issued += buffer_q_->Prefetch(pages_q_.data(), pages_q_.size(), ctx_);
+    issued_ += buffer_q_->Prefetch(pages_q_.data(), pages_q_.size(), ctx_);
   }
-  return issued;
+}
+
+void PrefetchScheduler::Drain() {
+  if (!enabled()) return;
+  buffer_p_->DrainPrefetches();
+  if (buffer_q_ != buffer_p_) buffer_q_->DrainPrefetches();
 }
 
 }  // namespace cpq_internal

@@ -24,6 +24,7 @@
 #define KCPQ_CPQ_PREFETCH_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "buffer/buffer_manager.h"
@@ -60,9 +61,16 @@ class PrefetchScheduler {
   }
 
   /// Prefetches the pages of the window() best targets and clears the
-  /// list. Returns the number of speculative reads actually issued (after
-  /// the buffer's resident/duplicate coalescing).
-  size_t Issue();
+  /// list.
+  void Issue();
+
+  /// Speculative reads actually issued so far, after the buffer's
+  /// resident/duplicate coalescing (the query's prefetch_issued).
+  uint64_t issued() const { return issued_; }
+
+  /// Waits out in-flight prefetches and discards unclaimed staged pages
+  /// on both buffers; no-op when speculation is disabled.
+  void Drain();
 
  private:
   struct Target {
@@ -78,6 +86,7 @@ class PrefetchScheduler {
   BufferManager* buffer_q_ = nullptr;
   QueryContext* ctx_ = nullptr;
   size_t window_ = 0;
+  uint64_t issued_ = 0;
 };
 
 }  // namespace cpq_internal

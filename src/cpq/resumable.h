@@ -4,9 +4,9 @@
 // (EXH with T fixed at ε, cpq/distance_join.h).
 //
 // The machine owns a CpqEngine (cpq/engine.h: kernels plus per-query
-// state) and drives it phase by phase. Every node read goes through
-// RStarTree::TryReadNode with the machine's waker, and the waker decides
-// how a miss is served:
+// state) and drives it phase by phase. Every node read goes through its
+// NodeReader (cpq/node_reader.h), which checks each node's level and
+// tallies the read, and the machine's waker decides how a miss is served:
 //
 //   * Empty waker (inline). The read waits, exactly like
 //     BufferManager::Read: the QueryContext reaches storage
@@ -33,10 +33,11 @@
 //      loop pops before reading, so interleaving with other queries cannot
 //      reorder this query's work. A park resumes at the read, never before
 //      a stop poll, so a parked query observes no extra deadline polls.
-//   2. One count. Disk accesses are tallied from each read's
-//      TryReadOutcome, which counts a miss when the page is claimed, not
-//      when a fetch is issued. (Buffer-wide counter deltas would mix in
-//      every other query sharing the buffer.)
+//   2. One count. The NodeReader tallies disk accesses, prefetch claims
+//      and parks from each read's TryReadOutcome, which counts a miss when
+//      the page is claimed, not when a fetch is issued, and the epilogue
+//      copies them into the stats. (Buffer-wide counter deltas would mix
+//      in every other query sharing the buffer.)
 //   3. One epilogue. The finish step fills the stats and the certificate
 //      and folds the kcpq_cpq_* metrics, once per successful query.
 //
@@ -57,6 +58,7 @@
 
 #include "common/resumable.h"
 #include "cpq/engine.h"
+#include "cpq/node_reader.h"
 
 namespace kcpq {
 
@@ -91,9 +93,8 @@ class ResumableCpqQuery final : public ResumableTask {
  private:
   enum class Phase {
     kStart,       // stats reset, trivial-query checks, prefetch config
-    kReadRootP,   // root MBR of P (parks like any read)
-    kReadRootQ,   // root MBR of Q
-    kSeed,        // tie context + root refs; dispatch to a driver
+    kReadRoots,   // both roots (parks like any read), then the seed: tie
+                  // context + root refs; dispatch to a driver
     kExpandCheck, // recursive driver: stop poll before the pair's reads
     kExpandRead,  // recursive driver: read pair, expand, descend
     kHeapLoop,    // heap driver: prefetch, pop, CP5 / stop checks
@@ -109,58 +110,46 @@ class ResumableCpqQuery final : public ResumableTask {
     size_t next = 0;
   };
 
-  enum class ReadPairOutcome { kOk, kParked, kDeadline, kError };
+  /// Reads pending_'s nodes through reader_. Only after BOTH nodes are
+  /// read does it count the pair (node_pairs_processed, node_accesses +=
+  /// 2), so the bookkeeping is the same no matter how many parks
+  /// interleaved.
+  cpq_internal::NodeReader::Outcome ReadPending();
 
-  /// Reads whichever node of pending_ is not in hand yet, parking on a
-  /// miss-in-flight. Only after BOTH nodes are read does it count the pair
-  /// (node_pairs_processed, node_accesses += 2), so the bookkeeping is the
-  /// same no matter how many parks interleaved.
-  ReadPairOutcome TryReadPair(Status* error);
+  /// Ends the query with `s` (OK unless it failed): settles an inline
+  /// machine's speculation, then runs Finish() for a successful query.
+  StepResult End(Status s);
+  /// The epilogue: fills the stats and certificate and folds the metrics.
+  void Finish();
 
-  /// Records a park on `page` and returns kParked. The matching resume
-  /// bookkeeping (parked-time accounting, io_park trace span) runs at the
-  /// top of the next Step().
-  StepResult Park(PageId page);
-  StepResult Fail(Status s);
-  /// Fills the stats and certificate, folds the metrics, and ends the
-  /// query.
-  StepResult Finish();
-  /// An inline machine settles its own speculation when it ends (waits out
-  /// in-flight prefetches, discards unclaimed ones), so the accounting
-  /// identity holds at query end; no-op for a multiplexed machine.
-  void SettleInlineSpeculation();
-
-  /// Tallies one served read into the per-query miss / prefetch-hit
-  /// counters. A self-join's shared buffer counts each miss on both sides
-  /// (disk_accesses_p and disk_accesses_q both cover the one buffer).
-  void CountRead(const BufferManager::TryReadOutcome& outcome, bool is_p);
-
+  /// Folds an unexpanded pair into the certificate (and the profile's
+  /// deferred count).
+  void Defer(const cpq_internal::FrontierEntry& entry);
   /// Walks the frame stack to the next entry to expand (re-testing each
   /// against T, draining into the certificate once stopped), setting
   /// pending_ and phase kExpandCheck; kFinish when the stack empties.
   void AdvanceRecursive();
-  /// The heap loop's stop-drain: folds the popped pair plus the whole
-  /// remaining heap into the certificate.
-  void DrainHeapIntoCertificate(const cpq_internal::FrontierEntry& popped);
+  /// The recursive drivers' expansion of the pair in hand: a new frame of
+  /// its child entries (sorted for STD), speculating on the first W.
+  void ExpandIntoFrame(cpq_internal::DescendChoice choice);
+  /// The heap loop's stop-drain: folds the whole remaining heap into the
+  /// certificate and ends the traversal.
+  void DrainHeapIntoCertificate();
 
   bool StartPhase();     // returns false when the query is trivially done
-  bool ReadRoot(bool is_p, StepResult* parked);
   void SeedPhase();
   void HeapLoopPhase();
 
   CpqOptions options_;  // stable storage for engine_'s options reference
   cpq_internal::CpqEngine engine_;
-  Waker waker_;
+  /// Every node read, its tallies and the query's speculation.
+  cpq_internal::NodeReader reader_;
   Phase phase_ = Phase::kStart;
   Status final_status_;
   std::vector<PairResult> results_out_;
 
   // Traversal state.
-  int root_level_ = 0;
-  Rect mbr_p_, mbr_q_;
   cpq_internal::FrontierEntry pending_;  // pair chosen for expansion, pre-read
-  Node node_p_, node_q_;
-  bool have_p_ = false, have_q_ = false;
   std::vector<RecFrame> rec_stack_;
   /// kHeap's min-heap of node pairs in FrontierLess order (key, tie
   /// chain, pages): CP1-CP5 of Section 3.5, open-coded over a vector with
@@ -169,21 +158,9 @@ class ResumableCpqQuery final : public ResumableTask {
   std::vector<cpq_internal::FrontierEntry> heap_;
   std::vector<uint32_t> spec_order_;
 
-  // Per-query I/O accounting from TryReadOutcome (see header comment).
-  uint64_t misses_p_ = 0;
-  uint64_t misses_q_ = 0;
-  uint64_t prefetch_hits_ = 0;
-  uint64_t prefetch_issued_ = 0;
-
   // Metrics timing (kcpq_cpq_query_seconds), from construction.
   bool timed_ = false;
   std::chrono::steady_clock::time_point start_;
-
-  // Park bookkeeping: resume time minus park time is the io_park span.
-  bool park_pending_ = false;
-  PageId park_page_ = kInvalidPageId;
-  std::chrono::steady_clock::time_point park_start_;
-  uint64_t park_trace_ts_ = 0;
 };
 
 }  // namespace kcpq

@@ -10,16 +10,7 @@
 
 namespace kcpq {
 
-namespace {
-
-uint64_t ElapsedNs(std::chrono::steady_clock::time_point from,
-                   std::chrono::steady_clock::time_point to) {
-  const auto d =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count();
-  return d > 0 ? static_cast<uint64_t>(d) : 0;
-}
-
-}  // namespace
+using ReadOutcome = cpq_internal::NodeReader::Outcome;
 
 ResumableSemiQuery::ResumableSemiQuery(const RStarTree& tree_p,
                                        const RStarTree& tree_q,
@@ -29,36 +20,14 @@ ResumableSemiQuery::ResumableSemiQuery(const RStarTree& tree_p,
       tree_q_(tree_q),
       stats_(stats != nullptr ? stats : &local_stats_),
       ctx_(context),
-      waker_(std::move(waker)) {}
+      reader_(tree_p, tree_q, context, std::move(waker)) {}
 
 ResumableSemiQuery::~ResumableSemiQuery() = default;
 
-ResumableTask::StepResult ResumableSemiQuery::Park(PageId page) {
-  ++stats_->io_parks;
-  park_pending_ = true;
-  park_start_ = std::chrono::steady_clock::now();
-  (void)page;
-  return StepResult::kParked;
-}
-
-ResumableTask::StepResult ResumableSemiQuery::Fail(Status s) {
+ResumableTask::StepResult ResumableSemiQuery::End(Status s) {
   final_status_ = std::move(s);
   phase_ = Phase::kDone;
   return StepResult::kDone;
-}
-
-void ResumableSemiQuery::CountRead(const BufferManager::TryReadOutcome& outcome,
-                                   bool is_p) {
-  if (outcome.hit) return;
-  if (tree_p_.buffer() == tree_q_.buffer()) {
-    ++misses_p_;
-    ++misses_q_;
-  } else if (is_p) {
-    ++misses_p_;
-  } else {
-    ++misses_q_;
-  }
-  if (outcome.prefetch_claim) ++prefetch_hits_;
 }
 
 bool ResumableSemiQuery::StartPhase() {
@@ -84,10 +53,8 @@ void ResumableSemiQuery::FinishPhase() {
               if (a.distance != b.distance) return a.distance < b.distance;
               return a.p_id < b.p_id;
             });
-  stats_->disk_accesses_p = misses_p_;
-  stats_->disk_accesses_q = misses_q_;
+  reader_.CopyTallies(stats_);
   stats_->node_accesses = node_accesses_;
-  stats_->prefetch_hits = prefetch_hits_;
   stats_->quality.stop_cause = stop_;
   stats_->quality.pairs_found = out_.size();
   if (stop_ != StopCause::kNone) {
@@ -103,20 +70,10 @@ void ResumableSemiQuery::FinishPhase() {
 }
 
 ResumableTask::StepResult ResumableSemiQuery::Step() {
-  if (park_pending_) {
-    park_pending_ = false;
-    stats_->io_parked_ns +=
-        ElapsedNs(park_start_, std::chrono::steady_clock::now());
-  }
-
   for (;;) {
     switch (phase_) {
       case Phase::kStart: {
-        if (!StartPhase()) {
-          final_status_ = Status::OK();
-          phase_ = Phase::kDone;
-          return StepResult::kDone;
-        }
+        if (!StartPhase()) return End(Status::OK());
         continue;
       }
       case Phase::kScanRead: {
@@ -128,35 +85,29 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
           continue;
         }
         const PageRef ref = stack_.back();
-        BufferManager::TryReadOutcome outcome;
-        const Status s =
-            tree_p_.TryReadNode(ref.page, &node_p_, ctx_, waker_, &outcome);
-        if (outcome.parked) return Park(ref.page);
-        if (s.code() == StatusCode::kDeadlineExceeded) {
+        const ReadOutcome r = reader_.Read(/*is_p=*/true, ref.page, ref.level);
+        if (r == ReadOutcome::kParked) return StepResult::kParked;
+        if (r == ReadOutcome::kError) return End(reader_.error());
+        if (r == ReadOutcome::kDeadline) {
           stop_ = StopCause::kDeadline;
           phase_ = Phase::kFinish;
           continue;
         }
-        if (!s.ok()) return Fail(s);
-        CountRead(outcome, /*is_p=*/true);
-        if (Status level = CheckNodeLevel(node_p_, ref.level, ref.page);
-            !level.ok()) {
-          return Fail(std::move(level));
-        }
         stack_.pop_back();
-        if (!node_p_.IsLeaf()) {
+        const Node& node_p = reader_.node_p();
+        if (!node_p.IsLeaf()) {
           // Internal P nodes are read (and cost disk accesses) but are not
           // charged to node_accesses: only P leaves and popped Q nodes are.
-          for (const Entry& e : node_p_.entries) {
+          for (const Entry& e : node_p.entries) {
             stack_.push_back(PageRef{e.id, ref.level - 1});
           }
           continue;
         }
         ++node_accesses_;  // the P leaf itself
-        leaf_mbr_ = node_p_.ComputeMbr();
-        best_.assign(node_p_.entries.size(),
+        leaf_mbr_ = node_p.ComputeMbr();
+        best_.assign(node_p.entries.size(),
                      std::numeric_limits<double>::infinity());
-        best_entry_.assign(node_p_.entries.size(), Entry{});
+        best_entry_.assign(node_p.entries.size(), Entry{});
         queue_ = decltype(queue_){};
         queue_.push(
             QueueItem{0.0, {tree_q_.root_page(), tree_q_.height() - 1}});
@@ -190,30 +141,25 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
         continue;
       }
       case Phase::kGroupRead: {
-        BufferManager::TryReadOutcome outcome;
-        const Status s = tree_q_.TryReadNode(group_ref_.page, &node_q_, ctx_,
-                                             waker_, &outcome);
-        if (outcome.parked) return Park(group_ref_.page);
-        if (s.code() == StatusCode::kDeadlineExceeded) {
+        const ReadOutcome r =
+            reader_.Read(/*is_p=*/false, group_ref_.page, group_ref_.level);
+        if (r == ReadOutcome::kParked) return StepResult::kParked;
+        if (r == ReadOutcome::kError) return End(reader_.error());
+        if (r == ReadOutcome::kDeadline) {
           stop_ = StopCause::kDeadline;
           phase_ = Phase::kFinish;
           continue;
         }
-        if (!s.ok()) return Fail(s);
-        CountRead(outcome, /*is_p=*/false);
-        if (Status level =
-                CheckNodeLevel(node_q_, group_ref_.level, group_ref_.page);
-            !level.ok()) {
-          return Fail(std::move(level));
-        }
         ++stats_->node_pairs_processed;
         ++node_accesses_;
-        if (node_q_.IsLeaf()) {
-          for (const Entry& eq : node_q_.entries) {
-            for (size_t i = 0; i < node_p_.entries.size(); ++i) {
+        const Node& leaf = reader_.node_p();
+        const Node& node_q = reader_.node_q();
+        if (node_q.IsLeaf()) {
+          for (const Entry& eq : node_q.entries) {
+            for (size_t i = 0; i < leaf.entries.size(); ++i) {
               ++stats_->point_distance_computations;
               const double d2 =
-                  MinMinDistSquared(node_p_.entries[i].rect, eq.rect);
+                  MinMinDistSquared(leaf.entries[i].rect, eq.rect);
               if (d2 < best_[i]) {
                 best_[i] = d2;
                 best_entry_[i] = eq;
@@ -221,7 +167,7 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
             }
           }
         } else {
-          for (const Entry& eq : node_q_.entries) {
+          for (const Entry& eq : node_q.entries) {
             const double key = MinMinDistSquared(leaf_mbr_, eq.rect);
             // Re-test against the worst captured at this pop: later
             // insertions are useless once every point has a closer
@@ -235,22 +181,20 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
         continue;
       }
       case Phase::kGroupEmit: {
-        for (size_t i = 0; i < node_p_.entries.size(); ++i) {
+        const Node& leaf = reader_.node_p();
+        for (size_t i = 0; i < leaf.entries.size(); ++i) {
           Point p_witness, q_witness;
-          ClosestPoints(node_p_.entries[i].rect, best_entry_[i].rect,
+          ClosestPoints(leaf.entries[i].rect, best_entry_[i].rect,
                         &p_witness, &q_witness);
-          out_.push_back(PairResult{p_witness, q_witness,
-                                    node_p_.entries[i].id, best_entry_[i].id,
-                                    std::sqrt(best_[i])});
+          out_.push_back(PairResult{p_witness, q_witness, leaf.entries[i].id,
+                                    best_entry_[i].id, std::sqrt(best_[i])});
         }
         phase_ = Phase::kScanRead;
         continue;
       }
       case Phase::kFinish: {
         FinishPhase();
-        final_status_ = Status::OK();
-        phase_ = Phase::kDone;
-        return StepResult::kDone;
+        return End(Status::OK());
       }
       case Phase::kDone:
         return StepResult::kDone;

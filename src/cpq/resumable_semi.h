@@ -17,23 +17,24 @@
 //
 //   1. One order. A park resumes AT the read, never before a stop poll,
 //      so interleaving cannot add or drop deadline observations.
-//   2. One count. Per-query misses are tallied from TryReadOutcome (miss
-//      at claim); node_accesses counts P leaves and popped Q nodes
-//      (internal P nodes are read but not counted).
+//   2. One count. Every read goes through a NodeReader
+//      (cpq/node_reader.h), which checks its level and tallies misses (at
+//      claim), parks and parked time for the epilogue to copy;
+//      node_accesses counts P leaves and popped Q nodes (internal P nodes
+//      are read but not counted).
 //   3. One epilogue, which folds the kcpq_cpq_* metrics once.
 
 #ifndef KCPQ_CPQ_RESUMABLE_SEMI_H_
 #define KCPQ_CPQ_RESUMABLE_SEMI_H_
 
-#include <chrono>
 #include <cstdint>
 #include <queue>
 #include <vector>
 
-#include "buffer/buffer_manager.h"
 #include "common/query_context.h"
 #include "common/resumable.h"
 #include "cpq/cpq.h"
+#include "cpq/node_reader.h"
 #include "rtree/rtree.h"
 
 namespace kcpq {
@@ -84,11 +85,8 @@ class ResumableSemiQuery final : public ResumableTask {
     bool operator>(const QueueItem& other) const { return key > other.key; }
   };
 
-  StepResult Park(PageId page);
-  StepResult Fail(Status s);
-  /// Same shared-buffer rule as ResumableCpqQuery::CountRead: one buffer
-  /// serving both trees counts each miss on both sides.
-  void CountRead(const BufferManager::TryReadOutcome& outcome, bool is_p);
+  /// Ends the query with `s` (OK unless it failed).
+  StepResult End(Status s);
 
   bool StartPhase();  // returns false when the query is trivially done
   void FinishPhase();
@@ -98,7 +96,9 @@ class ResumableSemiQuery final : public ResumableTask {
   CpqStats* stats_;
   CpqStats local_stats_;
   QueryContext* ctx_;
-  Waker waker_;
+  /// Every node read and its tallies. The P leaf of the current group
+  /// stays in node_p() while the group's Q nodes are read into node_q().
+  cpq_internal::NodeReader reader_;
 
   Phase phase_ = Phase::kStart;
   Status final_status_;
@@ -108,7 +108,6 @@ class ResumableSemiQuery final : public ResumableTask {
   // page being read stays on the stack until the read lands, so a park
   // simply re-reads it.
   std::vector<PageRef> stack_;
-  Node node_p_, node_q_;
 
   // Group-NN state for the current P leaf.
   Rect leaf_mbr_;
@@ -122,14 +121,7 @@ class ResumableSemiQuery final : public ResumableTask {
 
   // Per-query accounting (see header comment).
   uint64_t node_accesses_ = 0;
-  uint64_t misses_p_ = 0;
-  uint64_t misses_q_ = 0;
-  uint64_t prefetch_hits_ = 0;
   StopCause stop_ = StopCause::kNone;
-
-  // Park bookkeeping, identical to ResumableCpqQuery.
-  bool park_pending_ = false;
-  std::chrono::steady_clock::time_point park_start_;
 };
 
 }  // namespace kcpq

@@ -5,13 +5,12 @@
 #include <utility>
 
 #include "cpq/leaf_kernel.h"
-#include "cpq/prefetch.h"
+#include "cpq/node_reader.h"
 #include "cpq/result_heap.h"
 #include "geometry/metrics.h"
 #include "hs/hybrid_queue.h"
 #include "hs/resumable.h"
 #include "obs/kcpq_metrics.h"
-#include "obs/trace.h"
 
 namespace kcpq {
 
@@ -40,16 +39,15 @@ class JoinImpl {
         tree_q_(tree_q),
         options_(options),
         ctx_(options.context),
-        trace_(ctx_ != nullptr ? ctx_->trace() : nullptr),
         queue_(options.queue_distance_threshold, options.queue_page_size,
                options.tie_policy == HsTiePolicy::kDepthFirst),
         objective_(options.family, Metric::kL2, options.query_rect),
         k_bound_(options.k_bound),
-        waker_(std::move(waker)) {
+        reader_(tree_p, tree_q, ctx_, std::move(waker)) {
     stats_.quality.bound_is_upper = objective_.BoundIsUpper();
   }
 
-  ~JoinImpl() { DrainSpeculation(); }
+  ~JoinImpl() { reader_.SettleInline(); }
 
   const HsStats& stats() const { return stats_; }
 
@@ -63,7 +61,7 @@ class JoinImpl {
   NextOutcome TryNext(std::optional<PairResult>* out, Status* error);
 
  private:
-  enum class TryOutcome { kOk, kParked, kDeadline, kError };
+  using TryOutcome = cpq_internal::NodeReader::Outcome;
   // The "incremental up to K" bound: the K smallest object-pair keys
   // pushed so far, tracked by the same bounded heap the CPQ ResultHeap
   // wraps (cpq/result_heap.h). Queue items with a larger key cannot be
@@ -92,86 +90,58 @@ class JoinImpl {
   /// Expansion of a one-sided pair (after the node read): enqueues the
   /// child pairs of `node` against the fixed `other` (`node_first` says
   /// which element of the pair the node is) and speculates on the nearest
-  /// ones. Returns the number of speculative reads issued.
-  size_t PushChildrenOneSide(const Node& node, const ItemSide& other,
-                             bool node_first);
+  /// ones.
+  void PushChildrenOneSide(const Node& node, const ItemSide& other,
+                           bool node_first);
   /// Expansion of a node/node pair whose nodes are both read.
-  size_t PushChildrenBoth(const Node& node_a, const Node& node_b);
+  void PushChildrenBoth(const Node& node_a, const Node& node_b);
 
   /// Reads the two roots (parking on a miss when multiplexed) and seeds
   /// the queue with the root pair.
-  TryOutcome TryStart(Status* error);
+  TryOutcome TryStart();
   /// Expansion of pending_item_: reads whichever node of the pair is not
   /// in hand yet (parking on a miss when multiplexed), then pushes
   /// children.
-  TryOutcome TryExpand(Status* error);
-
-  /// Tallies one served read (see ResumableCpqQuery: a self-join's shared
-  /// buffer counts each miss on both sides).
-  void CountRead(const BufferManager::TryReadOutcome& outcome, bool is_p);
-  void NotePark(PageId page);
-  void NoteResumed();
+  TryOutcome TryExpand();
 
   /// Latches `cause` and fills the quality certificate: `key` is the
   /// popped (or about-to-pop) queue key bounding everything unemitted.
   void LatchStop(StopCause cause, double key);
 
-  /// Snapshots the per-join I/O tallies (buffer misses, queue spills,
-  /// speculation) into stats_.
+  /// Snapshots the per-join I/O tallies (the reader's misses, parks and
+  /// speculation; queue spills) into stats_.
   void CaptureIoStats();
-
-  /// An inline join discards staged-but-unclaimed speculative pages so the
-  /// accounting identity (issued == hits + wasted) holds when it ends.
-  /// No-op unless prefetch is enabled, and for multiplexed joins: they
-  /// share the buffers with the scheduler's other queries, and the batch
-  /// executor settles speculation once after the whole run.
-  void DrainSpeculation();
 
   const RStarTree& tree_p_;
   const RStarTree& tree_q_;
   HsOptions options_;
   /// The query's context (see CpqOptions::context); null = no limits, no
-  /// accounting. trace_ is its trace sink, captured once (null = none).
+  /// accounting.
   QueryContext* ctx_;
-  obs::TraceBuffer* trace_;
   HybridQueue queue_;
   /// Objective policy (family + rect); the join's keys are L2-only in
   /// every family, so the metric is pinned to kL2.
   QueryObjective objective_;
   BoundedKeyHeap<KBoundKey> k_bound_;
   cpq_internal::SweepScratch sweep_scratch_;
-  /// Speculative reads for the W nearest children of each expansion
+  /// Every node read and its tallies (cpq/node_reader.h), plus the
+  /// speculative reads for the W nearest children of each expansion
   /// (disabled unless options.prefetch_window > 0; see cpq/prefetch.h).
-  cpq_internal::PrefetchScheduler prefetch_;
+  /// Empty waker: an inline join (see the constructor).
+  cpq_internal::NodeReader reader_;
   HsStats stats_;
   uint64_t next_seq_ = 0;
   uint64_t results_emitted_ = 0;
   bool started_ = false;
   /// Latched stop cause; once set, TryNext keeps returning kExhausted.
   StopCause stop_ = StopCause::kNone;
-  /// Empty for an inline join (see the constructor).
-  Waker waker_;
-  /// TryStart progress: 0 = not begun, 1 = reading root P, 2 = reading
-  /// root Q, 3 = seeded.
-  int root_stage_ = 0;
-  Rect root_mbr_p_;
-  /// The popped-but-unexpanded item a park interrupted, plus whichever of
-  /// its nodes is already resident (node_a_ doubles as the one-sided /
-  /// root-read scratch).
+  /// TryStart progress: false until the roots are being read (the
+  /// pre-trip checks ran).
+  bool reading_roots_ = false;
+  /// The popped-but-unexpanded item a park interrupted; the reader keeps
+  /// whichever of its nodes is already read.
   QueueItem pending_item_;
   bool have_pending_ = false;
-  Node node_a_, node_b_;
-  bool have_a_ = false, have_b_ = false;
-  /// Per-query I/O tallies from read outcomes (buffer-wide counters mix
-  /// every query that shares the buffer).
-  uint64_t misses_p_ = 0;
-  uint64_t misses_q_ = 0;
-  uint64_t prefetch_hits_local_ = 0;
-  uint64_t prefetch_issued_local_ = 0;
-  bool park_pending_ = false;
-  PageId park_page_ = kInvalidPageId;
-  std::chrono::steady_clock::time_point park_start_;
-  uint64_t park_trace_ts_ = 0;
 };
 
 ItemSide JoinImpl::NodeSide(const Entry& entry, int child_level) const {
@@ -229,36 +199,26 @@ void JoinImpl::LatchStop(StopCause cause, double key) {
   // everything unemitted (bound_is_upper, set at construction).
   stats_.quality.guaranteed_lower_bound = objective_.KeyToDistance(key);
   stats_.quality.is_exact = false;
-  DrainSpeculation();
+  reader_.SettleInline();
   CaptureIoStats();
 }
 
 void JoinImpl::CaptureIoStats() {
-  stats_.disk_accesses_p = misses_p_;
-  stats_.disk_accesses_q = misses_q_;
-  stats_.prefetch_issued = prefetch_issued_local_;
-  stats_.prefetch_hits = prefetch_hits_local_;
+  reader_.CopyTallies(&stats_);
   stats_.queue_spill_reads = queue_.spill_reads();
   stats_.queue_spill_writes = queue_.spill_writes();
 }
 
-void JoinImpl::DrainSpeculation() {
-  if (waker_ || !prefetch_.enabled()) return;
-  tree_p_.buffer()->DrainPrefetches();
-  if (tree_q_.buffer() != tree_p_.buffer()) {
-    tree_q_.buffer()->DrainPrefetches();
-  }
-}
-
-size_t JoinImpl::PushChildrenOneSide(const Node& node, const ItemSide& other,
+void JoinImpl::PushChildrenOneSide(const Node& node, const ItemSide& other,
                                      bool node_first) {
   // Speculate on the node pages of the W nearest children: the queue pops
   // in ascending key order, so the children pushed with the smallest keys
   // are the likeliest next expansions. Children PushItem drops — ruled out
   // by the k_bound or, under a query rect, ineligible — are never
   // speculated on.
-  const bool speculate = prefetch_.enabled() && !node.IsLeaf();
-  if (speculate) prefetch_.Clear();
+  cpq_internal::PrefetchScheduler& prefetch = reader_.prefetch();
+  const bool speculate = prefetch.enabled() && !node.IsLeaf();
+  if (speculate) prefetch.Clear();
   for (const Entry& entry : node.entries) {
     // Key first: a child pair the k_bound rules out is dropped before its
     // sides are built (PushItem would drop it anyway).
@@ -273,18 +233,19 @@ size_t JoinImpl::PushChildrenOneSide(const Node& node, const ItemSide& other,
     item.key = key;
     item.tie_level = TieLevelOf(item.a, item.b);
     if (PushItem(item) && speculate) {
-      prefetch_.Add(key, node_first ? entry.id : kInvalidPageId,
-                    node_first ? kInvalidPageId : entry.id);
+      prefetch.Add(key, node_first ? entry.id : kInvalidPageId,
+                   node_first ? kInvalidPageId : entry.id);
     }
   }
-  return speculate ? prefetch_.Issue() : 0;
+  if (speculate) prefetch.Issue();
 }
 
-size_t JoinImpl::PushChildrenBoth(const Node& node_a, const Node& node_b) {
+void JoinImpl::PushChildrenBoth(const Node& node_a, const Node& node_b) {
   // Leaf/leaf expansions produce only object pairs — nothing to read ahead.
+  cpq_internal::PrefetchScheduler& prefetch = reader_.prefetch();
   const bool speculate =
-      prefetch_.enabled() && !(node_a.IsLeaf() && node_b.IsLeaf());
-  if (speculate) prefetch_.Clear();
+      prefetch.enabled() && !(node_a.IsLeaf() && node_b.IsLeaf());
+  if (speculate) prefetch.Clear();
   const auto push_pair = [&](const Entry& ea, const Entry& eb) {
     // Key first, as in PushChildrenOneSide.
     const double key = KeyOf(ea.rect, eb.rect);
@@ -295,8 +256,8 @@ size_t JoinImpl::PushChildrenBoth(const Node& node_a, const Node& node_b) {
     item.key = key;
     item.tie_level = TieLevelOf(item.a, item.b);
     if (PushItem(item) && speculate) {
-      prefetch_.Add(key, item.a.is_node ? item.a.id : kInvalidPageId,
-                    item.b.is_node ? item.b.id : kInvalidPageId);
+      prefetch.Add(key, item.a.is_node ? item.a.id : kInvalidPageId,
+                   item.b.is_node ? item.b.id : kInvalidPageId);
     }
     return true;
   };
@@ -314,62 +275,21 @@ size_t JoinImpl::PushChildrenBoth(const Node& node_a, const Node& node_b) {
                                   /*strict=*/true, &sweep_scratch_,
                                   [&] { return k_bound_.Bound(); },
                                   push_pair);
-    return 0;
+    return;
   }
   for (const Entry& ea : node_a.entries) {
     for (const Entry& eb : node_b.entries) {
       push_pair(ea, eb);
     }
   }
-  return speculate ? prefetch_.Issue() : 0;
+  if (speculate) prefetch.Issue();
 }
 
-void JoinImpl::CountRead(const BufferManager::TryReadOutcome& outcome,
-                         bool is_p) {
-  if (outcome.hit) return;
-  if (tree_p_.buffer() == tree_q_.buffer()) {
-    ++misses_p_;
-    ++misses_q_;
-  } else if (is_p) {
-    ++misses_p_;
-  } else {
-    ++misses_q_;
-  }
-  if (outcome.prefetch_claim) ++prefetch_hits_local_;
-}
-
-void JoinImpl::NotePark(PageId page) {
-  ++stats_.io_parks;
-  park_pending_ = true;
-  park_page_ = page;
-  park_start_ = std::chrono::steady_clock::now();
-  park_trace_ts_ = trace_ != nullptr ? trace_->NowNs() : 0;
-}
-
-void JoinImpl::NoteResumed() {
-  park_pending_ = false;
-  const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           std::chrono::steady_clock::now() - park_start_)
-                           .count();
-  const uint64_t dur = elapsed > 0 ? static_cast<uint64_t>(elapsed) : 0;
-  stats_.io_parked_ns += dur;
-  if (trace_ != nullptr) {
-    obs::TraceEvent ev;
-    ev.kind = obs::TraceEventKind::kIoPark;
-    ev.ts_ns = park_trace_ts_;
-    ev.dur_ns = dur > 0 ? dur : 1;
-    ev.a = park_page_;
-    trace_->Record(ev);
-  }
-}
-
-JoinImpl::TryOutcome JoinImpl::TryStart(Status* error) {
-  if (root_stage_ == 0) {
-    prefetch_.Configure(tree_p_.buffer(), tree_q_.buffer(),
-                        options_.prefetch_window, ctx_);
+JoinImpl::TryOutcome JoinImpl::TryStart() {
+  if (!reading_roots_) {
+    reader_.ConfigurePrefetch(options_.prefetch_window);
     if (tree_p_.size() == 0 || tree_q_.size() == 0) {
       started_ = true;
-      root_stage_ = 3;
       return TryOutcome::kOk;
     }
     // Pre-trip: a pre-expired or pre-cancelled join reads no pages.
@@ -379,191 +299,76 @@ JoinImpl::TryOutcome JoinImpl::TryStart(Status* error) {
       if (pre != StopCause::kNone) {
         LatchStop(pre, objective_.WeakestKey());
         started_ = true;
-        root_stage_ = 3;
         return TryOutcome::kOk;
       }
     }
-    root_stage_ = 1;
+    reading_roots_ = true;
+    reader_.NewPair();
   }
-  if (root_stage_ == 1) {
-    BufferManager::TryReadOutcome outcome;
-    const Status s = tree_p_.TryReadNode(tree_p_.root_page(), &node_a_,
-                                         ctx_, waker_, &outcome);
-    if (outcome.parked) {
-      NotePark(tree_p_.root_page());
-      return TryOutcome::kParked;
-    }
-    if (s.code() == StatusCode::kDeadlineExceeded) {
-      // Storage abandoned a retry: the deadline is unmeetable. Same
-      // certificate as the pre-trip — no pair was emitted yet.
-      LatchStop(StopCause::kDeadline, objective_.WeakestKey());
-      started_ = true;
-      root_stage_ = 3;
-      return TryOutcome::kOk;
-    }
-    if (!s.ok()) {
-      *error = s;
-      return TryOutcome::kError;
-    }
-    CountRead(outcome, /*is_p=*/true);
-    *error =
-        CheckNodeLevel(node_a_, tree_p_.height() - 1, tree_p_.root_page());
-    if (!error->ok()) return TryOutcome::kError;
-    root_mbr_p_ = node_a_.ComputeMbr();
-    root_stage_ = 2;
+  const int level_p = tree_p_.height() - 1;
+  const int level_q = tree_q_.height() - 1;
+  const TryOutcome r = reader_.ReadPair(tree_p_.root_page(), level_p,
+                                        tree_q_.root_page(), level_q);
+  if (r == TryOutcome::kParked || r == TryOutcome::kError) return r;
+  started_ = true;
+  if (r == TryOutcome::kDeadline) {
+    // Storage abandoned a retry: the deadline is unmeetable. Same
+    // certificate as the pre-trip — no pair was emitted yet.
+    LatchStop(StopCause::kDeadline, objective_.WeakestKey());
+    return TryOutcome::kOk;
   }
-  if (root_stage_ == 2) {
-    BufferManager::TryReadOutcome outcome;
-    const Status s = tree_q_.TryReadNode(tree_q_.root_page(), &node_a_,
-                                         ctx_, waker_, &outcome);
-    if (outcome.parked) {
-      NotePark(tree_q_.root_page());
-      return TryOutcome::kParked;
-    }
-    if (s.code() == StatusCode::kDeadlineExceeded) {
-      LatchStop(StopCause::kDeadline, objective_.WeakestKey());
-      started_ = true;
-      root_stage_ = 3;
-      return TryOutcome::kOk;
-    }
-    if (!s.ok()) {
-      *error = s;
-      return TryOutcome::kError;
-    }
-    CountRead(outcome, /*is_p=*/false);
-    *error =
-        CheckNodeLevel(node_a_, tree_q_.height() - 1, tree_q_.root_page());
-    if (!error->ok()) return TryOutcome::kError;
-    QueueItem item;
-    item.a =
-        ItemSide{true, root_mbr_p_, tree_p_.root_page(), tree_p_.height() - 1};
-    item.b = ItemSide{true, node_a_.ComputeMbr(), tree_q_.root_page(),
-                      tree_q_.height() - 1};
-    item.key = KeyOf(item.a.rect, item.b.rect);
-    item.tie_level = TieLevelOf(item.a, item.b);
-    PushItem(item);
-    started_ = true;
-    root_stage_ = 3;
-  }
+  QueueItem item;
+  item.a = ItemSide{true, reader_.node_p().ComputeMbr(), tree_p_.root_page(),
+                    level_p};
+  item.b = ItemSide{true, reader_.node_q().ComputeMbr(), tree_q_.root_page(),
+                    level_q};
+  item.key = KeyOf(item.a.rect, item.b.rect);
+  item.tie_level = TieLevelOf(item.a, item.b);
+  PushItem(item);
   return TryOutcome::kOk;
 }
 
-JoinImpl::TryOutcome JoinImpl::TryExpand(Status* error) {
+JoinImpl::TryOutcome JoinImpl::TryExpand() {
   const QueueItem& item = pending_item_;
-  const bool both = item.a.is_node && item.b.is_node &&
-                    options_.traversal == HsTraversal::kSimultaneous;
-  if (both) {
-    if (!have_a_) {
-      BufferManager::TryReadOutcome outcome;
-      const Status s =
-          tree_p_.TryReadNode(item.a.id, &node_a_, ctx_, waker_, &outcome);
-      if (outcome.parked) {
-        NotePark(item.a.id);
-        return TryOutcome::kParked;
-      }
-      if (s.code() == StatusCode::kDeadlineExceeded) {
-        return TryOutcome::kDeadline;
-      }
-      if (!s.ok()) {
-        *error = s;
-        return TryOutcome::kError;
-      }
-      CountRead(outcome, /*is_p=*/true);
-      *error = CheckNodeLevel(node_a_, item.a.level, item.a.id);
-      if (!error->ok()) return TryOutcome::kError;
-      have_a_ = true;
-    }
-    if (!have_b_) {
-      BufferManager::TryReadOutcome outcome;
-      const Status s =
-          tree_q_.TryReadNode(item.b.id, &node_b_, ctx_, waker_, &outcome);
-      if (outcome.parked) {
-        NotePark(item.b.id);
-        return TryOutcome::kParked;
-      }
-      if (s.code() == StatusCode::kDeadlineExceeded) {
-        return TryOutcome::kDeadline;
-      }
-      if (!s.ok()) {
-        *error = s;
-        return TryOutcome::kError;
-      }
-      CountRead(outcome, /*is_p=*/false);
-      *error = CheckNodeLevel(node_b_, item.b.level, item.b.id);
-      if (!error->ok()) return TryOutcome::kError;
-      have_b_ = true;
-    }
+  if (item.a.is_node && item.b.is_node &&
+      options_.traversal == HsTraversal::kSimultaneous) {
+    const TryOutcome r =
+        reader_.ReadPair(item.a.id, item.a.level, item.b.id, item.b.level);
+    if (r != TryOutcome::kOk) return r;
     // Both nodes in hand: the expansion's bookkeeping and pushes run
     // exactly once, however many parks interleaved.
     stats_.node_accesses += 2;
-    prefetch_issued_local_ += PushChildrenBoth(node_a_, node_b_);
+    PushChildrenBoth(reader_.node_p(), reader_.node_q());
     return TryOutcome::kOk;
   }
 
-  // One-sided expansion.
-  const RStarTree* tree;
-  const ItemSide* node_side;
-  const ItemSide* other;
-  bool node_first;
-  if (item.a.is_node && item.b.is_node) {
-    // kBasic gives priority to one of the trees, arbitrarily the first;
-    // kEven expands the node at the shallower depth (higher level).
-    if (options_.traversal == HsTraversal::kBasic ||
-        item.a.level >= item.b.level) {
-      tree = &tree_p_;
-      node_side = &item.a;
-      other = &item.b;
-      node_first = true;
-    } else {
-      tree = &tree_q_;
-      node_side = &item.b;
-      other = &item.a;
-      node_first = false;
-    }
-  } else if (item.a.is_node) {
-    tree = &tree_p_;
-    node_side = &item.a;
-    other = &item.b;
-    node_first = true;
-  } else {
-    tree = &tree_q_;
-    node_side = &item.b;
-    other = &item.a;
-    node_first = false;
-  }
-  if (!have_a_) {
-    BufferManager::TryReadOutcome outcome;
-    const Status s = tree->TryReadNode(node_side->id, &node_a_, ctx_,
-                                       waker_, &outcome);
-    if (outcome.parked) {
-      NotePark(node_side->id);
-      return TryOutcome::kParked;
-    }
-    if (s.code() == StatusCode::kDeadlineExceeded) {
-      return TryOutcome::kDeadline;
-    }
-    if (!s.ok()) {
-      *error = s;
-      return TryOutcome::kError;
-    }
-    CountRead(outcome, node_first);
-    *error = CheckNodeLevel(node_a_, node_side->level, node_side->id);
-    if (!error->ok()) return TryOutcome::kError;
-    have_a_ = true;
-  }
+  // One-sided expansion. kBasic gives priority to one of the trees,
+  // arbitrarily the first; kEven expands the node at the shallower depth
+  // (higher level).
+  const bool node_first =
+      item.a.is_node &&
+      (!item.b.is_node || options_.traversal == HsTraversal::kBasic ||
+       item.a.level >= item.b.level);
+  const ItemSide& node_side = node_first ? item.a : item.b;
+  const TryOutcome r =
+      reader_.Read(node_first, node_side.id, node_side.level);
+  if (r != TryOutcome::kOk) return r;
   ++stats_.node_accesses;
-  prefetch_issued_local_ += PushChildrenOneSide(node_a_, *other, node_first);
+  PushChildrenOneSide(node_first ? reader_.node_p() : reader_.node_q(),
+                      node_first ? item.b : item.a, node_first);
   return TryOutcome::kOk;
 }
 
 JoinImpl::NextOutcome JoinImpl::TryNext(std::optional<PairResult>* out,
                                         Status* error) {
   out->reset();
-  if (park_pending_) NoteResumed();
   if (!started_) {
-    const TryOutcome r = TryStart(error);
+    const TryOutcome r = TryStart();
     if (r == TryOutcome::kParked) return NextOutcome::kParked;
-    if (r == TryOutcome::kError) return NextOutcome::kError;
+    if (r == TryOutcome::kError) {
+      *error = reader_.error();
+      return NextOutcome::kError;
+    }
   }
   if (stop_ != StopCause::kNone) return NextOutcome::kExhausted;
   if (options_.k_bound > 0 && results_emitted_ >= options_.k_bound) {
@@ -572,7 +377,7 @@ JoinImpl::NextOutcome JoinImpl::TryNext(std::optional<PairResult>* out,
   for (;;) {
     if (!have_pending_) {
       if (queue_.Empty()) {
-        DrainSpeculation();
+        reader_.SettleInline();
         CaptureIoStats();
         stats_.quality.pairs_found = results_emitted_;
         return NextOutcome::kExhausted;
@@ -612,11 +417,14 @@ JoinImpl::NextOutcome JoinImpl::TryNext(std::optional<PairResult>* out,
         }
       }
       have_pending_ = true;
-      have_a_ = have_b_ = false;
+      reader_.NewPair();
     }
-    const TryOutcome r = TryExpand(error);
+    const TryOutcome r = TryExpand();
     if (r == TryOutcome::kParked) return NextOutcome::kParked;
-    if (r == TryOutcome::kError) return NextOutcome::kError;
+    if (r == TryOutcome::kError) {
+      *error = reader_.error();
+      return NextOutcome::kError;
+    }
     have_pending_ = false;
     if (r == TryOutcome::kDeadline) {
       // Storage abandoned a retry mid-expansion: same certificate as a

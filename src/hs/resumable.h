@@ -2,17 +2,18 @@
 // cpq/resumable.h, and the one traversal behind HsKClosestPairs,
 // IncrementalDistanceJoin and the batch executor's HS queries. The join's
 // priority-queue loop is already iterative, so the machine only needs
-// parkable node reads: the join remembers the popped-but-unexpanded item
-// plus whichever node of the pair is already read, parks on the missing
-// one, and re-enters the expansion — never the pop or the context poll —
-// when the page lands.
+// parkable node reads: the join remembers the popped-but-unexpanded item,
+// its NodeReader (cpq/node_reader.h) keeps whichever node of the pair is
+// already read and parks on the missing one, and the join re-enters the
+// expansion — never the pop or the context poll — when the page lands.
 //
 // An empty waker runs the join inline (reads wait; one Step() finishes
 // it); a scheduler's waker lets it park. Both give identical emitted
 // pairs, certificates, and per-query disk-access counts
-// (tests/resumable_test.cc). The same lifetime rule as ResumableCpqQuery
-// applies to a parking join: drain the tree buffers before destroying its
-// QueryContext.
+// (tests/resumable_test.cc), because the reader checks every node's level
+// and tallies misses, parks and parked time for both alike. The same
+// lifetime rule as ResumableCpqQuery applies to a parking join: drain the
+// tree buffers before destroying its QueryContext.
 
 #ifndef KCPQ_HS_RESUMABLE_H_
 #define KCPQ_HS_RESUMABLE_H_

@@ -1,4 +1,10 @@
 // Range query, best-first K-nearest-neighbor query, and level statistics.
+//
+// Every traversal here carries each page's expected level — the level its
+// parent entry implies, height - 1 for the root — and rejects a page at
+// any other level as kCorruption (CheckNodeLevel). Levels strictly
+// decrease along every path, so a page that lists itself or an ancestor
+// as a child ends the traversal instead of looping it.
 
 #include <cmath>
 #include <queue>
@@ -7,21 +13,37 @@
 
 namespace kcpq {
 
+namespace {
+
+// A page to read and the level its parent implies.
+struct PageAt {
+  PageId page;
+  int level;
+};
+
+Status ReadAt(const RStarTree& tree, PageAt at, Node* node,
+              QueryContext* ctx = nullptr) {
+  KCPQ_RETURN_IF_ERROR(tree.ReadNode(at.page, node, ctx));
+  return CheckNodeLevel(*node, at.level, at.page);
+}
+
+}  // namespace
+
 Status RStarTree::RangeQuery(const Rect& range, std::vector<Entry>* out) const {
   // Iterative DFS; a leaf entry's degenerate rect intersects `range` iff the
   // point lies inside it.
-  std::vector<PageId> stack = {root_page_};
+  std::vector<PageAt> stack = {{root_page_, height_ - 1}};
   while (!stack.empty()) {
-    const PageId page = stack.back();
+    const PageAt at = stack.back();
     stack.pop_back();
     Node node;
-    KCPQ_RETURN_IF_ERROR(ReadNode(page, &node));
+    KCPQ_RETURN_IF_ERROR(ReadAt(*this, at, &node));
     for (const Entry& e : node.entries) {
       if (!range.Intersects(e.rect)) continue;
       if (node.IsLeaf()) {
         out->push_back(e);
       } else {
-        stack.push_back(e.id);
+        stack.push_back({e.id, at.level - 1});
       }
     }
   }
@@ -39,13 +61,13 @@ Status RStarTree::NearestNeighbors(const Point& query, size_t k,
   struct Item {
     double dist2;
     bool is_node;
-    PageId page;   // when is_node
-    Entry entry;   // when !is_node
+    PageAt node;  // when is_node
+    Entry entry;  // when !is_node
   };
   const Rect query_rect = Rect::FromPoint(query);
   auto cmp = [](const Item& a, const Item& b) { return a.dist2 > b.dist2; };
   std::priority_queue<Item, std::vector<Item>, decltype(cmp)> queue(cmp);
-  queue.push(Item{0.0, true, root_page_, Entry{}});
+  queue.push(Item{0.0, true, {root_page_, height_ - 1}, Entry{}});
   while (!queue.empty()) {
     const Item item = queue.top();
     queue.pop();
@@ -55,15 +77,15 @@ Status RStarTree::NearestNeighbors(const Point& query, size_t k,
       continue;
     }
     Node node;
-    KCPQ_RETURN_IF_ERROR(ReadNode(item.page, &node));
+    KCPQ_RETURN_IF_ERROR(ReadAt(*this, item.node, &node));
     for (const Entry& e : node.entries) {
       // MINDIST to the entry rect: exact point distance for point data,
       // nearest-face distance for extended objects and subtree MBRs.
       const double key = MinMinDistPow(query_rect, e.rect, metric);
       if (node.IsLeaf()) {
-        queue.push(Item{key, false, kInvalidPageId, e});
+        queue.push(Item{key, false, {kInvalidPageId, -1}, e});
       } else {
-        queue.push(Item{key, true, e.id, Entry{}});
+        queue.push(Item{key, true, {e.id, item.node.level - 1}, Entry{}});
       }
     }
   }
@@ -75,22 +97,19 @@ Status RStarTree::CollectLevelGeometry(
   out->assign(height_, LevelGeometry{});
   for (int i = 0; i < height_; ++i) (*out)[i].level = i;
   // Gather every node's MBR per level, then the O(n^2) overlap sums.
+  // The level checks keep every index below in [0, height_).
   std::vector<std::vector<Rect>> mbrs(height_);
-  {
-    Node root;
-    KCPQ_RETURN_IF_ERROR(ReadNode(root_page_, &root));
-    mbrs[root.level].push_back(root.ComputeMbr());
-  }
-  std::vector<PageId> stack = {root_page_};
+  std::vector<PageAt> stack = {{root_page_, height_ - 1}};
   while (!stack.empty()) {
-    const PageId page = stack.back();
+    const PageAt at = stack.back();
     stack.pop_back();
     Node node;
-    KCPQ_RETURN_IF_ERROR(ReadNode(page, &node));
+    KCPQ_RETURN_IF_ERROR(ReadAt(*this, at, &node));
+    if (at.page == root_page_) mbrs[at.level].push_back(node.ComputeMbr());
     if (node.IsLeaf()) continue;
     for (const Entry& e : node.entries) {
-      mbrs[node.level - 1].push_back(e.rect);
-      stack.push_back(e.id);
+      mbrs[at.level - 1].push_back(e.rect);
+      stack.push_back({e.id, at.level - 1});
     }
   }
   for (int level = 0; level < height_; ++level) {
@@ -110,17 +129,17 @@ Status RStarTree::CollectLevelGeometry(
 Status RStarTree::ScanLeaves(
     const std::function<bool(const Node& leaf)>& visit,
     QueryContext* ctx) const {
-  std::vector<PageId> stack = {root_page_};
+  std::vector<PageAt> stack = {{root_page_, height_ - 1}};
   while (!stack.empty()) {
-    const PageId page = stack.back();
+    const PageAt at = stack.back();
     stack.pop_back();
     Node node;
-    KCPQ_RETURN_IF_ERROR(ReadNode(page, &node, ctx));
+    KCPQ_RETURN_IF_ERROR(ReadAt(*this, at, &node, ctx));
     if (node.IsLeaf()) {
       if (!visit(node)) return Status::OK();
       continue;
     }
-    for (const Entry& e : node.entries) stack.push_back(e.id);
+    for (const Entry& e : node.entries) stack.push_back({e.id, at.level - 1});
   }
   return Status::OK();
 }
@@ -128,20 +147,17 @@ Status RStarTree::ScanLeaves(
 Status RStarTree::CollectLevelStats(std::vector<LevelStats>* out) const {
   out->assign(height_, LevelStats{});
   for (int i = 0; i < height_; ++i) (*out)[i].level = i;
-  std::vector<PageId> stack = {root_page_};
+  std::vector<PageAt> stack = {{root_page_, height_ - 1}};
   while (!stack.empty()) {
-    const PageId page = stack.back();
+    const PageAt at = stack.back();
     stack.pop_back();
     Node node;
-    KCPQ_RETURN_IF_ERROR(ReadNode(page, &node));
-    if (node.level < 0 || node.level >= height_) {
-      return Status::Corruption("node level outside tree height");
-    }
-    LevelStats& stats = (*out)[node.level];
+    KCPQ_RETURN_IF_ERROR(ReadAt(*this, at, &node));
+    LevelStats& stats = (*out)[at.level];
     ++stats.nodes;
     stats.entries += node.entries.size();
     if (!node.IsLeaf()) {
-      for (const Entry& e : node.entries) stack.push_back(e.id);
+      for (const Entry& e : node.entries) stack.push_back({e.id, at.level - 1});
     }
   }
   return Status::OK();

@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "cpq/cpq.h"
+#include "cpq/distance_join.h"
+#include "cpq/multiway.h"
 #include "gtest/gtest.h"
 #include "hs/hs.h"
 #include "storage/file_storage.h"
@@ -224,6 +226,86 @@ TEST(CorruptionTest, RewrittenInternalLevelIsCorruption) {
         << (semi.ok() ? "semi-join succeeded" : semi.status().ToString());
   }
   std::remove(path.c_str());
+}
+
+// A root page that lists itself as its first child, with the root's own
+// MBR so every traversal meets the entry at key 0 and must read it. The
+// child is expected one level below the root, so the first re-read of the
+// root is kCorruption: no traversal may loop on the cycle (at worst until
+// a node budget or memory runs out).
+TEST(CorruptionTest, SelfCyclicRootIsCorruptionEverywhere) {
+  TreeFixture fp, fq;
+  KCPQ_ASSERT_OK(fp.Build(MakeUniformItems(3000, 2301)));
+  KCPQ_ASSERT_OK(fq.Build(MakeUniformItems(3000, 2302)));
+  const RStarTree& tree = fp.tree();
+  ASSERT_GE(tree.height(), 2);
+  Page page;
+  KCPQ_ASSERT_OK(fp.storage().ReadPage(tree.root_page(), &page));
+  Node root;
+  KCPQ_ASSERT_OK(DeserializeNode(page, &root));
+  root.entries[0].id = tree.root_page();
+  root.entries[0].rect = root.ComputeMbr();
+  KCPQ_ASSERT_OK(SerializeNode(root, &page));
+  KCPQ_ASSERT_OK(fp.storage().WritePage(tree.root_page(), page));
+
+  // Every acyclic traversal reads each pair of pages at most once, so a
+  // budget of twice the page pairs never stops one before the cycle.
+  QueryControl budget;
+  budget.max_node_accesses =
+      2 * fp.storage().PageCount() * fq.storage().PageCount();
+  const auto expect_corruption = [](const Status& s, const char* engine) {
+    EXPECT_EQ(s.code(), StatusCode::kCorruption)
+        << engine << ": " << (s.ok() ? "succeeded" : s.ToString());
+  };
+  for (const CpqAlgorithm algorithm :
+       {CpqAlgorithm::kHeap, CpqAlgorithm::kSortedDistances}) {
+    QueryContext ctx(budget);
+    CpqOptions options;
+    options.k = 1;
+    options.algorithm = algorithm;
+    options.context = &ctx;
+    expect_corruption(KClosestPairs(tree, fq.tree(), options).status(),
+                      CpqAlgorithmName(algorithm));
+  }
+  {
+    QueryContext ctx(budget);
+    HsOptions options;
+    options.context = &ctx;
+    expect_corruption(HsKClosestPairs(tree, fq.tree(), 1, options).status(),
+                      "HS");
+  }
+  {
+    QueryContext ctx(budget);
+    expect_corruption(
+        SemiClosestPairs(tree, fq.tree(), nullptr, &ctx).status(), "semi");
+  }
+  {
+    QueryContext ctx(budget);
+    DistanceJoinOptions options;
+    options.context = &ctx;
+    expect_corruption(
+        DistanceRangeJoin(tree, fq.tree(), 0.001, options).status(),
+        "ε-join");
+  }
+  {
+    QueryContext ctx(budget);
+    MultiwayOptions options;
+    options.context = &ctx;
+    expect_corruption(MultiwayKClosestTuples({&tree, &fq.tree()},
+                                             {MultiwayEdge{0, 1}}, options)
+                          .status(),
+                      "multiway");
+  }
+  std::vector<Entry> hits;
+  expect_corruption(tree.RangeQuery(UnitWorkspace(), &hits), "range");
+  std::vector<Neighbor> nn;
+  expect_corruption(tree.NearestNeighbors(Point{{0.5, 0.5}}, 5, &nn), "knn");
+  expect_corruption(tree.ScanLeaves([](const Node&) { return true; }),
+                    "leaf scan");
+  std::vector<RStarTree::LevelStats> stats;
+  expect_corruption(tree.CollectLevelStats(&stats), "level stats");
+  std::vector<RStarTree::LevelGeometry> geometry;
+  expect_corruption(tree.CollectLevelGeometry(&geometry), "level geometry");
 }
 
 }  // namespace

@@ -137,58 +137,14 @@ TEST(ExplainProfileTest, BoundSampleDecimationKeepsEndpoints) {
   EXPECT_EQ(samples.back().node_pairs, 499u);
 }
 
-// Flattens a profiled run into renderer inputs the way the CLI does,
-// including the objective-dependent fields (family header, prune-rule
-// caption, certificate direction). kClosest keeps every default so the
-// pre-policy golden stays byte-identical.
+// The CLI's EXPLAIN inputs for a profiled run (CpqExplainInputs), over
+// the pass-through buffer every fixture uses, where every read is
+// physical. The wall time stays unset (timing is nondeterministic; it
+// renders "n/a").
 obs::ExplainInputs MakeInputs(const CpqOptions& options,
                               const ProfiledRun& run) {
-  const QueryObjective objective(options.family, options.metric,
-                                 options.query_rect);
-  obs::ExplainInputs inputs;
-  inputs.algorithm = CpqAlgorithmName(options.algorithm);
-  inputs.leaf_kernel = "plane-sweep";
-  inputs.family = QueryFamilyName(options.family);
-  inputs.bound_is_upper = objective.BoundIsUpper();
-  switch (options.family) {
-    case QueryFamily::kClosest:
-      break;
-    case QueryFamily::kFarthest:
-      inputs.prune_rule =
-          "Inequality 1 = MAXMAXDIST < T; order = worst-first cutoff";
-      break;
-    case QueryFamily::kRangeClosest:
-      inputs.prune_rule =
-          "Inequality 1 = MINMINDIST > T; order = best-first cutoff; "
-          "rect-ineligible subtrees skipped before candidacy";
-      break;
-  }
-  if (options.family != QueryFamily::kClosest) {
-    inputs.prefetch_pop_order = objective.minimizing()
-                                    ? "MINMINDIST ascending"
-                                    : "MAXMAXDIST descending";
-  }
-  inputs.k = options.k;
-  inputs.results_returned = run.pairs.size();
-  inputs.result_max_distance =
-      run.pairs.empty() ? -1.0 : run.pairs.back().distance;
-  inputs.node_pairs_processed = run.stats.node_pairs_processed;
-  inputs.candidate_pairs_generated = run.stats.candidate_pairs_generated;
-  inputs.candidate_pairs_pruned = run.stats.candidate_pairs_pruned;
-  inputs.point_distance_computations = run.stats.point_distance_computations;
-  inputs.leaf_pairs_skipped = run.stats.leaf_pairs_skipped;
-  inputs.max_heap_size = run.stats.max_heap_size;
-  inputs.node_accesses = run.stats.node_accesses;
-  inputs.disk_accesses = run.stats.disk_accesses();
-  inputs.buffer_hits = 0;  // pass-through buffer: every read is physical
+  obs::ExplainInputs inputs = CpqExplainInputs(options, run.stats, run.pairs);
   inputs.buffer_misses = run.stats.disk_accesses();
-  inputs.measured_peak_bytes = 0;
-  inputs.complete = !run.stats.quality.is_partial();
-  if (!inputs.complete) {
-    inputs.stop_cause = StopCauseName(run.stats.quality.stop_cause);
-    inputs.quality_bound = run.stats.quality.guaranteed_lower_bound;
-  }
-  inputs.seconds = -1.0;  // timing is nondeterministic; render "n/a"
   return inputs;
 }
 

@@ -23,12 +23,16 @@
 #include "common/query_context.h"
 #include "common/resumable.h"
 #include "cpq/cpq.h"
+#include "cpq/resumable.h"
+#include "cpq/resumable_semi.h"
 #include "exec/batch.h"
 #include "exec/scheduler.h"
 #include "gtest/gtest.h"
 #include "hs/hs.h"
+#include "hs/resumable.h"
 #include "obs/kcpq_metrics.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "storage/fault_injection_storage.h"
 #include "storage/latency_storage.h"
 #include "storage/memory_storage.h"
@@ -270,6 +274,109 @@ TEST(ResumableDifferential, WarmBufferAggregateDiskAccessesMatch) {
         << label;
   }
   EXPECT_EQ(got_stats.disk_accesses, want_stats.disk_accesses);
+}
+
+// ---------------------------------------------------------------------------
+// Park accounting: every machine parks through its NodeReader, which
+// counts each park once and closes it with one io_park trace span. On
+// zero-capacity buffers every read misses, so a parking run must park,
+// and its disk and node accesses must equal the inline run's.
+
+// The counters one run reports, plus the io_park spans of its trace.
+struct ParkRun {
+  uint64_t disk_p = 0;
+  uint64_t disk_q = 0;
+  uint64_t node_accesses = 0;
+  uint64_t io_parks = 0;
+  uint64_t park_spans = 0;
+};
+
+template <typename Stats>
+ParkRun MakeParkRun(const Stats& stats, const obs::TraceBuffer& trace) {
+  ParkRun run{stats.disk_accesses_p, stats.disk_accesses_q,
+              stats.node_accesses, stats.io_parks, 0};
+  EXPECT_EQ(trace.dropped(), 0u);
+  for (const obs::TraceEvent& ev : trace.Events()) {
+    if (ev.kind == obs::TraceEventKind::kIoPark) ++run.park_spans;
+  }
+  return run;
+}
+
+enum class ParkMachine { kHeap, kStd, kHs, kSemi };
+
+// Runs one query of `machine` to completion, parking on every miss when
+// `park` is set (inline otherwise), with a trace attached.
+ParkRun RunParkMachine(ParkMachine machine, bool park, TreeFixture& fp,
+                       TreeFixture& fq) {
+  obs::TraceBuffer trace;
+  QueryContext ctx;
+  ctx.set_trace(&trace);
+  InlineWakerGate gate;
+  const Waker waker = park ? gate.waker() : Waker();
+  ParkRun run;
+  switch (machine) {
+    case ParkMachine::kHeap:
+    case ParkMachine::kStd: {
+      CpqOptions options;
+      options.k = 10;
+      options.algorithm = machine == ParkMachine::kHeap
+                              ? CpqAlgorithm::kHeap
+                              : CpqAlgorithm::kSortedDistances;
+      options.context = &ctx;
+      CpqStats stats;
+      ResumableCpqQuery query(fp.tree(), fq.tree(), options, &stats, waker);
+      gate.RunToCompletion(query);
+      KCPQ_EXPECT_OK(query.status());
+      run = MakeParkRun(stats, trace);
+      break;
+    }
+    case ParkMachine::kHs: {
+      HsOptions options;
+      options.context = &ctx;
+      HsStats stats;
+      ResumableHsQuery query(fp.tree(), fq.tree(), 10, options, &stats,
+                             waker);
+      gate.RunToCompletion(query);
+      KCPQ_EXPECT_OK(query.status());
+      run = MakeParkRun(stats, trace);
+      break;
+    }
+    case ParkMachine::kSemi: {
+      CpqStats stats;
+      ResumableSemiQuery query(fp.tree(), fq.tree(), &stats, &ctx, waker);
+      gate.RunToCompletion(query);
+      KCPQ_EXPECT_OK(query.status());
+      run = MakeParkRun(stats, trace);
+      break;
+    }
+  }
+  // Wakers and the context may sit in staged entries until a drain.
+  fp.buffer().DrainPrefetches();
+  fq.buffer().DrainPrefetches();
+  return run;
+}
+
+TEST(ParkAccountingTest, EveryParkIsOneSpanAndCountsMatchInline) {
+  TreeFixture fp, fq;
+  KCPQ_ASSERT_OK(fp.Build(MakeUniformItems(800, 31)));
+  KCPQ_ASSERT_OK(fq.Build(MakeClusteredItems(800, 32)));
+  const std::pair<ParkMachine, const char*> machines[] = {
+      {ParkMachine::kHeap, "HEAP"},
+      {ParkMachine::kStd, "STD"},
+      {ParkMachine::kHs, "HS"},
+      {ParkMachine::kSemi, "semi"}};
+  for (const auto& [machine, name] : machines) {
+    SCOPED_TRACE(name);
+    const ParkRun inline_run = RunParkMachine(machine, false, fp, fq);
+    const ParkRun parked = RunParkMachine(machine, true, fp, fq);
+    EXPECT_EQ(inline_run.io_parks, 0u);
+    EXPECT_EQ(inline_run.park_spans, 0u);
+    EXPECT_GT(parked.io_parks, 0u);
+    EXPECT_EQ(parked.park_spans, parked.io_parks);
+    EXPECT_EQ(parked.disk_p, inline_run.disk_p);
+    EXPECT_EQ(parked.disk_q, inline_run.disk_q);
+    EXPECT_EQ(parked.node_accesses, inline_run.node_accesses);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1081,56 +1081,13 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
                                    : BatchQueryKind::kClosestPairs;
     query.options = options;
 
-    const QueryObjective objective(options.family, options.metric,
-                                   options.query_rect);
-    obs::ExplainInputs inputs;
-    inputs.algorithm = CpqAlgorithmName(options.algorithm);
-    inputs.leaf_kernel = options.leaf_kernel == LeafKernel::kPlaneSweep
-                             ? "plane-sweep"
-                             : "nested-loop";
-    inputs.family = QueryFamilyName(options.family);
-    inputs.bound_is_upper = objective.BoundIsUpper();
-    switch (options.family) {
-      case QueryFamily::kClosest:
-        break;  // keep the default caption (and the pre-policy goldens)
-      case QueryFamily::kFarthest:
-        inputs.prune_rule =
-            "Inequality 1 = MAXMAXDIST < T; order = worst-first cutoff";
-        break;
-      case QueryFamily::kRangeClosest:
-        inputs.prune_rule =
-            "Inequality 1 = MINMINDIST > T; order = best-first cutoff; "
-            "rect-ineligible subtrees skipped before candidacy";
-        break;
-    }
-    // The objective's prefetch pop order, so the wasted count is read
-    // against the right speculation order (closest keeps the legacy
-    // unlabelled rendering).
-    if (options.family != QueryFamily::kClosest) {
-      inputs.prefetch_pop_order = objective.minimizing()
-                                      ? "MINMINDIST ascending"
-                                      : "MAXMAXDIST descending";
-    }
-    inputs.k = options.k;
-    inputs.results_returned = pairs.size();
-    inputs.result_max_distance =
-        pairs.empty() ? -1.0 : pairs.back().distance;
-    inputs.node_pairs_processed = stats.node_pairs_processed;
-    inputs.candidate_pairs_generated = stats.candidate_pairs_generated;
-    inputs.candidate_pairs_pruned = stats.candidate_pairs_pruned;
-    inputs.point_distance_computations = stats.point_distance_computations;
-    inputs.leaf_pairs_skipped = stats.leaf_pairs_skipped;
-    inputs.max_heap_size = stats.max_heap_size;
-    inputs.node_accesses = stats.node_accesses;
-    inputs.disk_accesses = stats.disk_accesses();
+    obs::ExplainInputs inputs = CpqExplainInputs(options, stats, pairs);
     inputs.buffer_hits =
         (after_p.hits - buffer_before_p.hits) +
         (after_q.hits - buffer_before_q.hits);
     inputs.buffer_misses =
         (after_p.misses - buffer_before_p.misses) +
         (after_q.misses - buffer_before_q.misses);
-    inputs.prefetch_issued = stats.prefetch_issued;
-    inputs.prefetch_hits = stats.prefetch_hits;
     // The engine drained speculation before returning, so pending should
     // be 0 and wasted == issued - hits; pending is surfaced as a leak
     // indicator rather than asserted.
@@ -1190,11 +1147,6 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
         inputs.uring_cqe_wakes = uring.cqe_wakes;
         inputs.uring_sq_full_stalls = uring.sq_full_stalls;
       }
-    }
-    inputs.complete = !stats.quality.is_partial();
-    if (!inputs.complete) {
-      inputs.stop_cause = StopCauseName(stats.quality.stop_cause);
-      inputs.quality_bound = stats.quality.guaranteed_lower_bound;
     }
     inputs.seconds = seconds;
     admission_estimate_bytes = inputs.admission_estimate_bytes;
