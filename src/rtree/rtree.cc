@@ -157,7 +157,7 @@ Status RStarTree::InsertAtLevel(const Entry& entry, int level) {
     pending.pop_back();
     Rect mbr;
     std::vector<Entry> split;
-    KCPQ_RETURN_IF_ERROR(InsertRecursive(root_page_, /*is_root=*/true, e, lvl,
+    KCPQ_RETURN_IF_ERROR(InsertRecursive(root_page_, height_ - 1, e, lvl,
                                          &reinserted_levels, &pending, &mbr,
                                          &split));
     if (!split.empty()) {
@@ -178,32 +178,42 @@ Status RStarTree::InsertAtLevel(const Entry& entry, int level) {
 }
 
 Status RStarTree::InsertRecursive(
-    PageId page, bool is_root, const Entry& entry, int target_level,
+    PageId page, int level, const Entry& entry, int target_level,
     uint32_t* reinserted_levels, std::vector<std::pair<Entry, int>>* pending,
     Rect* mbr, std::vector<Entry>* split) {
   Node node;
   KCPQ_RETURN_IF_ERROR(ReadNode(page, &node));
-  if (node.level < target_level) {
+  KCPQ_RETURN_IF_ERROR(CheckNodeLevel(node, level, page));
+  if (level < target_level) {
     return Status::Internal("insertion descended past its target level");
   }
-  if (node.level == target_level) {
+  // The node keeps its page's bytes unless an entry lands here, the child
+  // splits, or the child's MBR moves. Bytes, not operator==: a -0.0 that
+  // replaces a 0.0 is a change on the page.
+  bool changed = true;
+  if (level == target_level) {
     node.entries.push_back(entry);
   } else {
     const size_t child_idx = ChooseSubtree(node, entry.rect);
-    const PageId child_page = node.entries[child_idx].id;
     Rect child_mbr;
     std::vector<Entry> child_split;
-    KCPQ_RETURN_IF_ERROR(InsertRecursive(child_page, /*is_root=*/false, entry,
-                                         target_level, reinserted_levels,
-                                         pending, &child_mbr, &child_split));
-    node.entries[child_idx].rect = child_mbr;
+    KCPQ_RETURN_IF_ERROR(InsertRecursive(node.entries[child_idx].id,
+                                         level - 1, entry, target_level,
+                                         reinserted_levels, pending,
+                                         &child_mbr, &child_split));
+    Rect& stored = node.entries[child_idx].rect;
+    changed = !child_split.empty() ||
+              std::memcmp(&stored, &child_mbr, sizeof(Rect)) != 0;
+    stored = child_mbr;
     for (const Entry& s : child_split) node.entries.push_back(s);
   }
 
   if (node.entries.size() > max_entries_) {
-    KCPQ_RETURN_IF_ERROR(OverflowTreatment(page, is_root, &node,
-                                           reinserted_levels, pending, split));
-  } else {
+    KCPQ_RETURN_IF_ERROR(
+        OverflowTreatment(page, &node, reinserted_levels, pending, split));
+  } else if (changed || buffer_->capacity() > 0) {
+    // An unchanged node is rewritten only through a caching buffer, where
+    // Write also refreshes the page's place in the replacement order.
     KCPQ_RETURN_IF_ERROR(WriteNode(page, node));
   }
   *mbr = node.ComputeMbr();
@@ -211,11 +221,12 @@ Status RStarTree::InsertRecursive(
 }
 
 Status RStarTree::OverflowTreatment(
-    PageId page, bool is_root, Node* node, uint32_t* reinserted_levels,
+    PageId page, Node* node, uint32_t* reinserted_levels,
     std::vector<std::pair<Entry, int>>* pending, std::vector<Entry>* split) {
   // Levels beyond the mask width (impossible below ~2^32 nodes) simply
   // forgo forced reinsertion rather than shifting out of range.
   const uint32_t level_bit = node->level < 32 ? 1u << node->level : 0;
+  const bool is_root = node->level == height_ - 1;
   if (!is_root && forced_reinsert_ && level_bit != 0 &&
       !(*reinserted_levels & level_bit)) {
     *reinserted_levels |= level_bit;
@@ -251,7 +262,7 @@ Result<bool> RStarTree::Erase(const Point& p, uint64_t record_id) {
 Result<bool> RStarTree::EraseRect(const Rect& rect, uint64_t record_id) {
   std::vector<std::pair<Entry, int>> orphans;
   EraseOutcome outcome;
-  KCPQ_RETURN_IF_ERROR(EraseRecursive(root_page_, /*is_root=*/true, rect,
+  KCPQ_RETURN_IF_ERROR(EraseRecursive(root_page_, height_ - 1, rect,
                                       record_id, &orphans, &outcome));
   if (!outcome.found) return false;
   --size_;
@@ -275,12 +286,13 @@ Result<bool> RStarTree::EraseRect(const Rect& rect, uint64_t record_id) {
   return true;
 }
 
-Status RStarTree::EraseRecursive(PageId page, bool is_root,
+Status RStarTree::EraseRecursive(PageId page, int level,
                                  const Rect& target, uint64_t record_id,
                                  std::vector<std::pair<Entry, int>>* orphans,
                                  EraseOutcome* outcome) {
   Node node;
   KCPQ_RETURN_IF_ERROR(ReadNode(page, &node));
+  KCPQ_RETURN_IF_ERROR(CheckNodeLevel(node, level, page));
   outcome->found = false;
   outcome->eliminate = false;
 
@@ -297,9 +309,9 @@ Status RStarTree::EraseRecursive(PageId page, bool is_root,
     for (size_t i = 0; i < node.entries.size() && !outcome->found; ++i) {
       if (!node.entries[i].rect.Contains(target)) continue;
       EraseOutcome child;
-      KCPQ_RETURN_IF_ERROR(EraseRecursive(node.entries[i].id,
-                                          /*is_root=*/false, target,
-                                          record_id, orphans, &child));
+      KCPQ_RETURN_IF_ERROR(EraseRecursive(node.entries[i].id, level - 1,
+                                          target, record_id, orphans,
+                                          &child));
       if (!child.found) continue;
       outcome->found = true;
       if (child.eliminate) {
@@ -311,7 +323,7 @@ Status RStarTree::EraseRecursive(PageId page, bool is_root,
     if (!outcome->found) return Status::OK();
   }
 
-  if (!is_root && node.entries.size() < min_entries_) {
+  if (level != height_ - 1 && node.entries.size() < min_entries_) {
     // CondenseTree: dissolve this node; the parent drops its entry and the
     // survivors are reinserted at this node's level.
     for (const Entry& e : node.entries) {

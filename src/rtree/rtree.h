@@ -197,22 +197,26 @@ class RStarTree {
   /// reinsertions triggered along the way.
   Status InsertAtLevel(const Entry& entry, int level);
 
-  /// Recursive worker. `pending` receives force-reinserted entries;
-  /// `*split` receives the new sibling's entry if this subtree split.
-  /// `*mbr` always receives the subtree's new tight MBR.
-  Status InsertRecursive(PageId page, bool is_root, const Entry& entry,
+  /// Recursive worker over `page`, whose parent implies `level` (the
+  /// root's is height - 1; any other level is kCorruption). `pending`
+  /// receives force-reinserted entries; `*split` receives the new
+  /// sibling's entry if this subtree split. `*mbr` always receives the
+  /// subtree's new tight MBR. Writes happen only while unwinding, so a
+  /// descent that fails has written nothing.
+  Status InsertRecursive(PageId page, int level, const Entry& entry,
                          int target_level, uint32_t* reinserted_levels,
                          std::vector<std::pair<Entry, int>>* pending,
                          Rect* mbr, std::vector<Entry>* split);
 
   /// Handles an overfull `node`: forced reinsert (filling `pending`) or R*
   /// split (filling `*split` with the new sibling entry).
-  Status OverflowTreatment(PageId page, bool is_root, Node* node,
+  Status OverflowTreatment(PageId page, Node* node,
                            uint32_t* reinserted_levels,
                            std::vector<std::pair<Entry, int>>* pending,
                            std::vector<Entry>* split);
 
-  Status EraseRecursive(PageId page, bool is_root, const Rect& target,
+  /// Erase's worker; `level` is checked as in InsertRecursive.
+  Status EraseRecursive(PageId page, int level, const Rect& target,
                         uint64_t record_id,
                         std::vector<std::pair<Entry, int>>* orphans,
                         EraseOutcome* outcome);

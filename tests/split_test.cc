@@ -1,7 +1,10 @@
 // Unit tests for the R* split and subtree-choice heuristics.
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
+#include "geometry/metrics.h"
 #include "gtest/gtest.h"
 #include "rtree/split.h"
 #include "tests/test_util.h"
@@ -119,6 +122,153 @@ TEST(ChooseSubtreeTest, OverlapCriterionAvoidsCreatingOverlap) {
   // overlap with each other, growing 2 does not.
   const size_t chosen = ChooseSubtree(node, Rect::FromPoint(P(3.0, 1.8)));
   EXPECT_EQ(chosen, 2u);
+}
+
+// The unpruned R* subtree choice: every entry's full overlap enlargement
+// (a sum over all other entries), then overlap, enlargement, area and
+// first index as the tie order. ChooseSubtree skips work this loop does
+// and must still pick the same index.
+size_t ReferenceChooseSubtree(const Node& node, const Rect& rect) {
+  size_t best = 0;
+  if (node.level == 1) {
+    double best_overlap = std::numeric_limits<double>::infinity();
+    double best_enlarge = std::numeric_limits<double>::infinity();
+    double best_area = std::numeric_limits<double>::infinity();
+    for (size_t i = 0; i < node.entries.size(); ++i) {
+      const Rect& current = node.entries[i].rect;
+      const Rect grown = Union(current, rect);
+      double overlap = 0.0;
+      for (size_t j = 0; j < node.entries.size(); ++j) {
+        if (j == i) continue;
+        const Rect& other = node.entries[j].rect;
+        overlap += IntersectionArea(grown, other) -
+                   IntersectionArea(current, other);
+      }
+      const double enlarge = grown.Area() - current.Area();
+      const double area = current.Area();
+      if (overlap < best_overlap ||
+          (overlap == best_overlap &&
+           (enlarge < best_enlarge ||
+            (enlarge == best_enlarge && area < best_area)))) {
+        best = i;
+        best_overlap = overlap;
+        best_enlarge = enlarge;
+        best_area = area;
+      }
+    }
+    return best;
+  }
+  double best_enlarge = std::numeric_limits<double>::infinity();
+  double best_area = std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < node.entries.size(); ++i) {
+    const double enlarge = Enlargement(node.entries[i].rect, rect);
+    const double area = node.entries[i].rect.Area();
+    if (enlarge < best_enlarge ||
+        (enlarge == best_enlarge && area < best_area)) {
+      best = i;
+      best_enlarge = enlarge;
+      best_area = area;
+    }
+  }
+  return best;
+}
+
+// A random rect for the differential below. `scale` sets the magnitude;
+// coordinates on a coarse grid make exact overlap and area ties common.
+// Earlier rects of the node seed the nested, touching and identical kinds.
+Rect DifferentialRect(Xoshiro256pp& rng, double scale,
+                      const std::vector<Entry>& earlier) {
+  const auto coord = [&] {
+    const double c = rng.NextBounded(2) == 0
+                         ? rng.NextDouble(-1.0, 1.0)
+                         : static_cast<double>(rng.NextBounded(17)) / 8.0 - 1.0;
+    return c * scale;
+  };
+  Rect r;
+  for (int d = 0; d < kDims; ++d) {
+    const double a = coord();
+    const double b = coord();
+    r.lo[d] = std::min(a, b);
+    r.hi[d] = std::max(a, b);
+  }
+  const uint64_t kind = rng.NextBounded(8);
+  if (!earlier.empty() && kind < 4) {
+    const Rect& base = earlier[rng.NextBounded(earlier.size())].rect;
+    if (kind == 0) return base;  // identical
+    if (kind == 1) {             // nested inside `base`
+      // Interpolated, not lo + (hi - lo) * u: a span may be infinite.
+      const auto inside = [&](int d) {
+        const double u = rng.NextDouble();
+        return std::clamp(base.lo[d] * (1.0 - u) + base.hi[d] * u,
+                          base.lo[d], base.hi[d]);
+      };
+      for (int d = 0; d < kDims; ++d) {
+        const double a = inside(d);
+        const double b = inside(d);
+        r.lo[d] = std::min(a, b);
+        r.hi[d] = std::max(a, b);
+      }
+      return r;
+    }
+    if (kind == 2) {  // containing `base`
+      r.Expand(base);
+      return r;
+    }
+    // Touching `base` along one side of axis 0.
+    const double width = r.hi[0] - r.lo[0];
+    r.lo[0] = base.hi[0];
+    r.hi[0] = base.hi[0] + width;
+    if (!std::isfinite(r.hi[0])) r.hi[0] = r.lo[0];
+    return r;
+  }
+  if (kind == 4) {  // a point
+    for (int d = 0; d < kDims; ++d) r.hi[d] = r.lo[d];
+  } else if (kind == 5) {  // a line
+    const size_t d = rng.NextBounded(kDims);
+    r.hi[d] = r.lo[d];
+  }
+  return r;
+}
+
+TEST(ChooseSubtreeTest, PrunedChoiceMatchesFullOverlapLoop) {
+  // Magnitudes from denormal-area to overflowing sides (1.5e308 spans
+  // overflow to inf, whose areas give inf - inf = NaN overlap terms).
+  const double scales[] = {1.0, 1e-3, 1e-160, 1e150, 1e300, 1.5e308};
+  Xoshiro256pp rng(20261018);
+  size_t level1 = 0, contained = 0, non_finite = 0;
+  for (int trial = 0; trial < 100000; ++trial) {
+    const double scale = scales[rng.NextBounded(std::size(scales))];
+    const size_t max_entries = rng.NextBounded(5) == 0 ? 85 : 21;
+    const size_t count = 2 + rng.NextBounded(max_entries - 1);
+    Node node;
+    node.level = rng.NextBounded(4) == 0 ? 2 : 1;
+    for (size_t i = 0; i < count; ++i) {
+      node.entries.push_back(
+          Entry{DifferentialRect(rng, scale, node.entries), i});
+    }
+    // Entries are MBRs, whose spans may overflow; an inserted rect's
+    // spans are finite (InsertRect), so collapse any span that is not.
+    Rect rect = DifferentialRect(rng, scale, node.entries);
+    for (int d = 0; d < kDims; ++d) {
+      if (!std::isfinite(rect.hi[d] - rect.lo[d])) rect.hi[d] = rect.lo[d];
+    }
+    ASSERT_TRUE(rect.IsValid());
+    const size_t want = ReferenceChooseSubtree(node, rect);
+    ASSERT_EQ(ChooseSubtree(node, rect), want)
+        << "trial " << trial << " level " << node.level << " entries "
+        << count << " scale " << scale;
+    if (node.level == 1) {
+      ++level1;
+      for (const Entry& e : node.entries) {
+        if (e.rect.Contains(rect)) ++contained;
+        if (!std::isfinite(e.rect.Area())) ++non_finite;
+      }
+    }
+  }
+  // The generator reaches the pruning cases it is meant to check.
+  EXPECT_GT(level1, 50000u);
+  EXPECT_GT(contained, 10000u);
+  EXPECT_GT(non_finite, 10000u);
 }
 
 TEST(TakeFarthestEntriesTest, RemovesFarthestKeepsOrder) {
