@@ -79,6 +79,29 @@ TEST_F(CliTest, GenerateBuildStats) {
   EXPECT_NE(out.find("level 0:"), std::string::npos);
 }
 
+TEST_F(CliTest, BuildReportsPageIo) {
+  std::string out;
+  KCPQ_ASSERT_OK(RunCli({"generate", "uniform", "2000", "1", csv_p_}, &out));
+  KCPQ_ASSERT_OK(RunCli({"build", csv_p_, db_p_}, &out));
+  unsigned long long points = 0, pages = 0, reads = 0, writes = 0;
+  int height = 0;
+  const size_t at = out.find(": ");
+  ASSERT_NE(at, std::string::npos) << out;
+  ASSERT_EQ(std::sscanf(out.c_str() + at,
+                        ": %llu points, height %d, %llu pages, %llu page "
+                        "reads, %llu page writes,",
+                        &points, &height, &pages, &reads, &writes),
+            5)
+      << out;
+  EXPECT_EQ(points, 2000u);
+  // Every page is written at least once, and every insert reads its whole
+  // path. Writing its whole path too would cost points x height writes at
+  // least; an insert skips the nodes whose bytes it leaves alone.
+  EXPECT_GE(writes, pages);
+  EXPECT_GE(reads, points * static_cast<unsigned long long>(height));
+  EXPECT_LT(writes, points * static_cast<unsigned long long>(height));
+}
+
 TEST_F(CliTest, KcpAllAlgorithmsAgree) {
   BuildBoth("800");
   std::string baseline;

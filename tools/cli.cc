@@ -600,11 +600,15 @@ Status CmdBuild(const Flags& flags, std::FILE* out) {
   if (tree->meta_page() != kMetaPage) {
     return Status::Internal("meta page landed off page 0");
   }
+  const IoStats io = storage->stats();
   std::fprintf(out,
-               "built %s: %llu points, height %d, %llu pages, %.1f ms\n",
+               "built %s: %llu points, height %d, %llu pages, %llu page "
+               "reads, %llu page writes, %.1f ms\n",
                flags.positional[1].c_str(),
                static_cast<unsigned long long>(tree->size()), tree->height(),
                static_cast<unsigned long long>(storage->PageCount()),
+               static_cast<unsigned long long>(io.reads),
+               static_cast<unsigned long long>(io.writes),
                timer.ElapsedMillis());
   return Status::OK();
 }
