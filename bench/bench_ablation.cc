@@ -167,7 +167,7 @@ void AblationHybridQueue() {
     HsOptions options;
     // DT is compared against squared distances internally.
     options.queue_distance_threshold = dt;
-    const HsOutcome outcome = RunHs(*p, *q, 10000, options, 0);
+    const QueryOutcome outcome = RunHs(*p, *q, 10000, options, 0);
     char label[32];
     if (dt == inf) {
       std::snprintf(label, sizeof(label), "inf (all in memory)");
@@ -177,7 +177,7 @@ void AblationHybridQueue() {
     table.AddRow({label, Table::Count(outcome.stats.disk_accesses()),
                   Table::Count(outcome.stats.queue_spill_reads),
                   Table::Count(outcome.stats.queue_spill_writes),
-                  Table::Count(outcome.stats.max_queue_size)});
+                  Table::Count(outcome.stats.max_heap_size)});
   }
   table.Print(stdout);
   std::printf("Tree accesses are DT-independent (the queue orders pops the "

@@ -38,11 +38,11 @@ void RunPanel(const char* panel, size_t buffer_pages, double overlap,
          {HsTraversal::kEven, HsTraversal::kSimultaneous, HsTraversal::kBasic}) {
       HsOptions options;
       options.traversal = traversal;
-      const HsOutcome outcome =
+      const QueryOutcome outcome =
           RunHs(real_store, *store_q, k, options, buffer_pages);
       row.push_back(Table::Count(outcome.stats.disk_accesses()));
       if (traversal == HsTraversal::kSimultaneous) {
-        sml_queue = outcome.stats.max_queue_size;
+        sml_queue = outcome.stats.max_heap_size;
       }
     }
     row.push_back(Table::Count(sml_queue));

@@ -96,15 +96,18 @@ QueryOutcome RunCpq(TreeStore& p, TreeStore& q, const CpqOptions& options,
   return outcome;
 }
 
-HsOutcome RunHs(TreeStore& p, TreeStore& q, size_t k, const HsOptions& options,
-                size_t buffer_pages_total) {
+QueryOutcome RunHs(TreeStore& p, TreeStore& q, size_t k,
+                   const HsOptions& options, size_t buffer_pages_total) {
   TreeStore::View vp = p.OpenView(buffer_pages_total / 2);
   TreeStore::View vq = q.OpenView(buffer_pages_total / 2);
-  HsOutcome outcome;
+  QueryOutcome outcome;
   Timer timer;
   auto result = HsKClosestPairs(*vp.tree, *vq.tree, k, options, &outcome.stats);
   KCPQ_CHECK_OK(result.status());
   outcome.seconds = timer.ElapsedSeconds();
+  if (!result.value().empty()) {
+    outcome.result_distance = result.value().back().distance;
+  }
   return outcome;
 }
 

@@ -97,12 +97,8 @@ QueryOutcome RunCpq(TreeStore& p, TreeStore& q, const CpqOptions& options,
 
 /// Like RunCpq, for the Hjaltason-Samet incremental join retrieving k
 /// pairs.
-struct HsOutcome {
-  HsStats stats;
-  double seconds = 0.0;
-};
-HsOutcome RunHs(TreeStore& p, TreeStore& q, size_t k, const HsOptions& options,
-                size_t buffer_pages_total);
+QueryOutcome RunHs(TreeStore& p, TreeStore& q, size_t k,
+                   const HsOptions& options, size_t buffer_pages_total);
 
 /// Prints the standard header for a figure harness.
 void PrintFigureHeader(const std::string& figure,

@@ -55,13 +55,13 @@ int main() {
     ++reported;
   }
 
-  const HsStats& stats = join.stats();
+  const CpqStats& stats = join.stats();
   std::printf("...\nstreamed %zu pairs below %.3f (last: %.6f)\n", reported,
               kThreshold, last);
   std::printf("cost: %llu disk accesses, queue peaked at %llu items "
               "(%llu pushed)\n",
               (unsigned long long)stats.disk_accesses(),
-              (unsigned long long)stats.max_queue_size,
+              (unsigned long long)stats.max_heap_size,
               (unsigned long long)stats.items_pushed);
   std::printf("\nThe non-incremental algorithms of the paper need K up "
               "front; the trade-off is queue size — compare the peak above "

@@ -179,9 +179,13 @@ struct PairResult {
   double distance = 0.0;
 };
 
-/// Work counters for one query. Disk accesses are counted by the trees'
-/// buffer managers; this struct records the per-query deltas.
+/// Work counters for one query: the one per-query stats record, filled by
+/// every machine (K-CPQ, the ε-join, the semi-join and the Hjaltason-Samet
+/// join) and read by the batch, the registry, EXPLAIN and the CLI. Disk
+/// accesses are counted by the trees' buffer managers; this struct records
+/// the per-query deltas.
 struct CpqStats {
+  /// Node pairs expanded; for HS, queue items popped.
   uint64_t node_pairs_processed = 0;
   uint64_t candidate_pairs_generated = 0;
   uint64_t candidate_pairs_pruned = 0;
@@ -189,13 +193,20 @@ struct CpqStats {
   /// Leaf point pairs skipped by the plane-sweep kernel's axis test
   /// (0 under kNestedLoop). Skipped + computed = enumerated pairs.
   uint64_t leaf_pairs_skipped = 0;
-  /// High-water mark of the kHeap algorithm's pair heap (0 otherwise).
+  /// High-water mark of the kHeap algorithm's pair heap, or of HS's
+  /// priority queue (0 otherwise).
   uint64_t max_heap_size = 0;
+  /// HS only (0 for the other machines): queue items pushed, and the
+  /// physical I/O of the queue's overflow pages (not R-tree accesses).
+  uint64_t items_pushed = 0;
+  uint64_t queue_spill_reads = 0;
+  uint64_t queue_spill_writes = 0;
   /// Buffer misses (= physical reads) per tree during the query.
   uint64_t disk_accesses_p = 0;
   uint64_t disk_accesses_q = 0;
-  /// Logical R-tree node reads (2 per processed node pair); the quantity
-  /// QueryControl::max_node_accesses limits. Unlike disk accesses it is
+  /// Logical R-tree node reads (2 per processed node pair; HS reads 1 per
+  /// one-sided expansion); the quantity QueryControl::max_node_accesses
+  /// limits. Unlike disk accesses it is
   /// independent of buffer state, so budget stops are deterministic.
   uint64_t node_accesses = 0;
   /// Speculative reads issued / claimed by this query (both trees
@@ -213,8 +224,17 @@ struct CpqStats {
   uint64_t io_parks = 0;
   uint64_t io_parked_ns = 0;
 
+  /// Replication outcomes the mirrored storage stack recorded on this
+  /// query's behalf (QueryContext::replication()); all zero on
+  /// single-replica stacks or without a context. Observational only: the
+  /// result and the paper's disk-access metric never depend on them.
+  ReplicationStats replication;
+
   /// Result quality certificate: trivial (exact) for completed queries,
-  /// the anytime bound for partial ones. See QueryQuality.
+  /// the anytime bound for partial ones. An HS stop is gentler than a
+  /// K-CPQ one: its pairs are exactly the closest `pairs_found` pairs, and
+  /// the bound is the key of the first item the join did not process.
+  /// See QueryQuality.
   QueryQuality quality;
 
   uint64_t disk_accesses() const { return disk_accesses_p + disk_accesses_q; }

@@ -30,6 +30,9 @@ NodeReader::Outcome NodeReader::Read(bool is_p, PageId page, int level) {
                               waker_, is_p ? &node_p_ : &node_q_, &outcome);
   if (outcome.parked) {
     ++parks_;
+    if (ctx_ != nullptr && ctx_->observation() != nullptr) {
+      ctx_->observation()->io_parks.fetch_add(1, std::memory_order_relaxed);
+    }
     park_pending_ = true;
     park_page_ = page;
     park_start_ = std::chrono::steady_clock::now();
@@ -70,6 +73,17 @@ void NodeReader::ConfigurePrefetch(size_t window) {
 
 void NodeReader::SettleInline() {
   if (!waker_) prefetch_.Drain();
+}
+
+void NodeReader::CopyTallies(CpqStats* stats) const {
+  stats->disk_accesses_p = misses_p_;
+  stats->disk_accesses_q = misses_q_;
+  stats->prefetch_issued = prefetch_.issued();
+  stats->prefetch_hits = prefetch_hits_;
+  stats->io_parks = parks_;
+  stats->io_parked_ns = parked_ns_;
+  stats->replication =
+      ctx_ != nullptr ? ctx_->replication() : ReplicationStats{};
 }
 
 void NodeReader::ClosePark() {

@@ -16,14 +16,15 @@
 //   * The per-query tallies. A miss counts when the page is claimed
 //     (TryReadOutcome), not when a fetch is issued; buffer-wide counter
 //     deltas would mix in every other query sharing the buffer.
-//   * The park record: each park counts once, and its parked time and
-//     io_park trace span are closed by the next read. A parked machine
-//     always resumes at the read that parked, so that read is the first
-//     thing its next Step() does.
+//   * The park record: each park counts once, here and nowhere else (the
+//     tally and the live QueryObservation the context carries), and its
+//     parked time and io_park trace span are closed by the next read. A
+//     parked machine always resumes at the read that parked, so that read
+//     is the first thing its next Step() does.
 //   * Speculative read-ahead (cpq/prefetch.h) and its settling.
 //
-// Each machine copies the tallies into its stats record in its one
-// epilogue (CopyTallies).
+// Each machine copies the tallies, and the replication outcomes its
+// context recorded, into its CpqStats in its one epilogue (CopyTallies).
 
 #ifndef KCPQ_CPQ_NODE_READER_H_
 #define KCPQ_CPQ_NODE_READER_H_
@@ -33,6 +34,7 @@
 
 #include "common/query_context.h"
 #include "common/resumable.h"
+#include "cpq/cpq.h"
 #include "cpq/prefetch.h"
 #include "rtree/rtree.h"
 
@@ -81,16 +83,9 @@ class NodeReader {
   /// executor settles once after the whole run instead.
   void SettleInline();
 
-  /// Copies the tallies into a CpqStats or HsStats (same field names).
-  template <typename Stats>
-  void CopyTallies(Stats* stats) const {
-    stats->disk_accesses_p = misses_p_;
-    stats->disk_accesses_q = misses_q_;
-    stats->prefetch_issued = prefetch_.issued();
-    stats->prefetch_hits = prefetch_hits_;
-    stats->io_parks = parks_;
-    stats->io_parked_ns = parked_ns_;
-  }
+  /// Copies the tallies and the context's replication outcomes into
+  /// `stats`.
+  void CopyTallies(CpqStats* stats) const;
 
  private:
   void ClosePark();

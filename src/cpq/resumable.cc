@@ -48,7 +48,13 @@ ResumableCpqQuery::~ResumableCpqQuery() = default;
 
 ResumableTask::StepResult ResumableCpqQuery::End(Status s) {
   reader_.SettleInline();
-  if (s.ok()) Finish();
+  if (s.ok()) {
+    Finish();
+  } else {
+    // A failed query still reports its I/O (replication effort is real
+    // even when every replica failed).
+    reader_.CopyTallies(engine_.stats_);
+  }
   final_status_ = std::move(s);
   phase_ = Phase::kDone;
   return StepResult::kDone;

@@ -25,6 +25,8 @@ ResumableSemiQuery::ResumableSemiQuery(const RStarTree& tree_p,
 ResumableSemiQuery::~ResumableSemiQuery() = default;
 
 ResumableTask::StepResult ResumableSemiQuery::End(Status s) {
+  // A failed scan still reports its I/O (see ResumableCpqQuery::End).
+  if (!s.ok()) reader_.CopyTallies(stats_);
   final_status_ = std::move(s);
   phase_ = Phase::kDone;
   return StepResult::kDone;

@@ -52,17 +52,17 @@ const char* BatchQueryKindName(BatchQueryKind kind) {
   return "?";
 }
 
-/// Flight-recorder record for one finished (or shed) query: everything
-/// `/queries?state=done` and the slow-query log render, self-contained.
+}  // namespace
+
 obs::QuerySummary MakeSummary(const BatchQuery& query,
                               const BatchQueryResult& result,
-                              const char* scheduler, double seconds) {
+                              const char* scheduler) {
   obs::QuerySummary s;
   s.kind = BatchQueryKindName(query.kind);
   s.family = QueryFamilyName(query.options.family);
   s.scheduler = scheduler;
   s.outcome = QueryOutcomeName(result.outcome);
-  s.seconds = seconds;
+  s.seconds = result.seconds;
   s.k = query.options.k;
   s.pairs = result.pairs.size();
   s.node_accesses = result.stats.node_accesses;
@@ -88,24 +88,31 @@ obs::QuerySummary MakeSummary(const BatchQuery& query,
   return s;
 }
 
+QueryOutcome OutcomeOf(const BatchQueryResult& result) {
+  if (!result.status.ok()) return QueryOutcome::kFailed;
+  if (result.stats.quality.stop_cause == StopCause::kCancelled) {
+    return QueryOutcome::kCancelled;
+  }
+  if (result.stats.quality.is_partial()) return QueryOutcome::kPartial;
+  return QueryOutcome::kOk;
+}
+
+namespace {
+
 /// Retires a finished query into the registry / slow-query log (both
 /// optional). `live` is null for queries that never started (rejected).
 void RetireQuery(const BatchOptions& options, const BatchQuery& query,
                  const BatchQueryResult& result, const char* scheduler,
-                 double seconds,
                  const std::shared_ptr<obs::QueryObservation>& live) {
   if (options.query_registry == nullptr && options.slow_log == nullptr) {
     return;
   }
-  obs::QuerySummary s = MakeSummary(query, result, scheduler, seconds);
+  obs::QuerySummary s = MakeSummary(query, result, scheduler);
   if (live != nullptr) {
-    // Complete() would backfill these too, but the slow log reads the
-    // summary first.
+    // The live-side fields: Complete() would fill them too, but the slow
+    // log reads the summary first.
     s.id = live->id;
     s.pages_read = live->pages_read.load(std::memory_order_relaxed);
-    if (s.io_parks == 0) {
-      s.io_parks = live->io_parks.load(std::memory_order_relaxed);
-    }
   }
   if (options.slow_log != nullptr) options.slow_log->MaybeRecord(s);
   if (options.query_registry != nullptr) {
@@ -115,23 +122,6 @@ void RetireQuery(const BatchOptions& options, const BatchQuery& query,
       options.query_registry->Record(std::move(s));
     }
   }
-}
-
-/// The HS fields of CpqStats: a 1:1 copy where the counters mean the same
-/// thing, plus the documented popped->pairs and queue->heap renames (see
-/// BatchQueryKind::kHsClosestPairs).
-void MapHsStats(const HsStats& hs, CpqStats* out) {
-  *out = CpqStats{};
-  out->node_pairs_processed = hs.items_popped;
-  out->max_heap_size = hs.max_queue_size;
-  out->disk_accesses_p = hs.disk_accesses_p;
-  out->disk_accesses_q = hs.disk_accesses_q;
-  out->node_accesses = hs.node_accesses;
-  out->prefetch_issued = hs.prefetch_issued;
-  out->prefetch_hits = hs.prefetch_hits;
-  out->io_parks = hs.io_parks;
-  out->io_parked_ns = hs.io_parked_ns;
-  out->quality = hs.quality;
 }
 
 /// The HsOptions a kHsClosestPairs batch query maps to (k_bound is set by
@@ -148,13 +138,12 @@ HsOptions HsOptionsFrom(const CpqOptions& cpq, QueryContext* ctx,
   return hs;
 }
 
-QueryOutcome OutcomeOf(const BatchQueryResult& result) {
-  if (!result.status.ok()) return QueryOutcome::kFailed;
-  if (result.stats.quality.stop_cause == StopCause::kCancelled) {
-    return QueryOutcome::kCancelled;
-  }
-  if (result.stats.quality.is_partial()) return QueryOutcome::kPartial;
-  return QueryOutcome::kOk;
+/// Takes a finished machine's status and, when it succeeded, its pairs.
+template <typename Task>
+void Harvest(ResumableTask* task, BatchQueryResult* result) {
+  auto* q = static_cast<Task*>(task);
+  result->status = q->status();
+  if (result->status.ok()) result->pairs = q->TakeResults();
 }
 
 /// Per-query batch metrics: outcome counters plus latency / peak-memory
@@ -237,7 +226,6 @@ std::vector<BatchQueryResult> BatchKClosestPairs(
   // the post-run buffer drains below.
   struct Slot {
     std::unique_ptr<QueryContext> ctx;
-    HsStats hs_stats;  // kHsClosestPairs only; mapped into CpqStats on done
     bool timed = false;
     std::chrono::steady_clock::time_point start;
     std::shared_ptr<obs::QueryObservation> live;  // registry attached only
@@ -258,7 +246,7 @@ std::vector<BatchQueryResult> BatchKClosestPairs(
         result.status = Status::ResourceExhausted(result.admission.reason);
         result.outcome = QueryOutcome::kRejected;
         FoldBatchQueryMetrics(result, -1.0, mode);
-        RetireQuery(options, query, result, scheduler_name, -1.0, nullptr);
+        RetireQuery(options, query, result, scheduler_name, nullptr);
         return nullptr;
       }
     }
@@ -301,7 +289,7 @@ std::vector<BatchQueryResult> BatchKClosestPairs(
             tree_p, tree_q, query.options.k,
             HsOptionsFrom(query.options, slot.ctx.get(),
                           options.prefetch_window),
-            &slot.hs_stats, std::move(waker));
+            &result.stats, std::move(waker));
       case BatchQueryKind::kSemiClosestPairs:
         return std::make_unique<ResumableSemiQuery>(
             tree_p, tree_q, &result.stats, slot.ctx.get(), std::move(waker));
@@ -314,39 +302,25 @@ std::vector<BatchQueryResult> BatchKClosestPairs(
     Slot& slot = slots[i];
     switch (queries[i].kind) {
       case BatchQueryKind::kClosestPairs:
-      case BatchQueryKind::kSelfClosestPairs: {
-        auto* q = static_cast<ResumableCpqQuery*>(task);
-        result.status = q->status();
-        if (result.status.ok()) result.pairs = q->TakeResults();
+      case BatchQueryKind::kSelfClosestPairs:
+        Harvest<ResumableCpqQuery>(task, &result);
         break;
-      }
-      case BatchQueryKind::kHsClosestPairs: {
-        auto* q = static_cast<ResumableHsQuery*>(task);
-        result.status = q->status();
-        if (result.status.ok()) result.pairs = q->TakeResults();
-        MapHsStats(slot.hs_stats, &result.stats);
+      case BatchQueryKind::kHsClosestPairs:
+        Harvest<ResumableHsQuery>(task, &result);
         break;
-      }
-      case BatchQueryKind::kSemiClosestPairs: {
-        auto* q = static_cast<ResumableSemiQuery*>(task);
-        result.status = q->status();
-        if (result.status.ok()) result.pairs = q->TakeResults();
+      case BatchQueryKind::kSemiClosestPairs:
+        Harvest<ResumableSemiQuery>(task, &result);
         break;
-      }
     }
     result.peak_memory_bytes = slot.ctx->accountant().peak_total_bytes();
-    result.replication = slot.ctx->replication();
     result.outcome = OutcomeOf(result);
-    double seconds = -1.0;
     if (slot.timed) {
-      seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              slot.start)
-                    .count();
+      result.seconds = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - slot.start)
+                           .count();
     }
-    result.seconds = seconds;
-    FoldBatchQueryMetrics(result, seconds, mode);
-    RetireQuery(options, queries[i], result, scheduler_name, seconds,
-                slot.live);
+    FoldBatchQueryMetrics(result, result.seconds, mode);
+    RetireQuery(options, queries[i], result, scheduler_name, slot.live);
     if (admission != nullptr) {
       admission->Release(result.admission);
       // Close the loop: the measured peak and buffer behaviour of every
@@ -367,13 +341,6 @@ std::vector<BatchQueryResult> BatchKClosestPairs(
     ResumableScheduler::Options sched;
     sched.workers = options.threads;            // 0 -> DefaultThreads
     sched.max_inflight = options.max_inflight;  // 0 -> 256
-    if (options.query_registry != nullptr) {
-      sched.on_park = [&slots](size_t i) {
-        if (slots[i].live != nullptr) {
-          slots[i].live->io_parks.fetch_add(1, std::memory_order_relaxed);
-        }
-      };
-    }
     ResumableScheduler::Run(queries.size(), factory, on_done, sched);
   } else {
     // One query per worker, driven inline to completion.
@@ -430,10 +397,11 @@ std::vector<BatchQueryResult> BatchKClosestPairs(
       }
       // Replication effort is real even when the query ultimately failed
       // (every replica may have been tried), so fold it unconditionally.
-      stats->replication.failover_reads += r.replication.failover_reads;
-      stats->replication.read_repairs += r.replication.read_repairs;
-      stats->replication.hedged_reads += r.replication.hedged_reads;
-      stats->replication.hedge_wins += r.replication.hedge_wins;
+      const ReplicationStats& rep = r.stats.replication;
+      stats->replication.failover_reads += rep.failover_reads;
+      stats->replication.read_repairs += rep.read_repairs;
+      stats->replication.hedged_reads += rep.hedged_reads;
+      stats->replication.hedge_wins += rep.hedge_wins;
       if (!r.status.ok()) continue;
       stats->node_pairs_processed += r.stats.node_pairs_processed;
       stats->point_distance_computations +=

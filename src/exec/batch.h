@@ -29,6 +29,7 @@ namespace kcpq {
 namespace obs {
 class QueryRegistry;
 class SlowQueryLog;
+struct QuerySummary;
 }  // namespace obs
 
 enum class BatchQueryKind {
@@ -41,9 +42,8 @@ enum class BatchQueryKind {
   /// HsKClosestPairs(tree_p, tree_q, options.k): the incremental distance
   /// join with default traversal. Reuses the CpqOptions fields that make
   /// sense for HS (k, family, query_rect, prefetch_window, leaf_kernel);
-  /// algorithm / tie-breaking fields are ignored. HsStats are mapped into
-  /// CpqStats (items_popped -> node_pairs_processed, max_queue_size ->
-  /// max_heap_size; disk / node / prefetch / park counters carry over).
+  /// algorithm / tie-breaking fields are ignored. HS fills CpqStats
+  /// directly, exactly as a direct HsKClosestPairs call does.
   kHsClosestPairs,
 };
 
@@ -109,12 +109,20 @@ struct BatchQueryResult {
   /// resumable scheduler this includes parked time — see
   /// CpqStats::io_parked_ns for how much of it was I/O wait.
   double seconds = -1.0;
-  /// Replication outcomes the mirrored storage stack recorded on this
-  /// query's behalf, copied from its context; all zero on single-replica
-  /// stacks. Observational only — the result and the paper's disk-access
-  /// metric never depend on them.
-  ReplicationStats replication;
 };
+
+/// How a query that ran ended, from its status and certificate (never
+/// kRejected, which only admission decides).
+QueryOutcome OutcomeOf(const BatchQueryResult& result);
+
+/// The flight-recorder record of one finished (or shed) query: everything
+/// `/queries?state=done` and the slow-query log render, copied from
+/// `query` and `result` (kind, family, outcome, seconds, counters,
+/// certificate, admission, memory). The live-side fields (id, pages_read)
+/// and the single-query CLI's extras (trace, EXPLAIN, pruning) stay unset.
+obs::QuerySummary MakeSummary(const BatchQuery& query,
+                              const BatchQueryResult& result,
+                              const char* scheduler);
 
 struct BatchOptions {
   /// Worker threads. 0 = ThreadPool::DefaultThreads(); 1 = run inline on
@@ -183,8 +191,8 @@ struct BatchStats {
   uint64_t point_distance_computations = 0;
   uint64_t leaf_pairs_skipped = 0;
   uint64_t disk_accesses = 0;
-  /// Replication totals (sums of the per-query records; zero when the
-  /// storage stack is not mirrored).
+  /// Replication totals (sums of CpqStats::replication over every query,
+  /// failed ones included; zero when the storage stack is not mirrored).
   ReplicationStats replication;
 };
 

@@ -67,7 +67,6 @@ struct SchedulerImpl {
 
   const ResumableScheduler::TaskFactory* factory = nullptr;
   const ResumableScheduler::DoneFn* on_done = nullptr;
-  const std::function<void(size_t)>* on_park = nullptr;
 
   bool AllDone() const {
     return done_count.load(std::memory_order_acquire) >= count;
@@ -171,7 +170,6 @@ struct SchedulerImpl {
     // to kWoken mid-step, the wake skipped the enqueue and it is ours.
     parks.fetch_add(1, std::memory_order_relaxed);
     KCPQ_METRIC_INC(obs::KcpqMetrics::Get().scheduler_parks_total);
-    if (on_park != nullptr && *on_park) (*on_park)(index);
     int expected = kRunning;
     if (state.compare_exchange_strong(expected, kParked,
                                       std::memory_order_acq_rel)) {
@@ -263,7 +261,6 @@ ResumableScheduler::Stats ResumableScheduler::Run(size_t count,
   impl->max_inflight = max_inflight;
   impl->factory = &factory;
   impl->on_done = &on_done;
-  impl->on_park = &options.on_park;
 
   std::vector<std::thread> threads;
   threads.reserve(workers);
@@ -285,7 +282,6 @@ ResumableScheduler::Stats ResumableScheduler::Run(size_t count,
   // states/ring anyway, but belt and braces).
   impl->factory = nullptr;
   impl->on_done = nullptr;
-  impl->on_park = nullptr;
   return stats;
 }
 

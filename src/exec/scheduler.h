@@ -61,11 +61,6 @@ class ResumableScheduler {
     /// Maximum tasks live (started, not finished) at once; further tasks
     /// start as slots free up. 0 = 256.
     size_t max_inflight = 256;
-    /// Observability hook: invoked on the worker thread each time task
-    /// `index` parks on a page miss (after the park is committed). Null =
-    /// no reporting. Must be cheap and thread-safe — the batch executor
-    /// uses it to bump the task's live QueryObservation.
-    std::function<void(size_t index)> on_park;
   };
 
   /// Builds task `index`. The waker must be installed in every TryRead the

@@ -49,7 +49,7 @@ class JoinImpl {
 
   ~JoinImpl() { reader_.SettleInline(); }
 
-  const HsStats& stats() const { return stats_; }
+  const CpqStats& stats() const { return stats_; }
 
   enum class NextOutcome { kEmitted, kExhausted, kParked, kError };
 
@@ -59,6 +59,10 @@ class JoinImpl {
   /// read — the pop, the context poll, and all per-item bookkeeping
   /// happened exactly once); kError fills `*error`.
   NextOutcome TryNext(std::optional<PairResult>* out, Status* error);
+
+  /// Snapshots the per-join I/O tallies (the reader's misses, parks,
+  /// speculation and replication outcomes; queue spills) into stats_.
+  void CaptureIoStats();
 
  private:
   using TryOutcome = cpq_internal::NodeReader::Outcome;
@@ -108,10 +112,6 @@ class JoinImpl {
   /// popped (or about-to-pop) queue key bounding everything unemitted.
   void LatchStop(StopCause cause, double key);
 
-  /// Snapshots the per-join I/O tallies (the reader's misses, parks and
-  /// speculation; queue spills) into stats_.
-  void CaptureIoStats();
-
   const RStarTree& tree_p_;
   const RStarTree& tree_q_;
   HsOptions options_;
@@ -129,7 +129,7 @@ class JoinImpl {
   /// (disabled unless options.prefetch_window > 0; see cpq/prefetch.h).
   /// Empty waker: an inline join (see the constructor).
   cpq_internal::NodeReader reader_;
-  HsStats stats_;
+  CpqStats stats_;
   uint64_t next_seq_ = 0;
   uint64_t results_emitted_ = 0;
   bool started_ = false;
@@ -186,7 +186,8 @@ bool JoinImpl::PushItem(QueueItem item) {
   item.seq = next_seq_++;
   queue_.Push(item);
   ++stats_.items_pushed;
-  stats_.max_queue_size = std::max(stats_.max_queue_size, queue_.size());
+  stats_.max_heap_size =
+      std::max<uint64_t>(stats_.max_heap_size, queue_.size());
   return true;
 }
 
@@ -383,7 +384,7 @@ JoinImpl::NextOutcome JoinImpl::TryNext(std::optional<PairResult>* out,
         return NextOutcome::kExhausted;
       }
       pending_item_ = queue_.PopMin();
-      ++stats_.items_popped;
+      ++stats_.node_pairs_processed;
       if (!pending_item_.a.is_node && !pending_item_.b.is_node) {
         // The next closest pair: no unexpanded item can beat its key.
         // ClosestPoints realizes the key; for point objects it returns the
@@ -456,7 +457,7 @@ Result<std::optional<PairResult>> IncrementalDistanceJoin::Next() {
   return out;
 }
 
-const HsStats& IncrementalDistanceJoin::stats() const {
+const CpqStats& IncrementalDistanceJoin::stats() const {
   return impl_->stats();
 }
 
@@ -464,13 +465,13 @@ namespace {
 
 /// Folds a finished join's stats into the metrics registry. `seconds < 0`
 /// means timing was skipped (metrics disabled at entry).
-void FoldHsMetrics(const HsStats& s, double seconds, QueryFamily family) {
+void FoldHsMetrics(const CpqStats& s, double seconds, QueryFamily family) {
 #if KCPQ_METRICS
   if (!obs::Enabled()) return;
   const obs::KcpqMetrics& m = obs::KcpqMetrics::Get();
   m.hs_queries_total->Increment();
   m.hs_items_pushed_total->Add(s.items_pushed);
-  m.hs_items_popped_total->Add(s.items_popped);
+  m.hs_items_popped_total->Add(s.node_pairs_processed);
   m.hs_queue_spill_reads_total->Add(s.queue_spill_reads);
   m.hs_queue_spill_writes_total->Add(s.queue_spill_writes);
   if (seconds >= 0.0) {
@@ -489,7 +490,7 @@ void FoldHsMetrics(const HsStats& s, double seconds, QueryFamily family) {
 Result<std::vector<PairResult>> HsKClosestPairs(const RStarTree& tree_p,
                                                 const RStarTree& tree_q,
                                                 size_t k, HsOptions options,
-                                                HsStats* stats) {
+                                                CpqStats* stats) {
   // No waker: the join reads inline and finishes in one Step().
   ResumableHsQuery query(tree_p, tree_q, k, std::move(options), stats,
                          Waker());
@@ -500,7 +501,7 @@ Result<std::vector<PairResult>> HsKClosestPairs(const RStarTree& tree_p,
 
 ResumableHsQuery::ResumableHsQuery(const RStarTree& tree_p,
                                    const RStarTree& tree_q, size_t k,
-                                   HsOptions options, HsStats* stats,
+                                   HsOptions options, CpqStats* stats,
                                    Waker waker)
     : k_(k), stats_(stats), family_(options.family) {
   options.k_bound = k;
@@ -525,9 +526,11 @@ ResumableTask::StepResult ResumableHsQuery::Step() {
       return StepResult::kParked;
     }
     if (r == hs_internal::JoinImpl::NextOutcome::kError) {
+      // A failed join still reports its I/O (replication effort is real
+      // even when every replica failed), but feeds no metric.
       final_status_ = std::move(error);
-      done_ = true;
-      return StepResult::kDone;
+      impl_->CaptureIoStats();
+      break;
     }
     if (r == hs_internal::JoinImpl::NextOutcome::kEmitted) {
       results_.push_back(*next);
@@ -536,13 +539,14 @@ ResumableTask::StepResult ResumableHsQuery::Step() {
     break;  // exhausted (or stopped by the context)
   }
   if (stats_ != nullptr) *stats_ = impl_->stats();
-  FoldHsMetrics(impl_->stats(),
-                timed_ ? std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start_)
-                             .count()
-                       : -1.0,
-                family_);
-  final_status_ = Status::OK();
+  if (final_status_.ok()) {
+    FoldHsMetrics(impl_->stats(),
+                  timed_ ? std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start_)
+                               .count()
+                         : -1.0,
+                  family_);
+  }
   done_ = true;
   return StepResult::kDone;
 }

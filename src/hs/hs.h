@@ -85,38 +85,6 @@ struct HsOptions {
   QueryContext* context = nullptr;
 };
 
-struct HsStats {
-  uint64_t items_pushed = 0;
-  uint64_t items_popped = 0;
-  uint64_t max_queue_size = 0;
-  /// Physical I/O of the queue's overflow storage (not R-tree accesses).
-  uint64_t queue_spill_reads = 0;
-  uint64_t queue_spill_writes = 0;
-  /// Buffer misses per R-tree during the join.
-  uint64_t disk_accesses_p = 0;
-  uint64_t disk_accesses_q = 0;
-  /// Logical R-tree node reads (1 per one-sided expansion, 2 per
-  /// simultaneous one); the quantity QueryControl::max_node_accesses
-  /// budgets.
-  uint64_t node_accesses = 0;
-  /// Speculative reads issued / claimed by this join (both trees
-  /// combined; zero with prefetch_window = 0; see CpqStats).
-  uint64_t prefetch_issued = 0;
-  uint64_t prefetch_hits = 0;
-  /// Parks on non-resident pages and total parked wall time; counted
-  /// wherever the join has a waker, zero inline (see CpqStats).
-  uint64_t io_parks = 0;
-  uint64_t io_parked_ns = 0;
-
-  /// Result quality certificate (see QueryQuality). An HS stop is gentler
-  /// than a CPQ one: the emitted pairs are exactly the closest
-  /// `pairs_found` pairs, and guaranteed_lower_bound is the key of the
-  /// first item the join did not process.
-  QueryQuality quality;
-
-  uint64_t disk_accesses() const { return disk_accesses_p + disk_accesses_q; }
-};
-
 namespace hs_internal {
 class JoinImpl;
 }  // namespace hs_internal
@@ -135,7 +103,10 @@ class IncrementalDistanceJoin {
 
   Result<std::optional<PairResult>> Next();
 
-  const HsStats& stats() const;
+  /// The join's record so far (see CpqStats): items popped are in
+  /// node_pairs_processed, the queue high-water in max_heap_size, and
+  /// items_pushed and the queue spill counters are HS's own.
+  const CpqStats& stats() const;
 
  private:
   std::unique_ptr<hs_internal::JoinImpl> impl_;
@@ -146,7 +117,7 @@ Result<std::vector<PairResult>> HsKClosestPairs(const RStarTree& tree_p,
                                                 const RStarTree& tree_q,
                                                 size_t k,
                                                 HsOptions options = HsOptions(),
-                                                HsStats* stats = nullptr);
+                                                CpqStats* stats = nullptr);
 
 }  // namespace kcpq
 

@@ -35,7 +35,7 @@ class ResumableHsQuery final : public ResumableTask {
   /// drain settling its speculation; `options.context` (if set) likewise.
   /// An empty `waker` runs the join inline.
   ResumableHsQuery(const RStarTree& tree_p, const RStarTree& tree_q, size_t k,
-                   HsOptions options, HsStats* stats, Waker waker);
+                   HsOptions options, CpqStats* stats, Waker waker);
   ~ResumableHsQuery() override;
 
   StepResult Step() override;
@@ -47,7 +47,7 @@ class ResumableHsQuery final : public ResumableTask {
  private:
   std::unique_ptr<hs_internal::JoinImpl> impl_;
   size_t k_;
-  HsStats* stats_;  // may be null
+  CpqStats* stats_;  // may be null
   QueryFamily family_ = QueryFamily::kClosest;  // for the metrics fold
   std::vector<PairResult> results_;
   Status final_status_;

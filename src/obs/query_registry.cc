@@ -115,9 +115,6 @@ void QueryRegistry::Complete(const std::shared_ptr<QueryObservation>& obs,
                              QuerySummary summary) {
   if (obs == nullptr) return;
   summary.id = obs->id;
-  if (summary.io_parks == 0) {
-    summary.io_parks = obs->io_parks.load(std::memory_order_relaxed);
-  }
   if (summary.pages_read == 0) {
     summary.pages_read = obs->pages_read.load(std::memory_order_relaxed);
   }

@@ -86,9 +86,9 @@ class QueryRegistry {
                                              uint64_t k);
 
   /// Retires a live observation into the flight recorder. `summary.id`
-  /// is overwritten with the observation's id; live-side counters the
-  /// caller did not fill (io_parks, pages_read) are taken from the
-  /// observation.
+  /// is overwritten with the observation's id, and a pages_read the caller
+  /// left at 0 is taken from the observation (the only live-side count
+  /// the per-query stats record does not carry).
   void Complete(const std::shared_ptr<QueryObservation>& obs,
                 QuerySummary summary);
 

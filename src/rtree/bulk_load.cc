@@ -77,6 +77,9 @@ Result<std::unique_ptr<RStarTree>> RStarTree::BulkLoad(
   if (fill_factor <= 0.0 || fill_factor > 1.0) {
     return Status::InvalidArgument("fill_factor must be in (0, 1]");
   }
+  for (const auto& item : items) {
+    KCPQ_RETURN_IF_ERROR(CheckStorable(Rect::FromPoint(item.first)));
+  }
   KCPQ_ASSIGN_OR_RETURN(auto tree, Create(buffer, options));
   if (items.empty()) return tree;
 

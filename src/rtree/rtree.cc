@@ -131,10 +131,29 @@ Status RStarTree::Insert(const Point& p, uint64_t record_id) {
   return InsertRect(Rect::FromPoint(p), record_id);
 }
 
-Status RStarTree::InsertRect(const Rect& rect, uint64_t record_id) {
-  if (!rect.IsValid()) {
-    return Status::InvalidArgument("rect is inverted or not finite");
+Status RStarTree::CheckStorable(const Rect& rect) {
+  // Every stored rect is an input rect or a union (componentwise min/max)
+  // of input rects, so each of its bounds lies in [-kMaxCoordinate,
+  // kMaxCoordinate]. Its extent hi - lo is then at most 2 * kMaxCoordinate
+  // = DBL_MAX exactly (halving DBL_MAX is exact), and rounding the
+  // subtraction cannot exceed that representable bound. So every node a
+  // valid insert writes passes DeserializeNode's Rect::IsValid check; a
+  // larger magnitude could store a union whose extent overflows to
+  // infinity and leave the tree unreadable.
+  for (int d = 0; d < kDims; ++d) {
+    // Written so a NaN fails every comparison and is rejected.
+    if (!(rect.lo[d] <= rect.hi[d] && rect.lo[d] >= -kMaxCoordinate &&
+          rect.hi[d] <= kMaxCoordinate)) {
+      return Status::InvalidArgument(
+          "rect is inverted, NaN, or has a coordinate of magnitude above "
+          "DBL_MAX/2");
+    }
   }
+  return Status::OK();
+}
+
+Status RStarTree::InsertRect(const Rect& rect, uint64_t record_id) {
+  KCPQ_RETURN_IF_ERROR(CheckStorable(rect));
   KCPQ_RETURN_IF_ERROR(InsertAtLevel(Entry{rect, record_id}, 0));
   ++size_;
   for (int d = 0; d < kDims; ++d) {

@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -76,7 +77,8 @@ class RStarTree {
   /// Bulk loads `items` with the Sort-Tile-Recursive algorithm. Nodes are
   /// packed to `fill_factor * M` entries. O(n log n), orders of magnitude
   /// faster than repeated insertion, but produces differently-shaped (more
-  /// tightly packed) trees — see bench_ablation.
+  /// tightly packed) trees — see bench_ablation. A point Insert would
+  /// reject is InvalidArgument, before anything is written.
   static Result<std::unique_ptr<RStarTree>> BulkLoad(
       BufferManager* buffer, std::vector<std::pair<Point, uint64_t>> items,
       const RTreeOptions& options = RTreeOptions(), double fill_factor = 1.0);
@@ -84,14 +86,26 @@ class RStarTree {
   RStarTree(const RStarTree&) = delete;
   RStarTree& operator=(const RStarTree&) = delete;
 
+  /// The largest coordinate magnitude a tree stores: DBL_MAX / 2.
+  static constexpr double kMaxCoordinate =
+      std::numeric_limits<double>::max() / 2;
+
+  /// The one input check of Insert, InsertRect and BulkLoad:
+  /// InvalidArgument for an inverted rect, a NaN, or a coordinate of
+  /// magnitude above kMaxCoordinate.
+  static Status CheckStorable(const Rect& rect);
+
   /// Inserts one point with a caller-chosen record id (duplicates allowed).
-  /// A non-finite coordinate is InvalidArgument.
+  /// A NaN coordinate, or one of magnitude above kMaxCoordinate, is
+  /// InvalidArgument and writes nothing.
   Status Insert(const Point& p, uint64_t record_id);
 
   /// Inserts an extended object by its bounding rectangle (the classic
   /// R-tree use case; the paper focuses on points but the structure and
   /// the metrics handle boxes uniformly). Marks the tree as holding
-  /// extended objects, which relaxes the leaf-degeneracy validation.
+  /// extended objects, which relaxes the leaf-degeneracy validation. An
+  /// inverted rect, or one with a coordinate Insert rejects, is
+  /// InvalidArgument and writes nothing.
   Status InsertRect(const Rect& rect, uint64_t record_id);
 
   /// Removes one entry matching (p, record_id) exactly. Returns true if an

@@ -1,6 +1,7 @@
 // Tests for STR bulk loading.
 
 #include <algorithm>
+#include <limits>
 
 #include "cpq/brute.h"
 #include "cpq/cpq.h"
@@ -41,6 +42,32 @@ TEST(BulkLoadTest, EmptyInput) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value()->size(), 0u);
   KCPQ_ASSERT_OK(loaded.value()->Validate());
+}
+
+// BulkLoad shares Insert's input check: a NaN point, or a coordinate of
+// magnitude above DBL_MAX/2, is InvalidArgument before any page is written.
+TEST(BulkLoadTest, UnstorablePointsRejectedBeforeAnyWrite) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const Point bad : {Point{{nan, 0.5}}, Point{{0.5, nan}},
+                          Point{{1e308, 0.5}}, Point{{0.5, -1e308}}}) {
+    MemoryStorageManager storage;
+    BufferManager buffer(&storage, 0);
+    auto items = MakeUniformItems(200, 606);
+    items[100].first = bad;
+    auto loaded = RStarTree::BulkLoad(&buffer, items);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(storage.PageCount(), 0u);
+    EXPECT_EQ(storage.stats().writes, 0u);
+  }
+  // Both signs of 1e308 in one input: the span the check exists for.
+  MemoryStorageManager storage;
+  BufferManager buffer(&storage, 0);
+  auto items = MakeUniformItems(200, 607);
+  items[0].first = Point{{-1e308, 0.5}};
+  items[1].first = Point{{1e308, 0.5}};
+  EXPECT_EQ(RStarTree::BulkLoad(&buffer, items).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(storage.PageCount(), 0u);
 }
 
 TEST(BulkLoadTest, PartialFillFactor) {

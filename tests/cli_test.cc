@@ -303,6 +303,35 @@ TEST_F(CliTest, KcpResumableSchedulerMatchesBlocking) {
             std::string::npos);
 }
 
+// The single resumable kcp counts parks in one place, its NodeReader: the
+// slow-query record shows the count the stats line prints. A retry layer
+// hides the file's page-cache fast path, so every miss parks.
+TEST_F(CliTest, KcpResumableSlowLogRecordsTheStatsParks) {
+  BuildBoth("500");
+  const std::string log = db_p_ + ".slow.jsonl";
+  std::remove(log.c_str());
+  std::string out;
+  KCPQ_ASSERT_OK(RunCli({"kcp", db_p_, db_q_, "5", "--buffer=0",
+                         "--scheduler=resumable", "--io-retries=1",
+                         "--slow-query-log=" + log, "--slow-query-ms=0"},
+                        &out));
+  const size_t at = out.find("# scheduler: ");
+  ASSERT_NE(at, std::string::npos) << out;
+  const std::string parks =
+      out.substr(at + 13, out.find(' ', at + 13) - (at + 13));
+  EXPECT_GT(std::stoull(parks), 0u) << out;
+
+  std::FILE* f = std::fopen(log.c_str(), "r");
+  ASSERT_NE(f, nullptr);
+  char line[8192] = {};
+  ASSERT_NE(std::fgets(line, sizeof(line), f), nullptr);
+  std::fclose(f);
+  std::remove(log.c_str());
+  EXPECT_NE(std::string(line).find("\"io_parks\":" + parks + ","),
+            std::string::npos)
+      << line;
+}
+
 TEST_F(CliTest, SchedulerFlagValidation) {
   BuildBoth("100");
   std::string out;
@@ -352,6 +381,35 @@ TEST_F(CliTest, JoinAndSemiHonorNodeBudget) {
 TEST_F(CliTest, BuildRejectsMissingCsv) {
   std::string out;
   EXPECT_FALSE(RunCli({"build", "/tmp/kcpq_no_such.csv", db_p_}, &out).ok());
+}
+
+// A finite CSV whose points span more than DBL_MAX once wrote a .db that
+// every query rejected as Corruption; build now refuses it, with or
+// without --bulk, before creating the file.
+TEST_F(CliTest, BuildRejectsCoordinatesBeyondHalfDblMax) {
+  std::string csv;
+  for (int i = 0; i < 40; ++i) {
+    csv += std::to_string(i * 0.01) + ",0.5\n";
+  }
+  csv += "-1e308,0.5\n1e308,0.5\n";
+  {
+    std::FILE* f = std::fopen(csv_p_.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(csv.c_str(), f);
+    std::fclose(f);
+  }
+  std::string out;
+  for (const bool bulk : {false, true}) {
+    std::vector<std::string> args = {"build", csv_p_, db_p_};
+    if (bulk) args.push_back("--bulk");
+    const Status status = RunCli(args, &out);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << (bulk ? "--bulk: " : "") << status.ToString();
+    // Nothing was written: no half-built .db is left to read as Corruption.
+    std::FILE* db = std::fopen(db_p_.c_str(), "rb");
+    EXPECT_EQ(db, nullptr);
+    if (db != nullptr) std::fclose(db);
+  }
 }
 
 TEST_F(CliTest, KcpRejectsBadAlgorithm) {

@@ -386,7 +386,7 @@ TEST(DeadlineTest, HsPartialIsExactPrefix) {
     ctx.control().max_node_accesses = budget;
     HsOptions options;
     options.context = &ctx;
-    HsStats stats;
+    CpqStats stats;
     Result<std::vector<PairResult>> r =
         HsKClosestPairs(fp.tree(), fq.tree(), k, options, &stats);
     KCPQ_ASSERT_OK(r.status());
@@ -618,7 +618,7 @@ TEST(QueryContextTest, OnlyTheAttachedContextReachesStorage) {
        [&](const RStarTree& p, const RStarTree& q, QueryContext* ctx) {
          HsOptions options;
          options.context = ctx;
-         HsStats stats;
+         CpqStats stats;
          auto r = HsKClosestPairs(p, q, 10, options, &stats);
          return pairs_outcome(r, stats.disk_accesses());
        }},

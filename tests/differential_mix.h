@@ -174,11 +174,10 @@ inline std::string DifferentialDigestLine(int seed, size_t index,
   return buf;
 }
 
-/// One work-counter golden line. `hs` carries the HS-only counters (items
-/// pushed, peak queue) of the mix's HS query and is null for the others.
+/// One work-counter golden line. `hs` appends the HS counters (items
+/// pushed, peak queue) for the mix's HS query.
 inline std::string DifferentialWorkLine(int seed, size_t index,
-                                        const CpqStats& s,
-                                        const HsStats* hs) {
+                                        const CpqStats& s, bool hs) {
   char buf[512];
   const int n = std::snprintf(
       buf, sizeof(buf),
@@ -191,11 +190,11 @@ inline std::string DifferentialWorkLine(int seed, size_t index,
       static_cast<unsigned long long>(s.leaf_pairs_skipped),
       static_cast<unsigned long long>(s.node_pairs_processed),
       static_cast<unsigned long long>(s.max_heap_size));
-  if (hs != nullptr) {
+  if (hs) {
     std::snprintf(buf + n, sizeof(buf) - static_cast<size_t>(n),
                   " hs_pushed=%llu hs_max_queue=%llu",
-                  static_cast<unsigned long long>(hs->items_pushed),
-                  static_cast<unsigned long long>(hs->max_queue_size));
+                  static_cast<unsigned long long>(s.items_pushed),
+                  static_cast<unsigned long long>(s.max_heap_size));
   }
   return buf;
 }

@@ -3,6 +3,7 @@
 // closest points (MINMINDIST), the standard semantics for extended data.
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "cpq/cpq.h"
@@ -94,6 +95,66 @@ TEST(ExtendedObjectsTest, InvalidRectRejected) {
           .code(),
       StatusCode::kInvalidArgument);
   EXPECT_EQ(fx.tree().size(), 0u);
+}
+
+// Two rects that are each valid but whose union spans more than DBL_MAX
+// once bricked the tree: the first split stored that union as an entry
+// rect, which every later read rejected as Corruption. Coordinates beyond
+// DBL_MAX/2 are now InvalidArgument up front, with nothing written.
+TEST(ExtendedObjectsTest, HugeSpanRectsRejectedBeforeAnyWrite) {
+  TreeFixture fx(0, 1024);
+  Rect left = Rect::FromPoint(P(0.0, 0.5));
+  left.lo[0] = -1e308;
+  left.hi[0] = 0.5e308;
+  Rect right = Rect::FromPoint(P(0.0, 0.5));
+  right.lo[0] = -0.5e308;
+  right.hi[0] = 1e308;
+  const uint64_t writes_before = fx.storage().stats().writes;
+  EXPECT_EQ(fx.tree().InsertRect(left, 0).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fx.tree().InsertRect(right, 1).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fx.tree().Insert(P(1e308, 0.5), 2).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fx.storage().stats().writes, writes_before);
+  EXPECT_EQ(fx.tree().size(), 0u);
+
+  // The tree stays usable: the 21st insert of the original repro failed.
+  const auto items = testing::MakeUniformItems(20, 2301);
+  KCPQ_ASSERT_OK(fx.Build(items));
+  KCPQ_ASSERT_OK(fx.tree().Validate());
+  std::vector<Entry> hits;
+  KCPQ_ASSERT_OK(fx.tree().RangeQuery(UnitWorkspace(), &hits));
+  EXPECT_EQ(hits.size(), items.size());
+}
+
+// The largest accepted coordinates (magnitude DBL_MAX/2, so a union spans
+// DBL_MAX exactly) still build a tree, through splits on small pages, that
+// decodes and validates; one ulp more is rejected.
+TEST(ExtendedObjectsTest, LargestAcceptedCoordinatesBuildValidTree) {
+  const double max = RStarTree::kMaxCoordinate;
+  TreeFixture fx(0, 1024);
+  Rect full;
+  full.lo[0] = full.lo[1] = -max;
+  full.hi[0] = full.hi[1] = max;
+  KCPQ_ASSERT_OK(fx.tree().InsertRect(full, 0));
+  const int n = 300;
+  for (int i = 0; i < n; ++i) {
+    const double t = 2.0 * i / (n - 1) - 1.0;  // [-1, 1]
+    KCPQ_ASSERT_OK(fx.tree().Insert(P(max * t, -max * t), 1 + i));
+  }
+  KCPQ_ASSERT_OK(fx.tree().Flush());
+  EXPECT_GT(fx.tree().height(), 1);
+  KCPQ_ASSERT_OK(fx.tree().Validate());
+  std::vector<Entry> hits;
+  KCPQ_ASSERT_OK(fx.tree().RangeQuery(full, &hits));
+  EXPECT_EQ(hits.size(), static_cast<size_t>(n) + 1);
+
+  const double over = std::nextafter(max, std::numeric_limits<double>::max());
+  EXPECT_EQ(fx.tree().Insert(P(over, 0.0), 9999).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fx.tree().Insert(P(0.0, -over), 9999).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ExtendedObjectsTest, RangeQueryReturnsIntersectingRects) {

@@ -363,7 +363,7 @@ TEST(RetryingStorageTest, NearDeadlineAbandonsRetryPromptly) {
     QueryContext hs_ctx(control);
     HsOptions hs;
     hs.context = &hs_ctx;
-    HsStats hs_stats;
+    CpqStats hs_stats;
     auto r = HsKClosestPairs(*tree_p.value(), fq.tree(), 10, hs, &hs_stats);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return hs_stats.quality;

@@ -37,7 +37,7 @@ TEST_P(HsPolicyTest, KResultsMatchBruteForce) {
   HsOptions options;
   options.traversal = param.traversal;
   options.tie_policy = param.tie;
-  HsStats stats;
+  CpqStats stats;
   auto result = HsKClosestPairs(fp.tree(), fq.tree(), kK, options, &stats);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const auto want = BruteForceKClosestPairs(p_items, q_items, kK);
@@ -146,7 +146,7 @@ TEST(HsIncrementalTest, KBoundPruningReducesQueuePressure) {
   KCPQ_ASSERT_OK(fp.Build(p_items));
   KCPQ_ASSERT_OK(fq.Build(q_items));
 
-  HsStats bounded, unbounded;
+  CpqStats bounded, unbounded;
   {
     HsOptions options;
     ASSERT_TRUE(

@@ -154,7 +154,7 @@ TEST(HybridQueueTest, JoinWithTinyThresholdStillCorrect) {
 
   HsOptions options;
   options.queue_distance_threshold = 1e-6;  // nearly everything spills
-  HsStats stats;
+  CpqStats stats;
   auto spilled = HsKClosestPairs(fp.tree(), fq.tree(), 25, options, &stats);
   ASSERT_TRUE(spilled.ok());
   auto in_memory = HsKClosestPairs(fp.tree(), fq.tree(), 25);

@@ -212,6 +212,35 @@ TEST(MirroredDifferential, ResumableSchedulerMatchesBlockingUnderChaos) {
   }
 }
 
+// A direct query, with no batch around it, carries its replication
+// outcomes in its own stats record: the machine's epilogue copies them
+// from the context, so they are exactly what the context saw.
+TEST(MirroredFailover, DirectQueryRecordCarriesReplication) {
+  MirroredPair m(/*seed=*/7);
+  BufferManager bp(m.stack_p->top(), 0);
+  BufferManager bq(m.stack_q->top(), 0);
+  auto tp = RStarTree::Open(&bp, m.meta_p);
+  KCPQ_ASSERT_OK(tp.status());
+  auto tq = RStarTree::Open(&bq, m.meta_q);
+  KCPQ_ASSERT_OK(tq.status());
+  // Every query starts at the root, so a corrupt primary root is read.
+  m.stack_p->fault(0)->CorruptPage(tp.value()->root_page());
+
+  QueryContext ctx;
+  CpqOptions options;
+  options.k = 5;
+  options.context = &ctx;
+  CpqStats stats;
+  auto pairs = KClosestPairs(*tp.value(), *tq.value(), options, &stats);
+  KCPQ_ASSERT_OK(pairs.status());
+  const ReplicationStats& want = ctx.replication();
+  EXPECT_GE(want.failover_reads + want.read_repairs, 1u);
+  EXPECT_EQ(stats.replication.failover_reads, want.failover_reads);
+  EXPECT_EQ(stats.replication.read_repairs, want.read_repairs);
+  EXPECT_EQ(stats.replication.hedged_reads, want.hedged_reads);
+  EXPECT_EQ(stats.replication.hedge_wins, want.hedge_wins);
+}
+
 TEST(MirroredFailover, CorruptPrimaryIsServedRepairedAndNeverRetried) {
   ReplicaStackConfig config;
   config.replicas = 2;

@@ -6,11 +6,14 @@
 // acceptance criterion that `/queries` shows a live query's certified
 // bound changing across scrapes while the query runs.
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -168,8 +171,9 @@ TEST(QueryRegistryTest, RegisterCompleteBackfillsLiveCounters) {
   EXPECT_EQ(RawField(live_json, "node_accesses"), "42");
   EXPECT_EQ(RawField(live_json, "pages_read"), "33");
 
-  // Summary leaves the live-side counters at 0: Complete() must backfill
-  // them from the observation.
+  // Summary leaves pages_read, the one live-side counter, at 0: Complete()
+  // must backfill it from the observation. io_parks comes from the
+  // query's stats record only, so the summary's own value stands.
   QuerySummary s = MakeTestSummary("ok", 0.001);
   s.pages_read = 0;
   s.io_parks = 0;
@@ -182,7 +186,7 @@ TEST(QueryRegistryTest, RegisterCompleteBackfillsLiveCounters) {
   ASSERT_TRUE(registry.FindSummary(id, &got));
   EXPECT_EQ(got.id, id);
   EXPECT_EQ(got.pages_read, 33u);
-  EXPECT_EQ(got.io_parks, 5u);
+  EXPECT_EQ(got.io_parks, 0u);
 }
 
 TEST(QueryRegistryTest, FlightRecorderRingOverwritesOldest) {
@@ -365,6 +369,78 @@ TEST(BatchRegistryIntegrationTest, SummariesMatchResultsBitIdentically) {
       pos += needle.size();
     }
     EXPECT_EQ(with_scheduler, queries.size()) << scheduler;
+  }
+}
+
+// Parks are counted once, by the query's NodeReader, which bumps its stats
+// record and its live observation together. Over a slow zero-buffer stack
+// every read of a resumable batch parks, so for every machine kind the
+// retired summary (built from the record) must equal the record, and no
+// live scrape may ever run ahead of it.
+TEST(BatchRegistryIntegrationTest, ParksHaveOneSource) {
+  MemoryStorageManager base_p;
+  MemoryStorageManager base_q;
+  const LatencyProfile profile{std::chrono::microseconds(200),
+                               std::chrono::microseconds(0), 0.0,
+                               std::chrono::microseconds(0), 0};
+  LatencyStorageManager slow_p(&base_p, profile);
+  LatencyStorageManager slow_q(&base_q, profile);
+  BufferManager buffer_p(&slow_p, 0);
+  BufferManager buffer_q(&slow_q, 0);
+  auto tree_p = RStarTree::BulkLoad(&buffer_p, MakeUniformItems(400, 41));
+  auto tree_q = RStarTree::BulkLoad(&buffer_q, MakeUniformItems(400, 42));
+  ASSERT_TRUE(tree_p.ok()) << tree_p.status().ToString();
+  ASSERT_TRUE(tree_q.ok()) << tree_q.status().ToString();
+
+  std::vector<BatchQuery> queries(4);
+  queries[0].options.k = 10;
+  queries[1].kind = BatchQueryKind::kSelfClosestPairs;
+  queries[1].options.k = 5;
+  queries[2].kind = BatchQueryKind::kHsClosestPairs;
+  queries[2].options.k = 10;
+  queries[3].kind = BatchQueryKind::kSemiClosestPairs;
+  const char* kKinds[] = {"kcp", "self", "hs", "semi"};
+
+  QueryRegistry registry;
+  BatchOptions options;
+  options.threads = 2;
+  options.scheduler = SchedulerMode::kResumable;
+  options.query_registry = &registry;
+
+  std::vector<BatchQueryResult> results;
+  std::atomic<bool> done{false};
+  std::thread runner([&] {
+    results = BatchKClosestPairs(*tree_p.value(), *tree_q.value(), queries,
+                                 options);
+    done.store(true);
+  });
+  // The highest io_parks any live scrape showed, per kind.
+  std::map<std::string, uint64_t> live_max;
+  while (!done.load()) {
+    const std::string live = registry.QueriesJson("live");
+    for (size_t at = live.find("{\"id\":"); at != std::string::npos;
+         at = live.find("{\"id\":", at + 1)) {
+      const std::string obj = live.substr(at, live.find('}', at) - at + 1);
+      uint64_t& seen = live_max[RawField(obj, "kind")];
+      seen = std::max<uint64_t>(seen, std::stoull(RawField(obj, "io_parks")));
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  runner.join();
+
+  ASSERT_EQ(results.size(), queries.size());
+  ASSERT_EQ(registry.done_count(), queries.size());
+  for (uint64_t id = 1; id <= queries.size(); ++id) {
+    QuerySummary summary;
+    ASSERT_TRUE(registry.FindSummary(id, &summary)) << id;
+    size_t i = 0;
+    while (i < queries.size() && summary.kind != kKinds[i]) ++i;
+    ASSERT_LT(i, queries.size()) << summary.kind;
+    KCPQ_ASSERT_OK(results[i].status);
+    const uint64_t parks = results[i].stats.io_parks;
+    EXPECT_GT(parks, 0u) << summary.kind;
+    EXPECT_EQ(summary.io_parks, parks) << summary.kind;
+    EXPECT_LE(live_max[summary.kind], parks) << summary.kind;
   }
 }
 

@@ -288,6 +288,84 @@ TEST(LeafKernelTest, HsKernelsAgree) {
   }
 }
 
+/// Every field of the one per-query record, certificate included.
+void ExpectSameRecord(const CpqStats& a, const CpqStats& b) {
+  EXPECT_EQ(a.node_pairs_processed, b.node_pairs_processed);
+  EXPECT_EQ(a.candidate_pairs_generated, b.candidate_pairs_generated);
+  EXPECT_EQ(a.candidate_pairs_pruned, b.candidate_pairs_pruned);
+  EXPECT_EQ(a.point_distance_computations, b.point_distance_computations);
+  EXPECT_EQ(a.leaf_pairs_skipped, b.leaf_pairs_skipped);
+  EXPECT_EQ(a.max_heap_size, b.max_heap_size);
+  EXPECT_EQ(a.items_pushed, b.items_pushed);
+  EXPECT_EQ(a.queue_spill_reads, b.queue_spill_reads);
+  EXPECT_EQ(a.queue_spill_writes, b.queue_spill_writes);
+  EXPECT_EQ(a.disk_accesses_p, b.disk_accesses_p);
+  EXPECT_EQ(a.disk_accesses_q, b.disk_accesses_q);
+  EXPECT_EQ(a.node_accesses, b.node_accesses);
+  EXPECT_EQ(a.prefetch_issued, b.prefetch_issued);
+  EXPECT_EQ(a.prefetch_hits, b.prefetch_hits);
+  EXPECT_EQ(a.io_parks, b.io_parks);
+  EXPECT_EQ(a.io_parked_ns, b.io_parked_ns);
+  EXPECT_EQ(a.replication.failover_reads, b.replication.failover_reads);
+  EXPECT_EQ(a.replication.read_repairs, b.replication.read_repairs);
+  EXPECT_EQ(a.replication.hedged_reads, b.replication.hedged_reads);
+  EXPECT_EQ(a.replication.hedge_wins, b.replication.hedge_wins);
+  EXPECT_EQ(a.quality.stop_cause, b.quality.stop_cause);
+  EXPECT_EQ(a.quality.pairs_found, b.quality.pairs_found);
+  EXPECT_EQ(a.quality.guaranteed_lower_bound, b.quality.guaranteed_lower_bound);
+  EXPECT_EQ(a.quality.is_exact, b.quality.is_exact);
+  EXPECT_EQ(a.quality.bound_is_upper, b.quality.bound_is_upper);
+  EXPECT_EQ(a.quality.missing_pair_bound, b.quality.missing_pair_bound);
+  EXPECT_EQ(a.quality.rank_lower_bounds, b.quality.rank_lower_bounds);
+}
+
+// A batch HS query fills the same CpqStats a direct HsKClosestPairs call
+// does, HS's own counters (items pushed, queue spills) and the prefetch
+// counters included: nothing is lost in a mapping.
+TEST(BatchHsRecordTest, BatchRecordMatchesDirectCall) {
+  TreeFixture fp, fq;  // zero-capacity buffers: every read is a miss
+  KCPQ_ASSERT_OK(fp.Build(MakeUniformItems(900, 9201)));
+  KCPQ_ASSERT_OK(fq.Build(MakeClusteredItems(900, 9202)));
+  constexpr size_t kK = 40;
+  constexpr size_t kWindow = 4;
+
+  std::vector<BatchQuery> queries(1);
+  queries[0].kind = BatchQueryKind::kHsClosestPairs;
+  queries[0].options.k = kK;
+  queries[0].options.prefetch_window = kWindow;
+  BatchOptions batch_options;
+  batch_options.threads = 1;
+  const std::vector<BatchQueryResult> batch =
+      BatchKClosestPairs(fp.tree(), fq.tree(), queries, batch_options);
+  ASSERT_EQ(batch.size(), 1u);
+  KCPQ_ASSERT_OK(batch[0].status);
+
+  HsOptions options;
+  options.prefetch_window = kWindow;
+  CpqStats direct;
+  auto pairs = HsKClosestPairs(fp.tree(), fq.tree(), kK, options, &direct);
+  KCPQ_ASSERT_OK(pairs.status());
+  ExpectSameDistances(batch[0].pairs, pairs.value(), "batch vs direct");
+  ExpectSameRecord(batch[0].stats, direct);
+  EXPECT_GT(direct.items_pushed, direct.node_pairs_processed);
+  EXPECT_GT(direct.prefetch_issued, 0u);
+
+  // A batch query has no queue threshold (the mapping keeps everything in
+  // memory), so its spill counters are the direct default's zeros; a
+  // spilling direct join reports its spills in the same record, and the
+  // search itself is unchanged.
+  EXPECT_EQ(direct.queue_spill_writes, 0u);
+  options.queue_distance_threshold = 1e-6;
+  CpqStats spilled;
+  KCPQ_ASSERT_OK(
+      HsKClosestPairs(fp.tree(), fq.tree(), kK, options, &spilled).status());
+  EXPECT_GT(spilled.queue_spill_writes, 0u);
+  EXPECT_GT(spilled.queue_spill_reads, 0u);
+  EXPECT_EQ(spilled.items_pushed, direct.items_pushed);
+  EXPECT_EQ(spilled.node_pairs_processed, direct.node_pairs_processed);
+  EXPECT_EQ(spilled.disk_accesses(), direct.disk_accesses());
+}
+
 TEST(ThreadPoolTest, RunsEveryTask) {
   ThreadPool pool(4);
   std::atomic<int> count{0};

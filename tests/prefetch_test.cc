@@ -167,7 +167,7 @@ TEST(PrefetchHsTest, ResultsAndDiskCountsBitIdentical) {
         HsOptions options;
         options.traversal = traversal;
         options.prefetch_window = window;
-        HsStats stats;
+        CpqStats stats;
         auto pairs = HsKClosestPairs(*tree_p.value(), *tree_q.value(), 10,
                                      options, &stats);
         KCPQ_CHECK_OK(pairs.status());
@@ -185,7 +185,8 @@ TEST(PrefetchHsTest, ResultsAndDiskCountsBitIdentical) {
         EXPECT_EQ(off_pairs[i].distance, on_pairs[i].distance) << label;
       }
       EXPECT_EQ(off_stats.items_pushed, on_stats.items_pushed) << label;
-      EXPECT_EQ(off_stats.items_popped, on_stats.items_popped) << label;
+      EXPECT_EQ(off_stats.node_pairs_processed, on_stats.node_pairs_processed)
+          << label;
       EXPECT_EQ(off_stats.node_accesses, on_stats.node_accesses) << label;
       EXPECT_EQ(off_stats.disk_accesses_p, on_stats.disk_accesses_p) << label;
       EXPECT_EQ(off_stats.disk_accesses_q, on_stats.disk_accesses_q) << label;
@@ -274,7 +275,7 @@ TEST(PrefetchHsTest, RangeClosestSpeculatesOnlyOnEnqueuedSubtrees) {
     SCOPED_TRACE(label);
     struct Run {
       std::vector<PairResult> pairs;
-      HsStats stats;
+      CpqStats stats;
       std::vector<PageId> async_p, async_q;
     };
     const auto run = [&](size_t window_pages) {

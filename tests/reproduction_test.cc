@@ -145,7 +145,7 @@ TEST_F(ReproductionTest, Figure10_HeapMatchesSmlOnDisjointWorkspaces) {
   KCPQ_CHECK_OK(disjoint_->buffer().FlushAndClear());
   HsOptions hs_options;
   hs_options.traversal = HsTraversal::kSimultaneous;
-  HsStats sml_stats;
+  CpqStats sml_stats;
   KCPQ_CHECK_OK(HsKClosestPairs(real_->tree(), disjoint_->tree(), 100,
                                 hs_options, &sml_stats)
                     .status());
@@ -182,7 +182,7 @@ TEST_F(ReproductionTest, Figure10_HeapQueueFarSmallerThanSmlQueue) {
     KCPQ_CHECK_OK(next.status());
     ASSERT_TRUE(next.value().has_value());
   }
-  EXPECT_LT(heap_stats.max_heap_size, join.stats().max_queue_size / 4);
+  EXPECT_LT(heap_stats.max_heap_size, join.stats().max_heap_size / 4);
 }
 
 }  // namespace

@@ -168,7 +168,7 @@ TEST(ResumableDifferential, FiftySeedsMatchBlockingExactly) {
 // The same 50-seed mix, pinned by its work counters instead of its
 // answers: child pairs generated and pruned, distance computations, leaf
 // pairs skipped, node pairs expanded and the peak frontier (for the HS
-// query also items pushed and the peak queue, from a direct run). Every
+// query also items pushed and the peak queue, from the same record). Every
 // line must stay byte-identical, so any change to how expansion is
 // computed — gating, key-first pushes — provably leaves the search itself
 // unchanged.
@@ -199,15 +199,9 @@ TEST(ResumableDifferential, FiftySeedsWorkCountersMatchGolden) {
       const std::string q =
           "seed " + std::to_string(seed) + " query " + std::to_string(i);
       ASSERT_TRUE(results[i].status.ok()) << q << results[i].status.ToString();
-      HsStats hs;
-      const bool is_hs = queries[i].kind == BatchQueryKind::kHsClosestPairs;
-      if (is_hs) {
-        KCPQ_ASSERT_OK(HsKClosestPairs(fp.tree(), fq.tree(),
-                                       queries[i].options.k, HsOptions(), &hs)
-                           .status());
-      }
       const std::string line = testing::DifferentialWorkLine(
-          seed, i, results[i].stats, is_hs ? &hs : nullptr);
+          seed, i, results[i].stats,
+          queries[i].kind == BatchQueryKind::kHsClosestPairs);
       if (update) {
         emitted.push_back(line);
         continue;
@@ -278,7 +272,9 @@ TEST(ResumableDifferential, WarmBufferAggregateDiskAccessesMatch) {
 
 // ---------------------------------------------------------------------------
 // Park accounting: every machine parks through its NodeReader, which
-// counts each park once and closes it with one io_park trace span. On
+// counts each park once — in its stats record and in the live
+// QueryObservation the context carries — and closes it with one io_park
+// trace span. On
 // zero-capacity buffers every read misses, so a parking run must park,
 // and its disk and node accesses must equal the inline run's.
 
@@ -289,12 +285,14 @@ struct ParkRun {
   uint64_t node_accesses = 0;
   uint64_t io_parks = 0;
   uint64_t park_spans = 0;
+  uint64_t live_parks = 0;  // the observation's count at query end
 };
 
-template <typename Stats>
-ParkRun MakeParkRun(const Stats& stats, const obs::TraceBuffer& trace) {
+ParkRun MakeParkRun(const CpqStats& stats, const obs::TraceBuffer& trace,
+                    const obs::QueryObservation& live) {
   ParkRun run{stats.disk_accesses_p, stats.disk_accesses_q,
-              stats.node_accesses, stats.io_parks, 0};
+              stats.node_accesses, stats.io_parks, 0,
+              live.io_parks.load(std::memory_order_relaxed)};
   EXPECT_EQ(trace.dropped(), 0u);
   for (const obs::TraceEvent& ev : trace.Events()) {
     if (ev.kind == obs::TraceEventKind::kIoPark) ++run.park_spans;
@@ -305,12 +303,15 @@ ParkRun MakeParkRun(const Stats& stats, const obs::TraceBuffer& trace) {
 enum class ParkMachine { kHeap, kStd, kHs, kSemi };
 
 // Runs one query of `machine` to completion, parking on every miss when
-// `park` is set (inline otherwise), with a trace attached.
+// `park` is set (inline otherwise), with a trace and a live observation
+// attached.
 ParkRun RunParkMachine(ParkMachine machine, bool park, TreeFixture& fp,
                        TreeFixture& fq) {
   obs::TraceBuffer trace;
+  obs::QueryObservation live;
   QueryContext ctx;
   ctx.set_trace(&trace);
+  ctx.set_observation(&live);
   InlineWakerGate gate;
   const Waker waker = park ? gate.waker() : Waker();
   ParkRun run;
@@ -327,18 +328,18 @@ ParkRun RunParkMachine(ParkMachine machine, bool park, TreeFixture& fp,
       ResumableCpqQuery query(fp.tree(), fq.tree(), options, &stats, waker);
       gate.RunToCompletion(query);
       KCPQ_EXPECT_OK(query.status());
-      run = MakeParkRun(stats, trace);
+      run = MakeParkRun(stats, trace, live);
       break;
     }
     case ParkMachine::kHs: {
       HsOptions options;
       options.context = &ctx;
-      HsStats stats;
+      CpqStats stats;
       ResumableHsQuery query(fp.tree(), fq.tree(), 10, options, &stats,
                              waker);
       gate.RunToCompletion(query);
       KCPQ_EXPECT_OK(query.status());
-      run = MakeParkRun(stats, trace);
+      run = MakeParkRun(stats, trace, live);
       break;
     }
     case ParkMachine::kSemi: {
@@ -346,7 +347,7 @@ ParkRun RunParkMachine(ParkMachine machine, bool park, TreeFixture& fp,
       ResumableSemiQuery query(fp.tree(), fq.tree(), &stats, &ctx, waker);
       gate.RunToCompletion(query);
       KCPQ_EXPECT_OK(query.status());
-      run = MakeParkRun(stats, trace);
+      run = MakeParkRun(stats, trace, live);
       break;
     }
   }
@@ -373,6 +374,8 @@ TEST(ParkAccountingTest, EveryParkIsOneSpanAndCountsMatchInline) {
     EXPECT_EQ(inline_run.park_spans, 0u);
     EXPECT_GT(parked.io_parks, 0u);
     EXPECT_EQ(parked.park_spans, parked.io_parks);
+    EXPECT_EQ(inline_run.live_parks, 0u);
+    EXPECT_EQ(parked.live_parks, parked.io_parks);
     EXPECT_EQ(parked.disk_p, inline_run.disk_p);
     EXPECT_EQ(parked.disk_q, inline_run.disk_q);
     EXPECT_EQ(parked.node_accesses, inline_run.node_accesses);

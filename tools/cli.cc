@@ -575,6 +575,11 @@ Status CmdBuild(const Flags& flags, std::FILE* out) {
         "usage: build <in.csv> <out.db> [--bulk] [--page-size=N]");
   }
   KCPQ_ASSIGN_OR_RETURN(auto items, ReadCsvPointFile(flags.positional[0]));
+  // Checked before the file is created, so a rejected input leaves no
+  // half-built .db behind.
+  for (const auto& item : items) {
+    KCPQ_RETURN_IF_ERROR(RStarTree::CheckStorable(Rect::FromPoint(item.first)));
+  }
   size_t page_size = kDefaultPageSize;
   if (const auto it = flags.named.find("page-size");
       it != flags.named.end()) {
@@ -1013,20 +1018,29 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
   const bool want_trace = !diag.trace_path.empty() || obs_on;
   if (want_profile) ctx.set_profile(&profile);
   if (want_trace) ctx.set_trace(&trace);
+  const char* const scheduler_name =
+      scheduler == SchedulerMode::kResumable ? "resumable" : "inline";
   std::shared_ptr<obs::QueryObservation> live;
   if (obs_on) {
     live = obs::QueryRegistry::Global().Register(
         options.self_join ? "self" : "kcp", QueryFamilyName(options.family),
-        scheduler == SchedulerMode::kResumable ? "resumable" : "inline",
-        options.k);
+        scheduler_name, options.k);
     ctx.set_observation(live.get());
   }
   const BufferStats buffer_before_p = p.buffer->stats();
   const BufferStats buffer_before_q = q.buffer->stats();
 
-  CpqStats stats;
+  // The query and its outcome in a batch query's shape, so the admission
+  // estimate and the flight-recorder record come from the batch's own
+  // functions (EstimateQueryBytes, MakeSummary).
+  BatchQuery query;
+  query.kind = options.self_join ? BatchQueryKind::kSelfClosestPairs
+                                 : BatchQueryKind::kClosestPairs;
+  query.options = options;
+  BatchQueryResult result;
+  CpqStats& stats = result.stats;
+  std::vector<PairResult>& pairs = result.pairs;
   Timer timer;
-  std::vector<PairResult> pairs;
   {
     // The one state machine, read inline under the blocking scheduler or
     // parking through an InlineWakerGate under the resumable one, so
@@ -1040,6 +1054,7 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
     pairs = task.TakeResults();
   }
   const double seconds = timer.ElapsedSeconds();
+  result.seconds = seconds;
   PrintPairs(out, pairs);
   PrintQuality(out, stats.quality);
   PrintQueryStats(out, stats, seconds, scheduler);
@@ -1068,7 +1083,6 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
   }
 
   std::string explain_text;
-  uint64_t admission_estimate_bytes = 0;
   if (want_profile) {
     const BufferStats after_p = p.buffer->stats();
     const BufferStats after_q = q.buffer->stats();
@@ -1080,10 +1094,6 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
     AdmissionController estimator(
         estimate_options, p.tree->size(), q.tree->size(),
         p.tree->max_entries(), p.tree->buffer()->storage()->page_size());
-    BatchQuery query;
-    query.kind = options.self_join ? BatchQueryKind::kSelfClosestPairs
-                                   : BatchQueryKind::kClosestPairs;
-    query.options = options;
 
     obs::ExplainInputs inputs = CpqExplainInputs(options, stats, pairs);
     inputs.buffer_hits =
@@ -1106,10 +1116,11 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
     inputs.prefetch_wasted = stats.prefetch_issued > prefetch_claimed
                                  ? stats.prefetch_issued - prefetch_claimed
                                  : 0;
-    inputs.admission_estimate_bytes = estimator.EstimateQueryBytes(query);
+    result.admission.estimated_bytes = estimator.EstimateQueryBytes(query);
+    inputs.admission_estimate_bytes = result.admission.estimated_bytes;
     inputs.measured_peak_bytes = ctx.accountant().peak_total_bytes();
     if (rep.replicas > 1) {
-      const ReplicationStats& r = ctx.replication();
+      const ReplicationStats& r = stats.replication;
       inputs.replicas = rep.replicas;
       inputs.hedge_mode = HedgeModeName(rep.mirrored.hedge.mode);
       inputs.failover_reads = r.failover_reads;
@@ -1153,7 +1164,6 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
       }
     }
     inputs.seconds = seconds;
-    admission_estimate_bytes = inputs.admission_estimate_bytes;
     explain_text = RenderExplainReport(inputs, profile);
     if (diag.explain) std::fputs(explain_text.c_str(), out);
   }
@@ -1171,37 +1181,9 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
   }
 
   if (obs_on) {
-    obs::QuerySummary s;
-    s.kind = options.self_join ? "self" : "kcp";
-    s.family = QueryFamilyName(options.family);
-    s.scheduler =
-        scheduler == SchedulerMode::kResumable ? "resumable" : "inline";
-    QueryOutcome outcome = QueryOutcome::kOk;
-    if (stats.quality.stop_cause == StopCause::kCancelled) {
-      outcome = QueryOutcome::kCancelled;
-    } else if (stats.quality.is_partial()) {
-      outcome = QueryOutcome::kPartial;
-    }
-    s.outcome = QueryOutcomeName(outcome);
-    s.seconds = seconds;
-    s.k = options.k;
-    s.pairs = pairs.size();
-    s.node_accesses = stats.node_accesses;
-    s.disk_accesses = stats.disk_accesses();
-    s.io_parks = stats.io_parks;
-    s.bound_is_upper = stats.quality.bound_is_upper;
-    if (stats.quality.is_partial()) {
-      s.stop_cause = StopCauseName(stats.quality.stop_cause);
-      s.certified_bound = stats.quality.guaranteed_lower_bound;
-      s.exact = stats.quality.is_exact;
-    } else if (!pairs.empty()) {
-      s.certified_bound = pairs.back().distance;
-      s.exact = true;
-    } else {
-      s.exact = true;
-    }
-    s.admission_estimate_bytes = admission_estimate_bytes;
-    s.peak_memory_bytes = ctx.accountant().peak_total_bytes();
+    result.outcome = OutcomeOf(result);
+    result.peak_memory_bytes = ctx.accountant().peak_total_bytes();
+    obs::QuerySummary s = MakeSummary(query, result, scheduler_name);
     s.pruning = profile.Totals();
     s.has_pruning = true;
     s.trace_json = trace_json;
