@@ -39,6 +39,7 @@ BufferManager::BufferManager(
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     auto shard = std::make_unique<Shard>();
+    shard->index = i;
     shard->policy = policy_factory();
     // Even split; the first capacity % n shards take the remainder.
     shard->capacity = capacity_pages / n + (i < capacity_pages % n ? 1 : 0);
@@ -123,8 +124,10 @@ Status BufferManager::TryRead(PageId id, Page* out, QueryContext* ctx,
 }
 
 Status BufferManager::ReadNode(PageId id, Node* node, QueryContext* ctx,
-                               const Waker& waker, TryReadOutcome* outcome) {
-  return Resolve(id, ReadTarget{nullptr, node}, ctx, waker, outcome);
+                               const Waker& waker, TryReadOutcome* outcome,
+                               bool axis_orders) {
+  return Resolve(id, ReadTarget{nullptr, node, axis_orders}, ctx, waker,
+                 outcome);
 }
 
 Status BufferManager::Resolve(PageId id, const ReadTarget& out,
@@ -146,10 +149,11 @@ Status BufferManager::Resolve(PageId id, const ReadTarget& out,
     }
   } else {
     Shard& shard = ShardFor(id);
+    const FrameSlot slot = SlotOf(id);
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (Frame* frame = FindResident(shard, id)) {
+    if (Frame* frame = FindResident(shard, slot)) {
       CountHit(shard);
-      shard.policy->OnAccess(id);
+      shard.policy->OnAccess(slot);
       outcome->hit = true;
       return Deliver(*frame, out);
     }
@@ -158,7 +162,7 @@ Status BufferManager::Resolve(PageId id, const ReadTarget& out,
     Page page;
     s = Fetch(id, &page, ctx, waker, outcome, &after);
     if (s.ok() && !outcome->parked) {
-      s = InsertFetched(shard, id, std::move(page), out);
+      s = InsertFetched(shard, slot, std::move(page), out);
     }
   }
   for (const Waker& w : after.waiters) w();
@@ -229,17 +233,15 @@ Status BufferManager::Fetch(PageId id, Page* page, QueryContext* ctx,
 }
 
 BufferManager::Frame* BufferManager::FindResident(Shard& shard,
-                                                  PageId id) const {
-  const size_t slot = id / shards_.size();
+                                                  FrameSlot slot) const {
   if (slot >= shard.table.size() || !shard.table[slot].resident) {
     return nullptr;
   }
   return &shard.table[slot];
 }
 
-BufferManager::Frame& BufferManager::Place(Shard& shard, PageId id, Page page,
-                                           bool dirty) {
-  const size_t slot = id / shards_.size();
+BufferManager::Frame& BufferManager::Place(Shard& shard, FrameSlot slot,
+                                           Page page, bool dirty) {
   if (slot >= shard.table.size()) shard.table.resize(slot + 1);
   Frame& frame = shard.table[slot];
   frame.resident = true;
@@ -257,18 +259,26 @@ Status BufferManager::Deliver(Frame& frame, const ReadTarget& out) {
   }
   if (!frame.decoded) {
     KCPQ_RETURN_IF_ERROR(DeserializeNode(frame.page, &frame.node));
-    if (frame.node.IsLeaf()) BuildAxisOrders(&frame.node);
     frame.decoded = true;
   }
+  if (!out.axis_orders) {
+    // A read that never sweeps (insertion, range and kNN searches) neither
+    // builds the orders nor copies them.
+    out.node->level = frame.node.level;
+    out.node->entries = frame.node.entries;
+    out.node->axis_order.clear();
+    return Status::OK();
+  }
+  if (!frame.node.HasAxisOrders()) BuildAxisOrders(&frame.node);
   *out.node = frame.node;
   return Status::OK();
 }
 
-Status BufferManager::InsertFetched(Shard& shard, PageId id, Page page,
+Status BufferManager::InsertFetched(Shard& shard, FrameSlot slot, Page page,
                                     const ReadTarget& out) {
   KCPQ_RETURN_IF_ERROR(EvictIfFull(shard));
-  shard.policy->OnInsert(id);
-  return Deliver(Place(shard, id, std::move(page), /*dirty=*/false), out);
+  shard.policy->OnInsert(slot);
+  return Deliver(Place(shard, slot, std::move(page), /*dirty=*/false), out);
 }
 
 bool BufferManager::AreaHolds(PageId id) const {
@@ -282,17 +292,18 @@ Status BufferManager::Write(PageId id, const Page& page) {
     return storage_->WritePage(id, page);
   }
   Shard& shard = ShardFor(id);
+  const FrameSlot slot = SlotOf(id);
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (Frame* frame = FindResident(shard, id)) {
-    shard.policy->OnAccess(id);
+  if (Frame* frame = FindResident(shard, slot)) {
+    shard.policy->OnAccess(slot);
     frame->page = page;
     frame->dirty = true;
     frame->decoded = false;
     return Status::OK();
   }
   KCPQ_RETURN_IF_ERROR(EvictIfFull(shard));
-  shard.policy->OnInsert(id);
-  Place(shard, id, page, /*dirty=*/true);
+  shard.policy->OnInsert(slot);
+  Place(shard, slot, page, /*dirty=*/true);
   return Status::OK();
 }
 
@@ -314,7 +325,7 @@ size_t BufferManager::Prefetch(const PageId* ids, size_t count,
       // Already resident: a speculative read would be pure waste. (The
       // page may still be evicted before the demand read arrives; that
       // just costs the synchronous read it would have cost anyway.)
-      if (FindResident(shard, id) != nullptr) continue;
+      if (FindResident(shard, SlotOf(id)) != nullptr) continue;
     }
     wanted.push_back(id);
   }
@@ -542,8 +553,9 @@ Status BufferManager::Free(PageId id) {
   {
     Shard& shard = ShardFor(id);
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (Frame* frame = FindResident(shard, id)) {
-      shard.policy->OnErase(id);
+    const FrameSlot slot = SlotOf(id);
+    if (Frame* frame = FindResident(shard, slot)) {
+      shard.policy->OnErase(slot);
       *frame = Frame{};
       --shard.resident;
     }
@@ -582,14 +594,15 @@ Status BufferManager::EvictIfFull(Shard& shard) {
   if (shard.resident < shard.capacity || shard.resident == 0) {
     return Status::OK();
   }
-  const PageId victim = shard.policy->ChooseVictim();
+  const FrameSlot victim = shard.policy->ChooseVictim();
   Frame& frame = *FindResident(shard, victim);
   evictions_.fetch_add(1, std::memory_order_relaxed);
   KCPQ_METRIC_INC(obs::KcpqMetrics::Get().buffer_evictions_total);
   if (frame.dirty) {
     writebacks_.fetch_add(1, std::memory_order_relaxed);
     KCPQ_METRIC_INC(obs::KcpqMetrics::Get().buffer_writebacks_total);
-    KCPQ_RETURN_IF_ERROR(storage_->WritePage(victim, frame.page));
+    KCPQ_RETURN_IF_ERROR(storage_->WritePage(
+        victim * shards_.size() + shard.index, frame.page));
   }
   frame = Frame{};
   --shard.resident;
@@ -620,7 +633,7 @@ Status BufferManager::FlushAndClear() {
     Shard& shard = *shards_[s];
     std::lock_guard<std::mutex> lock(shard.mu);
     for (size_t slot = 0; slot < shard.table.size(); ++slot) {
-      if (shard.table[slot].resident) shard.policy->OnErase(slot * n + s);
+      if (shard.table[slot].resident) shard.policy->OnErase(slot);
     }
     std::vector<Frame>().swap(shard.table);
     shard.resident = 0;

@@ -14,9 +14,11 @@
 // (Engines keep a node across a park, and a capacity-0 buffer has no
 // frames at all, so a caller-owned copy is needed either way.) A frame
 // keeps its page decoded: the first ReadNode of a residency runs
-// DeserializeNode under the shard lock and, for a leaf, builds both axis
-// orders of the plane-sweep kernel (rtree/node.h); later ReadNodes copy
-// the decoded node. Write, Free, eviction and FlushAndClear drop the
+// DeserializeNode under the shard lock, and the first ReadNode that asks
+// for axis orders (the query engines' reads) builds every axis order of
+// the plane sweep (rtree/node.h); later ReadNodes copy the decoded node.
+// Reads that never sweep (insertion, range and kNN searches) neither build
+// nor copy the orders. Write, Free, eviction and FlushAndClear drop the
 // decoded copy with the bytes it came from. A page that fails to decode
 // is never cached as decoded: every ReadNode of it returns the decoder's
 // kCorruption, while Read still returns its bytes. Writes are write-back:
@@ -27,6 +29,8 @@
 // mutex, a frame table, a replacement policy, and a slice of the capacity.
 // A page id maps to the shard `id % shards` and, page ids being dense from
 // Allocate, to the slot `id / shards` of that shard's table. The shard's
+// replacement policy tracks those slots (replacement_policy.h), so an LRU
+// hit relinks two cells of a slot-indexed array. The shard's
 // mutex is held for the whole Read / Write / Free operation on that page,
 // including the storage call on a miss, so a page is fetched at most once
 // per residency and the policy sees a consistent history. Operations on
@@ -198,12 +202,13 @@ class BufferManager {
   /// page `id` decoded into `*node`. Resolved exactly like TryRead — the
   /// same hit / miss / park outcome, counts, policy calls and page charge;
   /// an empty `waker` means blocking, like Read — but a resident page is
-  /// decoded only once per residency (see the file comment). A leaf that
-  /// arrives through a frame carries its axis orders; one read through a
-  /// capacity-0 buffer does not.
+  /// decoded only once per residency (see the file comment). With
+  /// `axis_orders`, a node that arrives through a frame carries every axis
+  /// order (built once per residency); one read through a capacity-0
+  /// buffer, or without `axis_orders`, carries none.
   Status ReadNode(PageId id, Node* node, QueryContext* ctx = nullptr,
                   const Waker& waker = Waker(),
-                  TryReadOutcome* outcome = nullptr);
+                  TryReadOutcome* outcome = nullptr, bool axis_orders = true);
 
   /// Speculatively reads `count` pages through the storage manager's async
   /// path into the prefetch area. Pages already resident, already staged,
@@ -279,6 +284,8 @@ class BufferManager {
 
   struct Shard {
     std::mutex mu;
+    /// This shard's position: it holds the pages with id % shards == index.
+    size_t index = 0;
     /// Indexed by `id / shards` (page ids are dense from Allocate). Grown
     /// only when a page becomes resident, never by a lookup, so a bogus id
     /// cannot inflate it.
@@ -292,10 +299,12 @@ class BufferManager {
   };
 
   /// Where a resolved read lands: the page's bytes (Read / TryRead) or
-  /// its decoded node (ReadNode). Exactly one is set.
+  /// its decoded node (ReadNode). Exactly one is set. `axis_orders` asks
+  /// a node read for the frame's axis orders.
   struct ReadTarget {
     Page* page = nullptr;
     Node* node = nullptr;
+    bool axis_orders = false;
   };
 
   /// Work a resolve leaves for after its locks are released: waking the
@@ -349,14 +358,15 @@ class BufferManager {
   };
 
   Shard& ShardFor(PageId id) { return *shards_[id % shards_.size()]; }
+  FrameSlot SlotOf(PageId id) const { return id / shards_.size(); }
 
-  /// `id`'s frame when resident in `shard`, else null. Caller holds
+  /// The frame at `slot` when resident in `shard`, else null. Caller holds
   /// shard.mu.
-  Frame* FindResident(Shard& shard, PageId id) const;
+  Frame* FindResident(Shard& shard, FrameSlot slot) const;
 
-  /// Makes `id` resident in `shard` holding `page` (not yet decoded),
+  /// Makes `slot` resident in `shard` holding `page` (not yet decoded),
   /// growing the table as needed. Caller holds shard.mu and made room.
-  Frame& Place(Shard& shard, PageId id, Page page, bool dirty);
+  Frame& Place(Shard& shard, FrameSlot slot, Page page, bool dirty);
 
   /// The one read path behind Read, TryRead and ReadNode: charges the
   /// page to `ctx`, then serves a hit from its frame, or resolves the
@@ -376,7 +386,8 @@ class BufferManager {
                TryReadOutcome* outcome, AfterUnlock* after);
 
   /// Copies a resident frame into the read's target, decoding the page on
-  /// the residency's first node read. Caller holds the frame's shard.mu.
+  /// the residency's first node read and building its axis orders on the
+  /// first read that asks for them. Caller holds the frame's shard.mu.
   static Status Deliver(Frame& frame, const ReadTarget& out);
 
   /// Ensures space in `shard` for one more frame, evicting (with
@@ -385,7 +396,7 @@ class BufferManager {
 
   /// Makes a fetched page resident: evicts if full, tells the policy, and
   /// delivers the page. Caller holds shard.mu and has counted the miss.
-  Status InsertFetched(Shard& shard, PageId id, Page page,
+  Status InsertFetched(Shard& shard, FrameSlot slot, Page page,
                        const ReadTarget& out);
 
   /// True when the staging area has an entry for `id`; never takes the

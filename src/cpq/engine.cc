@@ -266,7 +266,7 @@ Status CpqEngine::ProcessLeaves(const Node& node_p, const Node& node_q,
 CpqEngine::Side CpqEngine::MakeSide(PageId page, const Node& node,
                                     bool expand,
                                     const RStarTree& tree) const {
-  Side side{&node, expand, page, Rect{}, 0, 0, 0};
+  Side side{&node, expand, page, Entry{}, 0, 0, 0};
   if (expand) {
     side.child_level = static_cast<int16_t>(node.level - 1);
     side.child_min_points =
@@ -276,7 +276,7 @@ CpqEngine::Side CpqEngine::MakeSide(PageId page, const Node& node,
   } else {
     // The fixed side contributes itself as the single "child", with exact
     // facts from its page.
-    side.mbr = node.ComputeMbr();
+    side.fixed = Entry{node.ComputeMbr(), page};
     side.child_level = static_cast<int16_t>(node.level);
     side.child_min_points = MinPointsOfNode(node, tree.min_entries());
     side.child_max_points = MaxPointsOfNode(node, tree.max_entries());
@@ -295,7 +295,12 @@ void CpqEngine::Expand(PageId page_p, const Node& node_p, PageId page_q,
                           choice == DescendChoice::kBoth ||
                               choice == DescendChoice::kSecondOnly,
                           tree_q_);
-  GenerateCandidates(p, q);
+  const bool heap = options_.algorithm == CpqAlgorithm::kHeap;
+  if (heap && objective_.SweepUsable()) {
+    SweepCandidates(p, q);
+  } else {
+    GenerateCandidates(p, q);
+  }
   if (TightensBound()) {
     TightenBoundFromCandidates(p, q);
     NoteBoundImprovement();
@@ -305,7 +310,6 @@ void CpqEngine::Expand(PageId page_p, const Node& node_p, PageId page_q,
   // its pair capacity. The heap takes only children with key <= T after
   // tightening, and STD's frame sort orders every child, so each scores
   // the tie chain of exactly the entries it builds.
-  const bool heap = options_.algorithm == CpqAlgorithm::kHeap;
   const bool score_ties =
       !options_.tie_chain.empty() &&
       (heap || options_.algorithm == CpqAlgorithm::kSortedDistances);
@@ -320,13 +324,7 @@ void CpqEngine::Expand(PageId page_p, const Node& node_p, PageId page_q,
         profile_->PrunedIneq1(PairLevel(p.child_level, q.child_level), 1);
       }
       if (trace_ != nullptr) {
-        obs::TraceEvent ev;
-        ev.kind = obs::TraceEventKind::kPrune;
-        ev.level_p = p.child_level;
-        ev.level_q = q.child_level;
-        ev.value = c.key;
-        ev.bound = bound_;
-        trace_->RecordNow(ev);
+        TracePrune(p.child_level, q.child_level, c.key, bound_);
       }
       continue;
     }
@@ -372,16 +370,21 @@ void CpqEngine::GenerateCandidates(const Side& p, const Side& q) {
   // Distinct parents already appear in exactly one orientation, inherited
   // from the ancestor where they split apart.
   const bool same_node = options_.self_join && p.page == q.page;
+  // Range-restricted objectives pre-prune subtrees that cannot contain a
+  // qualifying point (MBR strictly outside the query rect), testing each
+  // child once. Skipped children never enter the list, so the EXPLAIN
+  // accounting identity (considered = visited + pruned + deferred) holds
+  // as-is.
+  eligible_q_.resize(nq);
+  for (uint32_t j = 0; j < nq; ++j) {
+    eligible_q_[j] = objective_.SubtreeEligible(q.rect(j));
+  }
   for (uint32_t i = 0; i < np; ++i) {
     const Rect& rp = p.rect(i);
-    // Range-restricted objectives pre-prune subtrees that cannot contain a
-    // qualifying point (MBR strictly outside the query rect). Skipped
-    // children never enter the list, so the EXPLAIN accounting identity
-    // (considered = visited + pruned + deferred) holds as-is.
     if (!objective_.SubtreeEligible(rp)) continue;
     for (uint32_t j = 0; j < nq; ++j) {
+      if (!eligible_q_[j]) continue;
       const Rect& rq = q.rect(j);
-      if (!objective_.SubtreeEligible(rq)) continue;
       if (same_node && p.child_page(i) > q.child_page(j)) continue;
       child_keys_.push_back(ChildKey{objective_.NodeKey(rp, rq), i, j});
     }
@@ -393,6 +396,94 @@ void CpqEngine::GenerateCandidates(const Side& p, const Side& q) {
     profile_->Considered(PairLevel(p.child_level, q.child_level),
                          child_keys_.size());
   }
+}
+
+SweepList CpqEngine::EligibleChildren(const Side& side, int axis,
+                                      std::vector<uint32_t>* scratch) const {
+  static constexpr uint32_t kOnly = 0;
+  if (!side.expand) {
+    return SweepList{&side.fixed, &kOnly,
+                     objective_.SubtreeEligible(side.fixed.rect) ? 1u : 0u};
+  }
+  const std::vector<Entry>& entries = side.node->entries;
+  const uint32_t* order = SweepOrder(*side.node, axis, scratch);
+  if (!objective_.restricted()) {
+    return SweepList{entries.data(), order, entries.size()};
+  }
+  if (order != scratch->data()) scratch->assign(order, order + entries.size());
+  size_t kept = 0;
+  for (const uint32_t i : *scratch) {
+    if (objective_.SubtreeEligible(entries[i].rect)) (*scratch)[kept++] = i;
+  }
+  return SweepList{entries.data(), scratch->data(), kept};
+}
+
+void CpqEngine::SweepCandidates(const Side& p, const Side& q) {
+  child_keys_.clear();
+  // Self-join on one node: keep the page-ordered child pairs, as
+  // GenerateCandidates does.
+  const bool same_node = options_.self_join && p.page == q.page;
+  const SweepBox box(p.children(), p.size(), q.children(), q.size());
+  const int axis = box.WidestAxis();
+  const SweepList list_p = EligibleChildren(p, axis, &sweep_scratch_.a);
+  const SweepList list_q = EligibleChildren(q, axis, &sweep_scratch_.b);
+
+  // The cut is the T held before the expansion: a cut pair's key, at least
+  // its sweep-axis gap power, exceeds it, so the second pass would prune
+  // it, and the K > 1 tightening skips keys >= T. The K = 1 MINMAXDIST
+  // tightening is not gated that way: in L2 its rounding can put a pair's
+  // MINMAXDIST below its gap power by a few ulps of the pair's MAXMAXDIST²,
+  // which the box's squared diagonal bounds. Widening the cut by 2^-48
+  // times that diagonal leaves every cut pair's MINMAXDIST above T. L1 and
+  // Linf need no margin: each of their MINMAXDIST terms is at least the gap.
+  double cut = bound_;
+  if (options_.k == 1 && objective_.CanTightenFromCapacities() &&
+      options_.metric == Metric::kL2) {
+    cut = bound_ + 0x1p-48 * box.DiagonalSquared();
+  }
+  const auto index_p = [&](const Entry& e) {
+    return static_cast<uint32_t>(&e - list_p.entries);
+  };
+  const auto index_q = [&](const Entry& e) {
+    return static_cast<uint32_t>(&e - list_q.entries);
+  };
+  SweepPairs(
+      list_p, list_q, axis, options_.metric, /*strict=*/true,
+      [cut] { return cut; },
+      [&](const Entry& ep, const Entry& eq) {
+        if (same_node && ep.id > eq.id) return true;
+        child_keys_.push_back(ChildKey{objective_.NodeKey(ep.rect, eq.rect),
+                                       index_p(ep), index_q(eq)});
+        return true;
+      },
+      /*report_cut=*/trace_ != nullptr,
+      [&](const Entry& ep, const Entry& eq) {
+        if (same_node && ep.id > eq.id) return;
+        TracePrune(p.child_level, q.child_level,
+                   objective_.NodeKey(ep.rect, eq.rect), bound_);
+      });
+  const uint64_t generated =
+      same_node ? list_p.size * (list_p.size + 1) / 2
+                : static_cast<uint64_t>(list_p.size) * list_q.size;
+  const uint64_t cut_pairs = generated - child_keys_.size();
+  stats_->candidate_pairs_generated += generated;
+  stats_->candidate_pairs_pruned += cut_pairs;
+  if (profile_ != nullptr) {
+    const int level = PairLevel(p.child_level, q.child_level);
+    profile_->Considered(level, generated);
+    if (cut_pairs != 0) profile_->PrunedIneq1(level, cut_pairs);
+  }
+}
+
+void CpqEngine::TracePrune(int16_t level_p, int16_t level_q, double key,
+                           double bound) const {
+  obs::TraceEvent ev;
+  ev.kind = obs::TraceEventKind::kPrune;
+  ev.level_p = level_p;
+  ev.level_q = level_q;
+  ev.value = key;
+  ev.bound = bound;
+  trace_->RecordNow(ev);
 }
 
 void CpqEngine::TightenBoundFromCandidates(const Side& p, const Side& q) {

@@ -139,6 +139,8 @@ class CpqEngine {
 
  private:
   friend class ::kcpq::ResumableCpqQuery;
+  /// Test access to Expand and T (tests/sweep_expand_test.cc).
+  friend struct CpqEngineTestPeer;
 
   /// Brute-force distance scan of two leaves; feeds the result heap and
   /// tightens T. `same_node` drives the self-join duplicate rules. Fails
@@ -149,22 +151,21 @@ class CpqEngine {
 
   /// One side of an expansion: an expanded node yields its entries as the
   /// children, a fixed node yields itself (with its own page, computed MBR
-  /// and point counts).
+  /// and point counts) as its one child.
   struct Side {
     const Node* node;
     bool expand;
     PageId page;
-    Rect mbr;  // the fixed side's node MBR; unused when expanding
+    Entry fixed;  // the fixed side's {node MBR, page}; unused when expanding
     int16_t child_level;
     uint64_t child_min_points;
     uint64_t child_max_points;
     size_t size() const { return expand ? node->entries.size() : 1; }
-    const Rect& rect(uint32_t i) const {
-      return expand ? node->entries[i].rect : mbr;
+    const Entry* children() const {
+      return expand ? node->entries.data() : &fixed;
     }
-    PageId child_page(uint32_t i) const {
-      return expand ? node->entries[i].id : page;
-    }
+    const Rect& rect(uint32_t i) const { return children()[i].rect; }
+    PageId child_page(uint32_t i) const { return children()[i].id; }
   };
   /// A child pair of the expansion in hand: its key and the child index
   /// on each side (0 for a fixed side).
@@ -178,21 +179,45 @@ class CpqEngine {
                 const RStarTree& tree) const;
 
   /// Expands the read node pair (page_p, node_p) x (page_q, node_q) in two
-  /// passes. The first computes every child pair's key into child_keys_
-  /// (GenerateCandidates) and, for the algorithms that tighten, lowers T
-  /// from that list. The second builds frontier entries into `out`. kHeap
-  /// builds an entry only for a child with key <= T and pushes it onto the
-  /// heap `out`; the others are counted, profiled and traced as pruned in
-  /// the same loop. The recursive algorithms get an entry for every child,
-  /// in generation order, because they prune at descend time (and kNaive
-  /// never prunes). kHeap and kSortedDistances score the tie chain of each
-  /// entry they build.
+  /// passes. The first computes child pair keys into child_keys_ and, for
+  /// the algorithms that tighten, lowers T from that list. The second
+  /// builds frontier entries into `out`. kHeap builds an entry only for a
+  /// child with key <= T and pushes it onto the heap `out`; the others are
+  /// counted, profiled and traced as pruned in the same loop. The
+  /// recursive algorithms get an entry for every child, in generation
+  /// order, because they prune at descend time (and kNaive never prunes).
+  /// kHeap and kSortedDistances score the tie chain of each entry they
+  /// build.
+  ///
+  /// The first pass is SweepCandidates for kHeap under a sweepable
+  /// objective, else GenerateCandidates.
   void Expand(PageId page_p, const Node& node_p, PageId page_q,
               const Node& node_q, DescendChoice choice,
               std::vector<FrontierEntry>* out);
 
-  /// The first pass: the keys of the eligible child pairs of (p, q).
+  /// The first pass: the keys of every eligible child pair of (p, q), in
+  /// (i, j) order.
   void GenerateCandidates(const Side& p, const Side& q);
+
+  /// kHeap's first pass: a plane sweep over the eligible children of p
+  /// and q (cpq/leaf_kernel.h), cut at the T held before the expansion. A
+  /// child pair whose sweep-axis gap alone exceeds that T is counted as
+  /// pruned and its key is never computed; the keys of the others go to
+  /// child_keys_, in sweep order. Generated counts come from arithmetic.
+  /// Exact (docs/algorithms.md, "HEAP expansion as an axis sweep"): a cut
+  /// pair's key exceeds T in floating point, and under K = 1 the cut is
+  /// widened so that no cut pair's MINMAXDIST lies below T either.
+  void SweepCandidates(const Side& p, const Side& q);
+
+  /// `side`'s eligible children in ascending rect.lo[axis] order; the
+  /// order lives in the node or in `scratch`.
+  SweepList EligibleChildren(const Side& side, int axis,
+                             std::vector<uint32_t>* scratch) const;
+
+  /// Records a kPrune trace event for a child pair of key `key`, pruned
+  /// against `bound` (trace_ must be set).
+  void TracePrune(int16_t level_p, int16_t level_q, double key,
+                  double bound) const;
 
   /// Tightens T from Inequality-2-style guarantees over child_keys_.
   /// Minimizing: MINMAXDIST for K = 1, MAXMAXDIST count accumulation for
@@ -272,8 +297,10 @@ class CpqEngine {
   /// Scratch for the tighten keys of TightenBoundFromCandidates (avoids
   /// reallocating per node).
   std::vector<double> maxmax_scratch_;
-  /// Index orders for the plane-sweep leaf kernel's order-less leaves.
+  /// Index orders for the plane sweep's order-less nodes.
   SweepScratch sweep_scratch_;
+  /// GenerateCandidates' per-child SubtreeEligible results for q's side.
+  std::vector<uint8_t> eligible_q_;
 
   // --- lifecycle control state ---
   /// The query's context (options.context). All stop polls and resource

@@ -1,6 +1,8 @@
 // Plane-sweep leaf kernel, shared by every leaf/leaf (and object/object)
 // combination loop in the query engines (cpq/engine.cc, distance_join.cc,
-// hs/hs.cc, brute.cc).
+// hs/hs.cc, brute.cc). The same sweep (SweepPairs) enumerates the child
+// pairs of HEAP's node-pair expansion (CpqEngine::SweepCandidates), cut at
+// the pruning bound held before the expansion.
 //
 // Idea (classic in the closest-pair literature — the optimized
 // divide-and-conquer of Pereira & Lobo and the plane-sweep KCPQ variants
@@ -22,13 +24,13 @@
 // the same leaf pair — strictly better than the nested loop's behavior.
 //
 // Sort once, merge per pair: the kernel walks index orders of the two
-// leaves rather than sorted copies. A leaf read through a buffer frame
-// carries both axis orders (Node::axis_order, built once per residency),
-// so its sweep sorts nothing; a leaf without orders (a capacity-0 read, a
-// hand-built node) has its sweep axis ordered into the caller's
-// SweepScratch, at the cost of the sort it replaces. Both orders are the
-// permutation std::sort yields on the entries (SortAxisOrder), so the
-// visit order is the same either way.
+// nodes rather than sorted copies. A node the engines read through a
+// buffer frame carries every axis order (Node::axis_order, built once per
+// residency), so its sweep sorts nothing; a node without orders (a
+// capacity-0 read, a hand-built node) has its sweep axis ordered into the
+// caller's SweepScratch, at the cost of the sort it replaces. Both orders
+// are the permutation std::sort yields on the entries (SortAxisOrder), so
+// the visit order is the same either way.
 //
 // Pair coverage: each cross pair (a, b) is visited exactly once, by
 // whichever side enters the sweep first (smaller lo on the sweep axis; ties
@@ -47,6 +49,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "geometry/minkowski.h"
@@ -56,39 +59,67 @@
 namespace kcpq {
 namespace cpq_internal {
 
-/// Reusable index buffers for leaves that arrive without axis orders.
+/// Reusable index buffers for nodes that arrive without axis orders.
 struct SweepScratch {
   std::vector<uint32_t> a;
   std::vector<uint32_t> b;
 };
 
-/// The axis along which the union of both nodes' extents is largest —
-/// maximizing spread maximizes the chance the axis test fires early.
-inline int BestSweepAxis(const Node& a, const Node& b) {
-  double lo[kDims], hi[kDims];
-  for (int d = 0; d < kDims; ++d) {
-    lo[d] = std::numeric_limits<double>::infinity();
-    hi[d] = -std::numeric_limits<double>::infinity();
-  }
-  for (const Node* node : {&a, &b}) {
-    for (const Entry& e : node->entries) {
-      for (int d = 0; d < kDims; ++d) {
-        lo[d] = std::min(lo[d], e.rect.lo[d]);
-        hi[d] = std::max(hi[d], e.rect.hi[d]);
+/// One side of a sweep: `size` entries visited in `order`, ascending by
+/// rect.lo on the sweep axis.
+struct SweepList {
+  const Entry* entries = nullptr;
+  const uint32_t* order = nullptr;
+  size_t size = 0;
+  const Entry& operator[](size_t r) const { return entries[order[r]]; }
+};
+
+/// The per-axis union extent of two entry arrays.
+struct SweepBox {
+  double lo[kDims];
+  double hi[kDims];
+
+  SweepBox(const Entry* a, size_t na, const Entry* b, size_t nb) {
+    for (int d = 0; d < kDims; ++d) {
+      lo[d] = std::numeric_limits<double>::infinity();
+      hi[d] = -std::numeric_limits<double>::infinity();
+    }
+    for (const auto& [entries, n] : {std::pair{a, na}, std::pair{b, nb}}) {
+      for (size_t i = 0; i < n; ++i) {
+        for (int d = 0; d < kDims; ++d) {
+          lo[d] = std::min(lo[d], entries[i].rect.lo[d]);
+          hi[d] = std::max(hi[d], entries[i].rect.hi[d]);
+        }
       }
     }
   }
-  int best = 0;
-  double best_spread = -1.0;
-  for (int d = 0; d < kDims; ++d) {
-    const double spread = hi[d] - lo[d];
-    if (spread > best_spread) {
-      best_spread = spread;
-      best = d;
+
+  /// The axis along which the extent is largest — maximizing spread
+  /// maximizes the chance the axis test fires early.
+  int WidestAxis() const {
+    int best = 0;
+    double best_spread = -1.0;
+    for (int d = 0; d < kDims; ++d) {
+      const double spread = hi[d] - lo[d];
+      if (spread > best_spread) {
+        best_spread = spread;
+        best = d;
+      }
     }
+    return best;
   }
-  return best;
-}
+
+  /// Sum over axes of the squared extent: bounds MAXMAXDIST² of every
+  /// pair of rects inside the box, as computed in floating point.
+  double DiagonalSquared() const {
+    double sum = 0.0;
+    for (int d = 0; d < kDims; ++d) {
+      const double e = hi[d] - lo[d];
+      sum += e * e;
+    }
+    return sum;
+  }
+};
 
 /// `node`'s entries in ascending rect.lo[axis] order: its prebuilt order
 /// when it has one, else one sorted into `scratch`.
@@ -100,65 +131,89 @@ inline const uint32_t* SweepOrder(const Node& node, int axis,
   return scratch->data();
 }
 
-/// Sweeps `a` x `b` and calls `visit(a_entry, b_entry)` for every pair
-/// whose sweep-axis separation does not already violate `bound()` (power
-/// space). `strict` selects the violation test: with strict = false a pair
-/// is skipped when AxisGapPow >= bound (for engines that discard distances
-/// >= bound, like the K-CPQ result heap); with strict = true only when
-/// AxisGapPow > bound (for the ε-join, whose results include distance ==
-/// epsilon exactly). `visit` returns false to abort. Returns the number of
-/// pairs visited, so callers can account skips as |a|·|b| − visited.
-template <typename BoundFn, typename VisitFn>
-uint64_t PlaneSweepPairs(const Node& a, const Node& b, Metric metric,
-                         bool strict, SweepScratch* scratch, BoundFn bound,
-                         VisitFn visit) {
-  const int axis = BestSweepAxis(a, b);
-  const uint32_t* order_a = SweepOrder(a, axis, &scratch->a);
-  const uint32_t* order_b = SweepOrder(b, axis, &scratch->b);
-  const size_t na = a.entries.size();
-  const size_t nb = b.entries.size();
-  const auto at_a = [&](size_t i) -> const Entry& {
-    return a.entries[order_a[i]];
-  };
-  const auto at_b = [&](size_t j) -> const Entry& {
-    return b.entries[order_b[j]];
-  };
-
+/// The one sweep behind the leaf kernel and HEAP's node-pair expansion.
+/// Visits `a` x `b` in sweep order along `axis` and calls
+/// `visit(a_entry, b_entry)` for every pair whose axis separation does not
+/// already violate `cut()` (power space). `strict` selects the violation
+/// test: with strict = false a pair is cut when AxisGapPow >= cut (for
+/// engines that discard keys >= the bound, like the K-CPQ result heap);
+/// with strict = true only when AxisGapPow > cut (the ε-join keeps
+/// distance == ε, and HEAP keeps child pairs with key == T). `visit`
+/// returns false to abort. Once a reference's scan is cut, every later
+/// entry of the other list is cut too (their gaps only grow, and the cut
+/// never rises); with `report_cut` each such pair is passed to
+/// `on_cut(a_entry, b_entry)`, otherwise the scan just stops. Returns the
+/// number of pairs visited, so callers can account cuts as
+/// |a|·|b| − visited.
+///
+/// Exactness: the gap is `b.lo - a.hi` or `a.lo - b.hi`, the expression
+/// MinMinDistSquared / MinMinDistPow use for that axis, so a pair's
+/// power-space MINMINDIST is never below its AxisGapPow in floating point
+/// (a sum or max of non-negative terms is at least each term).
+template <typename CutFn, typename VisitFn, typename OnCutFn>
+uint64_t SweepPairs(const SweepList& a, const SweepList& b, int axis,
+                    Metric metric, bool strict, CutFn cut, VisitFn visit,
+                    bool report_cut, OnCutFn on_cut) {
   // The axis separation between the reference and a later entry of the
   // other list: positive only when the later entry starts past the
   // reference's upper face, in which case it is the exact axis gap.
-  const auto beyond_bound = [&](double ref_hi, const Entry& other) {
+  const auto beyond = [&](double ref_hi, const Entry& other) {
     const double gap = other.rect.lo[axis] - ref_hi;
     if (gap <= 0.0) return false;
     const double axis_pow = AxisGapPow(gap, metric);
-    const double t = bound();
+    const double t = cut();
     return strict ? axis_pow > t : axis_pow >= t;
   };
 
   uint64_t visited = 0;
   size_t i = 0, j = 0;
-  while (i < na && j < nb) {
-    if (at_a(i).rect.lo[axis] <= at_b(j).rect.lo[axis]) {
-      const Entry& ref = at_a(i);
+  while (i < a.size && j < b.size) {
+    if (a[i].rect.lo[axis] <= b[j].rect.lo[axis]) {
+      const Entry& ref = a[i];
       const double ref_hi = ref.rect.hi[axis];
-      for (size_t jj = j; jj < nb; ++jj) {
-        if (beyond_bound(ref_hi, at_b(jj))) break;
+      size_t jj = j;
+      for (; jj < b.size && !beyond(ref_hi, b[jj]); ++jj) {
         ++visited;
-        if (!visit(ref, at_b(jj))) return visited;
+        if (!visit(ref, b[jj])) return visited;
+      }
+      if (report_cut) {
+        for (; jj < b.size; ++jj) on_cut(ref, b[jj]);
       }
       ++i;
     } else {
-      const Entry& ref = at_b(j);
+      const Entry& ref = b[j];
       const double ref_hi = ref.rect.hi[axis];
-      for (size_t ii = i; ii < na; ++ii) {
-        if (beyond_bound(ref_hi, at_a(ii))) break;
+      size_t ii = i;
+      for (; ii < a.size && !beyond(ref_hi, a[ii]); ++ii) {
         ++visited;
-        if (!visit(at_a(ii), ref)) return visited;
+        if (!visit(a[ii], ref)) return visited;
+      }
+      if (report_cut) {
+        for (; ii < a.size; ++ii) on_cut(a[ii], ref);
       }
       ++j;
     }
   }
   return visited;
+}
+
+/// The leaf kernel: SweepPairs over two whole nodes along their widest
+/// axis, re-reading `bound()` on every cut test and reporting no cut
+/// pairs. `visit` returns false to abort. Returns the number of pairs
+/// visited.
+template <typename BoundFn, typename VisitFn>
+uint64_t PlaneSweepPairs(const Node& a, const Node& b, Metric metric,
+                         bool strict, SweepScratch* scratch, BoundFn bound,
+                         VisitFn visit) {
+  const int axis = SweepBox(a.entries.data(), a.entries.size(),
+                            b.entries.data(), b.entries.size())
+                       .WidestAxis();
+  const SweepList list_a{a.entries.data(), SweepOrder(a, axis, &scratch->a),
+                         a.entries.size()};
+  const SweepList list_b{b.entries.data(), SweepOrder(b, axis, &scratch->b),
+                         b.entries.size()};
+  return SweepPairs(list_a, list_b, axis, metric, strict, bound, visit,
+                    /*report_cut=*/false, [](const Entry&, const Entry&) {});
 }
 
 }  // namespace cpq_internal

@@ -110,9 +110,8 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
         best_.assign(node_p.entries.size(),
                      std::numeric_limits<double>::infinity());
         best_entry_.assign(node_p.entries.size(), Entry{});
-        queue_ = decltype(queue_){};
-        queue_.push(
-            QueueItem{0.0, {tree_q_.root_page(), tree_q_.height() - 1}});
+        queue_.clear();
+        PushQueue(QueueItem{0.0, {tree_q_.root_page(), tree_q_.height() - 1}});
         phase_ = Phase::kGroupLoop;
         continue;
       }
@@ -121,8 +120,9 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
           phase_ = Phase::kGroupEmit;
           continue;
         }
-        const QueueItem item = queue_.top();
-        queue_.pop();
+        std::pop_heap(queue_.begin(), queue_.end(), std::greater<QueueItem>());
+        const QueueItem item = queue_.back();
+        queue_.pop_back();
         group_worst_ = *std::max_element(best_.begin(), best_.end());
         if (item.key > group_worst_) {  // no leaf point can improve
           phase_ = Phase::kGroupEmit;
@@ -157,11 +157,23 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
         const Node& leaf = reader_.node_p();
         const Node& node_q = reader_.node_q();
         if (node_q.IsLeaf()) {
-          for (const Entry& eq : node_q.entries) {
-            for (size_t i = 0; i < leaf.entries.size(); ++i) {
-              ++stats_->point_distance_computations;
-              const double d2 =
-                  MinMinDistSquared(leaf.entries[i].rect, eq.rect);
+          // Point by point, each seeing the Q entries in leaf order, so
+          // the first strictly closer entry stays its witness. A point
+          // whose best is already no farther than the Q leaf's MBR skips
+          // the leaf: no entry inside the MBR can be strictly closer, as
+          // each per-axis gap to an entry is at least the gap to the MBR
+          // in floating point too.
+          const Rect q_mbr = node_q.ComputeMbr();
+          const size_t nq = node_q.entries.size();
+          for (size_t i = 0; i < leaf.entries.size(); ++i) {
+            const Rect& rp = leaf.entries[i].rect;
+            if (MinMinDistSquared(rp, q_mbr) >= best_[i]) {
+              stats_->leaf_pairs_skipped += nq;
+              continue;
+            }
+            stats_->point_distance_computations += nq;
+            for (const Entry& eq : node_q.entries) {
+              const double d2 = MinMinDistSquared(rp, eq.rect);
               if (d2 < best_[i]) {
                 best_[i] = d2;
                 best_entry_[i] = eq;
@@ -175,7 +187,7 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
             // insertions are useless once every point has a closer
             // neighbor.
             if (key <= group_worst_) {
-              queue_.push(QueueItem{key, {eq.id, group_ref_.level - 1}});
+              PushQueue(QueueItem{key, {eq.id, group_ref_.level - 1}});
             }
           }
         }

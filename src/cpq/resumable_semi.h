@@ -28,7 +28,8 @@
 #define KCPQ_CPQ_RESUMABLE_SEMI_H_
 
 #include <cstdint>
-#include <queue>
+#include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "common/query_context.h"
@@ -85,6 +86,10 @@ class ResumableSemiQuery final : public ResumableTask {
     bool operator>(const QueueItem& other) const { return key > other.key; }
   };
 
+  void PushQueue(const QueueItem& item) {
+    queue_.push_back(item);
+    std::push_heap(queue_.begin(), queue_.end(), std::greater<QueueItem>());
+  }
   /// Ends the query with `s` (OK unless it failed).
   StepResult End(Status s);
 
@@ -113,9 +118,9 @@ class ResumableSemiQuery final : public ResumableTask {
   Rect leaf_mbr_;
   std::vector<double> best_;
   std::vector<Entry> best_entry_;
-  std::priority_queue<QueueItem, std::vector<QueueItem>,
-                      std::greater<QueueItem>>
-      queue_;
+  /// Min-heap on key (std::push_heap/pop_heap with std::greater, the
+  /// order std::priority_queue keeps), reused across P leaves.
+  std::vector<QueueItem> queue_;
   double group_worst_ = 0.0;  // worst unresolved best at this pop
   PageRef group_ref_{kInvalidPageId, 0};
 

@@ -14,30 +14,6 @@ double MaxGapToInterval(double u, double lo, double hi) {
 
 }  // namespace
 
-double MinMinDistSquared(const Rect& a, const Rect& b) {
-  double sum = 0.0;
-  for (int d = 0; d < kDims; ++d) {
-    double gap = 0.0;
-    if (a.hi[d] < b.lo[d]) {
-      gap = b.lo[d] - a.hi[d];
-    } else if (b.hi[d] < a.lo[d]) {
-      gap = a.lo[d] - b.hi[d];
-    }
-    sum += gap * gap;
-  }
-  return sum;
-}
-
-double MaxMaxDistSquared(const Rect& a, const Rect& b) {
-  double sum = 0.0;
-  for (int d = 0; d < kDims; ++d) {
-    const double gap =
-        std::max(std::fabs(a.hi[d] - b.lo[d]), std::fabs(b.hi[d] - a.lo[d]));
-    sum += gap * gap;
-  }
-  return sum;
-}
-
 double MinMaxDistSquared(const Rect& a, const Rect& b) {
   // A face of `a` is (k, u): the set of points with coord[k] == u (where u is
   // a.lo[k] or a.hi[k]) and every other coordinate free within `a`. MAXDIST

@@ -21,6 +21,9 @@
 #ifndef KCPQ_GEOMETRY_METRICS_H_
 #define KCPQ_GEOMETRY_METRICS_H_
 
+#include <algorithm>
+#include <cmath>
+
 #include "geometry/point.h"
 #include "geometry/rect.h"
 
@@ -35,12 +38,36 @@ inline double DistanceSquared(const Point& a, const Point& b) {
 }
 
 /// Smallest possible squared distance between a point in `a` and a point in
-/// `b`. Zero when the rectangles intersect.
-double MinMinDistSquared(const Rect& a, const Rect& b);
+/// `b`. Zero when the rectangles intersect. Inline: every node-pair key and
+/// leaf-pair distance of the L2 engines runs through it. The per-axis gap
+/// is `b.lo - a.hi` or `a.lo - b.hi`, exactly the expression the plane
+/// sweep (cpq/leaf_kernel.h) tests, so the sum is never below the sweep
+/// axis's own term in floating point.
+inline double MinMinDistSquared(const Rect& a, const Rect& b) {
+  double sum = 0.0;
+  for (int d = 0; d < kDims; ++d) {
+    double gap = 0.0;
+    if (a.hi[d] < b.lo[d]) {
+      gap = b.lo[d] - a.hi[d];
+    } else if (b.hi[d] < a.lo[d]) {
+      gap = a.lo[d] - b.hi[d];
+    }
+    sum += gap * gap;
+  }
+  return sum;
+}
 
 /// Largest possible squared distance between a point in `a` and a point in
 /// `b` (attained at a pair of corners).
-double MaxMaxDistSquared(const Rect& a, const Rect& b);
+inline double MaxMaxDistSquared(const Rect& a, const Rect& b) {
+  double sum = 0.0;
+  for (int d = 0; d < kDims; ++d) {
+    const double gap =
+        std::max(std::fabs(a.hi[d] - b.lo[d]), std::fabs(b.hi[d] - a.lo[d]));
+    sum += gap * gap;
+  }
+  return sum;
+}
 
 /// Upper bound on the distance of at least one point pair (one point per
 /// rectangle), assuming both rectangles are *minimum* bounding rectangles.

@@ -74,19 +74,21 @@ double DistanceToPow(double distance, Metric metric) {
   return metric == Metric::kL2 ? distance * distance : distance;
 }
 
-double MinMinDistPow(const Rect& a, const Rect& b, Metric metric) {
-  if (metric == Metric::kL2) return MinMinDistSquared(a, b);
+namespace minkowski_internal {
+
+double MinMinDistPowNonL2(const Rect& a, const Rect& b, Metric metric) {
   Combiner c{metric};
   for (int d = 0; d < kDims; ++d) c.Add(Gap(a, b, d));
   return c.acc;
 }
 
-double MaxMaxDistPow(const Rect& a, const Rect& b, Metric metric) {
-  if (metric == Metric::kL2) return MaxMaxDistSquared(a, b);
+double MaxMaxDistPowNonL2(const Rect& a, const Rect& b, Metric metric) {
   Combiner c{metric};
   for (int d = 0; d < kDims; ++d) c.Add(MaxGap(a, b, d));
   return c.acc;
 }
+
+}  // namespace minkowski_internal
 
 double MinMaxDistPow(const Rect& a, const Rect& b, Metric metric) {
   if (metric == Metric::kL2) return MinMaxDistSquared(a, b);

@@ -11,7 +11,9 @@
 //
 // PowToDistance converts a power-space value to the true distance at
 // result-reporting time. The L2 functions delegate to the specialized
-// closed forms in metrics.h.
+// closed forms in metrics.h; MinMinDistPow and MaxMaxDistPow do so inline,
+// so the L2 engines' key computations compile to straight-line code, while
+// the L1/Linf forms stay out of line.
 
 #ifndef KCPQ_GEOMETRY_MINKOWSKI_H_
 #define KCPQ_GEOMETRY_MINKOWSKI_H_
@@ -49,10 +51,22 @@ double PowToDistance(double pow_value, Metric metric);
 /// True distance -> power-space value (inverse of PowToDistance).
 double DistanceToPow(double distance, Metric metric);
 
+namespace minkowski_internal {
+/// The L1/Linf (non-L2) branches of MinMinDistPow and MaxMaxDistPow.
+double MinMinDistPowNonL2(const Rect& a, const Rect& b, Metric metric);
+double MaxMaxDistPowNonL2(const Rect& a, const Rect& b, Metric metric);
+}  // namespace minkowski_internal
+
 /// Generalizations of the Section 2.3 MBR metrics; same contracts as the
 /// squared forms in metrics.h, in the metric's power space.
-double MinMinDistPow(const Rect& a, const Rect& b, Metric metric);
-double MaxMaxDistPow(const Rect& a, const Rect& b, Metric metric);
+inline double MinMinDistPow(const Rect& a, const Rect& b, Metric metric) {
+  if (metric == Metric::kL2) return MinMinDistSquared(a, b);
+  return minkowski_internal::MinMinDistPowNonL2(a, b, metric);
+}
+inline double MaxMaxDistPow(const Rect& a, const Rect& b, Metric metric) {
+  if (metric == Metric::kL2) return MaxMaxDistSquared(a, b);
+  return minkowski_internal::MaxMaxDistPowNonL2(a, b, metric);
+}
 double MinMaxDistPow(const Rect& a, const Rect& b, Metric metric);
 
 }  // namespace kcpq

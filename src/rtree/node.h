@@ -49,9 +49,9 @@ struct Entry {
 struct Node {
   int32_t level = 0;  // 0 = leaf; root level = tree height - 1
   std::vector<Entry> entries;
-  /// The leaf's per-axis sweep orders (BuildAxisOrders), or empty when not
+  /// The node's per-axis sweep orders (BuildAxisOrders), or empty when not
   /// built. DeserializeNode never builds them; a buffer frame does, once
-  /// per residency, for the leaves it decodes.
+  /// per residency, for the nodes the query engines read.
   std::vector<uint32_t> axis_order;
 
   bool IsLeaf() const { return level == 0; }

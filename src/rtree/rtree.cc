@@ -99,7 +99,8 @@ Status RStarTree::ReadMeta() {
 }
 
 Status RStarTree::ReadNode(PageId page, Node* node, QueryContext* ctx) const {
-  return buffer_->ReadNode(page, node, ctx);
+  return buffer_->ReadNode(page, node, ctx, Waker(), nullptr,
+                           /*axis_orders=*/false);
 }
 
 Status RStarTree::TryReadNode(PageId page, Node* node, QueryContext* ctx,

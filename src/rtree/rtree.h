@@ -137,7 +137,8 @@ class RStarTree {
   /// `ctx` is given the page is charged to that query's ResourceAccountant
   /// and the storage stack may abandon deadline-doomed retries (surfaced as
   /// kDeadlineExceeded — callers treat it as a deadline stop, not an
-  /// error).
+  /// error). The node carries no axis orders: insertion and the range/kNN
+  /// searches never sweep.
   Status ReadNode(PageId page, Node* node, QueryContext* ctx = nullptr) const;
 
   /// The node read of the CPQ, HS and Semi-CPQ state machines: forwards to
@@ -145,7 +146,8 @@ class RStarTree {
   /// not available — the waker is registered and the caller must retry
   /// after it fires; otherwise `*node` holds the decoded node and outcome
   /// carries the hit/miss accounting of the access. An empty `waker`
-  /// never parks: the read is exactly ReadNode's, plus the outcome.
+  /// never parks: the read is exactly ReadNode's, plus the outcome and,
+  /// for a node served from a buffer frame, its axis orders.
   Status TryReadNode(PageId page, Node* node, QueryContext* ctx,
                      const Waker& waker,
                      BufferManager::TryReadOutcome* outcome) const;

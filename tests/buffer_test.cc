@@ -1,5 +1,7 @@
 // Unit tests for the buffer manager and replacement policies.
 
+#include <algorithm>
+#include <list>
 #include <thread>
 #include <vector>
 
@@ -439,7 +441,7 @@ TEST(BufferManagerTest, UndecodablePageIsCorruptionOnEveryReadNode) {
   }
 }
 
-/// LRU that records every victim it chooses, across all shards.
+/// LRU that records every victim slot it chooses, across all shards.
 class RecordingLru : public ReplacementPolicy {
  public:
   explicit RecordingLru(std::vector<PageId>* victims)
@@ -504,7 +506,7 @@ TEST(BufferManagerTest, ReadNodeMatchesReadHitsMissesAndVictims) {
 
 // Four threads race on the first decode of every frame, round after
 // round (each round starts cold): every copy equals the page decoded on
-// its own, and every leaf arrives with its axis orders.
+// its own, and every node (internal ones too) arrives with its axis orders.
 TEST(BufferManagerTest, ConcurrentFirstDecodeStress) {
   testing::TreeFixture fx;
   KCPQ_ASSERT_OK(fx.Build(testing::MakeUniformItems(3000, 23)));
@@ -531,7 +533,7 @@ TEST(BufferManagerTest, ConcurrentFirstDecodeStress) {
           const Node& want = expected[i];
           bool same = s.ok() && node.level == want.level &&
                       node.entries.size() == want.entries.size() &&
-                      node.HasAxisOrders() == node.IsLeaf();
+                      node.HasAxisOrders();
           for (size_t e = 0; same && e < want.entries.size(); ++e) {
             same = node.entries[e].id == want.entries[e].id &&
                    node.entries[e].rect == want.entries[e].rect;
@@ -577,6 +579,94 @@ TEST(ResourceAccountantTest, ChargesEachDistinctPageOnce) {
   acct.ChargeBufferPage(7, 65, kPage);
   EXPECT_EQ(acct.distinct_pages(), 11u);
   EXPECT_EQ(acct.peak_total_bytes(), 11 * kPage);
+}
+
+// The slot-indexed LRU and FIFO against a std::list reference (front =
+// most recent, back = victim) over a seeded trace of one million inserts,
+// hits, erases (of resident and absent slots) and victim choices.
+TEST(ReplacementPolicyTest, SlotListsMatchStdListReference) {
+  for (const bool lru : {true, false}) {
+    std::unique_ptr<ReplacementPolicy> policy =
+        lru ? MakeLruPolicy() : MakeFifoPolicy();
+    std::list<FrameSlot> reference;
+    std::vector<FrameSlot> resident;
+    std::vector<bool> is_resident(512, false);
+    Xoshiro256pp rng(lru ? 11 : 12);
+    uint64_t victims = 0;
+    for (int op = 0; op < 1000000; ++op) {
+      const uint64_t kind = rng.NextBounded(8);
+      if (kind < 3) {  // insert a non-resident slot
+        const FrameSlot slot = rng.NextBounded(is_resident.size());
+        if (is_resident[slot]) continue;
+        policy->OnInsert(slot);
+        reference.push_front(slot);
+        is_resident[slot] = true;
+        resident.push_back(slot);
+      } else if (kind < 6) {  // hit a resident slot
+        if (resident.empty()) continue;
+        const FrameSlot slot = resident[rng.NextBounded(resident.size())];
+        policy->OnAccess(slot);
+        if (lru) {
+          reference.remove(slot);
+          reference.push_front(slot);
+        }
+      } else if (kind == 6) {  // erase any slot, resident or not
+        const FrameSlot slot = rng.NextBounded(is_resident.size() + 64);
+        policy->OnErase(slot);
+        if (slot < is_resident.size() && is_resident[slot]) {
+          reference.remove(slot);
+          is_resident[slot] = false;
+          resident.erase(std::find(resident.begin(), resident.end(), slot));
+        }
+      } else {  // evict
+        if (resident.empty()) continue;
+        const FrameSlot victim = policy->ChooseVictim();
+        ASSERT_EQ(victim, reference.back()) << "op " << op;
+        reference.pop_back();
+        is_resident[victim] = false;
+        resident.erase(std::find(resident.begin(), resident.end(), victim));
+        ++victims;
+      }
+    }
+    EXPECT_GT(victims, 50000u);
+    // Drain: the remaining order matches too.
+    while (!reference.empty()) {
+      ASSERT_EQ(policy->ChooseVictim(), reference.back());
+      reference.pop_back();
+    }
+  }
+}
+
+// Reads that never sweep (RStarTree::ReadNode: insertion, range, kNN) get
+// no axis orders and build none in the frame; the engines' reads
+// (TryReadNode) get every node's orders, built once per residency.
+TEST(BufferManagerTest, AxisOrdersOnlyForReadsThatSweep) {
+  testing::TreeFixture fx(/*buffer_pages=*/4096);
+  KCPQ_ASSERT_OK(fx.Build(testing::MakeUniformItems(2000, 29)));
+  KCPQ_ASSERT_OK(fx.buffer().FlushAndClear());
+  const std::vector<PageId> pages = NodePages(fx);
+  Node node;
+  for (const PageId id : pages) {
+    KCPQ_ASSERT_OK(fx.tree().ReadNode(id, &node));
+    EXPECT_TRUE(node.axis_order.empty()) << "page " << id;
+  }
+  for (int round = 0; round < 2; ++round) {
+    for (const PageId id : pages) {
+      BufferManager::TryReadOutcome outcome;
+      KCPQ_ASSERT_OK(fx.tree().TryReadNode(id, &node, nullptr, Waker(),
+                                           &outcome));
+      EXPECT_TRUE(outcome.hit);
+      ASSERT_TRUE(node.HasAxisOrders()) << "page " << id;
+      for (int d = 0; d < kDims; ++d) {
+        std::vector<uint32_t> want(node.entries.size());
+        SortAxisOrder(node.entries, d, want.data());
+        EXPECT_TRUE(std::equal(want.begin(), want.end(), node.AxisOrder(d)));
+      }
+    }
+    // A plain read after the orders exist still copies none.
+    KCPQ_ASSERT_OK(fx.tree().ReadNode(pages.front(), &node));
+    EXPECT_TRUE(node.axis_order.empty());
+  }
 }
 
 }  // namespace

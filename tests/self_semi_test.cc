@@ -1,8 +1,11 @@
 // Self-CPQ and Semi-CPQ (the paper's Section 6 future-work queries).
 
 #include <algorithm>
+#include <cmath>
+#include <map>
 #include <set>
 
+#include "common/random.h"
 #include "cpq/brute.h"
 #include "cpq/cpq.h"
 #include "gtest/gtest.h"
@@ -129,6 +132,47 @@ TEST_P(SemiCpqTest, MatchesBruteForceAllNearestNeighbors) {
 
 INSTANTIATE_TEST_SUITE_P(Overlaps, SemiCpqTest,
                          ::testing::Values(0.0, 0.5, 1.0));
+
+// Duplicate points on a coarse grid in both sets, so most points tie with
+// several nearest neighbours (often at distance 0): the per-point leaf
+// prune skips many pairs, and every point's distance equals brute force's
+// and its witness is one of brute force's tied nearest neighbours.
+TEST(SemiCpqTest, DuplicateGridTiesMatchBruteForce) {
+  const auto grid_items = [](size_t n, uint64_t seed, uint64_t first_id) {
+    Xoshiro256pp rng(seed);
+    std::vector<std::pair<Point, uint64_t>> items;
+    for (size_t i = 0; i < n; ++i) {
+      items.emplace_back(P(0.125 * static_cast<double>(rng.NextBounded(9)),
+                           0.125 * static_cast<double>(rng.NextBounded(9))),
+                         first_id + i);
+    }
+    return items;
+  };
+  const auto p_items = grid_items(600, 401, 0);
+  const auto q_items = grid_items(500, 402, 10000);
+  TreeFixture fp, fq;
+  KCPQ_ASSERT_OK(fp.Build(p_items));
+  KCPQ_ASSERT_OK(fq.Build(q_items));
+  CpqStats stats;
+  auto result = SemiClosestPairs(fp.tree(), fq.tree(), &stats);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const auto want = BruteForceSemiClosestPairs(p_items, q_items);
+  ASSERT_EQ(result.value().size(), want.size());
+  std::map<uint64_t, Point> q_points;
+  for (const auto& [q, id] : q_items) q_points[id] = q;
+  for (size_t i = 0; i < want.size(); ++i) {
+    const PairResult& got = result.value()[i];
+    EXPECT_EQ(got.p_id, want[i].p_id) << "rank " << i;
+    EXPECT_EQ(got.distance, want[i].distance) << "rank " << i;
+    // The witness is a nearest neighbour at exactly that distance.
+    ASSERT_EQ(q_points.count(got.q_id), 1u);
+    EXPECT_EQ(std::sqrt(SquaredDistance(got.p, q_points[got.q_id])),
+              want[i].distance)
+        << "rank " << i;
+    EXPECT_EQ(got.q, q_points[got.q_id]) << "rank " << i;
+  }
+  EXPECT_GT(stats.leaf_pairs_skipped, 0u);
+}
 
 TEST(SemiCpqTest, BatchedTraversalAmortizesAccesses) {
   // The group-NN implementation shares one Q descent per P leaf; with no
