@@ -7,6 +7,7 @@
 #include "bench/bench_util.h"
 #include "common/random.h"
 #include "geometry/metrics.h"
+#include "geometry/minkowski.h"
 #include "rtree/node.h"
 
 namespace kcpq {
@@ -35,7 +36,7 @@ void BM_MinMaxDist(benchmark::State& state) {
   Xoshiro256pp rng(2);
   const Rect a = RandomRectFor(rng), b = RandomRectFor(rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MinMaxDistSquared(a, b));
+    benchmark::DoNotOptimize(MinMaxDistPow(a, b, Metric::kL2));
   }
 }
 BENCHMARK(BM_MinMaxDist);

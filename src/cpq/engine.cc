@@ -428,19 +428,12 @@ void CpqEngine::SweepCandidates(const Side& p, const Side& q) {
   const SweepList list_p = EligibleChildren(p, axis, &sweep_scratch_.a);
   const SweepList list_q = EligibleChildren(q, axis, &sweep_scratch_.b);
 
-  // The cut is the T held before the expansion: a cut pair's key, at least
-  // its sweep-axis gap power, exceeds it, so the second pass would prune
-  // it, and the K > 1 tightening skips keys >= T. The K = 1 MINMAXDIST
-  // tightening is not gated that way: in L2 its rounding can put a pair's
-  // MINMAXDIST below its gap power by a few ulps of the pair's MAXMAXDIST²,
-  // which the box's squared diagonal bounds. Widening the cut by 2^-48
-  // times that diagonal leaves every cut pair's MINMAXDIST above T. L1 and
-  // Linf need no margin: each of their MINMAXDIST terms is at least the gap.
-  double cut = bound_;
-  if (options_.k == 1 && objective_.CanTightenFromCapacities() &&
-      options_.metric == Metric::kL2) {
-    cut = bound_ + 0x1p-48 * box.DiagonalSquared();
-  }
+  // The cut is the T held before the expansion. A cut pair's key is at
+  // least its sweep-axis gap power, which exceeds T, so the second pass
+  // would prune it; its tighten key (MINMAXDIST or MAXMAXDIST) is at least
+  // its key, so the gated tightening would skip it too. Both hold exactly
+  // in floating point (geometry/minkowski.h), for every metric.
+  const double cut = bound_;
   const auto index_p = [&](const Entry& e) {
     return static_cast<uint32_t>(&e - list_p.entries);
   };
@@ -491,57 +484,51 @@ void CpqEngine::TightenBoundFromCandidates(const Side& p, const Side& q) {
   // Range-restricted objectives cannot count pairs toward the bound: the
   // guaranteed pairs beneath a child pair may all lie outside the rect.
   if (!objective_.CanTightenFromCapacities()) return;
-  if (objective_.minimizing() && options_.k == 1) {
-    // 1-CPQ special case (Section 3.3): at least one point pair beneath
-    // each child pair lies within its MINMAXDIST. Not gated on key >= T
-    // like the loop below: MinMaxDistSquared's
-    // `maxgap2_sum - maxgap2[k] - maxgap2[l]` can round to one ulp below
-    // MINMINDIST, so MINMAXDIST >= key does not hold in floating point.
-    for (const ChildKey& c : child_keys_) {
-      bound_ = std::min(bound_, MinMaxDistPow(p.rect(c.i), q.rect(c.j),
-                                              options_.metric));
-    }
-    return;
-  }
-  if (options_.k > 1 && !options_.use_maxmaxdist_pruning) return;
-  // K > 1 (Section 3.8): every point pair beneath a child pair is within
-  // its MAXMAXDIST; accumulate child pairs in ascending MAXMAXDIST until
-  // the guaranteed pair count reaches K — that MAXMAXDIST bounds the K-th
-  // closest distance. kFarthest mirrors this in key space: every pair
-  // beneath a child pair is at least its MINMINDIST away, so the tighten
-  // key is -MINMINDIST and the same ascending accumulation (= descending
+  // K = 1 closest (Section 3.3): at least one point pair beneath each
+  // child pair lies within its MINMAXDIST, so the tighten key is MINMAXDIST
+  // and one child pair guarantees the one pair needed. K > 1 (Section 3.8):
+  // every point pair beneath a child pair is within its MAXMAXDIST;
+  // accumulate child pairs in ascending MAXMAXDIST until the guaranteed
+  // pair count reaches K — that MAXMAXDIST bounds the K-th closest
+  // distance. kFarthest mirrors this in key space: every pair beneath a
+  // child pair is at least its MINMINDIST away, so the tighten key is
+  // -MINMINDIST and the same ascending accumulation (= descending
   // MINMINDIST) bounds the K-th farthest distance from below. (For
   // kFarthest this covers K = 1 too — the exact mirror of MINMAXDIST.)
   // Every child pair of one expansion guarantees the same pair count.
+  // use_maxmaxdist_pruning switches off only the K > 1 accumulation.
   //
   // Gate: only tighten keys below T can lower it, so only those are
-  // computed, kept and selected. The gate rests on tighten key >= key, which
-  // holds exactly in floating point: per dimension MaxGap >= Gap (the
-  // separation |a.hi - b.lo| is the same double as b.lo - a.hi), and the
-  // L1/L2/Linf combiners are monotone, so MaxMaxDistPow >= MinMinDistPow
-  // (and -MINMINDIST >= -MAXMAXDIST for kFarthest). A child pair with
-  // key >= T therefore cannot contribute. The kept keys are the prefix of
-  // the full ascending list that lies below T; if that prefix never
-  // guarantees K pairs, the full list reaches K at a key >= T, and the
-  // min below leaves T unchanged either way.
-  const uint64_t min_pairs = p.child_min_points * q.child_min_points;
+  // computed, kept and selected. The gate rests on tighten key >= key,
+  // which holds exactly in floating point: MinMaxDistPow and MaxMaxDistPow
+  // are never below MinMinDistPow (and -MINMINDIST >= -MAXMAXDIST for
+  // kFarthest; geometry/minkowski.h). A child pair with key >= T therefore
+  // cannot contribute. The kept keys are the prefix of the full ascending
+  // list that lies below T; if that prefix never guarantees K pairs, the
+  // full list reaches K at a key >= T, and the min below leaves T
+  // unchanged either way.
+  const bool minmax = objective_.minimizing() && options_.k == 1;
+  if (!minmax && options_.k > 1 && !options_.use_maxmaxdist_pruning) return;
+  const uint64_t min_pairs =
+      minmax ? 1 : p.child_min_points * q.child_min_points;
   if (min_pairs == 0) return;
-  maxmax_scratch_.clear();
+  tighten_scratch_.clear();
   for (const ChildKey& c : child_keys_) {
     if (c.key >= bound_) continue;
     const Rect& rp = p.rect(c.i);
     const Rect& rq = q.rect(c.j);
     const double tighten_key =
-        objective_.minimizing() ? MaxMaxDistPow(rp, rq, options_.metric)
-                                : -MinMinDistPow(rp, rq, options_.metric);
-    if (tighten_key < bound_) maxmax_scratch_.push_back(tighten_key);
+        minmax                    ? MinMaxDistPow(rp, rq, options_.metric)
+        : objective_.minimizing() ? MaxMaxDistPow(rp, rq, options_.metric)
+                                  : -MinMinDistPow(rp, rq, options_.metric);
+    if (tighten_key < bound_) tighten_scratch_.push_back(tighten_key);
   }
   // The accumulation reaches K at the ceil(K / min_pairs)-th smallest key.
   const uint64_t needed =
       options_.k / min_pairs + (options_.k % min_pairs != 0 ? 1 : 0);
-  if (needed > maxmax_scratch_.size()) return;
-  const auto nth = maxmax_scratch_.begin() + static_cast<ptrdiff_t>(needed - 1);
-  std::nth_element(maxmax_scratch_.begin(), nth, maxmax_scratch_.end());
+  if (needed > tighten_scratch_.size()) return;
+  const auto nth = tighten_scratch_.begin() + static_cast<ptrdiff_t>(needed - 1);
+  std::nth_element(tighten_scratch_.begin(), nth, tighten_scratch_.end());
   bound_ = std::min(bound_, *nth);
 }
 

@@ -296,7 +296,7 @@ class CpqEngine {
   TieTail tie_tail_;
   /// Scratch for the tighten keys of TightenBoundFromCandidates (avoids
   /// reallocating per node).
-  std::vector<double> maxmax_scratch_;
+  std::vector<double> tighten_scratch_;
   /// Index orders for the plane sweep's order-less nodes.
   SweepScratch sweep_scratch_;
   /// GenerateCandidates' per-child SubtreeEligible results for q's side.

@@ -108,17 +108,6 @@ struct SweepBox {
     }
     return best;
   }
-
-  /// Sum over axes of the squared extent: bounds MAXMAXDIST² of every
-  /// pair of rects inside the box, as computed in floating point.
-  double DiagonalSquared() const {
-    double sum = 0.0;
-    for (int d = 0; d < kDims; ++d) {
-      const double e = hi[d] - lo[d];
-      sum += e * e;
-    }
-    return sum;
-  }
 };
 
 /// `node`'s entries in ascending rect.lo[axis] order: its prebuilt order
@@ -149,7 +138,9 @@ inline const uint32_t* SweepOrder(const Node& node, int axis,
 /// Exactness: the gap is `b.lo - a.hi` or `a.lo - b.hi`, the expression
 /// MinMinDistSquared / MinMinDistPow use for that axis, so a pair's
 /// power-space MINMINDIST is never below its AxisGapPow in floating point
-/// (a sum or max of non-negative terms is at least each term).
+/// (a sum or max of non-negative terms is at least each term), and its
+/// MINMAXDIST and MAXMAXDIST never below its MINMINDIST
+/// (geometry/minkowski.h).
 template <typename CutFn, typename VisitFn, typename OnCutFn>
 uint64_t SweepPairs(const SweepList& a, const SweepList& b, int axis,
                     Metric metric, bool strict, CutFn cut, VisitFn visit,

@@ -1,4 +1,4 @@
-// MBR-to-MBR and point-to-MBR distance metrics (paper Section 2.3).
+// MBR-to-MBR distance metrics (paper Section 2.3).
 //
 // For two MBRs M_P, M_Q whose subtrees contain point sets P', Q':
 //
@@ -14,9 +14,13 @@
 // and a point on the other. The guaranteed points on f_P and f_Q are then at
 // distance <= MAXDIST(f_P, f_Q), which proves the bound.
 //
-// All functions return *squared* distances (see point.h for why). Each has
-// an O(dims^2)-or-better closed form here; tests/metrics_test.cc checks them
-// against the brute-force face/corner enumerations in metrics_reference.h.
+// This header holds the squared Euclidean (L2) forms of MINMINDIST and
+// MAXMAXDIST, inline because every L2 node-pair key and leaf-pair distance
+// runs through them (see point.h for why squared). MINMAXDIST has one
+// definition for every metric, MinMaxDistPow in minkowski.h. A point is
+// the degenerate rect Rect::FromPoint(p). tests/metrics_test.cc checks all
+// three against the brute-force face/corner enumerations in
+// metrics_reference.h.
 
 #ifndef KCPQ_GEOMETRY_METRICS_H_
 #define KCPQ_GEOMETRY_METRICS_H_
@@ -28,14 +32,6 @@
 #include "geometry/rect.h"
 
 namespace kcpq {
-
-/// Squared point-to-point distance — the leaf-loop fast path. Identical to
-/// SquaredDistance (point.h); this alias exists so hot loops that otherwise
-/// speak the Rect metric vocabulary (MinMinDistSquared et al.) can name the
-/// degenerate case explicitly.
-inline double DistanceSquared(const Point& a, const Point& b) {
-  return SquaredDistance(a, b);
-}
 
 /// Smallest possible squared distance between a point in `a` and a point in
 /// `b`. Zero when the rectangles intersect. Inline: every node-pair key and
@@ -68,22 +64,6 @@ inline double MaxMaxDistSquared(const Rect& a, const Rect& b) {
   }
   return sum;
 }
-
-/// Upper bound on the distance of at least one point pair (one point per
-/// rectangle), assuming both rectangles are *minimum* bounding rectangles.
-/// See file comment; min over all face pairs of the face-pair MAXDIST.
-double MinMaxDistSquared(const Rect& a, const Rect& b);
-
-/// Smallest possible squared distance between `p` and a point in `r`
-/// (MINDIST of Roussopoulos et al. 1995). Zero when `r` contains `p`.
-double MinDistSquared(const Point& p, const Rect& r);
-
-/// Largest possible squared distance between `p` and a point in `r`.
-double MaxDistSquared(const Point& p, const Rect& r);
-
-/// Upper bound on the distance from `p` to at least one indexed point in
-/// minimum bounding rectangle `r` (MINMAXDIST of Roussopoulos et al. 1995).
-double MinMaxDistSquared(const Point& p, const Rect& r);
 
 }  // namespace kcpq
 

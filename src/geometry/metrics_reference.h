@@ -1,7 +1,9 @@
 // Brute-force reference implementations of the Section 2.3 metrics, written
 // straight from their definitions (enumerating faces and corners). They are
-// exponential in kDims and exist to validate the closed forms in metrics.h;
-// property tests assert bit-level equality between the two on random inputs.
+// exponential in kDims and exist to validate the L2 closed forms in
+// metrics.h and minkowski.h. Both sides take maxima and minima of the same
+// per-axis sums, so tests/metrics_test.cc asserts bit-for-bit equality
+// between them (no tolerance) on unit, tall and thin, and far-offset rects.
 
 #ifndef KCPQ_GEOMETRY_METRICS_REFERENCE_H_
 #define KCPQ_GEOMETRY_METRICS_REFERENCE_H_

@@ -10,10 +10,18 @@
 //   kLinf : power = the Chebyshev distance itself
 //
 // PowToDistance converts a power-space value to the true distance at
-// result-reporting time. The L2 functions delegate to the specialized
-// closed forms in metrics.h; MinMinDistPow and MaxMaxDistPow do so inline,
-// so the L2 engines' key computations compile to straight-line code, while
-// the L1/Linf forms stay out of line.
+// result-reporting time. MinMinDistPow and MaxMaxDistPow delegate L2 to the
+// inline squared forms in metrics.h, so the L2 engines' key computations
+// compile to straight-line code, while the L1/Linf forms stay out of line.
+// MinMaxDistPow is the one MINMAXDIST, for every metric.
+//
+// Every function combines per-axis terms in axis order (L1 and L2 sum,
+// Linf takes the max), and each MINMAXDIST term lies between the axis's
+// MINMINDIST and MAXMAXDIST terms. Rounding is monotone, so for every rect
+// pair and every axis d
+//   AxisGapPow(gap_d) <= MinMinDistPow <= MinMaxDistPow <= MaxMaxDistPow
+// holds exactly in floating point. The pruning rules of cpq/engine.cc and
+// cpq/leaf_kernel.h rest on this chain.
 
 #ifndef KCPQ_GEOMETRY_MINKOWSKI_H_
 #define KCPQ_GEOMETRY_MINKOWSKI_H_
@@ -57,8 +65,8 @@ double MinMinDistPowNonL2(const Rect& a, const Rect& b, Metric metric);
 double MaxMaxDistPowNonL2(const Rect& a, const Rect& b, Metric metric);
 }  // namespace minkowski_internal
 
-/// Generalizations of the Section 2.3 MBR metrics; same contracts as the
-/// squared forms in metrics.h, in the metric's power space.
+/// Generalizations of the Section 2.3 MBR metrics (contracts in metrics.h),
+/// in the metric's power space.
 inline double MinMinDistPow(const Rect& a, const Rect& b, Metric metric) {
   if (metric == Metric::kL2) return MinMinDistSquared(a, b);
   return minkowski_internal::MinMinDistPowNonL2(a, b, metric);
@@ -67,6 +75,8 @@ inline double MaxMaxDistPow(const Rect& a, const Rect& b, Metric metric) {
   if (metric == Metric::kL2) return MaxMaxDistSquared(a, b);
   return minkowski_internal::MaxMaxDistPowNonL2(a, b, metric);
 }
+/// Min over face pairs of the face-pair MAXDIST (see metrics.h). Symmetric
+/// bit for bit: MinMaxDistPow(a, b) == MinMaxDistPow(b, a).
 double MinMaxDistPow(const Rect& a, const Rect& b, Metric metric);
 
 }  // namespace kcpq

@@ -121,6 +121,41 @@ TEST_F(CliTest, KcpAllAlgorithmsAgree) {
   }
 }
 
+// The tall, thin repro of cpq_test's TallThinNodesKeepTheClosestPairs
+// through the CLI: `kcp ... 1` prints the same pair under every algorithm
+// and metric.
+TEST_F(CliTest, KcpTallThinAllAlgorithmsAgree) {
+  const auto [p_items, q_items] = testing::MakeTallThinItems(3000, 2611);
+  for (const auto& [path, items] :
+       {std::pair{csv_p_, &p_items}, std::pair{csv_q_, &q_items}}) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    for (const auto& [pt, id] : *items) {
+      std::fprintf(f, "%.17g,%.17g\n", pt.coord[0], pt.coord[1]);
+    }
+    std::fclose(f);
+  }
+  std::string out;
+  KCPQ_ASSERT_OK(RunCli({"build", csv_p_, db_p_}, &out));
+  KCPQ_ASSERT_OK(RunCli({"build", csv_q_, db_q_}, &out));
+  for (const char* metric : {"l1", "l2", "linf"}) {
+    std::string baseline;
+    for (const char* algorithm : {"naive", "exh", "sim", "std", "heap"}) {
+      KCPQ_ASSERT_OK(RunCli({"kcp", db_p_, db_q_, "1",
+                             std::string("--algorithm=") + algorithm,
+                             std::string("--metric=") + metric},
+                            &out));
+      const std::string pairs = out.substr(0, out.find("# disk"));
+      if (baseline.empty()) {
+        baseline = pairs;
+        EXPECT_NE(pairs.find("dist="), std::string::npos) << metric;
+      } else {
+        EXPECT_EQ(pairs, baseline) << metric << " " << algorithm;
+      }
+    }
+  }
+}
+
 TEST_F(CliTest, KcpWithFlags) {
   BuildBoth("500");
   std::string out;

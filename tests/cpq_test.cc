@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "cpq/brute.h"
@@ -315,6 +316,62 @@ TEST(CpqTest, PruningOrdering) {
   options.algorithm = CpqAlgorithm::kSortedDistances;
   ASSERT_TRUE(KClosestPairs(fp.tree(), fq.tree(), options, &std_).ok());
   EXPECT_GE(exh.node_pairs_processed, std_.node_pairs_processed);
+}
+
+
+// Tall, thin node MBRs, where an L2 MINMAXDIST formed by subtracting from a
+// sum of squared extents cancels to 0: K = 1 then set T = 0 and SIM, STD
+// and HEAP returned no pair. Every algorithm, metric and K must return the
+// brute-force pairs bit for bit, and so must the self-join on the union.
+TEST(CpqTest, TallThinNodesKeepTheClosestPairs) {
+  const auto [p_items, q_items] = testing::MakeTallThinItems(3000, 2611);
+  TreeFixture fp, fq, fu;
+  KCPQ_ASSERT_OK(fp.Build(p_items));
+  KCPQ_ASSERT_OK(fq.Build(q_items));
+  std::vector<std::pair<Point, uint64_t>> u_items = p_items;
+  u_items.insert(u_items.end(), q_items.begin(), q_items.end());
+  KCPQ_ASSERT_OK(fu.Build(u_items));
+  const auto expect_same = [](const std::vector<PairResult>& got,
+                              const std::vector<PairResult>& want,
+                              const std::string& what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].p_id, want[i].p_id) << what << " rank " << i;
+      EXPECT_EQ(got[i].q_id, want[i].q_id) << what << " rank " << i;
+      EXPECT_EQ(got[i].distance, want[i].distance) << what << " rank " << i;
+    }
+  };
+  for (const Metric metric : {Metric::kL1, Metric::kL2, Metric::kLinf}) {
+    for (const size_t k : {size_t{1}, size_t{2}}) {
+      const auto want = BruteForceKClosestPairs(p_items, q_items, k,
+                                                /*self_join=*/false, metric);
+      ASSERT_EQ(want.size(), k);
+      for (const CpqAlgorithm algorithm : kAllAlgorithms) {
+        CpqOptions options;
+        options.algorithm = algorithm;
+        options.metric = metric;
+        options.k = k;
+        auto result = KClosestPairs(fp.tree(), fq.tree(), options);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        expect_same(result.value(), want,
+                    std::string(MetricName(metric)) + " " +
+                        CpqAlgorithmName(algorithm) + " K=" +
+                        std::to_string(k));
+      }
+    }
+    const auto want = BruteForceKClosestPairs(u_items, u_items, 1,
+                                              /*self_join=*/true, metric);
+    for (const CpqAlgorithm algorithm : kAllAlgorithms) {
+      CpqOptions options;
+      options.algorithm = algorithm;
+      options.metric = metric;
+      auto result = SelfKClosestPairs(fu.tree(), options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      expect_same(result.value(), want,
+                  std::string("self ") + MetricName(metric) + " " +
+                      CpqAlgorithmName(algorithm));
+    }
+  }
 }
 
 }  // namespace

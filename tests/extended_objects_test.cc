@@ -310,7 +310,7 @@ TEST(ExtendedObjectsTest, MixedPointAndRectTrees) {
   std::vector<double> want;
   for (const auto& [p, id] : items) {
     for (const auto& [r, rid] : rects) {
-      want.push_back(std::sqrt(MinDistSquared(p, r)));
+      want.push_back(std::sqrt(MinMinDistSquared(Rect::FromPoint(p), r)));
     }
   }
   std::sort(want.begin(), want.end());

@@ -1,6 +1,7 @@
-// Property tests for the Section 2.3 MBR metrics: hand-computed cases,
-// equality with the brute-force face/corner reference implementations, and
-// the paper's Inequalities 1 and 2 on sampled point sets.
+// Property tests for the Section 2.3 MBR metrics under L2: hand-computed
+// cases, bit-for-bit equality with the brute-force face/corner reference
+// implementations, and the paper's Inequalities 1 and 2 on sampled point
+// sets. A point is the degenerate rect Rect::FromPoint(p).
 
 #include <algorithm>
 #include <cmath>
@@ -9,6 +10,7 @@
 
 #include "geometry/metrics.h"
 #include "geometry/metrics_reference.h"
+#include "geometry/minkowski.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 
@@ -27,6 +29,39 @@ Rect R(double lx, double ly, double hx, double hy) {
   r.hi[0] = hx;
   r.hi[1] = hy;
   return r;
+}
+
+/// The one MINMAXDIST, in squared Euclidean space.
+double MinMaxDistL2(const Rect& a, const Rect& b) {
+  return MinMaxDistPow(a, b, Metric::kL2);
+}
+
+/// A rect in one of three shapes: the unit square's RandomRect; tall and
+/// thin (aspect ratio up to 1e12, either axis long); or a unit-scale rect
+/// offset to |x| ~ 1e15, where one ulp is 0.125.
+Rect ShapedRect(Xoshiro256pp& rng, int shape) {
+  switch (shape) {
+    case 0:
+      return RandomRect(rng);
+    case 1: {
+      const int thin = static_cast<int>(rng.NextBounded(2));
+      Rect r;
+      r.lo[thin] = 1e-2 * rng.NextDouble();
+      r.hi[thin] = r.lo[thin] + 1e-4 * (1.0 + 9.0 * rng.NextDouble());
+      r.lo[1 - thin] = 1e8 * rng.NextDouble();
+      r.hi[1 - thin] = r.lo[1 - thin] + 1e8 * rng.NextDouble();
+      return r;
+    }
+    default: {
+      const double shift = rng.NextBounded(2) == 0 ? 1e15 : -1e15;
+      Rect r = RandomRect(rng);
+      for (int d = 0; d < kDims; ++d) {
+        r.lo[d] = r.lo[d] * 64.0 + shift;
+        r.hi[d] = r.hi[d] * 64.0 + shift;
+      }
+      return r;
+    }
+  }
 }
 
 TEST(MetricsTest, MinMinDistDisjointRects) {
@@ -53,22 +88,31 @@ TEST(MetricsTest, MinMaxDistHandComputedAlignedSquares) {
   // Two unit squares side by side with a gap of 1 along x, same y-extent.
   // Best face pair: A's right edge (x=1) vs B's left edge (x=2);
   // MAXDIST over those parallel edges: dx=1, dy worst-case 1 -> 2.
-  EXPECT_DOUBLE_EQ(MinMaxDistSquared(R(0, 0, 1, 1), R(2, 0, 3, 1)), 2.0);
+  EXPECT_DOUBLE_EQ(MinMaxDistL2(R(0, 0, 1, 1), R(2, 0, 3, 1)), 2.0);
+}
+
+Rect Pt(double x, double y) { return Rect::FromPoint(P(x, y)); }
+
+TEST(MetricsTest, MinMaxDistTallThinDoesNotCancel) {
+  // Bottom face against bottom face: dy = 0, dx at most 3e-3. A form that
+  // subtracts from the sum of squared extents (~1e16) cancels this to 0.
+  EXPECT_DOUBLE_EQ(MinMaxDistL2(R(0, 0, 1e-3, 1e8), R(2e-3, 0, 3e-3, 1e8)),
+                   9e-6);
 }
 
 TEST(MetricsTest, PointRectMinDist) {
   const Rect r = R(1, 1, 3, 3);
-  EXPECT_DOUBLE_EQ(MinDistSquared(P(2, 2), r), 0.0);  // inside
-  EXPECT_DOUBLE_EQ(MinDistSquared(P(0, 2), r), 1.0);  // left of
-  EXPECT_DOUBLE_EQ(MinDistSquared(P(0, 0), r), 2.0);  // diagonal corner
-  EXPECT_DOUBLE_EQ(MinDistSquared(P(1, 1), r), 0.0);  // on boundary
+  EXPECT_DOUBLE_EQ(MinMinDistSquared(Pt(2, 2), r), 0.0);  // inside
+  EXPECT_DOUBLE_EQ(MinMinDistSquared(Pt(0, 2), r), 1.0);  // left of
+  EXPECT_DOUBLE_EQ(MinMinDistSquared(Pt(0, 0), r), 2.0);  // diagonal corner
+  EXPECT_DOUBLE_EQ(MinMinDistSquared(Pt(1, 1), r), 0.0);  // on boundary
 }
 
 TEST(MetricsTest, PointRectMaxDist) {
   const Rect r = R(0, 0, 2, 2);
-  EXPECT_DOUBLE_EQ(MaxDistSquared(P(0, 0), r), 8.0);
-  EXPECT_DOUBLE_EQ(MaxDistSquared(P(1, 1), r), 2.0);  // center -> corner
-  EXPECT_DOUBLE_EQ(MaxDistSquared(P(3, 1), r), 10.0);
+  EXPECT_DOUBLE_EQ(MaxMaxDistSquared(Pt(0, 0), r), 8.0);
+  EXPECT_DOUBLE_EQ(MaxMaxDistSquared(Pt(1, 1), r), 2.0);  // center -> corner
+  EXPECT_DOUBLE_EQ(MaxMaxDistSquared(Pt(3, 1), r), 10.0);
 }
 
 TEST(MetricsTest, PointRectMinMaxDistRoussopoulos) {
@@ -77,7 +121,7 @@ TEST(MetricsTest, PointRectMinMaxDistRoussopoulos) {
   const Rect r = R(1, 0, 2, 2);
   // k = x: (1-0)^2 + max(|0-0|,|0-2|)^2 = 1 + 4 = 5
   // k = y: (0-0)^2 + max(|0-1|,|0-2|)^2 = 0 + 4 = 4  -> min = 4
-  EXPECT_DOUBLE_EQ(MinMaxDistSquared(P(0, 0), r), 4.0);
+  EXPECT_DOUBLE_EQ(MinMaxDistL2(Pt(0, 0), r), 4.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -87,43 +131,46 @@ TEST(MetricsTest, PointRectMinMaxDistRoussopoulos) {
 class MetricsPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(MetricsPropertyTest, ClosedFormsMatchReferences) {
+  // Both sides combine the same per-axis differences in axis order, so
+  // they agree bit for bit, on tall, thin and far-offset rects too.
   Xoshiro256pp rng(GetParam());
-  for (int i = 0; i < 500; ++i) {
-    const Rect a = RandomRect(rng);
-    const Rect b = RandomRect(rng);
-    EXPECT_NEAR(MinMinDistSquared(a, b), MinMinDistSquaredReference(a, b),
-                1e-12);
-    EXPECT_NEAR(MaxMaxDistSquared(a, b), MaxMaxDistSquaredReference(a, b),
-                1e-12);
-    EXPECT_NEAR(MinMaxDistSquared(a, b), MinMaxDistSquaredReference(a, b),
-                1e-12);
+  for (int shape = 0; shape < 3; ++shape) {
+    for (int i = 0; i < 500; ++i) {
+      const Rect a = ShapedRect(rng, shape);
+      const Rect b = ShapedRect(rng, shape);
+      EXPECT_EQ(MinMinDistSquared(a, b), MinMinDistSquaredReference(a, b));
+      EXPECT_EQ(MaxMaxDistSquared(a, b), MaxMaxDistSquaredReference(a, b));
+      EXPECT_EQ(MinMaxDistL2(a, b), MinMaxDistSquaredReference(a, b));
+    }
   }
 }
 
 TEST_P(MetricsPropertyTest, MetricOrderingHolds) {
-  // MINMINDIST <= MINMAXDIST <= MAXMAXDIST for every pair of rects.
+  // MINMINDIST <= MINMAXDIST <= MAXMAXDIST for every pair of rects, exactly.
   Xoshiro256pp rng(GetParam() ^ 0xabcdef);
-  for (int i = 0; i < 500; ++i) {
-    const Rect a = RandomRect(rng);
-    const Rect b = RandomRect(rng);
-    const double minmin = MinMinDistSquared(a, b);
-    const double minmax = MinMaxDistSquared(a, b);
-    const double maxmax = MaxMaxDistSquared(a, b);
-    EXPECT_LE(minmin, minmax + 1e-12);
-    EXPECT_LE(minmax, maxmax + 1e-12);
+  for (int shape = 0; shape < 3; ++shape) {
+    for (int i = 0; i < 500; ++i) {
+      const Rect a = ShapedRect(rng, shape);
+      const Rect b = ShapedRect(rng, shape);
+      const double minmin = MinMinDistSquared(a, b);
+      const double minmax = MinMaxDistL2(a, b);
+      const double maxmax = MaxMaxDistSquared(a, b);
+      EXPECT_LE(minmin, minmax);
+      EXPECT_LE(minmax, maxmax);
+    }
   }
 }
 
 TEST_P(MetricsPropertyTest, Symmetry) {
   Xoshiro256pp rng(GetParam() ^ 0x123456);
-  for (int i = 0; i < 300; ++i) {
-    const Rect a = RandomRect(rng);
-    const Rect b = RandomRect(rng);
-    EXPECT_DOUBLE_EQ(MinMinDistSquared(a, b), MinMinDistSquared(b, a));
-    EXPECT_DOUBLE_EQ(MaxMaxDistSquared(a, b), MaxMaxDistSquared(b, a));
-    // MINMAXDIST is mathematically symmetric; the precomputed-sum trick in
-    // the closed form reorders additions, so allow rounding noise.
-    EXPECT_NEAR(MinMaxDistSquared(a, b), MinMaxDistSquared(b, a), 1e-12);
+  for (int shape = 0; shape < 3; ++shape) {
+    for (int i = 0; i < 300; ++i) {
+      const Rect a = ShapedRect(rng, shape);
+      const Rect b = ShapedRect(rng, shape);
+      EXPECT_EQ(MinMinDistSquared(a, b), MinMinDistSquared(b, a));
+      EXPECT_EQ(MaxMaxDistSquared(a, b), MaxMaxDistSquared(b, a));
+      EXPECT_EQ(MinMaxDistL2(a, b), MinMaxDistL2(b, a));
+    }
   }
 }
 
@@ -163,7 +210,7 @@ TEST_P(MetricsPropertyTest, Inequality2OnMinimalMbrs) {
     }
     // Snap extreme points onto the MBR faces: already true by construction
     // (the MBR is computed from the points), so Inequality 2 must hold.
-    const double minmax = MinMaxDistSquared(a, b);
+    const double minmax = MinMaxDistL2(a, b);
     double best = std::numeric_limits<double>::infinity();
     for (const Point& pa : pas) {
       for (const Point& pb : pbs) {
@@ -175,26 +222,29 @@ TEST_P(MetricsPropertyTest, Inequality2OnMinimalMbrs) {
 }
 
 TEST_P(MetricsPropertyTest, PointMetricsAgreeWithDegenerateRects) {
-  // Point-vs-rect metrics must equal rect-vs-rect metrics on a degenerate
-  // rectangle (this equivalence is what lets the join algorithms treat
-  // points and MBRs uniformly).
+  // The engines pass a point to the rect metrics as Rect::FromPoint(p). On
+  // two such rects all three metrics equal the point distance exactly (this
+  // equivalence is what lets the join algorithms treat points and MBRs
+  // uniformly), and on a point and a rect they match the references.
   Xoshiro256pp rng(GetParam() ^ 0x5555);
   for (int i = 0; i < 300; ++i) {
     const Rect r = RandomRect(rng);
     const Point p = P(rng.NextDouble(), rng.NextDouble());
-    const Rect pr = Rect::FromPoint(p);
-    EXPECT_NEAR(MinDistSquared(p, r), MinMinDistSquared(pr, r), 1e-12);
-    EXPECT_NEAR(MaxDistSquared(p, r), MaxMaxDistSquared(pr, r), 1e-12);
-    // Point-point.
     const Point q = P(rng.NextDouble(), rng.NextDouble());
-    EXPECT_NEAR(SquaredDistance(p, q),
-                MinMinDistSquared(pr, Rect::FromPoint(q)), 1e-12);
+    const Rect pr = Rect::FromPoint(p);
+    const Rect qr = Rect::FromPoint(q);
+    EXPECT_EQ(MinMinDistSquared(pr, qr), SquaredDistance(p, q));
+    EXPECT_EQ(MinMaxDistL2(pr, qr), SquaredDistance(p, q));
+    EXPECT_EQ(MaxMaxDistSquared(pr, qr), SquaredDistance(p, q));
+    EXPECT_EQ(MinMinDistSquared(pr, r), MinMinDistSquaredReference(pr, r));
+    EXPECT_EQ(MinMaxDistL2(pr, r), MinMaxDistSquaredReference(pr, r));
+    EXPECT_EQ(MaxMaxDistSquared(pr, r), MaxMaxDistSquaredReference(pr, r));
   }
 }
 
 TEST_P(MetricsPropertyTest, PointMinMaxDistBoundsSampledMinimalSets) {
-  // Roussopoulos MINMAXDIST: some point of a minimal MBR's point set lies
-  // within it.
+  // Roussopoulos MINMAXDIST, as MINMAXDIST with a degenerate first rect:
+  // some point of a minimal MBR's point set lies within it.
   Xoshiro256pp rng(GetParam() ^ 0x9999);
   for (int i = 0; i < 100; ++i) {
     const Rect w = RandomRect(rng);
@@ -205,7 +255,7 @@ TEST_P(MetricsPropertyTest, PointMinMaxDistBoundsSampledMinimalSets) {
       mbr.Expand(pts.back());
     }
     const Point q = P(rng.NextDouble() * 3 - 1, rng.NextDouble() * 3 - 1);
-    const double minmax = MinMaxDistSquared(q, mbr);
+    const double minmax = MinMaxDistL2(Rect::FromPoint(q), mbr);
     double best = std::numeric_limits<double>::infinity();
     for (const Point& p : pts) best = std::min(best, SquaredDistance(q, p));
     ASSERT_LE(best, minmax + 1e-12);
@@ -220,7 +270,7 @@ TEST(MetricsTest, DegenerateRectPairs) {
   const Rect a = Rect::FromPoint(P(0, 0));
   const Rect b = Rect::FromPoint(P(3, 4));
   EXPECT_DOUBLE_EQ(MinMinDistSquared(a, b), 25.0);
-  EXPECT_DOUBLE_EQ(MinMaxDistSquared(a, b), 25.0);
+  EXPECT_DOUBLE_EQ(MinMaxDistL2(a, b), 25.0);
   EXPECT_DOUBLE_EQ(MaxMaxDistSquared(a, b), 25.0);
 }
 
@@ -230,7 +280,7 @@ TEST(MetricsTest, IdenticalRects) {
   // MAXMAX: the diagonal, twice over: corners (0,0)-(2,1).
   EXPECT_DOUBLE_EQ(MaxMaxDistSquared(a, a), 5.0);
   // MINMAX <= MAXMAX and >= 0.
-  const double mm = MinMaxDistSquared(a, a);
+  const double mm = MinMaxDistL2(a, a);
   EXPECT_GE(mm, 0.0);
   EXPECT_LE(mm, 5.0);
 }

@@ -58,7 +58,6 @@ TEST(MinkowskiMetricsTest, L2DelegatesToSquaredForms) {
     const Rect a = RandomRect(rng), b = RandomRect(rng);
     EXPECT_DOUBLE_EQ(MinMinDistPow(a, b, Metric::kL2), MinMinDistSquared(a, b));
     EXPECT_DOUBLE_EQ(MaxMaxDistPow(a, b, Metric::kL2), MaxMaxDistSquared(a, b));
-    EXPECT_DOUBLE_EQ(MinMaxDistPow(a, b, Metric::kL2), MinMaxDistSquared(a, b));
   }
 }
 
@@ -72,8 +71,8 @@ TEST_P(MinkowskiMetricPropertyTest, OrderingHolds) {
     const double minmin = MinMinDistPow(a, b, metric);
     const double minmax = MinMaxDistPow(a, b, metric);
     const double maxmax = MaxMaxDistPow(a, b, metric);
-    ASSERT_LE(minmin, minmax + 1e-12);
-    ASSERT_LE(minmax, maxmax + 1e-12);
+    ASSERT_LE(minmin, minmax);
+    ASSERT_LE(minmax, maxmax);
   }
 }
 
@@ -131,13 +130,26 @@ TEST_P(MinkowskiMetricPropertyTest, DegenerateRectsCollapseToPointDistance) {
   }
 }
 
-// The invariant the K-CPQ bound-tightening gate relies on
-// (CpqEngine::TightenBoundFromCandidates): MAXMAXDIST >= MINMINDIST holds
-// exactly in floating point, with no tolerance, for every rect pair.
+// The chain the K-CPQ pruning rules rely on (CpqEngine::SweepCandidates
+// and TightenBoundFromCandidates): for every rect pair and every axis,
+// AxisGapPow(gap) <= MINMINDIST <= MINMAXDIST <= MAXMAXDIST holds exactly
+// in floating point, with no tolerance, and MINMAXDIST is symmetric bit for
+// bit.
 TEST_P(MinkowskiMetricPropertyTest, MaxMaxNeverBelowMinMinExactly) {
   const Metric metric = GetParam();
   const auto expect_ordered = [metric](const Rect& a, const Rect& b) {
-    ASSERT_GE(MaxMaxDistPow(a, b, metric), MinMinDistPow(a, b, metric));
+    const double minmin = MinMinDistPow(a, b, metric);
+    const double minmax = MinMaxDistPow(a, b, metric);
+    const double maxmax = MaxMaxDistPow(a, b, metric);
+    for (int d = 0; d < kDims; ++d) {
+      const double gap = std::max(b.lo[d] - a.hi[d], a.lo[d] - b.hi[d]);
+      if (gap > 0.0) {
+        ASSERT_LE(AxisGapPow(gap, metric), minmin) << d;
+      }
+    }
+    ASSERT_LE(minmin, minmax);
+    ASSERT_LE(minmax, maxmax);
+    ASSERT_EQ(minmax, MinMaxDistPow(b, a, metric));
     ASSERT_GE(MaxMaxDistPow(b, a, metric), MinMinDistPow(b, a, metric));
   };
   const auto box = [](double x0, double y0, double x1, double y1) {
@@ -179,6 +191,16 @@ TEST_P(MinkowskiMetricPropertyTest, MaxMaxNeverBelowMinMinExactly) {
     expect_ordered(a, box(a.hi[0], b.lo[1], a.hi[0] + (b.hi[0] - b.lo[0]),
                           b.hi[1]));
     expect_ordered(a, box(a.hi[0], a.hi[1], a.hi[0] + 0.1, a.hi[1] + 0.3));
+    // Tall and thin (aspect ratio up to 1e12), side by side along the thin
+    // axis, and the same pair transposed.
+    const double w = 1e-4 * (1.0 + 9.0 * rng.NextDouble());
+    const double x0 = 1e-2 * rng.NextDouble();
+    const double x1 = x0 + w * (1.0 + 4.0 * rng.NextDouble());
+    const double y0 = 1e8 * rng.NextDouble();
+    const double y1 = 1e8 * rng.NextDouble();
+    const double h = 1e8 * (0.5 + 0.5 * rng.NextDouble());
+    expect_ordered(box(x0, y0, x0 + w, y0 + h), box(x1, y1, x1 + w, y1 + h));
+    expect_ordered(box(y0, x0, y0 + h, x0 + w), box(y1, x1, y1 + h, x1 + w));
   }
   // Fixed awkward values: non-representable decimals, tiny and huge
   // magnitudes, and separations that round.
@@ -186,7 +208,8 @@ TEST_P(MinkowskiMetricPropertyTest, MaxMaxNeverBelowMinMinExactly) {
       box(0.1, 0.2, 0.3, 0.7),      box(0.7, 0.1, 0.9, 0.3),
       box(1e-300, 0, 2e-300, 1e-300), box(-1e300, -1, 1e300, 1),
       box(1.0 / 3, 2.0 / 3, 1.0 / 3, 2.0 / 3), box(0.3, 0.7, 0.3, 0.7),
-      box(1e16, 1e16, 1e16 + 2, 1e16 + 4), box(-0.0, 0.0, 0.0, -0.0)};
+      box(1e16, 1e16, 1e16 + 2, 1e16 + 4), box(-0.0, 0.0, 0.0, -0.0),
+      box(0, 0, 1e-3, 1e8),         box(2e-3, 0, 3e-3, 1e8)};
   for (const Rect& a : fixed) {
     for (const Rect& b : fixed) expect_ordered(a, b);
   }

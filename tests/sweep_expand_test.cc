@@ -111,8 +111,8 @@ Outcome Oracle(const std::vector<Entry>& cp, const std::vector<Entry>& cq,
 }
 
 /// Child rects in one of four shapes: a coarse grid (touching and equal
-/// faces), one-ulp-apart neighbours, tall thin boxes strung along x (the
-/// L2 MINMAXDIST rounding case), or free boxes.
+/// faces), one-ulp-apart neighbours, tall thin boxes strung along x (where
+/// an L2 MINMAXDIST formed by subtraction cancels), or free boxes.
 Rect RandomChild(Xoshiro256pp& rng, int shape, double base_x) {
   Rect r;
   switch (shape) {
@@ -211,7 +211,7 @@ TEST(SweepExpandTest, MatchesFullGenerationOracle) {
 
   Xoshiro256pp rng(20041);
   uint64_t total_pruned = 0;
-  uint64_t margin_cases = 0;
+  uint64_t gap_checks = 0;
   int self_joins = 0;
   int traced = 0;
   constexpr int kTrials = 100000;
@@ -302,27 +302,24 @@ TEST(SweepExpandTest, MatchesFullGenerationOracle) {
       EXPECT_EQ(pruned_ineq1, want.pruned) << "trial " << trial;
     }
 
-    // The case the K = 1 margin exists for: an L2 pair whose gap power on
-    // some axis exceeds T while its rounded MINMAXDIST lies below T.
-    if (k == 1 && metric == Metric::kL2 && !rcp) {
-      for (const Entry& a : cp) {
-        for (const Entry& b : cq) {
-          if (same_node && a.id > b.id) continue;
-          for (int d = 0; d < kDims; ++d) {
-            const double gap =
-                std::max(b.rect.lo[d] - a.rect.hi[d], a.rect.lo[d] - b.rect.hi[d]);
-            if (gap > 0.0 && gap * gap > bound &&
-                MinMaxDistPow(a.rect, b.rect, Metric::kL2) < bound) {
-              ++margin_cases;
-            }
-          }
+    // What lets the cut skip the tightening: no child pair's MINMAXDIST
+    // is below any of its axis gap powers, exactly.
+    for (const Entry& a : cp) {
+      for (const Entry& b : cq) {
+        const double minmax = MinMaxDistPow(a.rect, b.rect, metric);
+        for (int d = 0; d < kDims; ++d) {
+          const double gap = std::max(b.rect.lo[d] - a.rect.hi[d],
+                                      a.rect.lo[d] - b.rect.hi[d]);
+          if (gap <= 0.0) continue;
+          ASSERT_GE(minmax, AxisGapPow(gap, metric)) << "trial " << trial;
+          ++gap_checks;
         }
       }
     }
   }
   // The trials reached what they exist for.
   EXPECT_GT(total_pruned, 100000u);
-  EXPECT_GT(margin_cases, 0u);
+  EXPECT_GT(gap_checks, 1000000u);
   EXPECT_GT(self_joins, 5000);
   EXPECT_GT(traced, 5000);
 }

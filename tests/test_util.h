@@ -80,6 +80,23 @@ inline std::vector<std::pair<Point, uint64_t>> MakeClusteredItems(
   return items;
 }
 
+/// Tall, thin point sets: P has x in [0, 1e-3], Q the same y values with x
+/// in [2e-3, 3e-3], y spread over [0, 1e8]. Their upper nodes are up to 1e11
+/// times taller than wide, so per-axis squared extents differ by ~1e22.
+/// P's ids are 0..n-1, Q's n..2n-1.
+inline std::pair<std::vector<std::pair<Point, uint64_t>>,
+                 std::vector<std::pair<Point, uint64_t>>>
+MakeTallThinItems(size_t n, uint64_t seed) {
+  Xoshiro256pp rng(seed);
+  std::vector<std::pair<Point, uint64_t>> p, q;
+  for (size_t i = 0; i < n; ++i) {
+    const double y = 1e8 * rng.NextDouble();
+    p.emplace_back(Point{{1e-3 * rng.NextDouble(), y}}, i);
+    q.emplace_back(Point{{2e-3 + 1e-3 * rng.NextDouble(), y}}, n + i);
+  }
+  return {p, q};
+}
+
 /// Random rectangle inside the unit square (lo <= hi per dimension).
 inline Rect RandomRect(Xoshiro256pp& rng, double max_side = 1.0) {
   Rect r;
