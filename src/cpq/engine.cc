@@ -296,8 +296,16 @@ void CpqEngine::Expand(PageId page_p, const Node& node_p, PageId page_q,
                               choice == DescendChoice::kSecondOnly,
                           tree_q_);
   const bool heap = options_.algorithm == CpqAlgorithm::kHeap;
-  if (heap && objective_.SweepUsable()) {
+  const bool sorted = options_.algorithm == CpqAlgorithm::kSortedDistances;
+  if (Prunes() && objective_.SweepUsable()) {
     SweepCandidates(p, q);
+    // EXH and SIM descend in generation order, and that order drives T.
+    if (!heap && !sorted) {
+      std::sort(child_keys_.begin(), child_keys_.end(),
+                [](const ChildKey& a, const ChildKey& b) {
+                  return a.i != b.i ? a.i < b.i : a.j < b.j;
+                });
+    }
   } else {
     GenerateCandidates(p, q);
   }
@@ -308,11 +316,9 @@ void CpqEngine::Expand(PageId page_p, const Node& node_p, PageId page_q,
 
   // The second pass. Every child of one expansion shares its levels and
   // its pair capacity. The heap takes only children with key <= T after
-  // tightening, and STD's frame sort orders every child, so each scores
-  // the tie chain of exactly the entries it builds.
-  const bool score_ties =
-      !options_.tie_chain.empty() &&
-      (heap || options_.algorithm == CpqAlgorithm::kSortedDistances);
+  // tightening, and STD's frame sort orders every child in the list, so
+  // each scores the tie chain of exactly the entries it builds.
+  const bool score_ties = !options_.tie_chain.empty() && (heap || sorted);
   const uint64_t max_pairs =
       SaturatingMul(p.child_max_points, q.child_max_points);
   const FrontierLess less = Less();
@@ -429,10 +435,11 @@ void CpqEngine::SweepCandidates(const Side& p, const Side& q) {
   const SweepList list_q = EligibleChildren(q, axis, &sweep_scratch_.b);
 
   // The cut is the T held before the expansion. A cut pair's key is at
-  // least its sweep-axis gap power, which exceeds T, so the second pass
-  // would prune it; its tighten key (MINMAXDIST or MAXMAXDIST) is at least
-  // its key, so the gated tightening would skip it too. Both hold exactly
-  // in floating point (geometry/minkowski.h), for every metric.
+  // least its sweep-axis gap power, which exceeds T, so HEAP's second pass
+  // would prune it, and so would the recursive algorithms' descend-time test
+  // (T never rises); its tighten key (MINMAXDIST or MAXMAXDIST) is at
+  // least its key, so the gated tightening would skip it too. All hold
+  // exactly in floating point (geometry/minkowski.h), for every metric.
   const double cut = bound_;
   const auto index_p = [&](const Entry& e) {
     return static_cast<uint32_t>(&e - list_p.entries);

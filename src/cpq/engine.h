@@ -184,13 +184,16 @@ class CpqEngine {
   /// builds frontier entries into `out`. kHeap builds an entry only for a
   /// child with key <= T and pushes it onto the heap `out`; the others are
   /// counted, profiled and traced as pruned in the same loop. The
-  /// recursive algorithms get an entry for every child, in generation
-  /// order, because they prune at descend time (and kNaive never prunes).
+  /// recursive algorithms get an entry for every child in the list, in
+  /// generation (i, j) order, because they prune at descend time (and
+  /// kNaive never prunes); kSortedDistances sorts its frame afterwards.
   /// kHeap and kSortedDistances score the tie chain of each entry they
   /// build.
   ///
-  /// The first pass is SweepCandidates for kHeap under a sweepable
-  /// objective, else GenerateCandidates.
+  /// The first pass is SweepCandidates for every pruning algorithm under a
+  /// sweepable objective, else (kNaive, kFarthest) GenerateCandidates.
+  /// EXH and SIM put the sweep's survivors back in generation order, since
+  /// their descent order drives T.
   void Expand(PageId page_p, const Node& node_p, PageId page_q,
               const Node& node_q, DescendChoice choice,
               std::vector<FrontierEntry>* out);
@@ -199,14 +202,16 @@ class CpqEngine {
   /// (i, j) order.
   void GenerateCandidates(const Side& p, const Side& q);
 
-  /// kHeap's first pass: a plane sweep over the eligible children of p
-  /// and q (cpq/leaf_kernel.h), cut at the T held before the expansion. A
-  /// child pair whose sweep-axis gap alone exceeds that T is counted as
-  /// pruned and its key is never computed; the keys of the others go to
-  /// child_keys_, in sweep order. Generated counts come from arithmetic.
-  /// Exact (docs/algorithms.md, "HEAP expansion as an axis sweep"): a cut
-  /// pair's key exceeds T in floating point, and under K = 1 the cut is
-  /// widened so that no cut pair's MINMAXDIST lies below T either.
+  /// The pruning algorithms' first pass: a plane sweep over the eligible
+  /// children of p and q (cpq/leaf_kernel.h), cut at the T held before the
+  /// expansion. A child pair whose sweep-axis gap alone exceeds that T is
+  /// counted, profiled and (with a trace, carrying that T) traced as
+  /// pruned here, at its own level, and its key is never computed; the
+  /// keys of the others go to child_keys_, in sweep order. Generated
+  /// counts come from arithmetic. Exact (docs/algorithms.md, "Node-pair
+  /// expansion as an axis sweep"): a cut pair's key exceeds T in floating
+  /// point, and T never rises, so HEAP's second pass and the recursive
+  /// algorithms' descend-time test would prune it too.
   void SweepCandidates(const Side& p, const Side& q);
 
   /// `side`'s eligible children in ascending rect.lo[axis] order; the

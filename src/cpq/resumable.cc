@@ -185,13 +185,7 @@ void ResumableCpqQuery::AdvanceRecursive() {
         e.profile_->PrunedIneq1(PairLevel(entry.level_p, entry.level_q), 1);
       }
       if (e.trace_ != nullptr) {
-        obs::TraceEvent ev;
-        ev.kind = obs::TraceEventKind::kPrune;
-        ev.level_p = entry.level_p;
-        ev.level_q = entry.level_q;
-        ev.value = entry.key;
-        ev.bound = e.bound_;
-        e.trace_->RecordNow(ev);
+        e.TracePrune(entry.level_p, entry.level_q, entry.key, e.bound_);
       }
       continue;
     }

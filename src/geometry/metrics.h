@@ -14,7 +14,8 @@
 // and a point on the other. The guaranteed points on f_P and f_Q are then at
 // distance <= MAXDIST(f_P, f_Q), which proves the bound.
 //
-// This header holds the squared Euclidean (L2) forms of MINMINDIST and
+// This header holds the per-axis MINMINDIST gap of every metric
+// (AxisMinGap) and the squared Euclidean (L2) forms of MINMINDIST and
 // MAXMAXDIST, inline because every L2 node-pair key and leaf-pair distance
 // runs through them (see point.h for why squared). MINMAXDIST has one
 // definition for every metric, MinMaxDistPow in minkowski.h. A point is
@@ -33,21 +34,27 @@
 
 namespace kcpq {
 
+/// The axis-`d` separation of `a` and `b`: the gap between the intervals
+/// when they are apart, +0.0 when they meet. One expression, with no
+/// branch in the source: when the intervals are apart one difference is
+/// the exact gap and the other is negative; when they meet both are <= 0
+/// and the outer max yields its first operand, +0.0, also for a -0.0
+/// difference (std::max(x, 0.0) would keep -0.0). Every MINMINDIST, for
+/// every metric, sums or maxes these terms.
+inline double AxisMinGap(const Rect& a, const Rect& b, int d) {
+  return std::max(0.0, std::max(b.lo[d] - a.hi[d], a.lo[d] - b.hi[d]));
+}
+
 /// Smallest possible squared distance between a point in `a` and a point in
 /// `b`. Zero when the rectangles intersect. Inline: every node-pair key and
-/// leaf-pair distance of the L2 engines runs through it. The per-axis gap
-/// is `b.lo - a.hi` or `a.lo - b.hi`, exactly the expression the plane
-/// sweep (cpq/leaf_kernel.h) tests, so the sum is never below the sweep
-/// axis's own term in floating point.
+/// leaf-pair distance of the L2 engines runs through it. A positive
+/// per-axis gap is `b.lo - a.hi` or `a.lo - b.hi`, exactly the expression
+/// the plane sweep (cpq/leaf_kernel.h) tests, so the sum is never below the
+/// sweep axis's own term in floating point.
 inline double MinMinDistSquared(const Rect& a, const Rect& b) {
   double sum = 0.0;
   for (int d = 0; d < kDims; ++d) {
-    double gap = 0.0;
-    if (a.hi[d] < b.lo[d]) {
-      gap = b.lo[d] - a.hi[d];
-    } else if (b.hi[d] < a.lo[d]) {
-      gap = a.lo[d] - b.hi[d];
-    }
+    const double gap = AxisMinGap(a, b, d);
     sum += gap * gap;
   }
   return sum;

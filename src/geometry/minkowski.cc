@@ -8,13 +8,6 @@ namespace kcpq {
 
 namespace {
 
-// Per-dimension separation gap (0 when the intervals meet).
-double Gap(const Rect& a, const Rect& b, int d) {
-  if (a.hi[d] < b.lo[d]) return b.lo[d] - a.hi[d];
-  if (b.hi[d] < a.lo[d]) return a.lo[d] - b.hi[d];
-  return 0.0;
-}
-
 // Per-dimension farthest separation.
 double MaxGap(const Rect& a, const Rect& b, int d) {
   return std::max(std::fabs(a.hi[d] - b.lo[d]), std::fabs(b.hi[d] - a.lo[d]));
@@ -115,7 +108,7 @@ namespace minkowski_internal {
 
 double MinMinDistPowNonL2(const Rect& a, const Rect& b, Metric metric) {
   Combiner c{metric};
-  for (int d = 0; d < kDims; ++d) c.Add(Gap(a, b, d));
+  for (int d = 0; d < kDims; ++d) c.Add(AxisMinGap(a, b, d));
   return c.acc;
 }
 

@@ -173,6 +173,27 @@ TEST(ExplainGoldenTest, ReportMatchesGoldenFile) {
               RenderExplainReport(MakeInputs(options, run), run.profile));
 }
 
+// The recursive algorithms' reports: their per-level tables count pruning
+// at expansion and at descend time, which the heap golden does not cover.
+TEST(ExplainGoldenTest, RecursiveReportsMatchGoldenFiles) {
+  const struct {
+    CpqAlgorithm algorithm;
+    const char* file;
+  } kCases[] = {{CpqAlgorithm::kSortedDistances, "explain_std_k10.txt"},
+                {CpqAlgorithm::kSimple, "explain_sim_k10.txt"},
+                {CpqAlgorithm::kExhaustive, "explain_exh_k10.txt"}};
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.file);
+    CpqOptions options;
+    options.algorithm = c.algorithm;
+    options.k = 10;
+    const ProfiledRun run = RunProfiledOptions(options, 2000);
+    ExpectIdentityHolds(run.profile);
+    CheckGolden(c.file,
+                RenderExplainReport(MakeInputs(options, run), run.profile));
+  }
+}
+
 TEST(ExplainGoldenTest, FarthestReportMatchesGoldenFile) {
   CpqOptions options;
   options.algorithm = CpqAlgorithm::kHeap;

@@ -1,7 +1,8 @@
 // Property tests for the Section 2.3 MBR metrics under L2: hand-computed
 // cases, bit-for-bit equality with the brute-force face/corner reference
-// implementations, and the paper's Inequalities 1 and 2 on sampled point
-// sets. A point is the degenerate rect Rect::FromPoint(p).
+// implementations (and, for the per-axis MINMINDIST gap, under L1 and Linf
+// too), and the paper's Inequalities 1 and 2 on sampled point sets. A
+// point is the degenerate rect Rect::FromPoint(p).
 
 #include <algorithm>
 #include <cmath>
@@ -142,6 +143,20 @@ TEST_P(MetricsPropertyTest, ClosedFormsMatchReferences) {
       EXPECT_EQ(MaxMaxDistSquared(a, b), MaxMaxDistSquaredReference(a, b));
       EXPECT_EQ(MinMaxDistL2(a, b), MinMaxDistSquaredReference(a, b));
     }
+  }
+  // Touching, nested and overlapping intervals, +-0.0 coordinates,
+  // one-ulp gaps and degenerate rects: every MINMINDIST gap is the
+  // reference's clamp form bit for bit under L1, L2 and Linf, and +0.0
+  // wherever the intervals meet.
+  for (int i = 0; i < 2000; ++i) {
+    const auto [a, b] = testing::GapEdgeCasePair(rng);
+    for (const Metric metric : {Metric::kL1, Metric::kL2, Metric::kLinf}) {
+      testing::ExpectMinMinBitExact(a, b, metric);
+    }
+    EXPECT_TRUE(testing::SameBits(MinMinDistSquared(a, b),
+                                  MinMinDistSquaredReference(a, b)));
+    EXPECT_EQ(MaxMaxDistSquared(a, b), MaxMaxDistSquaredReference(a, b));
+    EXPECT_EQ(MinMaxDistL2(a, b), MinMaxDistSquaredReference(a, b));
   }
 }
 

@@ -211,7 +211,18 @@ TEST_P(MinkowskiMetricPropertyTest, MaxMaxNeverBelowMinMinExactly) {
       box(1e16, 1e16, 1e16 + 2, 1e16 + 4), box(-0.0, 0.0, 0.0, -0.0),
       box(0, 0, 1e-3, 1e8),         box(2e-3, 0, 3e-3, 1e8)};
   for (const Rect& a : fixed) {
-    for (const Rect& b : fixed) expect_ordered(a, b);
+    for (const Rect& b : fixed) {
+      expect_ordered(a, b);
+      testing::ExpectMinMinBitExact(a, b, metric);
+    }
+  }
+  // Touching, nested and overlapping intervals, +-0.0 coordinates, one-ulp
+  // gaps and degenerate rects: the chain holds, and every MINMINDIST gap is
+  // exact and +0.0 where the intervals meet.
+  for (int i = 0; i < 2000; ++i) {
+    const auto [a, b] = testing::GapEdgeCasePair(rng);
+    expect_ordered(a, b);
+    testing::ExpectMinMinBitExact(a, b, metric);
   }
 }
 

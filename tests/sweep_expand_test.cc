@@ -1,22 +1,32 @@
-// HEAP's node-pair expansion as an axis sweep (cpq/engine.cc,
+// The pruning algorithms' node-pair expansion as an axis sweep (cpq/engine.cc,
 // CpqEngine::SweepCandidates) against the full generation it replaced:
-// every child pair's key computed, T tightened over all of them, then the
-// pairs with key > T pruned. The oracle below is that loop. Over 100,000
-// seeded node pairs — L1, L2 and Linf; K = 1 and K > 1; closest and
-// range-restricted; a self-join on one node; fixed sides; touching,
-// one-ulp-apart and elongated child MBRs; T at, one ulp around and between
-// keys and gap powers — the sweep must leave the same surviving child
-// keys, the same T after tightening, and the same generated and pruned
-// counts (and, with a trace attached, one kPrune event per pruned pair).
+// every child pair's key computed in (i, j) order, T tightened over all of
+// them, then the pairs with key > T pruned — by HEAP's second pass, or by
+// the recursive algorithms' descend-time test. The oracle below is that loop.
+// Over 100,000 seeded node pairs — L1, L2 and Linf; K = 1 and K > 1;
+// closest and range-restricted; a self-join on one node; fixed sides;
+// touching, one-ulp-apart and elongated child MBRs; T at, one ulp around
+// and between keys and gap powers — each node pair is expanded from the
+// same T by HEAP, EXH, SIM, STD and, on closest trials, the ε-join (EXH
+// with T fixed). Each expansion must leave the oracle's T after tightening
+// and its generated count. HEAP must keep the same surviving child
+// keys and pruned count. A recursive algorithm's frame must be the full list
+// minus the cut pairs, in generation order (STD: in its sorted order), each
+// cut pair with key > the T held before the expansion, and the cut pairs
+// plus those its descent would prune must be the oracle's pruned pairs.
+// With a trace attached, each pruned pair yields one kPrune event.
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "cpq/engine.h"
+#include "cpq/tie.h"
 #include "geometry/minkowski.h"
 #include "gtest/gtest.h"
 #include "obs/explain.h"
@@ -33,6 +43,7 @@ struct CpqEngineTestPeer {
                      std::vector<FrontierEntry>* out) {
     e.Expand(page_p, node_p, page_q, node_q, choice, out);
   }
+  static FrontierLess Less(const CpqEngine& e) { return e.Less(); }
 };
 
 namespace {
@@ -42,12 +53,11 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // A child pair that survives: (page p, page q, key).
 using Survivor = std::tuple<PageId, PageId, double>;
 
-/// What one expansion leaves behind.
-struct Outcome {
-  std::vector<Survivor> survivors;  // sorted
-  double bound = kInf;
-  uint64_t generated = 0;
-  uint64_t pruned = 0;
+/// What the full-generation loop leaves behind.
+struct Generation {
+  std::vector<FrontierEntry> pairs;  // every eligible child pair, (i, j) order
+  double bound = kInf;               // T after tightening
+  uint64_t pruned = 0;               // pairs with key > bound
 };
 
 /// A side's children as the engine sees them: an expanded node's entries,
@@ -57,57 +67,74 @@ std::vector<Entry> Children(const Node& node, PageId page, bool expand) {
   return {Entry{node.ComputeMbr(), page}};
 }
 
-/// The full-generation loop: every eligible child pair's key, T tightened
-/// over all of them (K = 1: MINMAXDIST; K > 1: the Section 3.8 count over
-/// MAXMAXDIST), then every pair with key > T pruned.
-Outcome Oracle(const std::vector<Entry>& cp, const std::vector<Entry>& cq,
-               uint64_t min_points_p, uint64_t min_points_q, bool same_node,
-               const QueryObjective& objective, size_t k, double bound) {
-  struct Pair {
-    double key;
-    size_t i, j;
-  };
-  std::vector<Pair> pairs;
+/// The full-generation loop: every eligible child pair's key (and, with a
+/// non-empty `tie_chain`, its first tie score) in (i, j) order; when
+/// `tighten`, T tightened over all of them (K = 1: MINMAXDIST; K > 1: the
+/// Section 3.8 count over MAXMAXDIST); then the pairs with key > T counted
+/// as pruned.
+Generation Oracle(const std::vector<Entry>& cp, const std::vector<Entry>& cq,
+                  uint64_t min_points_p, uint64_t min_points_q,
+                  bool same_node, const QueryObjective& objective, size_t k,
+                  double bound, bool tighten,
+                  const std::vector<TieCriterion>& tie_chain) {
+  Generation g;
+  std::vector<std::pair<size_t, size_t>> children;
   for (size_t i = 0; i < cp.size(); ++i) {
     if (!objective.SubtreeEligible(cp[i].rect)) continue;
     for (size_t j = 0; j < cq.size(); ++j) {
       if (!objective.SubtreeEligible(cq[j].rect)) continue;
       if (same_node && cp[i].id > cq[j].id) continue;
-      pairs.push_back({objective.NodeKey(cp[i].rect, cq[j].rect), i, j});
+      FrontierEntry e;
+      e.key = objective.NodeKey(cp[i].rect, cq[j].rect);
+      e.page_p = cp[i].id;
+      e.page_q = cq[j].id;
+      if (!tie_chain.empty()) {
+        double scores[kMaxTieChain];
+        ComputeTieScores(cp[i].rect, cq[j].rect, tie_chain, TieContext{},
+                         scores);
+        e.tie = scores[0];
+      }
+      g.pairs.push_back(e);
+      children.emplace_back(i, j);
     }
   }
   const Metric metric = objective.metric();
-  if (!pairs.empty() && objective.CanTightenFromCapacities()) {
+  if (tighten && !children.empty() && objective.CanTightenFromCapacities()) {
     if (k == 1) {
-      for (const Pair& c : pairs) {
-        bound = std::min(bound,
-                         MinMaxDistPow(cp[c.i].rect, cq[c.j].rect, metric));
+      for (const auto& [i, j] : children) {
+        bound = std::min(bound, MinMaxDistPow(cp[i].rect, cq[j].rect, metric));
       }
     } else {
-      std::vector<double> tighten;
-      for (const Pair& c : pairs) {
-        tighten.push_back(MaxMaxDistPow(cp[c.i].rect, cq[c.j].rect, metric));
+      std::vector<double> keys;
+      for (const auto& [i, j] : children) {
+        keys.push_back(MaxMaxDistPow(cp[i].rect, cq[j].rect, metric));
       }
-      std::sort(tighten.begin(), tighten.end());
+      std::sort(keys.begin(), keys.end());
       const uint64_t min_pairs = min_points_p * min_points_q;
       const uint64_t needed = (k + min_pairs - 1) / min_pairs;
-      if (needed <= tighten.size()) {
-        bound = std::min(bound, tighten[needed - 1]);
-      }
+      if (needed <= keys.size()) bound = std::min(bound, keys[needed - 1]);
     }
   }
-  Outcome out;
-  out.bound = bound;
-  out.generated = pairs.size();
-  for (const Pair& c : pairs) {
-    if (c.key > bound) {
-      ++out.pruned;
-    } else {
-      out.survivors.emplace_back(cp[c.i].id, cq[c.j].id, c.key);
-    }
+  g.bound = bound;
+  for (const FrontierEntry& e : g.pairs) g.pruned += e.key > bound;
+  return g;
+}
+
+/// The child pairs with key <= T, sorted.
+std::vector<Survivor> Survivors(const std::vector<FrontierEntry>& pairs,
+                                double bound) {
+  std::vector<Survivor> out;
+  for (const FrontierEntry& e : pairs) {
+    if (e.key <= bound) out.emplace_back(e.page_p, e.page_q, e.key);
   }
-  std::sort(out.survivors.begin(), out.survivors.end());
+  std::sort(out.begin(), out.end());
   return out;
+}
+
+/// Frame entries agree on what a frame holds: pages, key and tie score.
+bool SameEntry(const FrontierEntry& a, const FrontierEntry& b) {
+  return a.page_p == b.page_p && a.page_q == b.page_q && a.key == b.key &&
+         a.tie == b.tie;
 }
 
 /// Child rects in one of four shapes: a coarse grid (touching and equal
@@ -203,6 +230,26 @@ double PickBound(Xoshiro256pp& rng, const std::vector<Entry>& cp,
   }
 }
 
+/// The traversals that expand through the sweep. kJoin is the ε-join: EXH
+/// under a fixed T, with the strict cut.
+enum Traversal { kHeap, kExh, kSim, kStd, kJoin, kTraversals };
+
+constexpr CpqAlgorithm kAlgorithm[kTraversals] = {
+    CpqAlgorithm::kHeap, CpqAlgorithm::kExhaustive, CpqAlgorithm::kSimple,
+    CpqAlgorithm::kSortedDistances, CpqAlgorithm::kExhaustive};
+
+/// What one engine expansion leaves behind, and what its trace and
+/// profile saw.
+struct Expansion {
+  std::vector<FrontierEntry> out;  // STD: in its frame order
+  double bound = kInf;             // T after the expansion
+  CpqStats stats;
+  std::vector<double> prune_bounds;  // each kPrune event's T
+  uint64_t trace_dropped = 0;
+  uint64_t considered = 0;
+  uint64_t pruned_ineq1 = 0;
+};
+
 TEST(SweepExpandTest, MatchesFullGenerationOracle) {
   testing::TreeFixture fx;
   KCPQ_ASSERT_OK(fx.Build(testing::MakeUniformItems(50, 3)));
@@ -212,6 +259,8 @@ TEST(SweepExpandTest, MatchesFullGenerationOracle) {
   Xoshiro256pp rng(20041);
   uint64_t total_pruned = 0;
   uint64_t gap_checks = 0;
+  uint64_t cut[kTraversals] = {};
+  uint64_t descend_pruned[kTraversals] = {};
   int self_joins = 0;
   int traced = 0;
   constexpr int kTrials = 100000;
@@ -241,66 +290,114 @@ TEST(SweepExpandTest, MatchesFullGenerationOracle) {
     const bool expand_q = choice != DescendChoice::kFirstOnly;
     const std::vector<Entry> cp = Children(node_p, page_p, expand_p);
     const std::vector<Entry> cq = Children(node_q, page_q, expand_q);
+    // The T held before the expansion (for the ε-join, ε's power).
     const double bound = PickBound(rng, cp, cq, objective);
-
-    CpqOptions options;
-    options.algorithm = CpqAlgorithm::kHeap;
-    options.k = k;
-    options.metric = metric;
-    options.self_join = same_node;
-    QueryContext context;
-    obs::TraceBuffer trace(1 << 12);
-    obs::PruningProfile profile;
     const bool trace_this = trial % 16 == 0;
-    if (trace_this) {
-      context.set_trace(&trace);
-      context.set_profile(&profile);
-      options.context = &context;
-      ++traced;
-    }
-    CpqStats stats;
-    CpqEngine engine(tree, tree, options, objective, &stats);
-    CpqEngineTestPeer::Bound(engine) = bound;
-    std::vector<FrontierEntry> heap;
-    CpqEngineTestPeer::Expand(engine, page_p, node_p, page_q, node_q, choice,
-                              &heap);
-    Outcome got;
-    got.bound = CpqEngineTestPeer::Bound(engine);
-    got.generated = stats.candidate_pairs_generated;
-    got.pruned = stats.candidate_pairs_pruned;
-    for (const FrontierEntry& e : heap) {
-      got.survivors.emplace_back(e.page_p, e.page_q, e.key);
-    }
-    std::sort(got.survivors.begin(), got.survivors.end());
-
+    traced += trace_this;
     // Each side's children guarantee m points (a level-0 subtree); a fixed
     // level-1 node guarantees m per entry.
     const uint64_t min_p = expand_p ? m : node_p.entries.size() * m;
     const uint64_t min_q = expand_q ? m : node_q.entries.size() * m;
-    const Outcome want =
-        Oracle(cp, cq, min_p, min_q, same_node, objective, k, bound);
-    ASSERT_EQ(got.survivors, want.survivors) << "trial " << trial;
-    ASSERT_EQ(got.bound, want.bound) << "trial " << trial;
-    ASSERT_EQ(got.generated, want.generated) << "trial " << trial;
-    ASSERT_EQ(got.pruned, want.pruned) << "trial " << trial;
-    total_pruned += want.pruned;
-    self_joins += same_node;
 
-    if (trace_this) {
-      uint64_t prunes = 0;
-      for (const obs::TraceEvent& e : trace.Events()) {
-        prunes += e.kind == obs::TraceEventKind::kPrune;
+    // Every traversal expands this node pair from the same T. The ε-join
+    // has its own objective, unrestricted, so it runs on closest trials.
+    const QueryObjective join = QueryObjective::EpsilonJoin(metric, 0.0);
+    for (const Traversal traversal : {kHeap, kExh, kSim, kStd, kJoin}) {
+      if (traversal == kJoin && rcp) continue;
+      const QueryObjective& goal = traversal == kJoin ? join : objective;
+      CpqOptions options;
+      options.algorithm = kAlgorithm[traversal];
+      options.k = k;
+      options.metric = metric;
+      options.self_join = same_node;
+      QueryContext context;
+      obs::TraceBuffer trace(1 << 12);
+      obs::PruningProfile profile;
+      if (trace_this) {
+        context.set_trace(&trace);
+        context.set_profile(&profile);
+        options.context = &context;
       }
-      ASSERT_EQ(trace.dropped(), 0u);
-      EXPECT_EQ(prunes, want.pruned) << "trial " << trial;
-      uint64_t considered = 0, pruned_ineq1 = 0;
-      for (const obs::LevelPruningCounts& c : profile.levels()) {
-        considered += c.considered;
-        pruned_ineq1 += c.pruned_ineq1;
+      Expansion got;
+      CpqEngine engine(tree, tree, options, goal, &got.stats);
+      CpqEngineTestPeer::Bound(engine) = bound;
+      CpqEngineTestPeer::Expand(engine, page_p, node_p, page_q, node_q,
+                                choice, &got.out);
+      const FrontierLess less = CpqEngineTestPeer::Less(engine);
+      if (traversal == kStd) {
+        // STD's frame order (ResumableCpqQuery::ExpandIntoFrame).
+        std::sort(got.out.begin(), got.out.end(), less);
       }
-      EXPECT_EQ(considered, want.generated) << "trial " << trial;
-      EXPECT_EQ(pruned_ineq1, want.pruned) << "trial " << trial;
+      got.bound = CpqEngineTestPeer::Bound(engine);
+      if (trace_this) {
+        for (const obs::TraceEvent& e : trace.Events()) {
+          if (e.kind == obs::TraceEventKind::kPrune) {
+            got.prune_bounds.push_back(e.bound);
+          }
+        }
+        got.trace_dropped = trace.dropped();
+        for (const obs::LevelPruningCounts& c : profile.levels()) {
+          got.considered += c.considered;
+          got.pruned_ineq1 += c.pruned_ineq1;
+        }
+      }
+
+      const bool tighten = traversal != kExh && traversal != kJoin;
+      const bool scored = traversal == kHeap || traversal == kStd;
+      const Generation want =
+          Oracle(cp, cq, min_p, min_q, same_node, goal, k, bound, tighten,
+                 scored ? options.tie_chain : std::vector<TieCriterion>{});
+      const std::string where =
+          "trial " + std::to_string(trial) + " traversal " +
+          std::to_string(traversal);
+      ASSERT_EQ(got.bound, want.bound) << where;
+      ASSERT_EQ(got.stats.candidate_pairs_generated, want.pairs.size())
+          << where;
+      // The pairs counted as pruned during the expansion: HEAP's cut and
+      // second-pass prunes, a recursive algorithm's cut.
+      const uint64_t expansion_pruned = got.stats.candidate_pairs_pruned;
+      if (traversal == kHeap) {
+        ASSERT_EQ(Survivors(got.out, kInf), Survivors(want.pairs, want.bound))
+            << where;
+        ASSERT_EQ(expansion_pruned, want.pruned) << where;
+        total_pruned += want.pruned;
+      } else {
+        // The frame is the full list, in generation order (STD: sorted),
+        // minus exactly the cut pairs; each cut pair lies beyond the T held
+        // before the expansion, so the descent would have pruned it too.
+        std::vector<FrontierEntry> full = want.pairs;
+        if (traversal == kStd) std::sort(full.begin(), full.end(), less);
+        size_t next = 0;
+        uint64_t dropped = 0;
+        for (const FrontierEntry& w : full) {
+          if (next < got.out.size() && SameEntry(got.out[next], w)) {
+            ++next;
+            continue;
+          }
+          ASSERT_GT(w.key, bound) << where;
+          ++dropped;
+        }
+        ASSERT_EQ(next, got.out.size()) << where;
+        ASSERT_EQ(dropped, expansion_pruned) << where;
+        uint64_t at_descend = 0;
+        for (const FrontierEntry& e : got.out) at_descend += e.key > got.bound;
+        ASSERT_EQ(dropped + at_descend, want.pruned) << where;
+        cut[traversal] += dropped;
+        descend_pruned[traversal] += at_descend;
+      }
+
+      if (trace_this) {
+        ASSERT_EQ(got.trace_dropped, 0u) << where;
+        EXPECT_EQ(got.prune_bounds.size(), expansion_pruned) << where;
+        // A recursive algorithm's cut pairs carry the pre-expansion T.
+        if (traversal != kHeap) {
+          for (const double t : got.prune_bounds) ASSERT_EQ(t, bound) << where;
+        }
+        EXPECT_EQ(got.considered, want.pairs.size()) << where;
+        EXPECT_EQ(got.pruned_ineq1, expansion_pruned) << where;
+      }
     }
+    self_joins += same_node;
 
     // What lets the cut skip the tightening: no child pair's MINMAXDIST
     // is below any of its axis gap powers, exactly.
@@ -317,11 +414,18 @@ TEST(SweepExpandTest, MatchesFullGenerationOracle) {
       }
     }
   }
-  // The trials reached what they exist for.
+  // The trials reached what they exist for: every recursive algorithm both
+  // cut pairs and left some for its descent to prune.
   EXPECT_GT(total_pruned, 100000u);
   EXPECT_GT(gap_checks, 1000000u);
   EXPECT_GT(self_joins, 5000);
   EXPECT_GT(traced, 5000);
+  for (const Traversal t : {kExh, kSim, kStd, kJoin}) {
+    EXPECT_GT(cut[t], 10000u) << "traversal " << t;
+  }
+  for (const Traversal t : {kSim, kStd}) {
+    EXPECT_GT(descend_pruned[t], 1000u) << "traversal " << t;
+  }
 }
 
 }  // namespace
