@@ -14,6 +14,19 @@
 
 namespace kcpq {
 
+/// How BruteForceKClosestPairs enumerates the point pairs. The tree
+/// engines always sweep (cpq/leaf_kernel.h); the nested loop lives on here
+/// as the oracle that is independent of the sweep code it validates.
+enum class LeafKernel {
+  /// Test all |P| x |Q| pairs.
+  kNestedLoop,
+  /// Sort both sets along the best-spread axis and sweep: a pair whose
+  /// separation on the sweep axis alone already reaches the K-th best
+  /// distance is skipped without computing its distance, and so is every
+  /// pair after it in sweep order. Same results.
+  kPlaneSweep,
+};
+
 /// K closest pairs between two id-tagged point vectors, ascending distance.
 /// `self_join` skips reflexive pairs and reports each unordered pair once
 /// (p_id < q_id), matching SelfKClosestPairs. `kernel` selects the pair

@@ -48,16 +48,6 @@ obs::Histogram* FamilyQuerySeconds(QueryFamily f) {
   return m.query_seconds_closest;
 }
 
-const char* LeafKernelName(LeafKernel k) {
-  switch (k) {
-    case LeafKernel::kNestedLoop:
-      return "NESTED";
-    case LeafKernel::kPlaneSweep:
-      return "SWEEP";
-  }
-  return "?";
-}
-
 Result<std::vector<PairResult>> KClosestPairs(const RStarTree& tree_p,
                                               const RStarTree& tree_q,
                                               const CpqOptions& options,
@@ -93,9 +83,6 @@ obs::ExplainInputs CpqExplainInputs(const CpqOptions& options,
                                  options.query_rect);
   obs::ExplainInputs inputs;
   inputs.algorithm = CpqAlgorithmName(options.algorithm);
-  inputs.leaf_kernel = options.leaf_kernel == LeafKernel::kPlaneSweep
-                           ? "plane-sweep"
-                           : "nested-loop";
   inputs.family = QueryFamilyName(options.family);
   inputs.bound_is_upper = objective.BoundIsUpper();
   switch (options.family) {

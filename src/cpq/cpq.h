@@ -60,21 +60,6 @@ enum class CpqAlgorithm {
 
 const char* CpqAlgorithmName(CpqAlgorithm a);
 
-/// How two leaf nodes' entries are combined once the traversal bottoms out.
-enum class LeafKernel {
-  /// The paper's implicit choice: test all |P_leaf| x |Q_leaf| pairs.
-  kNestedLoop,
-  /// Sort both leaves along the best-spread axis and sweep: a pair whose
-  /// separation on the sweep axis alone already exceeds the pruning bound
-  /// is skipped without computing its distance, and — the sweep's payoff —
-  /// so is every pair after it in sweep order. Same results (the skipped
-  /// pairs are exactly ones the nested loop would reject), typically a
-  /// large reduction in point-distance computations.
-  kPlaneSweep,
-};
-
-const char* LeafKernelName(LeafKernel k);
-
 /// How node pairs at different tree levels are handled (Section 3.7).
 enum class HeightStrategy {
   /// Classic spatial-join style: descend both trees until the shorter one
@@ -141,11 +126,6 @@ struct CpqOptions {
   /// reported once (p_id < q_id). Set by SelfKClosestPairs.
   bool self_join = false;
 
-  /// Leaf node-pair combination strategy; ablation knob. The plane sweep
-  /// returns the same distance multiset as the nested loop for every
-  /// algorithm and metric (tests/parallel_test.cc locks this in).
-  LeafKernel leaf_kernel = LeafKernel::kPlaneSweep;
-
   /// Speculative prefetch window W: at each expansion the engine issues
   /// asynchronous reads for the pages of the W best not-yet-read node
   /// pairs of its frontier (the kHeap priority queue; the sorted child
@@ -190,8 +170,11 @@ struct CpqStats {
   uint64_t candidate_pairs_generated = 0;
   uint64_t candidate_pairs_pruned = 0;
   uint64_t point_distance_computations = 0;
-  /// Leaf point pairs skipped by the plane-sweep kernel's axis test
-  /// (0 under kNestedLoop). Skipped + computed = enumerated pairs.
+  /// Leaf point pairs skipped by the plane-sweep kernel's axis test (0
+  /// for kFarthest, whose sweep cuts nothing). In a cross join, skipped +
+  /// computed = the point pairs of the leaf pairs processed; in a
+  /// self-join the sum is larger, since a skipped pair may be one the id
+  /// filter would have dropped uncomputed.
   uint64_t leaf_pairs_skipped = 0;
   /// High-water mark of the kHeap algorithm's pair heap, or of HS's
   /// priority queue (0 otherwise).

@@ -37,7 +37,6 @@ Result<std::vector<PairResult>> DistanceRangeJoin(
   cpq.metric = options.metric;
   cpq.height_strategy = options.height_strategy;
   cpq.self_join = options.self_join;
-  cpq.leaf_kernel = options.leaf_kernel;
   cpq.context = options.context;
   ResumableCpqQuery query(tree_p, tree_q, std::move(cpq),
                           QueryObjective::EpsilonJoin(options.metric, epsilon),

@@ -27,9 +27,6 @@ struct DistanceJoinOptions {
   /// more result pairs than this (an over-large epsilon can ask for the
   /// whole cross product). 0 = unlimited.
   uint64_t max_results = 0;
-  /// Leaf node-pair combination strategy (see CpqOptions::leaf_kernel);
-  /// the sweep skips pairs whose sweep-axis separation alone exceeds ε.
-  LeafKernel leaf_kernel = LeafKernel::kPlaneSweep;
 
   /// The join's context: its limits and accounting (see
   /// CpqOptions::context; null = unlimited, unaccounted). A stopped join

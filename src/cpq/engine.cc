@@ -182,7 +182,7 @@ Status CpqEngine::ProcessLeaves(const Node& node_p, const Node& node_q,
   // cross-node unordered object pair reaches this loop exactly once (in
   // arbitrary order — normalize on output); within one node, the id filter
   // keeps each unordered pair once and drops reflexive pairs. The filter
-  // lives inside `consider` so both kernels apply identical rules.
+  // lives inside `consider`, beside the key test.
   //
   // A K-best query keeps a pair only if it beats the K-th best so far; an
   // ε-join keeps every pair with key <= T = ε (distance == ε included)
@@ -222,31 +222,28 @@ Status CpqEngine::ProcessLeaves(const Node& node_p, const Node& node_q,
   const uint64_t kernel_start_ns =
       trace_ != nullptr ? trace_->NowNs() : 0;
 
-  // The sweep's skip test lower-bounds a pair's *distance* by its sweep-axis
-  // gap, which only implies `key >= Bound()` for minimizing objectives —
-  // kFarthest falls back to the nested loop regardless of the option.
-  if (options_.leaf_kernel == LeafKernel::kPlaneSweep &&
-      objective_.SweepUsable()) {
-    // Pairs the sweep skips have sweep-axis separation alone >= the result
-    // heap's bound, so their full distance would fail the `key >= Bound()`
-    // reject above — identical results, fewer distance computations. The
-    // bound is re-read per skip test, so pairs offered early in this very
-    // sweep tighten it for the rest. The ε-join's sweep is strict: a pair
-    // whose separation equals ε may still qualify.
-    const uint64_t total =
-        static_cast<uint64_t>(node_p.entries.size()) * node_q.entries.size();
-    const uint64_t visited = PlaneSweepPairs(
-        node_p, node_q, options_.metric, /*strict=*/join, &sweep_scratch_,
-        [&] { return join ? bound_ : results_.Bound(); }, consider);
-    if (!status.ok()) return status;
-    stats_->leaf_pairs_skipped += total - visited;
-  } else {
-    for (const Entry& ep : node_p.entries) {
-      for (const Entry& eq : node_q.entries) {
-        if (!consider(ep, eq)) return status;
-      }
-    }
-  }
+  // Pairs the sweep skips have sweep-axis separation alone >= the result
+  // heap's bound, so their full distance would fail the `key >= Bound()`
+  // reject above — identical results, fewer distance computations. The
+  // bound is re-read per skip test, so pairs offered early in this very
+  // sweep tighten it for the rest. The ε-join's sweep is strict: a pair
+  // whose separation equals ε may still qualify. The skip lower-bounds a
+  // pair's *distance*, which bounds its key only for minimizing
+  // objectives, so farthest sweeps with nothing skipped (+∞, strict).
+  const bool sweep = objective_.SweepUsable();
+  const uint64_t total =
+      static_cast<uint64_t>(node_p.entries.size()) * node_q.entries.size();
+  const uint64_t visited = PlaneSweepPairs(
+      node_p, node_q, options_.metric, /*strict=*/join || !sweep,
+      &sweep_scratch_,
+      [&] {
+        return !sweep ? std::numeric_limits<double>::infinity()
+               : join ? bound_
+                      : results_.Bound();
+      },
+      consider);
+  if (!status.ok()) return status;
+  stats_->leaf_pairs_skipped += total - visited;
   bound_ = std::min(bound_, results_.Bound());
   NoteBoundImprovement();
   if (trace_ != nullptr) {
@@ -297,17 +294,26 @@ void CpqEngine::Expand(PageId page_p, const Node& node_p, PageId page_q,
                           tree_q_);
   const bool heap = options_.algorithm == CpqAlgorithm::kHeap;
   const bool sorted = options_.algorithm == CpqAlgorithm::kSortedDistances;
-  if (Prunes() && objective_.SweepUsable()) {
-    SweepCandidates(p, q);
-    // EXH and SIM descend in generation order, and that order drives T.
-    if (!heap && !sorted) {
-      std::sort(child_keys_.begin(), child_keys_.end(),
-                [](const ChildKey& a, const ChildKey& b) {
-                  return a.i != b.i ? a.i < b.i : a.j < b.j;
-                });
+  // NAIVE never prunes, and farthest keys have no sweep-axis lower bound:
+  // both sweep with nothing cut.
+  SweepCandidates(p, q,
+                  Prunes() && objective_.SweepUsable()
+                      ? bound_
+                      : std::numeric_limits<double>::infinity());
+  // NAIVE, EXH and SIM descend in generation order, and for EXH and SIM
+  // that order drives T. Each pair takes the slot i * |q| + j, which
+  // restores that order in linear time.
+  if (!heap && !sorted) {
+    constexpr uint32_t kEmpty = UINT32_MAX;
+    generation_slots_.assign(p.size() * q.size(), kEmpty);
+    for (uint32_t n = 0; n < child_keys_.size(); ++n) {
+      generation_slots_[child_keys_[n].i * q.size() + child_keys_[n].j] = n;
     }
-  } else {
-    GenerateCandidates(p, q);
+    generation_keys_.clear();
+    for (const uint32_t n : generation_slots_) {
+      if (n != kEmpty) generation_keys_.push_back(child_keys_[n]);
+    }
+    child_keys_.swap(generation_keys_);
   }
   if (TightensBound()) {
     TightenBoundFromCandidates(p, q);
@@ -366,44 +372,6 @@ void CpqEngine::Expand(PageId page_p, const Node& node_p, PageId page_q,
   }
 }
 
-void CpqEngine::GenerateCandidates(const Side& p, const Side& q) {
-  child_keys_.clear();
-  const size_t np = p.size();
-  const size_t nq = q.size();
-  // Self-join: when both sides expand the *same* node, the child pairs
-  // (i, j) and (j, i) both arise here and cover the same unordered object
-  // pairs — keep only the page-ordered one (nearly halves the traversal).
-  // Distinct parents already appear in exactly one orientation, inherited
-  // from the ancestor where they split apart.
-  const bool same_node = options_.self_join && p.page == q.page;
-  // Range-restricted objectives pre-prune subtrees that cannot contain a
-  // qualifying point (MBR strictly outside the query rect), testing each
-  // child once. Skipped children never enter the list, so the EXPLAIN
-  // accounting identity (considered = visited + pruned + deferred) holds
-  // as-is.
-  eligible_q_.resize(nq);
-  for (uint32_t j = 0; j < nq; ++j) {
-    eligible_q_[j] = objective_.SubtreeEligible(q.rect(j));
-  }
-  for (uint32_t i = 0; i < np; ++i) {
-    const Rect& rp = p.rect(i);
-    if (!objective_.SubtreeEligible(rp)) continue;
-    for (uint32_t j = 0; j < nq; ++j) {
-      if (!eligible_q_[j]) continue;
-      const Rect& rq = q.rect(j);
-      if (same_node && p.child_page(i) > q.child_page(j)) continue;
-      child_keys_.push_back(ChildKey{objective_.NodeKey(rp, rq), i, j});
-    }
-  }
-  stats_->candidate_pairs_generated += child_keys_.size();
-  if (profile_ != nullptr) {
-    // All children of one expansion share their level: each expanded
-    // side steps down one level, a fixed side stays.
-    profile_->Considered(PairLevel(p.child_level, q.child_level),
-                         child_keys_.size());
-  }
-}
-
 SweepList CpqEngine::EligibleChildren(const Side& side, int axis,
                                       std::vector<uint32_t>* scratch) const {
   static constexpr uint32_t kOnly = 0;
@@ -424,23 +392,27 @@ SweepList CpqEngine::EligibleChildren(const Side& side, int axis,
   return SweepList{entries.data(), scratch->data(), kept};
 }
 
-void CpqEngine::SweepCandidates(const Side& p, const Side& q) {
+void CpqEngine::SweepCandidates(const Side& p, const Side& q, double cut) {
   child_keys_.clear();
-  // Self-join on one node: keep the page-ordered child pairs, as
-  // GenerateCandidates does.
+  // Self-join: when both sides expand the *same* node, the child pairs
+  // (i, j) and (j, i) both arise here and cover the same unordered object
+  // pairs — keep only the page-ordered one (nearly halves the traversal).
+  // Distinct parents already appear in exactly one orientation, inherited
+  // from the ancestor where they split apart.
   const bool same_node = options_.self_join && p.page == q.page;
   const SweepBox box(p.children(), p.size(), q.children(), q.size());
   const int axis = box.WidestAxis();
   const SweepList list_p = EligibleChildren(p, axis, &sweep_scratch_.a);
   const SweepList list_q = EligibleChildren(q, axis, &sweep_scratch_.b);
 
-  // The cut is the T held before the expansion. A cut pair's key is at
-  // least its sweep-axis gap power, which exceeds T, so HEAP's second pass
-  // would prune it, and so would the recursive algorithms' descend-time test
-  // (T never rises); its tighten key (MINMAXDIST or MAXMAXDIST) is at
-  // least its key, so the gated tightening would skip it too. All hold
-  // exactly in floating point (geometry/minkowski.h), for every metric.
-  const double cut = bound_;
+  // A finite cut is the T held before the expansion. A cut pair's key is
+  // at least its sweep-axis gap power, which exceeds T, so HEAP's second
+  // pass would prune it, and so would the recursive algorithms'
+  // descend-time test (T never rises); its tighten key (MINMAXDIST or
+  // MAXMAXDIST) is at least its key, so the gated tightening would skip it
+  // too. All hold exactly in floating point (geometry/minkowski.h), for
+  // every metric. An infinite cut keeps every pair (the strict test never
+  // fires).
   const auto index_p = [&](const Entry& e) {
     return static_cast<uint32_t>(&e - list_p.entries);
   };

@@ -142,7 +142,7 @@ class CpqEngine {
   /// Test access to Expand and T (tests/sweep_expand_test.cc).
   friend struct CpqEngineTestPeer;
 
-  /// Brute-force distance scan of two leaves; feeds the result heap and
+  /// Plane-sweep distance scan of two leaves; feeds the result heap and
   /// tightens T. `same_node` drives the self-join duplicate rules. Fails
   /// only when an ε-join finds more than options.k pairs
   /// (ResourceExhausted, its max_results guard).
@@ -179,40 +179,36 @@ class CpqEngine {
                 const RStarTree& tree) const;
 
   /// Expands the read node pair (page_p, node_p) x (page_q, node_q) in two
-  /// passes. The first computes child pair keys into child_keys_ and, for
-  /// the algorithms that tighten, lowers T from that list. The second
-  /// builds frontier entries into `out`. kHeap builds an entry only for a
-  /// child with key <= T and pushes it onto the heap `out`; the others are
-  /// counted, profiled and traced as pruned in the same loop. The
-  /// recursive algorithms get an entry for every child in the list, in
-  /// generation (i, j) order, because they prune at descend time (and
-  /// kNaive never prunes); kSortedDistances sorts its frame afterwards.
-  /// kHeap and kSortedDistances score the tie chain of each entry they
-  /// build.
-  ///
-  /// The first pass is SweepCandidates for every pruning algorithm under a
-  /// sweepable objective, else (kNaive, kFarthest) GenerateCandidates.
-  /// EXH and SIM put the sweep's survivors back in generation order, since
-  /// their descent order drives T.
+  /// passes. The first, SweepCandidates, computes child pair keys into
+  /// child_keys_; its cut is T for the pruning algorithms under a
+  /// sweepable objective and +∞ otherwise (kNaive never prunes, and
+  /// kFarthest keys have no sweep bound). kNaive, kExhaustive and kSimple
+  /// put the list back in generation (i, j) order, since they descend in
+  /// it and for EXH and SIM that order drives T. The algorithms that
+  /// tighten then lower T from the list. The second pass builds frontier
+  /// entries into `out`. kHeap builds an entry only for a child with
+  /// key <= T and pushes it onto the heap `out`; the others are counted,
+  /// profiled and traced as pruned in the same loop. The recursive
+  /// algorithms get an entry for every child in the list, because they
+  /// prune at descend time (and kNaive never prunes); kSortedDistances
+  /// sorts its frame afterwards. kHeap and kSortedDistances score the tie
+  /// chain of each entry they build.
   void Expand(PageId page_p, const Node& node_p, PageId page_q,
               const Node& node_q, DescendChoice choice,
               std::vector<FrontierEntry>* out);
 
-  /// The first pass: the keys of every eligible child pair of (p, q), in
-  /// (i, j) order.
-  void GenerateCandidates(const Side& p, const Side& q);
-
-  /// The pruning algorithms' first pass: a plane sweep over the eligible
-  /// children of p and q (cpq/leaf_kernel.h), cut at the T held before the
-  /// expansion. A child pair whose sweep-axis gap alone exceeds that T is
-  /// counted, profiled and (with a trace, carrying that T) traced as
-  /// pruned here, at its own level, and its key is never computed; the
-  /// keys of the others go to child_keys_, in sweep order. Generated
-  /// counts come from arithmetic. Exact (docs/algorithms.md, "Node-pair
-  /// expansion as an axis sweep"): a cut pair's key exceeds T in floating
-  /// point, and T never rises, so HEAP's second pass and the recursive
-  /// algorithms' descend-time test would prune it too.
-  void SweepCandidates(const Side& p, const Side& q);
+  /// The first pass: a plane sweep over the eligible children of p and q
+  /// (cpq/leaf_kernel.h), cut at `cut` (power space, strict). A child pair
+  /// whose sweep-axis gap alone exceeds the cut is counted, profiled and
+  /// (with a trace, carrying T) traced as pruned here, at its own level,
+  /// and its key is never computed; the keys of the others go to
+  /// child_keys_, in sweep order. Generated counts come from arithmetic.
+  /// Exact (docs/algorithms.md, "Node-pair expansion as an axis sweep"):
+  /// with the cut at the T held before the expansion, a cut pair's key
+  /// exceeds T in floating point, and T never rises, so HEAP's second pass
+  /// and the recursive algorithms' descend-time test would prune it too.
+  /// With cut = +∞ nothing is cut and the list holds every eligible pair.
+  void SweepCandidates(const Side& p, const Side& q, double cut);
 
   /// `side`'s eligible children in ascending rect.lo[axis] order; the
   /// order lives in the node or in `scratch`.
@@ -297,6 +293,10 @@ class CpqEngine {
   double bound_;
   /// The first pass's child keys of the expansion in hand (reused).
   std::vector<ChildKey> child_keys_;
+  /// Scratch for putting child_keys_ back in generation order: each
+  /// (i, j) slot's index into child_keys_, and the reordered list.
+  std::vector<uint32_t> generation_slots_;
+  std::vector<ChildKey> generation_keys_;
   /// Tie scores past the first of the scored frontier entries.
   TieTail tie_tail_;
   /// Scratch for the tighten keys of TightenBoundFromCandidates (avoids
@@ -304,8 +304,6 @@ class CpqEngine {
   std::vector<double> tighten_scratch_;
   /// Index orders for the plane sweep's order-less nodes.
   SweepScratch sweep_scratch_;
-  /// GenerateCandidates' per-child SubtreeEligible results for q's side.
-  std::vector<uint8_t> eligible_q_;
 
   // --- lifecycle control state ---
   /// The query's context (options.context). All stop polls and resource

@@ -1,8 +1,14 @@
-// Plane-sweep leaf kernel, shared by every leaf/leaf (and object/object)
-// combination loop in the query engines (cpq/engine.cc, distance_join.cc,
-// hs/hs.cc, brute.cc). The same sweep (SweepPairs) enumerates the child
-// pairs of HEAP's node-pair expansion (CpqEngine::SweepCandidates), cut at
-// the pruning bound held before the expansion.
+// Plane-sweep kernel: the one pair enumeration of the K-CPQ engine
+// (cpq/engine.cc, which also runs the ε-join of distance_join.cc). It
+// combines every leaf pair (PlaneSweepPairs), and the same sweep
+// (SweepPairs) enumerates the child pairs of every node-pair expansion
+// (CpqEngine::SweepCandidates), cut at the pruning bound held before the
+// expansion, or at +infinity where nothing may be cut (NAIVE, farthest).
+// HS sweeps its minimizing leaf pairs (hs/hs.cc), and brute.cc offers it
+// beside the nested-loop oracle. Nested loops remain only there: the
+// oracle must stay independent of the code it validates, and HS's queue
+// breaks equal keys by push order, so HS keeps the order its counters
+// were pinned with for node pairs and farthest leaves.
 //
 // Idea (classic in the closest-pair literature — the optimized
 // divide-and-conquer of Pereira & Lobo and the plane-sweep KCPQ variants
@@ -40,8 +46,9 @@
 // Soundness is *minimizing-only*: the skip relies on AxisGapPow
 // lower-bounding the pair's key, which holds when smaller distance means
 // smaller key (closest / range-closest). Farthest-pair queries negate
-// MAXMAXDIST, breaking that monotonicity, so QueryObjective::SweepUsable()
-// gates every call site back to the nested loop for that family.
+// MAXMAXDIST, breaking that monotonicity, so where
+// QueryObjective::SweepUsable() is false the K-CPQ engine sweeps with a
+// cut of +infinity under the strict test, which skips nothing.
 
 #ifndef KCPQ_CPQ_LEAF_KERNEL_H_
 #define KCPQ_CPQ_LEAF_KERNEL_H_
@@ -120,15 +127,16 @@ inline const uint32_t* SweepOrder(const Node& node, int axis,
   return scratch->data();
 }
 
-/// The one sweep behind the leaf kernel and HEAP's node-pair expansion.
+/// The one sweep behind the leaf kernel and every node-pair expansion.
 /// Visits `a` x `b` in sweep order along `axis` and calls
 /// `visit(a_entry, b_entry)` for every pair whose axis separation does not
 /// already violate `cut()` (power space). `strict` selects the violation
 /// test: with strict = false a pair is cut when AxisGapPow >= cut (for
 /// engines that discard keys >= the bound, like the K-CPQ result heap);
 /// with strict = true only when AxisGapPow > cut (the ε-join keeps
-/// distance == ε, and HEAP keeps child pairs with key == T). `visit`
-/// returns false to abort. Once a reference's scan is cut, every later
+/// distance == ε, and HEAP keeps child pairs with key == T); a strict cut
+/// of +infinity never fires, so every pair is visited. `visit` returns
+/// false to abort. Once a reference's scan is cut, every later
 /// entry of the other list is cut too (their gaps only grow, and the cut
 /// never rises); with `report_cut` each such pair is passed to
 /// `on_cut(a_entry, b_entry)`, otherwise the scan just stops. Returns the

@@ -157,10 +157,11 @@ class QueryObjective {
     return family_ != QueryFamily::kRangeClosest;
   }
 
-  /// Whether the plane-sweep leaf kernel applies. The sweep skip relies on
-  /// AxisGapPow *lower-bounding* the pair's key, which holds only when
-  /// smaller distance means smaller key; kFarthest falls back to the
-  /// nested loop.
+  /// Whether the plane sweep may cut at the pruning bound. The sweep skip
+  /// relies on AxisGapPow *lower-bounding* the pair's key, which holds
+  /// only when smaller distance means smaller key; the K-CPQ engine sweeps
+  /// kFarthest with the cut at +infinity (nothing skipped), and HS keeps
+  /// its nested loop for it.
   bool SweepUsable() const { return minimizing(); }
 
   /// Certificate direction: kFarthest certifies "every missing pair is at

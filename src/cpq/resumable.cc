@@ -93,7 +93,7 @@ bool ResumableCpqQuery::StartPhase() {
   pending_.level_p = static_cast<int16_t>(e.tree_p_.height() - 1);
   pending_.level_q = static_cast<int16_t>(e.tree_q_.height() - 1);
   // The root pair enters the search unconditionally: it is the one pair
-  // "considered" that no GenerateCandidates call accounts for.
+  // "considered" that no SweepCandidates call accounts for.
   if (e.profile_ != nullptr) {
     e.profile_->Considered(PairLevel(pending_.level_p, pending_.level_q), 1);
   }

@@ -131,7 +131,6 @@ HsOptions HsOptionsFrom(const CpqOptions& cpq, QueryContext* ctx,
   HsOptions hs;
   hs.family = cpq.family;
   hs.query_rect = cpq.query_rect;
-  hs.leaf_kernel = cpq.leaf_kernel;
   hs.prefetch_window =
       cpq.prefetch_window != 0 ? cpq.prefetch_window : batch_prefetch_window;
   hs.context = ctx;

@@ -41,9 +41,9 @@ enum class BatchQueryKind {
   kSemiClosestPairs,
   /// HsKClosestPairs(tree_p, tree_q, options.k): the incremental distance
   /// join with default traversal. Reuses the CpqOptions fields that make
-  /// sense for HS (k, family, query_rect, prefetch_window, leaf_kernel);
-  /// algorithm / tie-breaking fields are ignored. HS fills CpqStats
-  /// directly, exactly as a direct HsKClosestPairs call does.
+  /// sense for HS (k, family, query_rect, prefetch_window); algorithm /
+  /// tie-breaking fields are ignored. HS fills CpqStats directly, exactly
+  /// as a direct HsKClosestPairs call does.
   kHsClosestPairs,
 };
 

@@ -262,11 +262,13 @@ void JoinImpl::PushChildrenBoth(const Node& node_a, const Node& node_b) {
     }
     return true;
   };
-  // The sweep's axis-gap skip lower-bounds a pair's *distance*, which only
-  // implies a droppable key for minimizing objectives — kFarthest always
-  // takes the nested loop.
-  if (options_.leaf_kernel == LeafKernel::kPlaneSweep &&
-      objective_.SweepUsable() && node_a.IsLeaf() && node_b.IsLeaf()) {
+  // Node/node pairs and kFarthest's leaf pairs keep the nested loop. The
+  // queue breaks equal keys by push sequence and the k_bound is fed in push
+  // order, so enumerating them in sweep order could change which pairs are
+  // queued and popped, and with them the counters. Leaf/leaf pairs of a
+  // minimizing objective sweep: the axis-gap skip lower-bounds a pair's
+  // *distance*, which implies a droppable key only for those.
+  if (objective_.SweepUsable() && node_a.IsLeaf() && node_b.IsLeaf()) {
     // Object pairs the sweep skips have axis separation alone > the k_bound
     // prune threshold, so their key (>= that separation, squared space)
     // would fail PushItem's `key > Bound()` drop. The bound is re-read each

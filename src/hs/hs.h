@@ -62,13 +62,6 @@ struct HsOptions {
   /// Page size of the queue's own overflow storage.
   size_t queue_page_size = kDefaultPageSize;
 
-  /// How kSimultaneous combines two leaf nodes (see CpqOptions::leaf_kernel).
-  /// The sweep skips object pairs whose sweep-axis separation alone exceeds
-  /// the k_bound prune threshold — pairs PushItem would drop anyway — before
-  /// their keys are ever computed. No effect when k_bound == 0 (the prune
-  /// threshold stays infinite) or on non-leaf expansions.
-  LeafKernel leaf_kernel = LeafKernel::kPlaneSweep;
-
   /// Speculative prefetch window W (see CpqOptions::prefetch_window): on
   /// each node expansion the join issues asynchronous reads for the node
   /// pages of the W nearest children just pushed. 0 (default) disables

@@ -95,7 +95,7 @@ std::string RenderExplainReport(const ExplainInputs& in,
   os << "EXPLAIN ANALYZE  "
      << (in.family.empty() ? "k-closest-pairs" : in.family)
      << "  algorithm=" << in.algorithm
-     << "  leaf-kernel=" << in.leaf_kernel << "  k=" << in.k << "\n";
+     << "  leaf-kernel=plane-sweep  k=" << in.k << "\n";
   os << "  results: " << in.results_returned;
   if (in.result_max_distance >= 0.0) {
     os << "  (max distance " << Sci(in.result_max_distance) << ")";

@@ -74,8 +74,7 @@ class PruningProfile {
 /// depend on the engine/exec headers. Callers (the CLI) flatten their
 /// stats structs into this.
 struct ExplainInputs {
-  std::string algorithm;    // e.g. "heap"
-  std::string leaf_kernel;  // e.g. "plane-sweep"
+  std::string algorithm;  // e.g. "heap"
 
   // Objective policy (cpq/objective.h). The defaults reproduce the
   // historical closest-pairs report byte-for-byte, so pre-policy goldens

@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "storage/stack.h"
@@ -68,6 +69,41 @@ TEST_F(CliTest, HelpSucceeds) {
 TEST_F(CliTest, UnknownCommandFails) {
   std::string out;
   EXPECT_FALSE(RunCli({"frobnicate"}, &out).ok());
+}
+
+// A misspelt or retired flag, or a switch given a value, is an error, not
+// silently the default, and it is reported before any file is opened.
+TEST_F(CliTest, UnknownFlagIsRejected) {
+  BuildBoth("100");
+  std::string out;
+  struct Case {
+    std::vector<std::string> args;
+    const char* message;
+  };
+  const Case cases[] = {
+      {{"kcp", db_p_, db_q_, "2", "--bufer=64"},
+       "unknown flag --bufer for kcp"},
+      {{"kcp", db_p_, db_q_, "2", "--kernel=nested"},
+       "unknown flag --kernel for kcp"},
+      {{"join", db_p_, db_q_, "0.01", "--explain"},
+       "unknown flag --explain for join"},
+      {{"kcp", "/tmp/kcpq_no_such_p.db", "/tmp/kcpq_no_such_q.db", "2",
+        "--algoritm=naive"},
+       "unknown flag --algoritm for kcp"},
+      // A switch given a value would otherwise mean on, whatever the value.
+      {{"kcp", db_p_, db_q_, "2", "--self=false"},
+       "flag --self takes no value"},
+  };
+  for (const Case& c : cases) {
+    const Status status = RunCli(c.args, &out);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << c.message;
+    EXPECT_EQ(status.message(), c.message);
+    EXPECT_TRUE(out.empty()) << c.message;
+  }
+  // The usage text is the accepted list: the retired flag is not in it.
+  KCPQ_ASSERT_OK(RunCli({"help"}, &out));
+  EXPECT_EQ(out.find("--kernel"), std::string::npos);
+  EXPECT_NE(out.find("[--bulk]"), std::string::npos);
 }
 
 TEST_F(CliTest, GenerateBuildStats) {

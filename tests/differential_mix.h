@@ -241,13 +241,15 @@ inline void ExpectMatchesGolden(const std::string& got, const std::string& want,
   EXPECT_NEAR(got_sum, want_sum, 1e-9) << label;
 }
 
-/// Brute-force answer distances of a kFarthest or kRangeClosest query:
-/// every eligible pair's distance, best-first for the family, truncated.
+/// Brute-force answer distances of a query of any family: every eligible
+/// pair's distance (each unordered pair once under options.self_join),
+/// best-first for the family, truncated.
 inline std::vector<double> BruteForceFamilyDistances(
     const DifferentialData& data, const CpqOptions& options) {
   std::vector<double> d;
   for (const auto& [pp, pid] : data.p) {
     for (const auto& [qq, qid] : data.q) {
+      if (options.self_join && pid >= qid) continue;
       if (options.family == QueryFamily::kRangeClosest &&
           (!options.query_rect.Contains(Rect::FromPoint(pp)) ||
            !options.query_rect.Contains(Rect::FromPoint(qq)))) {

@@ -1,8 +1,8 @@
 // Tests for the parallel batch executor (exec/) and the plane-sweep leaf
 // kernel: differential correctness against brute force across ~50 seeded
-// workloads x all five algorithms x both kernels x 1/4 threads, stats
-// accounting invariants, ThreadPool basics, and concurrent queries over a
-// shared sharded buffer.
+// workloads x all five algorithms x the closest and farthest families x
+// 1/4 threads, stats accounting invariants, ThreadPool basics, and
+// concurrent queries over a shared sharded buffer.
 
 #include <algorithm>
 #include <atomic>
@@ -16,6 +16,7 @@
 #include "exec/thread_pool.h"
 #include "gtest/gtest.h"
 #include "hs/hs.h"
+#include "tests/differential_mix.h"
 #include "tests/test_util.h"
 
 namespace kcpq {
@@ -28,8 +29,10 @@ using testing::TreeFixture;
 constexpr CpqAlgorithm kAllAlgorithms[] = {
     CpqAlgorithm::kNaive, CpqAlgorithm::kExhaustive, CpqAlgorithm::kSimple,
     CpqAlgorithm::kSortedDistances, CpqAlgorithm::kHeap};
-constexpr LeafKernel kBothKernels[] = {LeafKernel::kNestedLoop,
-                                       LeafKernel::kPlaneSweep};
+// The two ways the engines' sweep runs: cut at T (closest), and with
+// nothing cut (farthest, whose keys have no sweep-axis bound).
+constexpr QueryFamily kSweepFamilies[] = {QueryFamily::kClosest,
+                                          QueryFamily::kFarthest};
 
 std::vector<double> Distances(const std::vector<PairResult>& pairs) {
   std::vector<double> d;
@@ -40,15 +43,20 @@ std::vector<double> Distances(const std::vector<PairResult>& pairs) {
 
 // Ties make the pair *set* non-unique, so differential checks compare the
 // distance multiset (which is unique) rank by rank.
+void ExpectDistances(const std::vector<PairResult>& got,
+                     const std::vector<double>& want,
+                     const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  const std::vector<double> g = Distances(got);
+  for (size_t i = 0; i < g.size(); ++i) {
+    ASSERT_NEAR(g[i], want[i], 1e-9) << label << " rank " << i;
+  }
+}
+
 void ExpectSameDistances(const std::vector<PairResult>& got,
                          const std::vector<PairResult>& want,
                          const std::string& label) {
-  ASSERT_EQ(got.size(), want.size()) << label;
-  const std::vector<double> g = Distances(got);
-  const std::vector<double> w = Distances(want);
-  for (size_t i = 0; i < g.size(); ++i) {
-    ASSERT_NEAR(g[i], w[i], 1e-9) << label << " rank " << i;
-  }
+  ExpectDistances(got, Distances(want), label);
 }
 
 void ExpectSameStats(const CpqStats& a, const CpqStats& b,
@@ -84,8 +92,9 @@ Workload MakeWorkload(int seed) {
 
 class ParallelDifferentialTest : public ::testing::TestWithParam<int> {};
 
-// Every algorithm, both kernels, run as one batch at 1 and at 4 threads:
-// all of them must return the brute-force distance multiset, and the
+// Every algorithm under both sweep families, run as one batch at 1 and at
+// 4 threads: all of them must return the nested-loop oracle's distance
+// multiset, which the brute-force sweep must reproduce too, and the
 // 4-thread run must be bit-identical (pairs and stats) to the 1-thread run.
 TEST_P(ParallelDifferentialTest, AllAlgorithmsBothKernelsMatchBrute) {
   const int seed = GetParam();
@@ -97,17 +106,21 @@ TEST_P(ParallelDifferentialTest, AllAlgorithmsBothKernelsMatchBrute) {
   TreeFixture fp, fq;
   KCPQ_ASSERT_OK(fp.Build(p_items));
   KCPQ_ASSERT_OK(fq.Build(q_items));
-  const std::vector<PairResult> want = BruteForceKClosestPairs(
-      p_items, q_items, w.k, /*self_join=*/false, w.metric);
+  ExpectSameDistances(
+      BruteForceKClosestPairs(p_items, q_items, w.k, /*self_join=*/false,
+                              w.metric, LeafKernel::kPlaneSweep),
+      BruteForceKClosestPairs(p_items, q_items, w.k, /*self_join=*/false,
+                              w.metric),
+      "brute kernels seed " + std::to_string(seed));
 
   std::vector<BatchQuery> batch;
   for (const CpqAlgorithm algorithm : kAllAlgorithms) {
-    for (const LeafKernel kernel : kBothKernels) {
+    for (const QueryFamily family : kSweepFamilies) {
       BatchQuery query;
       query.options.algorithm = algorithm;
       query.options.k = w.k;
       query.options.metric = w.metric;
-      query.options.leaf_kernel = kernel;
+      query.options.family = family;
       batch.push_back(query);
     }
   }
@@ -127,13 +140,16 @@ TEST_P(ParallelDifferentialTest, AllAlgorithmsBothKernelsMatchBrute) {
   EXPECT_EQ(batch_stats.failed, 0u);
 
   for (size_t i = 0; i < batch.size(); ++i) {
+    const QueryFamily family = batch[i].options.family;
     const std::string label =
         std::string(CpqAlgorithmName(batch[i].options.algorithm)) + "/" +
-        LeafKernelName(batch[i].options.leaf_kernel) + " seed " +
-        std::to_string(seed);
+        QueryFamilyName(family) + " seed " + std::to_string(seed);
     KCPQ_ASSERT_OK(serial_results[i].status);
     KCPQ_ASSERT_OK(parallel_results[i].status);
-    ExpectSameDistances(serial_results[i].pairs, want, label);
+    ExpectDistances(serial_results[i].pairs,
+                    testing::BruteForceFamilyDistances({p_items, q_items},
+                                                       batch[i].options),
+                    label);
 
     // Per-query parallelism: the 4-thread run is the same computation.
     ASSERT_EQ(parallel_results[i].pairs.size(), serial_results[i].pairs.size())
@@ -159,7 +175,8 @@ TEST_P(ParallelDifferentialTest, AllAlgorithmsBothKernelsMatchBrute) {
     } else {
       EXPECT_EQ(s.node_pairs_processed, survivors) << label;
     }
-    if (batch[i].options.leaf_kernel == LeafKernel::kNestedLoop) {
+    // Farthest sweeps with nothing cut: no leaf pair is skipped.
+    if (family == QueryFamily::kFarthest) {
       EXPECT_EQ(s.leaf_pairs_skipped, 0u) << label;
     }
   }
@@ -207,16 +224,14 @@ TEST(BatchTest, SelfJoinDifferential) {
   const auto items = MakeUniformItems(350, 9104);
   TreeFixture fx;
   KCPQ_ASSERT_OK(fx.Build(items));
-  const auto want =
-      BruteForceKClosestPairs(items, items, 20, /*self_join=*/true);
   std::vector<BatchQuery> batch;
   for (const CpqAlgorithm algorithm : kAllAlgorithms) {
-    for (const LeafKernel kernel : kBothKernels) {
+    for (const QueryFamily family : kSweepFamilies) {
       BatchQuery query;
       query.kind = BatchQueryKind::kSelfClosestPairs;
       query.options.algorithm = algorithm;
       query.options.k = 20;
-      query.options.leaf_kernel = kernel;
+      query.options.family = family;
       batch.push_back(query);
     }
   }
@@ -225,9 +240,12 @@ TEST(BatchTest, SelfJoinDifferential) {
   const auto results = BatchKClosestPairs(fx.tree(), fx.tree(), batch, options);
   for (size_t i = 0; i < results.size(); ++i) {
     KCPQ_ASSERT_OK(results[i].status);
-    ExpectSameDistances(results[i].pairs, want,
-                        std::string("self ") +
-                            CpqAlgorithmName(batch[i].options.algorithm));
+    CpqOptions self = batch[i].options;
+    self.self_join = true;
+    ExpectDistances(
+        results[i].pairs, testing::BruteForceFamilyDistances({items, items}, self),
+        std::string("self ") + CpqAlgorithmName(self.algorithm) + "/" +
+            QueryFamilyName(self.family));
     for (const PairResult& pr : results[i].pairs) {
       ASSERT_LT(pr.p_id, pr.q_id);
     }
@@ -244,17 +262,16 @@ TEST(LeafKernelTest, SweepSkipsPairsAndComputesFewerDistances) {
   CpqOptions options;
   options.algorithm = CpqAlgorithm::kHeap;
   options.k = 10;
-  CpqStats nested, sweep;
-  options.leaf_kernel = LeafKernel::kNestedLoop;
-  ASSERT_TRUE(KClosestPairs(fp.tree(), fq.tree(), options, &nested).ok());
-  options.leaf_kernel = LeafKernel::kPlaneSweep;
-  ASSERT_TRUE(KClosestPairs(fp.tree(), fq.tree(), options, &sweep).ok());
+  CpqStats sweep;
+  auto result = KClosestPairs(fp.tree(), fq.tree(), options, &sweep);
+  ASSERT_TRUE(result.ok());
+  ExpectSameDistances(result.value(),
+                      BruteForceKClosestPairs(p_items, q_items, 10), "heap");
   EXPECT_GT(sweep.leaf_pairs_skipped, 0u);
-  EXPECT_LT(sweep.point_distance_computations,
-            nested.point_distance_computations);
-  // Skipped + computed covers exactly the pairs the nested loop enumerates.
-  EXPECT_EQ(sweep.point_distance_computations + sweep.leaf_pairs_skipped,
-            nested.point_distance_computations);
+  // Skipped + computed are the point pairs of the leaf pairs processed;
+  // in a cross join each point pair lies under one leaf pair at most.
+  EXPECT_LE(sweep.point_distance_computations + sweep.leaf_pairs_skipped,
+            uint64_t{p_items.size()} * q_items.size());
 }
 
 TEST(LeafKernelTest, BruteForceKernelsAgree) {
@@ -277,14 +294,19 @@ TEST(LeafKernelTest, HsKernelsAgree) {
   TreeFixture fp, fq;
   KCPQ_ASSERT_OK(fp.Build(p_items));
   KCPQ_ASSERT_OK(fq.Build(q_items));
-  const auto want = BruteForceKClosestPairs(p_items, q_items, 30);
-  for (const LeafKernel kernel : kBothKernels) {
+  // Closest sweeps HS's leaf pairs; farthest keeps its nested loop.
+  for (const QueryFamily family : kSweepFamilies) {
     HsOptions options;
-    options.leaf_kernel = kernel;
+    options.family = family;
     auto result = HsKClosestPairs(fp.tree(), fq.tree(), 30, options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    ExpectSameDistances(result.value(), want,
-                        std::string("hs ") + LeafKernelName(kernel));
+    CpqOptions oracle;
+    oracle.k = 30;
+    oracle.family = family;
+    ExpectDistances(result.value(),
+                    testing::BruteForceFamilyDistances({p_items, q_items},
+                                                       oracle),
+                    std::string("hs ") + QueryFamilyName(family));
   }
 }
 

@@ -1,4 +1,4 @@
-// The pruning algorithms' node-pair expansion as an axis sweep (cpq/engine.cc,
+// The node-pair expansion as an axis sweep (cpq/engine.cc,
 // CpqEngine::SweepCandidates) against the full generation it replaced:
 // every child pair's key computed in (i, j) order, T tightened over all of
 // them, then the pairs with key > T pruned — by HEAP's second pass, or by
@@ -7,13 +7,15 @@
 // closest and range-restricted; a self-join on one node; fixed sides;
 // touching, one-ulp-apart and elongated child MBRs; T at, one ulp around
 // and between keys and gap powers — each node pair is expanded from the
-// same T by HEAP, EXH, SIM, STD and, on closest trials, the ε-join (EXH
-// with T fixed). Each expansion must leave the oracle's T after tightening
-// and its generated count. HEAP must keep the same surviving child
-// keys and pruned count. A recursive algorithm's frame must be the full list
-// minus the cut pairs, in generation order (STD: in its sorted order), each
-// cut pair with key > the T held before the expansion, and the cut pairs
-// plus those its descent would prune must be the oracle's pruned pairs.
+// same T by HEAP, EXH, SIM, STD, NAIVE and, on closest trials, the ε-join
+// (EXH with T fixed), and from the negated T by farthest HEAP, EXH, SIM and
+// STD. Each expansion must leave the oracle's T after tightening and its
+// generated count. HEAP must keep the same surviving child keys and pruned
+// count. A recursive algorithm's frame must be the full list minus the cut
+// pairs, in generation order (STD: in its sorted order), each cut pair with
+// key > the T held before the expansion, and the cut pairs plus those its
+// descent would prune must be the oracle's pruned pairs. NAIVE and the
+// farthest family sweep with nothing cut: their frames are the full list.
 // With a trace attached, each pruned pair yields one kPrune event.
 
 #include <algorithm>
@@ -69,9 +71,9 @@ std::vector<Entry> Children(const Node& node, PageId page, bool expand) {
 
 /// The full-generation loop: every eligible child pair's key (and, with a
 /// non-empty `tie_chain`, its first tie score) in (i, j) order; when
-/// `tighten`, T tightened over all of them (K = 1: MINMAXDIST; K > 1: the
-/// Section 3.8 count over MAXMAXDIST); then the pairs with key > T counted
-/// as pruned.
+/// `tighten`, T tightened over all of them (closest K = 1: MINMAXDIST;
+/// closest K > 1: the Section 3.8 count over MAXMAXDIST; farthest: the same
+/// count over -MINMINDIST); then the pairs with key > T counted as pruned.
 Generation Oracle(const std::vector<Entry>& cp, const std::vector<Entry>& cq,
                   uint64_t min_points_p, uint64_t min_points_q,
                   bool same_node, const QueryObjective& objective, size_t k,
@@ -100,14 +102,17 @@ Generation Oracle(const std::vector<Entry>& cp, const std::vector<Entry>& cq,
   }
   const Metric metric = objective.metric();
   if (tighten && !children.empty() && objective.CanTightenFromCapacities()) {
-    if (k == 1) {
+    if (objective.minimizing() && k == 1) {
       for (const auto& [i, j] : children) {
         bound = std::min(bound, MinMaxDistPow(cp[i].rect, cq[j].rect, metric));
       }
     } else {
       std::vector<double> keys;
       for (const auto& [i, j] : children) {
-        keys.push_back(MaxMaxDistPow(cp[i].rect, cq[j].rect, metric));
+        keys.push_back(
+            objective.minimizing()
+                ? MaxMaxDistPow(cp[i].rect, cq[j].rect, metric)
+                : -MinMinDistPow(cp[i].rect, cq[j].rect, metric));
       }
       std::sort(keys.begin(), keys.end());
       const uint64_t min_pairs = min_points_p * min_points_q;
@@ -231,12 +236,28 @@ double PickBound(Xoshiro256pp& rng, const std::vector<Entry>& cp,
 }
 
 /// The traversals that expand through the sweep. kJoin is the ε-join: EXH
-/// under a fixed T, with the strict cut.
-enum Traversal { kHeap, kExh, kSim, kStd, kJoin, kTraversals };
+/// under a fixed T, with the strict cut. The kFar* traversals run the
+/// farthest family, and they and kNaive sweep with nothing cut.
+enum Traversal {
+  kHeap,
+  kExh,
+  kSim,
+  kStd,
+  kJoin,
+  kNaive,
+  kFarHeap,
+  kFarExh,
+  kFarSim,
+  kFarStd,
+  kTraversals
+};
 
 constexpr CpqAlgorithm kAlgorithm[kTraversals] = {
-    CpqAlgorithm::kHeap, CpqAlgorithm::kExhaustive, CpqAlgorithm::kSimple,
-    CpqAlgorithm::kSortedDistances, CpqAlgorithm::kExhaustive};
+    CpqAlgorithm::kHeap,       CpqAlgorithm::kExhaustive,
+    CpqAlgorithm::kSimple,     CpqAlgorithm::kSortedDistances,
+    CpqAlgorithm::kExhaustive, CpqAlgorithm::kNaive,
+    CpqAlgorithm::kHeap,       CpqAlgorithm::kExhaustive,
+    CpqAlgorithm::kSimple,     CpqAlgorithm::kSortedDistances};
 
 /// What one engine expansion leaves behind, and what its trace and
 /// profile saw.
@@ -257,10 +278,11 @@ TEST(SweepExpandTest, MatchesFullGenerationOracle) {
   const uint64_t m = tree.min_entries();
 
   Xoshiro256pp rng(20041);
-  uint64_t total_pruned = 0;
   uint64_t gap_checks = 0;
   uint64_t cut[kTraversals] = {};
   uint64_t descend_pruned[kTraversals] = {};
+  uint64_t heap_pruned[kTraversals] = {};
+  uint64_t generated[kTraversals] = {};
   int self_joins = 0;
   int traced = 0;
   constexpr int kTrials = 100000;
@@ -301,10 +323,19 @@ TEST(SweepExpandTest, MatchesFullGenerationOracle) {
 
     // Every traversal expands this node pair from the same T. The ε-join
     // has its own objective, unrestricted, so it runs on closest trials.
+    // The farthest family's keys are negated powers, so it starts from the
+    // negated T (+infinity stays +infinity).
     const QueryObjective join = QueryObjective::EpsilonJoin(metric, 0.0);
-    for (const Traversal traversal : {kHeap, kExh, kSim, kStd, kJoin}) {
+    const QueryObjective farthest(QueryFamily::kFarthest, metric);
+    const double far_bound = bound == kInf ? kInf : -bound;
+    for (int t = 0; t < kTraversals; ++t) {
+      const Traversal traversal = static_cast<Traversal>(t);
       if (traversal == kJoin && rcp) continue;
-      const QueryObjective& goal = traversal == kJoin ? join : objective;
+      const bool far = traversal >= kFarHeap;
+      const QueryObjective& goal = traversal == kJoin ? join
+                                   : far              ? farthest
+                                                      : objective;
+      const double start = far ? far_bound : bound;
       CpqOptions options;
       options.algorithm = kAlgorithm[traversal];
       options.k = k;
@@ -320,11 +351,12 @@ TEST(SweepExpandTest, MatchesFullGenerationOracle) {
       }
       Expansion got;
       CpqEngine engine(tree, tree, options, goal, &got.stats);
-      CpqEngineTestPeer::Bound(engine) = bound;
+      CpqEngineTestPeer::Bound(engine) = start;
       CpqEngineTestPeer::Expand(engine, page_p, node_p, page_q, node_q,
                                 choice, &got.out);
       const FrontierLess less = CpqEngineTestPeer::Less(engine);
-      if (traversal == kStd) {
+      const CpqAlgorithm algorithm = kAlgorithm[traversal];
+      if (algorithm == CpqAlgorithm::kSortedDistances) {
         // STD's frame order (ResumableCpqQuery::ExpandIntoFrame).
         std::sort(got.out.begin(), got.out.end(), less);
       }
@@ -342,10 +374,13 @@ TEST(SweepExpandTest, MatchesFullGenerationOracle) {
         }
       }
 
-      const bool tighten = traversal != kExh && traversal != kJoin;
-      const bool scored = traversal == kHeap || traversal == kStd;
+      const bool tighten = algorithm == CpqAlgorithm::kHeap ||
+                           algorithm == CpqAlgorithm::kSimple ||
+                           algorithm == CpqAlgorithm::kSortedDistances;
+      const bool scored = algorithm == CpqAlgorithm::kHeap ||
+                          algorithm == CpqAlgorithm::kSortedDistances;
       const Generation want =
-          Oracle(cp, cq, min_p, min_q, same_node, goal, k, bound, tighten,
+          Oracle(cp, cq, min_p, min_q, same_node, goal, k, start, tighten,
                  scored ? options.tie_chain : std::vector<TieCriterion>{});
       const std::string where =
           "trial " + std::to_string(trial) + " traversal " +
@@ -353,20 +388,23 @@ TEST(SweepExpandTest, MatchesFullGenerationOracle) {
       ASSERT_EQ(got.bound, want.bound) << where;
       ASSERT_EQ(got.stats.candidate_pairs_generated, want.pairs.size())
           << where;
+      generated[traversal] += want.pairs.size();
       // The pairs counted as pruned during the expansion: HEAP's cut and
       // second-pass prunes, a recursive algorithm's cut.
       const uint64_t expansion_pruned = got.stats.candidate_pairs_pruned;
-      if (traversal == kHeap) {
+      if (algorithm == CpqAlgorithm::kHeap) {
         ASSERT_EQ(Survivors(got.out, kInf), Survivors(want.pairs, want.bound))
             << where;
         ASSERT_EQ(expansion_pruned, want.pruned) << where;
-        total_pruned += want.pruned;
+        heap_pruned[traversal] += want.pruned;
       } else {
         // The frame is the full list, in generation order (STD: sorted),
         // minus exactly the cut pairs; each cut pair lies beyond the T held
         // before the expansion, so the descent would have pruned it too.
         std::vector<FrontierEntry> full = want.pairs;
-        if (traversal == kStd) std::sort(full.begin(), full.end(), less);
+        if (algorithm == CpqAlgorithm::kSortedDistances) {
+          std::sort(full.begin(), full.end(), less);
+        }
         size_t next = 0;
         uint64_t dropped = 0;
         for (const FrontierEntry& w : full) {
@@ -374,11 +412,15 @@ TEST(SweepExpandTest, MatchesFullGenerationOracle) {
             ++next;
             continue;
           }
-          ASSERT_GT(w.key, bound) << where;
+          ASSERT_GT(w.key, start) << where;
           ++dropped;
         }
         ASSERT_EQ(next, got.out.size()) << where;
         ASSERT_EQ(dropped, expansion_pruned) << where;
+        // Nothing cut: the frame is the full list.
+        if (traversal == kNaive || far) {
+          ASSERT_EQ(dropped, 0u) << where;
+        }
         uint64_t at_descend = 0;
         for (const FrontierEntry& e : got.out) at_descend += e.key > got.bound;
         ASSERT_EQ(dropped + at_descend, want.pruned) << where;
@@ -390,8 +432,10 @@ TEST(SweepExpandTest, MatchesFullGenerationOracle) {
         ASSERT_EQ(got.trace_dropped, 0u) << where;
         EXPECT_EQ(got.prune_bounds.size(), expansion_pruned) << where;
         // A recursive algorithm's cut pairs carry the pre-expansion T.
-        if (traversal != kHeap) {
-          for (const double t : got.prune_bounds) ASSERT_EQ(t, bound) << where;
+        if (algorithm != CpqAlgorithm::kHeap) {
+          for (const double b : got.prune_bounds) {
+            ASSERT_EQ(b, start) << where;
+          }
         }
         EXPECT_EQ(got.considered, want.pairs.size()) << where;
         EXPECT_EQ(got.pruned_ineq1, expansion_pruned) << where;
@@ -416,15 +460,19 @@ TEST(SweepExpandTest, MatchesFullGenerationOracle) {
   }
   // The trials reached what they exist for: every recursive algorithm both
   // cut pairs and left some for its descent to prune.
-  EXPECT_GT(total_pruned, 100000u);
+  EXPECT_GT(heap_pruned[kHeap], 100000u);
+  EXPECT_GT(heap_pruned[kFarHeap], 100000u);
   EXPECT_GT(gap_checks, 1000000u);
   EXPECT_GT(self_joins, 5000);
   EXPECT_GT(traced, 5000);
   for (const Traversal t : {kExh, kSim, kStd, kJoin}) {
     EXPECT_GT(cut[t], 10000u) << "traversal " << t;
   }
-  for (const Traversal t : {kSim, kStd}) {
+  for (const Traversal t : {kSim, kStd, kNaive, kFarExh, kFarSim, kFarStd}) {
     EXPECT_GT(descend_pruned[t], 1000u) << "traversal " << t;
+  }
+  for (int t = 0; t < kTraversals; ++t) {
+    EXPECT_GT(generated[t], 1000000u) << "traversal " << t;
   }
 }
 

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <thread>
@@ -102,13 +104,6 @@ Result<Metric> ParseMetric(const std::string& name) {
   if (name == "linf") return Metric::kLinf;
   return Status::InvalidArgument("unknown metric '" + name +
                                  "' (l1|l2|linf)");
-}
-
-Result<LeafKernel> ParseKernel(const std::string& name) {
-  if (name == "nested") return LeafKernel::kNestedLoop;
-  if (name == "sweep") return LeafKernel::kPlaneSweep;
-  return Status::InvalidArgument("unknown leaf kernel '" + name +
-                                 "' (nested|sweep)");
 }
 
 Result<QueryFamily> ParseFamily(const std::string& name) {
@@ -544,10 +539,6 @@ void DrainBoth(Database& p, Database& q) {
 }
 
 Status CmdGenerate(const Flags& flags, std::FILE* out) {
-  if (flags.positional.size() != 4) {
-    return Status::InvalidArgument(
-        "usage: generate <uniform|sequoia> <n> <seed> <out.csv>");
-  }
   uint64_t n, seed;
   KCPQ_RETURN_IF_ERROR(ParseCount(flags.positional[1], &n));
   KCPQ_RETURN_IF_ERROR(ParseCount(flags.positional[2], &seed));
@@ -570,10 +561,6 @@ Status CmdGenerate(const Flags& flags, std::FILE* out) {
 }
 
 Status CmdBuild(const Flags& flags, std::FILE* out) {
-  if (flags.positional.size() != 2) {
-    return Status::InvalidArgument(
-        "usage: build <in.csv> <out.db> [--bulk] [--page-size=N]");
-  }
   KCPQ_ASSIGN_OR_RETURN(auto items, ReadCsvPointFile(flags.positional[0]));
   // Checked before the file is created, so a rejected input leaves no
   // half-built .db behind.
@@ -619,9 +606,6 @@ Status CmdBuild(const Flags& flags, std::FILE* out) {
 }
 
 Status CmdStats(const Flags& flags, std::FILE* out) {
-  if (flags.positional.size() != 1) {
-    return Status::InvalidArgument("usage: stats <db>");
-  }
   Database db;
   KCPQ_RETURN_IF_ERROR(OpenDatabase(flags.positional[0], 0, &db));
   KCPQ_RETURN_IF_ERROR(db.tree->Validate());
@@ -776,22 +760,6 @@ Status OpenPair(const Flags& flags, Database* p, Database* q,
 }
 
 Status CmdKcp(const Flags& flags, std::FILE* out) {
-  if (flags.positional.size() != 3) {
-    return Status::InvalidArgument(
-        "usage: kcp <p.db> <q.db> <K> [--algorithm=heap] [--metric=l2] "
-        "[--query=closest|farthest|rcp] [--rect=x1,y1,x2,y2] "
-        "[--buffer=N] [--fix-at-leaves] [--self] [--kernel=nested|sweep] "
-        "[--threads=N] [--repeat=N] [--deadline-ms=N] "
-        "[--max-node-accesses=N] [--io-retries=N] [--fail-fast] "
-        "[--admission=off|advisory|enforce] [--memory-pool-bytes=N] "
-        "[--admission-feedback=ALPHA] [--prefetch=on|off] "
-        "[--prefetch-window=N] [--io-backend=pool|uring] "
-        "[--scheduler=blocking|resumable] [--max-inflight=N] "
-        "[--replicas=N] [--hedge=off|static] [--hedge-after-us=N] "
-        "[--scrub] [--explain] [--trace-out=PATH] [--stats-json=PATH] "
-        "[--obs-port=N] [--obs-linger-ms=N] [--slow-query-log=PATH] "
-        "[--slow-query-ms=T]");
-  }
   Database p, q;
   ReplicationFlags rep;
   IoBackendReport io_report;
@@ -847,9 +815,6 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
       (flags.named.count("rect") > 0)) {
     return Status::InvalidArgument(
         "--query=rcp and --rect=x1,y1,x2,y2 go together (both or neither)");
-  }
-  if (const auto it = flags.named.find("kernel"); it != flags.named.end()) {
-    KCPQ_ASSIGN_OR_RETURN(options.leaf_kernel, ParseKernel(it->second));
   }
   if (flags.named.count("fix-at-leaves") > 0) {
     options.height_strategy = HeightStrategy::kFixAtLeaves;
@@ -1199,12 +1164,6 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
 }
 
 Status CmdJoin(const Flags& flags, std::FILE* out) {
-  if (flags.positional.size() != 3) {
-    return Status::InvalidArgument(
-        "usage: join <p.db> <q.db> <epsilon> [--metric=l2] [--buffer=N] "
-        "[--max-results=N] [--self] [--deadline-ms=N] "
-        "[--max-node-accesses=N] [--io-retries=N]");
-  }
   Database p, q;
   KCPQ_RETURN_IF_ERROR(OpenPair(flags, &p, &q));
   double epsilon;
@@ -1233,12 +1192,6 @@ Status CmdJoin(const Flags& flags, std::FILE* out) {
 }
 
 Status CmdMultiway(const Flags& flags, std::FILE* out) {
-  if (flags.positional.size() < 3) {
-    return Status::InvalidArgument(
-        "usage: multiway <db1> <db2> [<db3> ...] <K> "
-        "[--edges=0-1,1-2] — closest tuples over m trees; edges default "
-        "to a chain");
-  }
   const size_t m = flags.positional.size() - 1;
   uint64_t k;
   KCPQ_RETURN_IF_ERROR(ParseCount(flags.positional.back(), &k));
@@ -1301,11 +1254,6 @@ Status CmdMultiway(const Flags& flags, std::FILE* out) {
 }
 
 Status CmdPlan(const Flags& flags, std::FILE* out) {
-  if (flags.positional.size() != 3) {
-    return Status::InvalidArgument(
-        "usage: plan <p.db> <q.db> <K> [--buffer=N] — explain the "
-        "optimizer's choice without running the query");
-  }
   Database p, q;
   KCPQ_RETURN_IF_ERROR(OpenPair(flags, &p, &q));
   uint64_t k;
@@ -1332,13 +1280,6 @@ Status CmdPlan(const Flags& flags, std::FILE* out) {
 }
 
 Status CmdSemi(const Flags& flags, std::FILE* out) {
-  if (flags.positional.size() != 2) {
-    return Status::InvalidArgument(
-        "usage: semi <p.db> <q.db> [--buffer=N] [--deadline-ms=N] "
-        "[--max-node-accesses=N] [--io-retries=N] "
-        "[--io-backend=pool|uring] [--scheduler=blocking|resumable] "
-        "— nearest Q point for every P point");
-  }
   Database p, q;
   IoBackendReport io_report;
   KCPQ_RETURN_IF_ERROR(OpenPair(flags, &p, &q, nullptr, &io_report));
@@ -1368,9 +1309,6 @@ Status CmdSemi(const Flags& flags, std::FILE* out) {
 }
 
 Status CmdKnn(const Flags& flags, std::FILE* out) {
-  if (flags.positional.size() != 4) {
-    return Status::InvalidArgument("usage: knn <db> <x> <y> <k>");
-  }
   Database db;
   KCPQ_RETURN_IF_ERROR(OpenDatabase(flags.positional[0], 0, &db));
   Point query;
@@ -1391,9 +1329,6 @@ Status CmdKnn(const Flags& flags, std::FILE* out) {
 }
 
 Status CmdRange(const Flags& flags, std::FILE* out) {
-  if (flags.positional.size() != 5) {
-    return Status::InvalidArgument("usage: range <db> <xlo> <ylo> <xhi> <yhi>");
-  }
   Database db;
   KCPQ_RETURN_IF_ERROR(OpenDatabase(flags.positional[0], 0, &db));
   Rect range;
@@ -1414,43 +1349,109 @@ Status CmdRange(const Flags& flags, std::FILE* out) {
   return Status::OK();
 }
 
+// One command: its positional synopsis and count, and every flag it
+// accepts. The usage text and the unknown-flag check both read this list.
+struct Command {
+  const char* name;
+  const char* synopsis;
+  size_t min_args;
+  size_t max_args;
+  std::vector<const char*> flags;  // "--name" or "--name=VALUE"
+  Status (*run)(const Flags&, std::FILE*);
+};
+
+// The storage flags OpenPair reads for every two-database query.
+constexpr const char* kBuffer = "--buffer=N";
+constexpr const char* kIoRetries = "--io-retries=N";
+constexpr const char* kIoBackend = "--io-backend=pool|uring";
+constexpr const char* kReplicas = "--replicas=N";
+constexpr const char* kHedge = "--hedge=off|static";
+constexpr const char* kHedgeAfter = "--hedge-after-us=N";
+constexpr const char* kDeadline = "--deadline-ms=N";
+constexpr const char* kNodeBudget = "--max-node-accesses=N";
+constexpr const char* kScheduler = "--scheduler=blocking|resumable";
+constexpr const char* kMaxInflight = "--max-inflight=N";
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> commands = {
+      {"generate", "<uniform|sequoia> <n> <seed> <out.csv>", 4, 4, {},
+       CmdGenerate},
+      {"build", "<in.csv> <out.db>", 2, 2, {"--bulk", "--page-size=N"},
+       CmdBuild},
+      {"stats", "<db>", 1, 1, {}, CmdStats},
+      {"kcp",
+       "<p.db> <q.db> <K>",
+       3,
+       3,
+       {"--algorithm=naive|exh|sim|std|heap", "--metric=l1|l2|linf",
+        "--query=closest|farthest|rcp", "--rect=x1,y1,x2,y2", kBuffer,
+        "--fix-at-leaves", "--self", "--threads=N", "--repeat=N", kDeadline,
+        kNodeBudget, kIoRetries, "--fail-fast",
+        "--admission=off|advisory|enforce", "--memory-pool-bytes=N",
+        "--admission-feedback=ALPHA", "--prefetch=on|off",
+        "--prefetch-window=N", kIoBackend, kScheduler, kMaxInflight,
+        kReplicas, kHedge, kHedgeAfter, "--scrub", "--explain",
+        "--trace-out=PATH", "--stats-json=PATH", "--obs-port=N",
+        "--obs-linger-ms=N", "--slow-query-log=PATH", "--slow-query-ms=T"},
+       CmdKcp},
+      {"join",
+       "<p.db> <q.db> <epsilon>",
+       3,
+       3,
+       {"--metric=l1|l2|linf", "--max-results=N", "--self", kDeadline,
+        kNodeBudget, kBuffer, kIoRetries, kIoBackend, kReplicas, kHedge,
+        kHedgeAfter},
+       CmdJoin},
+      {"semi",
+       "<p.db> <q.db>",
+       2,
+       2,
+       {kDeadline, kNodeBudget, kScheduler, kMaxInflight, kBuffer, kIoRetries,
+        kIoBackend, kReplicas, kHedge, kHedgeAfter},
+       CmdSemi},
+      {"plan", "<p.db> <q.db> <K>", 3, 3, {kBuffer}, CmdPlan},
+      {"multiway", "<db1> <db2> [<db3> ...] <K>", 3, SIZE_MAX,
+       {"--edges=0-1,1-2"}, CmdMultiway},
+      {"knn", "<db> <x> <y> <k>", 4, 4, {}, CmdKnn},
+      {"range", "<db> <xlo> <ylo> <xhi> <yhi>", 5, 5, {}, CmdRange},
+  };
+  return commands;
+}
+
+// "--name=VALUE" -> "name".
+std::string FlagName(const char* spec) {
+  const std::string s(spec + 2);
+  return s.substr(0, s.find('='));
+}
+
+// The command's synopsis and flags, wrapped; `indent` starts each
+// continuation line.
+std::string Usage(const Command& cmd, const std::string& lead,
+                  const std::string& indent) {
+  std::string text = lead + cmd.name + " " + cmd.synopsis;
+  size_t line_start = 0;
+  for (const char* flag : cmd.flags) {
+    const std::string item = std::string("[") + flag + "]";
+    if (text.size() - line_start + 1 + item.size() > 72) {
+      text += "\n";
+      line_start = text.size();
+      text += indent + item;
+    } else {
+      text += " " + item;
+    }
+  }
+  return text;
+}
+
 }  // namespace
 
 void PrintUsage(std::FILE* out) {
-  std::fputs(
-      "kcpq — closest pair queries over R*-tree database files\n"
-      "\n"
-      "  kcpq generate <uniform|sequoia> <n> <seed> <out.csv>\n"
-      "  kcpq build <in.csv> <out.db> [--bulk] [--page-size=N]\n"
-      "  kcpq stats <db>\n"
-      "  kcpq kcp <p.db> <q.db> <K> [--algorithm=naive|exh|sim|std|heap]\n"
-      "       [--metric=l1|l2|linf] [--query=closest|farthest|rcp]\n"
-      "       [--rect=x1,y1,x2,y2]\n"
-      "       [--buffer=N] [--fix-at-leaves] [--self]\n"
-      "       [--kernel=nested|sweep] [--threads=N] [--repeat=N]\n"
-      "       [--deadline-ms=N] [--max-node-accesses=N] [--io-retries=N]\n"
-      "       [--fail-fast] [--admission=off|advisory|enforce]\n"
-      "       [--memory-pool-bytes=N] [--admission-feedback=ALPHA]\n"
-      "       [--prefetch=on|off] [--prefetch-window=N]\n"
-      "       [--io-backend=pool|uring]\n"
-      "       [--scheduler=blocking|resumable] [--max-inflight=N]\n"
-      "       [--replicas=N] [--hedge=off|static]\n"
-      "       [--hedge-after-us=N] [--scrub]\n"
-      "       [--explain] [--trace-out=PATH] [--stats-json=PATH]\n"
-      "       [--obs-port=N] [--obs-linger-ms=N]\n"
-      "       [--slow-query-log=PATH] [--slow-query-ms=T]\n"
-      "  kcpq join <p.db> <q.db> <epsilon> [--metric=...] [--buffer=N]\n"
-      "       [--max-results=N] [--self] [--deadline-ms=N]\n"
-      "       [--max-node-accesses=N] [--io-retries=N]\n"
-      "  kcpq semi <p.db> <q.db> [--buffer=N] [--deadline-ms=N]\n"
-      "       [--max-node-accesses=N] [--io-retries=N]\n"
-      "       [--io-backend=pool|uring]\n"
-      "       [--scheduler=blocking|resumable] [--max-inflight=N]\n"
-      "  kcpq plan <p.db> <q.db> <K> [--buffer=N]\n"
-      "  kcpq multiway <db1> <db2> [<db3> ...] <K> [--edges=0-1,1-2]\n"
-      "  kcpq knn <db> <x> <y> <k>\n"
-      "  kcpq range <db> <xlo> <ylo> <xhi> <yhi>\n",
-      out);
+  std::string text =
+      "kcpq — closest pair queries over R*-tree database files\n\n";
+  for (const Command& cmd : Commands()) {
+    text += Usage(cmd, "  kcpq ", "       ") + "\n";
+  }
+  std::fputs(text.c_str(), out);
 }
 
 Status Run(const std::vector<std::string>& args, std::FILE* out) {
@@ -1458,24 +1459,39 @@ Status Run(const std::vector<std::string>& args, std::FILE* out) {
     return Status::InvalidArgument("no command; try 'help'");
   }
   const std::string& command = args[0];
-  Flags flags;
-  KCPQ_RETURN_IF_ERROR(
-      ParseFlags({args.begin() + 1, args.end()}, &flags));
   if (command == "help") {
     PrintUsage(out);
     return Status::OK();
   }
-  if (command == "generate") return CmdGenerate(flags, out);
-  if (command == "build") return CmdBuild(flags, out);
-  if (command == "stats") return CmdStats(flags, out);
-  if (command == "kcp") return CmdKcp(flags, out);
-  if (command == "join") return CmdJoin(flags, out);
-  if (command == "semi") return CmdSemi(flags, out);
-  if (command == "plan") return CmdPlan(flags, out);
-  if (command == "multiway") return CmdMultiway(flags, out);
-  if (command == "knn") return CmdKnn(flags, out);
-  if (command == "range") return CmdRange(flags, out);
-  return Status::InvalidArgument("unknown command: " + command);
+  const auto& commands = Commands();
+  const auto cmd =
+      std::find_if(commands.begin(), commands.end(),
+                   [&](const Command& c) { return command == c.name; });
+  if (cmd == commands.end()) {
+    return Status::InvalidArgument("unknown command: " + command);
+  }
+  Flags flags;
+  KCPQ_RETURN_IF_ERROR(
+      ParseFlags({args.begin() + 1, args.end()}, &flags));
+  for (const auto& [name, value] : flags.named) {
+    const auto spec =
+        std::find_if(cmd->flags.begin(), cmd->flags.end(),
+                     [&](const char* s) { return FlagName(s) == name; });
+    if (spec == cmd->flags.end()) {
+      return Status::InvalidArgument("unknown flag --" + name + " for " +
+                                     command);
+    }
+    // A switch is on whenever it is given, so `--self=false` would
+    // silently mean on.
+    if (std::strchr(*spec, '=') == nullptr && value != "true") {
+      return Status::InvalidArgument("flag --" + name + " takes no value");
+    }
+  }
+  if (flags.positional.size() < cmd->min_args ||
+      flags.positional.size() > cmd->max_args) {
+    return Status::InvalidArgument(Usage(*cmd, "usage: ", "  "));
+  }
+  return cmd->run(flags, out);
 }
 
 }  // namespace cli
