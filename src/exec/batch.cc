@@ -10,7 +10,6 @@
 #include "cpq/resumable.h"
 #include "cpq/resumable_semi.h"
 #include "exec/scheduler.h"
-#include "exec/thread_pool.h"
 #include "hs/hs.h"
 #include "hs/resumable.h"
 #include "obs/kcpq_metrics.h"
@@ -216,9 +215,17 @@ std::vector<BatchQueryResult> BatchKClosestPairs(
   // from whichever worker fails first.
   CancellationSource batch_source;
   const CancellationToken batch_token = batch_source.token();
+  // One executor for both modes (exec/scheduler.h). The mode chooses only
+  // whether a miss parks or waits, how many queries are live, and how long
+  // a query's context lives:
+  //  - kBlocking: the machine ignores the scheduler's waker and runs
+  //    inline (a miss waits in BufferManager::Read); `threads` queries are
+  //    live at most, and each context is freed with its machine.
+  //  - kResumable: the machine parks on misses; up to `max_inflight`
+  //    queries are live, and every context lives until the post-run drain.
   const SchedulerMode mode = options.scheduler;
-  const char* const scheduler_name =
-      mode == SchedulerMode::kResumable ? "resumable" : "blocking";
+  const bool resumable = mode == SchedulerMode::kResumable;
+  const char* const scheduler_name = resumable ? "resumable" : "blocking";
 
   // Per-query state. A multiplexed query's context is registered as the
   // issuer of staged prefetch entries, so it may only be destroyed after
@@ -231,11 +238,12 @@ std::vector<BatchQueryResult> BatchKClosestPairs(
   };
   std::vector<Slot> slots(queries.size());
 
-  // Builds query i's state machine. An empty waker makes it run inline
-  // (kBlocking: one Step() on the calling worker); the scheduler's waker
-  // lets it park (kResumable). Returns null for a query shed by admission.
+  // Builds query i's state machine. The scheduler's waker lets it park
+  // (kResumable); without it the machine runs inline and one Step()
+  // finishes it (kBlocking). Returns null for a query shed by admission.
   const auto factory = [&](size_t i,
                            Waker waker) -> std::unique_ptr<ResumableTask> {
+    if (!resumable) waker = Waker();
     BatchQueryResult& result = results[i];
     const BatchQuery& query = queries[i];
     if (admission != nullptr) {
@@ -296,19 +304,19 @@ std::vector<BatchQueryResult> BatchKClosestPairs(
     return nullptr;
   };
 
-  const auto on_done = [&](size_t i, ResumableTask* task) {
+  const auto on_done = [&](size_t i, std::unique_ptr<ResumableTask> task) {
     BatchQueryResult& result = results[i];
     Slot& slot = slots[i];
     switch (queries[i].kind) {
       case BatchQueryKind::kClosestPairs:
       case BatchQueryKind::kSelfClosestPairs:
-        Harvest<ResumableCpqQuery>(task, &result);
+        Harvest<ResumableCpqQuery>(task.get(), &result);
         break;
       case BatchQueryKind::kHsClosestPairs:
-        Harvest<ResumableHsQuery>(task, &result);
+        Harvest<ResumableHsQuery>(task.get(), &result);
         break;
       case BatchQueryKind::kSemiClosestPairs:
-        Harvest<ResumableSemiQuery>(task, &result);
+        Harvest<ResumableSemiQuery>(task.get(), &result);
         break;
     }
     result.peak_memory_bytes = slot.ctx->accountant().peak_total_bytes();
@@ -332,40 +340,22 @@ std::vector<BatchQueryResult> BatchKClosestPairs(
     if (options.cancel_batch_on_first_failure && !result.status.ok()) {
       batch_source.Cancel();
     }
-  };
-
-  if (mode == SchedulerMode::kResumable) {
-    // Completion-driven: `threads` workers multiplex up to `max_inflight`
-    // machines, parking on buffer misses (exec/scheduler.h, docs/io.md).
-    ResumableScheduler::Options sched;
-    sched.workers = options.threads;            // 0 -> DefaultThreads
-    sched.max_inflight = options.max_inflight;  // 0 -> 256
-    ResumableScheduler::Run(queries.size(), factory, on_done, sched);
-  } else {
-    // One query per worker, driven inline to completion.
-    const auto run_inline = [&](size_t i) {
-      std::unique_ptr<ResumableTask> task = factory(i, Waker());
-      if (task == nullptr) return;
-      task->Step();  // an inline machine never parks
-      on_done(i, task.get());
+    if (!resumable) {
       // An inline machine settled its own speculation, so no staged entry
       // names this query's context any more: free it, and its
-      // distinct-page set, now rather than at the end of the batch.
+      // distinct-page set, now rather than at the end of the batch —
+      // machine first, since it refers to its context.
       task.reset();
-      slots[i].ctx.reset();
-    };
-    const size_t threads =
-        options.threads == 0 ? ThreadPool::DefaultThreads() : options.threads;
-    if (threads == 1) {
-      for (size_t i = 0; i < queries.size(); ++i) run_inline(i);
-    } else {
-      ThreadPool pool(threads);
-      for (size_t i = 0; i < queries.size(); ++i) {
-        pool.Submit([&run_inline, i] { run_inline(i); });
-      }
-      pool.Wait();
+      slot.ctx.reset();
     }
-  }
+  };
+
+  ResumableScheduler::Options sched;
+  sched.workers = options.threads != 0 ? options.threads
+                                       : ResumableScheduler::DefaultWorkers();
+  sched.max_inflight = resumable ? options.max_inflight  // 0 -> 256
+                                 : sched.workers;
+  ResumableScheduler::Run(queries.size(), factory, on_done, sched);
 
   // Settle leftover speculation (and any staged demand entries) while the
   // contexts registered as their issuers are still alive; `slots` may only

@@ -49,16 +49,17 @@ enum class BatchQueryKind {
 
 /// How BatchKClosestPairs executes a batch.
 /// Every query kind is one state machine (cpq/resumable.h, hs/resumable.h,
-/// cpq/resumable_semi.h); the mode only chooses how it is driven.
+/// cpq/resumable_semi.h), and every batch runs on one ResumableScheduler
+/// (exec/scheduler.h); the mode only chooses whether a miss parks or waits.
 enum class SchedulerMode {
-  /// One pool thread per running query, which drives the query's machine
-  /// inline: every page read waits on its thread (the classic executor).
+  /// Each worker drives one query's machine inline: every page read waits
+  /// on its worker, so at most `threads` queries are live.
   kBlocking,
-  /// Completion-driven: the machines are multiplexed over the worker pool,
-  /// parking on buffer misses instead of waiting (exec/scheduler.h,
-  /// docs/io.md). Per-query results, certificates, and disk-access counts
-  /// are bit-identical to kBlocking; only wall-clock and the achievable
-  /// in-flight query count change.
+  /// Completion-driven: the machines are multiplexed over the workers,
+  /// parking on buffer misses instead of waiting (docs/io.md). Per-query
+  /// results, certificates, and disk-access counts are bit-identical to
+  /// kBlocking; only wall-clock and the achievable in-flight query count
+  /// change.
   kResumable,
 };
 
@@ -125,8 +126,10 @@ obs::QuerySummary MakeSummary(const BatchQuery& query,
                               const char* scheduler);
 
 struct BatchOptions {
-  /// Worker threads. 0 = ThreadPool::DefaultThreads(); 1 = run inline on
-  /// the calling thread (no pool, deterministic execution order).
+  /// Worker threads, the calling thread included (it is one of the
+  /// scheduler's workers). 0 = ResumableScheduler::DefaultWorkers(); 1 =
+  /// run on the calling thread alone (no thread started; under kBlocking
+  /// the queries run one by one in input order).
   size_t threads = 0;
 
   /// Batch-wide lifecycle limits, merged (QueryControl::Merged) into every
@@ -150,7 +153,8 @@ struct BatchOptions {
   /// value; only wall-clock changes. 0 = speculation off (default).
   size_t prefetch_window = 0;
 
-  /// Execution model; see SchedulerMode. Results are identical either way.
+  /// Whether a miss parks or waits; see SchedulerMode. Both modes run on
+  /// the same scheduler, and results are identical either way.
   SchedulerMode scheduler = SchedulerMode::kBlocking;
 
   /// kResumable only: cap on queries live (admitted, unfinished) at once.

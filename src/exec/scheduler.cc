@@ -4,14 +4,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "exec/completion_ring.h"
-#include "exec/thread_pool.h"
 #include "obs/kcpq_metrics.h"
 #include "obs/metrics.h"
 
@@ -31,23 +30,17 @@ constexpr int kDone = 4;     // finished (or never admitted)
 // post-run buffer drain erasing leftover demand entries) lands on live
 // memory and no-ops against a kDone slot.
 struct SchedulerImpl {
-  explicit SchedulerImpl(size_t count, size_t workers)
-      : states(count), tasks(count), ring(count + workers + 1) {}
+  explicit SchedulerImpl(size_t count) : states(count), tasks(count) {}
 
   std::vector<std::atomic<int>> states;
   std::vector<std::unique_ptr<ResumableTask>> tasks;
-  CompletionRing ring;
 
-  // Runnable entries currently queued (ring + overflow); lets sleeping
-  // workers wait on a plain predicate.
-  std::atomic<size_t> queued{0};
+  // The run queue: woken slots in wake order, guarded by sleep_mu — the
+  // mutex sleeping workers wait on, which a wake takes before it notifies
+  // anyway.
   std::mutex sleep_mu;
   std::condition_variable sleep_cv;
-
-  // Backstop if the ring ever reports full (the sizing invariant makes
-  // that unreachable; see completion_ring.h).
-  std::mutex overflow_mu;
-  std::vector<size_t> overflow;
+  std::deque<size_t> runnable;
 
   // Admission of new tasks. next_start is written under start_mu but read
   // lock-free by the sleep predicate.
@@ -72,45 +65,36 @@ struct SchedulerImpl {
     return done_count.load(std::memory_order_acquire) >= count;
   }
 
-  void UpdateGauges() {
+  void PublishParked() {
     if (obs::Enabled()) {
       obs::KcpqMetrics::Get().scheduler_parked->Set(
           parked_count.load(std::memory_order_relaxed));
-      obs::KcpqMetrics::Get().scheduler_runnable->Set(
-          queued.load(std::memory_order_relaxed));
+    }
+  }
+
+  // Call with sleep_mu held.
+  void PublishRunnable() {
+    if (obs::Enabled()) {
+      obs::KcpqMetrics::Get().scheduler_runnable->Set(runnable.size());
     }
   }
 
   void Enqueue(size_t index) {
-    if (!ring.Push(index)) {
-      std::lock_guard<std::mutex> lock(overflow_mu);
-      overflow.push_back(index);
+    {
+      std::lock_guard<std::mutex> lock(sleep_mu);
+      runnable.push_back(index);
+      PublishRunnable();
     }
-    queued.fetch_add(1, std::memory_order_release);
-    UpdateGauges();
-    // Empty critical section: pairs the notify with any wait in progress
-    // without holding the lock across it.
-    { std::lock_guard<std::mutex> lock(sleep_mu); }
     sleep_cv.notify_one();
   }
 
   bool Dequeue(size_t* index) {
-    if (ring.Pop(index)) {
-      queued.fetch_sub(1, std::memory_order_relaxed);
-      UpdateGauges();
-      return true;
-    }
-    {
-      std::lock_guard<std::mutex> lock(overflow_mu);
-      if (!overflow.empty()) {
-        *index = overflow.back();
-        overflow.pop_back();
-        queued.fetch_sub(1, std::memory_order_relaxed);
-        UpdateGauges();
-        return true;
-      }
-    }
-    return false;
+    std::lock_guard<std::mutex> lock(sleep_mu);
+    if (runnable.empty()) return false;
+    *index = runnable.front();
+    runnable.pop_front();
+    PublishRunnable();
+    return true;
   }
 
   // The BufferManager calls this (through the Waker lambda) on the I/O
@@ -131,6 +115,7 @@ struct SchedulerImpl {
     KCPQ_METRIC_INC(obs::KcpqMetrics::Get().scheduler_wakes_total);
     if (prev == kParked) {
       parked_count.fetch_sub(1, std::memory_order_relaxed);
+      PublishParked();
       Enqueue(index);
     }
     // prev == kRunning or kIdle: the worker inside Step observes the
@@ -138,11 +123,13 @@ struct SchedulerImpl {
   }
 
   void FinishSlot(size_t index, bool ran) {
-    if (ran && on_done && *on_done) (*on_done)(index, tasks[index].get());
     // The task owns a waker holding a shared_ptr to this impl, so keeping
     // it would form a cycle that frees neither (nor the task's engine
-    // state). Nothing touches a finished task again: stale wakes only
-    // read states[index].
+    // state): the done callback takes it and destroys it. Nothing touches
+    // a finished task again: stale wakes only read states[index].
+    if (ran && on_done && *on_done) {
+      (*on_done)(index, std::move(tasks[index]));
+    }
     tasks[index].reset();
     inflight.fetch_sub(1, std::memory_order_relaxed);
     const size_t finished = done_count.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -174,7 +161,7 @@ struct SchedulerImpl {
     if (state.compare_exchange_strong(expected, kParked,
                                       std::memory_order_acq_rel)) {
       parked_count.fetch_add(1, std::memory_order_relaxed);
-      UpdateGauges();
+      PublishParked();
     } else {
       // expected == kWoken: resume it via the queue rather than looping
       // here, so this worker stays fair to other runnable tasks.
@@ -230,11 +217,12 @@ struct SchedulerImpl {
       }
       if (TryStart(self)) continue;
       // Nothing runnable and nothing startable: sleep until a wake, a
-      // finish, or a freed admission slot. The timeout backstops the
-      // (benign) race where state changes between our checks and the wait.
+      // finish, or a freed admission slot. Each of those takes sleep_mu
+      // before it notifies, so none slips in between the predicate and the
+      // wait; the timeout is only a backstop.
       std::unique_lock<std::mutex> lock(sleep_mu);
       sleep_cv.wait_for(lock, std::chrono::milliseconds(50), [this] {
-        return queued.load(std::memory_order_acquire) > 0 || AllDone() ||
+        return !runnable.empty() || AllDone() ||
                (next_start.load(std::memory_order_relaxed) < count &&
                 inflight.load(std::memory_order_relaxed) < max_inflight);
       });
@@ -250,23 +238,24 @@ ResumableScheduler::Stats ResumableScheduler::Run(size_t count,
                                                   const Options& options) {
   Stats stats;
   if (count == 0) return stats;
-  size_t workers = options.workers > 0 ? options.workers
-                                       : ThreadPool::DefaultThreads();
+  size_t workers = options.workers > 0 ? options.workers : DefaultWorkers();
   if (workers > count) workers = count;
   size_t max_inflight = options.max_inflight > 0 ? options.max_inflight : 256;
   if (max_inflight > count) max_inflight = count;
 
-  auto impl = std::make_shared<SchedulerImpl>(count, workers);
+  auto impl = std::make_shared<SchedulerImpl>(count);
   impl->count = count;
   impl->max_inflight = max_inflight;
   impl->factory = &factory;
   impl->on_done = &on_done;
 
+  // The calling thread is the last worker.
   std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (size_t i = 0; i < workers; ++i) {
+  threads.reserve(workers - 1);
+  for (size_t i = 1; i < workers; ++i) {
     threads.emplace_back([impl] { impl->WorkerLoop(impl); });
   }
+  impl->WorkerLoop(impl);
   for (auto& t : threads) t.join();
 
   stats.parks = impl->parks.load(std::memory_order_relaxed);
@@ -279,10 +268,15 @@ ResumableScheduler::Stats ResumableScheduler::Run(size_t count,
   }
   // The factory/on_done pointers dangle once we return; clear them so a
   // stale waker held by a buffer entry cannot reach them (it only touches
-  // states/ring anyway, but belt and braces).
+  // states and the run queue anyway, but belt and braces).
   impl->factory = nullptr;
   impl->on_done = nullptr;
   return stats;
+}
+
+size_t ResumableScheduler::DefaultWorkers() {
+  const unsigned n = std::thread::hardware_concurrency();
+  return n == 0 ? 1 : n;
 }
 
 }  // namespace kcpq

@@ -39,7 +39,7 @@ class JoinImpl {
         tree_q_(tree_q),
         options_(options),
         ctx_(options.context),
-        queue_(options.queue_distance_threshold, options.queue_page_size,
+        queue_(options.queue_distance_threshold, kDefaultPageSize,
                options.tie_policy == HsTiePolicy::kDepthFirst),
         objective_(options.family, Metric::kL2, options.query_rect),
         k_bound_(options.k_bound),

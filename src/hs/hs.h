@@ -59,9 +59,6 @@ struct HsOptions {
   /// spill to disk-resident overflow pages. Default: everything in memory.
   double queue_distance_threshold = std::numeric_limits<double>::infinity();
 
-  /// Page size of the queue's own overflow storage.
-  size_t queue_page_size = kDefaultPageSize;
-
   /// Speculative prefetch window W (see CpqOptions::prefetch_window): on
   /// each node expansion the join issues asynchronous reads for the node
   /// pages of the W nearest children just pushed. 0 (default) disables

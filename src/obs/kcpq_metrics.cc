@@ -113,7 +113,7 @@ KcpqMetrics Register() {
       r.GetHistogram("kcpq_batch_query_peak_memory_bytes", kBytes);
   m.batch_query_seconds_blocking =
       r.GetHistogram("kcpq_batch_query_seconds_blocking", kLatency,
-                     "Per-query wall clock under the blocking thread pool");
+                     "Per-query wall clock of blocking batches");
   m.batch_query_seconds_resumable =
       r.GetHistogram("kcpq_batch_query_seconds_resumable", kLatency,
                      "Per-query wall clock under the resumable scheduler");

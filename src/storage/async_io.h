@@ -1,8 +1,8 @@
 // Process-wide I/O thread pool backing the portable ReadPagesAsync
 // backend (storage_manager.h, IoBackend::kThreadPool).
 //
-// This is deliberately a *separate* pool from the batch executor's
-// (exec/thread_pool.h): exec sits above cpq/rtree/buffer/storage in the
+// This is deliberately *separate* from the batch executor's workers
+// (exec/scheduler.h): exec sits above cpq/rtree/buffer/storage in the
 // dependency graph, so storage cannot borrow its workers — and mixing
 // CPU-bound query workers with threads that spend their life blocked in
 // pread/sleep would let a burst of slow reads starve compute anyway. The

@@ -106,6 +106,34 @@ TEST_F(CliTest, UnknownFlagIsRejected) {
   EXPECT_NE(out.find("[--bulk]"), std::string::npos);
 }
 
+// A flag given twice is an error, not silently its last value, and it is
+// reported before any file is opened.
+TEST_F(CliTest, RepeatedFlagIsRejected) {
+  BuildBoth("100");
+  std::string out;
+  struct Case {
+    std::vector<std::string> args;
+    const char* message;
+  };
+  const Case cases[] = {
+      {{"kcp", db_p_, db_q_, "2", "--algorithm=naive", "--algorithm=heap"},
+       "flag --algorithm given twice"},
+      {{"kcp", db_p_, db_q_, "2", "--buffer=64", "--buffer=64"},
+       "flag --buffer given twice"},
+      {{"kcp", db_p_, db_q_, "2", "--self", "--self"},
+       "flag --self given twice"},
+      {{"kcp", "/tmp/kcpq_no_such_p.db", "/tmp/kcpq_no_such_q.db", "2",
+        "--threads=2", "--threads=4"},
+       "flag --threads given twice"},
+  };
+  for (const Case& c : cases) {
+    const Status status = RunCli(c.args, &out);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << c.message;
+    EXPECT_EQ(status.message(), c.message);
+    EXPECT_TRUE(out.empty()) << c.message;
+  }
+}
+
 TEST_F(CliTest, GenerateBuildStats) {
   BuildBoth("1000");
   std::string out;

@@ -1,7 +1,7 @@
 // Tests for the parallel batch executor (exec/) and the plane-sweep leaf
 // kernel: differential correctness against brute force across ~50 seeded
 // workloads x all five algorithms x the closest and farthest families x
-// 1/4 threads, stats accounting invariants, ThreadPool basics, and
+// 1/4 threads, stats accounting invariants, the in-flight cap, and
 // concurrent queries over a shared sharded buffer.
 
 #include <algorithm>
@@ -13,9 +13,10 @@
 #include "cpq/brute.h"
 #include "cpq/cpq.h"
 #include "exec/batch.h"
-#include "exec/thread_pool.h"
 #include "gtest/gtest.h"
 #include "hs/hs.h"
+#include "obs/kcpq_metrics.h"
+#include "obs/metrics.h"
 #include "tests/differential_mix.h"
 #include "tests/test_util.h"
 
@@ -220,6 +221,31 @@ TEST(BatchTest, MixedKindsMatchDirectCalls) {
   }
 }
 
+// A blocking batch runs on the same scheduler as a resumable one, with
+// the in-flight cap at `threads`: never more queries (and contexts) live
+// than workers, however long the batch.
+TEST(BatchTest, BlockingBatchHoldsAtMostThreadsLiveQueries) {
+  if (!obs::MetricsCompiledIn()) GTEST_SKIP() << "metrics compiled out";
+  TreeFixture fp, fq;
+  KCPQ_ASSERT_OK(fp.Build(MakeUniformItems(600, 9120)));
+  KCPQ_ASSERT_OK(fq.Build(MakeUniformItems(600, 9121)));
+  std::vector<BatchQuery> batch(32);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    batch[i].options.algorithm = kAllAlgorithms[i % 5];
+    batch[i].options.k = 1 + i;
+  }
+  BatchOptions options;
+  options.threads = 4;
+  options.scheduler = SchedulerMode::kBlocking;
+  options.max_inflight = 64;  // ignored under kBlocking
+  const obs::KcpqMetrics& m = obs::KcpqMetrics::Get();
+  m.scheduler_inflight_peak->Reset();
+  const auto results = BatchKClosestPairs(fp.tree(), fq.tree(), batch, options);
+  for (const auto& r : results) KCPQ_ASSERT_OK(r.status);
+  EXPECT_GE(m.scheduler_inflight_peak->value(), 1u);
+  EXPECT_LE(m.scheduler_inflight_peak->value(), 4u);
+}
+
 TEST(BatchTest, SelfJoinDifferential) {
   const auto items = MakeUniformItems(350, 9104);
   TreeFixture fx;
@@ -386,47 +412,6 @@ TEST(BatchHsRecordTest, BatchRecordMatchesDirectCall) {
   EXPECT_EQ(spilled.items_pushed, direct.items_pushed);
   EXPECT_EQ(spilled.node_pairs_processed, direct.node_pairs_processed);
   EXPECT_EQ(spilled.disk_accesses(), direct.disk_accesses());
-}
-
-TEST(ThreadPoolTest, RunsEveryTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPoolTest, WaitThenReuse) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 100; ++i) {
-      pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.Wait();
-    EXPECT_EQ(count.load(), (round + 1) * 100);
-  }
-}
-
-TEST(ThreadPoolTest, ZeroThreadsClampedToOne) {
-  ThreadPool pool(0);
-  std::atomic<bool> ran{false};
-  pool.Submit([&ran] { ran.store(true); });
-  pool.Wait();
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueue) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 200; ++i) {
-      pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }  // destructor joins after the queue drains
-  EXPECT_EQ(count.load(), 200);
 }
 
 // Concurrent queries against shared *sharded* buffers: per-query disk

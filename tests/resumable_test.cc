@@ -633,7 +633,7 @@ TEST(SchedulerTest, MidStepWakesNeverLoseTasks) {
         return std::make_unique<SelfWakingTask>(
             static_cast<int>(index % 7), std::move(waker), &steps);
       },
-      [&](size_t, ResumableTask*) {
+      [&](size_t, std::unique_ptr<ResumableTask>) {
         done.fetch_add(1, std::memory_order_relaxed);
       },
       options);
@@ -655,7 +655,7 @@ TEST(SchedulerTest, NullFactoryResultSkipsDoneCallback) {
         if (index % 3 == 0) return nullptr;  // "admission rejection"
         return std::make_unique<SelfWakingTask>(1, std::move(waker), &steps);
       },
-      [&](size_t, ResumableTask*) {
+      [&](size_t, std::unique_ptr<ResumableTask>) {
         done.fetch_add(1, std::memory_order_relaxed);
       },
       options);
@@ -699,13 +699,35 @@ TEST(SchedulerTest, TasksAreDestroyedBeforeRunReturns) {
       [&](size_t, Waker waker) {
         return std::make_unique<CountedTask>(std::move(waker), &live);
       },
-      [&](size_t, ResumableTask* task) {
+      [&](size_t, std::unique_ptr<ResumableTask> task) {
         EXPECT_NE(task, nullptr);  // still alive while its result is taken
         done.fetch_add(1, std::memory_order_relaxed);
       },
       options);
   EXPECT_EQ(done.load(), 64u);
   EXPECT_EQ(live.load(), 0);
+}
+
+// One worker is the calling thread: a batch of one query (the interactive
+// path) or a `threads = 1` batch starts no thread.
+TEST(SchedulerTest, OneWorkerRunsOnCallingThread) {
+  constexpr size_t kTasks = 8;
+  std::atomic<int> steps{0};
+  std::vector<std::thread::id> built_on(kTasks);
+  ResumableScheduler::Options options;
+  options.workers = 1;
+  options.max_inflight = 4;
+  const ResumableScheduler::Stats stats = ResumableScheduler::Run(
+      kTasks,
+      [&](size_t index, Waker waker) {
+        built_on[index] = std::this_thread::get_id();
+        return std::make_unique<SelfWakingTask>(2, std::move(waker), &steps);
+      },
+      [&](size_t, std::unique_ptr<ResumableTask>) {}, options);
+  for (const std::thread::id id : built_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+  EXPECT_EQ(stats.steps, 3 * kTasks);
 }
 
 // ---------------------------------------------------------------------------

@@ -51,15 +51,18 @@ struct Flags {
   std::map<std::string, std::string> named;
 };
 
-// Splits args into positional parameters and --name=value flags.
+// Splits args into positional parameters and --name=value flags. A flag
+// given twice is an error: which of the two values should win?
 Status ParseFlags(const std::vector<std::string>& args, Flags* flags) {
   for (const std::string& arg : args) {
     if (arg.rfind("--", 0) == 0) {
       const size_t eq = arg.find('=');
-      if (eq == std::string::npos) {
-        flags->named[arg.substr(2)] = "true";
-      } else {
-        flags->named[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+      const std::string name =
+          arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+      std::string value =
+          eq == std::string::npos ? "true" : arg.substr(eq + 1);
+      if (!flags->named.emplace(name, std::move(value)).second) {
+        return Status::InvalidArgument("flag --" + name + " given twice");
       }
     } else {
       flags->positional.push_back(arg);
@@ -356,9 +359,10 @@ struct Database {
   }
 };
 
+// `shards` > 1 builds a sharded LRU buffer for concurrent queries.
 Status OpenDatabase(const std::string& path, size_t buffer_pages,
                     Database* db, uint64_t io_retries = 0,
-                    const ReplicationFlags* rep = nullptr) {
+                    const ReplicationFlags* rep = nullptr, size_t shards = 1) {
   const size_t replicas =
       rep != nullptr ? static_cast<size_t>(rep->replicas) : 1;
   const MirroredOptions mirrored =
@@ -372,7 +376,11 @@ Status OpenDatabase(const std::string& path, size_t buffer_pages,
         db->replicated.top(), policy);
   }
   db->buffer =
-      std::make_unique<BufferManager>(db->top_storage(), buffer_pages);
+      shards > 1
+          ? std::make_unique<BufferManager>(db->top_storage(), buffer_pages,
+                                            shards,
+                                            [] { return MakeLruPolicy(); })
+          : std::make_unique<BufferManager>(db->top_storage(), buffer_pages);
   KCPQ_ASSIGN_OR_RETURN(db->tree,
                         RStarTree::Open(db->buffer.get(), kMetaPage));
   return Status::OK();
@@ -665,26 +673,17 @@ Status OpenPair(const Flags& flags, Database* p, Database* q,
   ReplicationFlags rep;
   KCPQ_RETURN_IF_ERROR(ParseReplicationFlags(flags, &rep));
   if (rep_out != nullptr) *rep_out = rep;
-  KCPQ_RETURN_IF_ERROR(OpenDatabase(flags.positional[0], buffer_pages / 2, p,
-                                    io_retries, &rep));
-  KCPQ_RETURN_IF_ERROR(OpenDatabase(flags.positional[1], buffer_pages / 2, q,
-                                    io_retries, &rep));
-  // Concurrent queries (--threads > 1) want sharded buffers: rebuild the
-  // buffer layer with enough shards that workers rarely collide.
+  // Concurrent queries (--threads > 1) want sharded buffers, with enough
+  // shards that workers rarely collide.
   uint64_t threads = 1;
   if (const auto it = flags.named.find("threads"); it != flags.named.end()) {
     KCPQ_RETURN_IF_ERROR(ParseCount(it->second, &threads));
   }
-  if (threads > 1) {
-    for (Database* db : {p, q}) {
-      db->tree.reset();
-      db->buffer = std::make_unique<BufferManager>(
-          db->top_storage(), buffer_pages / 2, /*shards=*/64,
-          [] { return MakeLruPolicy(); });
-      KCPQ_ASSIGN_OR_RETURN(db->tree,
-                            RStarTree::Open(db->buffer.get(), kMetaPage));
-    }
-  }
+  const size_t shards = threads > 1 ? 64 : 1;
+  KCPQ_RETURN_IF_ERROR(OpenDatabase(flags.positional[0], buffer_pages / 2, p,
+                                    io_retries, &rep, shards));
+  KCPQ_RETURN_IF_ERROR(OpenDatabase(flags.positional[1], buffer_pages / 2, q,
+                                    io_retries, &rep, shards));
   // Async read backend for prefetching. `uring` degrades gracefully:
   // when the kernel refuses rings, the build lacks KCPQ_IOURING, or a
   // decorator (--io-retries / --replicas) routes async reads through the
